@@ -60,6 +60,14 @@ def idempotent_mask(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "idempotent_mask", compute)
 
 
+def idempotent_indices(ring: FiniteRing) -> np.ndarray:
+    """Idempotents in ascending index order: the column order of every
+    idempotent-indexed grid."""
+    return _cached(
+        ring, "idempotent_indices", lambda: _frozen(np.flatnonzero(idempotent_mask(ring)))
+    )
+
+
 def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         arange = np.arange(ring.size)
@@ -73,11 +81,32 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "nilpotent_mask", compute)
 
 
-def center_mask(ring: FiniteRing) -> np.ndarray:
-    def compute():
-        return _frozen((ring.mul_table == ring.mul_table.T).all(axis=1))
+def comm_matrix(ring: FiniteRing) -> np.ndarray:
+    """Boolean matrix with entry (x, y) true when x*y == y*x.
 
-    return _cached(ring, "center_mask", compute)
+    Cost: one n x n comparison, n^2 bytes kept.  The matrix is symmetric
+    for any table, ring or not, so row x is both C(x) and the set of
+    elements x commutes with.
+    """
+    return _cached(ring, "comm_matrix", lambda: _frozen(ring.mul_table == ring.mul_table.T))
+
+
+def row_subset_grid(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Entry (a, j) is True when row a of ``rows`` is contained in row
+    ``targets[j]``.
+
+    Rows are packed into bitsets, so the cost is n*k*n/8 byte operations
+    for an n x n matrix and k targets, with one Python step per target.
+    """
+    packed = np.packbits(rows, axis=1)
+    grid = np.empty((rows.shape[0], len(targets)), dtype=bool)
+    for j, t in enumerate(targets):
+        grid[:, j] = ~(packed & ~packed[t]).any(axis=1)
+    return grid
+
+
+def center_mask(ring: FiniteRing) -> np.ndarray:
+    return _cached(ring, "center_mask", lambda: _frozen(comm_matrix(ring).all(axis=1)))
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
@@ -101,30 +130,25 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def qnil_mask(ring: FiniteRing) -> np.ndarray:
+    """a with 1 + a*x a unit for every x in C(a): one n x n boolean gather
+    masked by the commutation matrix, so n^2 work and bytes."""
+
     def compute():
-        units = unit_mask(ring)
-        one_plus = ring.add_table[ring.one]
-        mul = ring.mul_table
-        out = np.zeros(ring.size, dtype=bool)
-        for a in range(ring.size):
-            commuters = np.flatnonzero(mul[a] == mul[:, a])
-            out[a] = units[one_plus[mul[a, commuters]]].all()
-        return _frozen(out)
+        one_plus_is_unit = unit_mask(ring)[ring.add_table[ring.one]]
+        unit_at = one_plus_is_unit[ring.mul_table]  # (a, x): 1 + a*x is a unit
+        return _frozen((unit_at | ~comm_matrix(ring)).all(axis=1))
 
     return _cached(ring, "qnil_mask", compute)
 
 
 def comm_mask(ring: FiniteRing, a: Element) -> np.ndarray:
     ring._check_index(a)
-    return ring.mul_table[a] == ring.mul_table[:, a]
+    return comm_matrix(ring)[a]
 
 
 def comm2_mask(ring: FiniteRing, a: Element) -> np.ndarray:
-    mul = ring.mul_table
-    acc = np.ones(ring.size, dtype=bool)
-    for x in np.flatnonzero(comm_mask(ring, a)):
-        acc &= mul[x] == mul[:, x]
-    return acc
+    comm = comm_matrix(ring)
+    return comm[comm[a]].all(axis=0)
 
 
 # -- public ElementSet layer ---------------------------------------------------

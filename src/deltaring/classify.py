@@ -27,17 +27,6 @@ from .kernel import Element, ElementSet, FiniteRing
 FLAVORS = ("delta", "jacobson", "unit", "quasipolar")
 
 
-def _comm_matrix(ring: FiniteRing) -> np.ndarray:
-    """Boolean matrix with entry (x, y) true when x and y commute."""
-
-    def compute():
-        mat = ring.mul_table == ring.mul_table.T
-        mat.flags.writeable = False
-        return mat
-
-    return analysis._cached(ring, "comm_matrix", compute)
-
-
 def _target_mask(ring: FiniteRing, flavor: str) -> np.ndarray:
     if flavor == "delta":
         return analysis.delta_mask(ring)
@@ -48,15 +37,32 @@ def _target_mask(ring: FiniteRing, flavor: str) -> np.ndarray:
     raise ValueError(f"unknown spectral flavor {flavor!r}")
 
 
+def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
+    """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
+    spectral idempotent of a for the target; cached and frozen.
+
+    p lies in comm2(a) exactly when C(a) is a subset of C(p), so the
+    double-commutant test for every pair is one row-subset grid over the
+    commutation matrix: |Id|*n^2/8 byte operations, plus an n x |Id|
+    gather of a + p (and of a*p for the quasipolar flavor).
+    """
+
+    def compute():
+        idl = analysis.idempotent_indices(ring)
+        grid = _target_mask(ring, flavor)[ring.add_table[:, idl]]
+        grid &= analysis.row_subset_grid(analysis.comm_matrix(ring), idl)
+        if flavor == "quasipolar":
+            grid &= analysis.qnil_mask(ring)[ring.mul_table[:, idl]]
+        return analysis._frozen(grid)
+
+    return analysis._cached(ring, ("spectral_grid", flavor), compute)
+
+
 def spectral_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray:
     """Boolean mask of all spectral idempotents of a for the given target."""
     ring._check_index(a)
-    comm = _comm_matrix(ring)
-    comm2 = comm[comm[a]].all(axis=0)
-    mask = analysis.idempotent_mask(ring) & comm2
-    mask &= _target_mask(ring, flavor)[ring.add_table[a]]
-    if flavor == "quasipolar":
-        mask = mask & analysis.qnil_mask(ring)[ring.mul_table[a]]
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[analysis.idempotent_indices(ring)] = spectral_grid(ring, flavor)[a]
     return mask
 
 
@@ -70,25 +76,16 @@ def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") ->
 
 def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Per-element quasipolarity flags for the target, cached and frozen."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown spectral flavor {flavor!r}")
-
-    def compute():
-        flags = np.zeros(ring.size, dtype=bool)
-        for a in range(ring.size):
-            flags[a] = bool(spectral_mask(ring, a, flavor).any())
-        flags.flags.writeable = False
-        return flags
-
-    return analysis._cached(ring, ("qp_elements", flavor), compute)
+    return analysis._cached(
+        ring,
+        ("qp_elements", flavor),
+        lambda: analysis._frozen(spectral_grid(ring, flavor).any(axis=1)),
+    )
 
 
 def ring_quasipolar(ring: FiniteRing, flavor: str = "delta") -> tuple[bool, int | None]:
     """Ring-level verdict plus the lowest-index failing element, if any."""
-    flags = element_flags(ring, flavor)
-    if flags.all():
-        return True, None
-    return False, int(np.argmax(~flags))
+    return _ring_verdict(element_flags(ring, flavor))
 
 
 def is_delta_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
@@ -106,26 +103,15 @@ def is_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
 # -- clean-style decompositions a = e + w ------------------------------------------
 
 
-def _idempotent_list(ring: FiniteRing) -> np.ndarray:
-    def compute():
-        idl = np.flatnonzero(analysis.idempotent_mask(ring)).astype(np.int32)
-        idl.flags.writeable = False
-        return idl
-
-    return analysis._cached(ring, "idempotent_list", compute)
-
-
 def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """For every element a and idempotent e_j: the residual a - e_j and
     whether a commutes with e_j."""
 
     def compute():
-        idl = _idempotent_list(ring)
+        idl = analysis.idempotent_indices(ring)
         residual = ring.add_table[:, ring.neg_table[idl]]
-        commutes = _comm_matrix(ring)[:, idl]
-        residual.flags.writeable = False
-        commutes.flags.writeable = False
-        return residual, commutes
+        commutes = analysis.comm_matrix(ring)[:, idl]
+        return analysis._frozen(residual), analysis._frozen(commutes)
 
     return analysis._cached(ring, "decomposition_grid", compute)
 
@@ -202,7 +188,7 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     Returns a list of (e, w, commuting) triples for certificate display.
     """
     ring._check_index(a)
-    idl = _idempotent_list(ring)
+    idl = analysis.idempotent_indices(ring)
     residual, commutes = _decomposition_grid(ring)
     good = _CLEAN_TARGETS[target](ring)[residual[a]]
     out = []
@@ -249,7 +235,7 @@ def is_strongly_pi_regular(ring: FiniteRing) -> tuple[bool, int | None]:
     The exponent is searched upward from 1; power sequences in a finite
     ring enter a cycle within size steps, so the bound is exhaustive.
     """
-    comm = _comm_matrix(ring)
+    comm = analysis.comm_matrix(ring)
     mul = ring.mul_table
     for a in range(ring.size):
         commuters = np.flatnonzero(comm[a])

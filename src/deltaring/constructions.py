@@ -847,12 +847,3 @@ def quotient_project(ring: FiniteRing, parent_x: Element) -> int:
     rep = int(prov.rep_of[parent_x])
     return int(np.searchsorted(prov.representatives, rep))
 
-
-def is_isomorphic_to_z2(ring: FiniteRing) -> bool:
-    """True exactly for two-element rings.
-
-    A unital ring with two elements has 1 != 0 forced at construction,
-    and its tables are forced as well: 1 + 1 must be 0 (1 + 1 == 1 would
-    cancel to 1 == 0), so the ring is the two-element field.
-    """
-    return ring.size == 2

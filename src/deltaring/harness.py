@@ -301,16 +301,11 @@ def _c08_delta_members_qp(ring: FiniteRing, ctx: SuiteContext):
 
 
 def _c09_j_spectral_subset(ring: FiniteRing, ctx: SuiteContext):
-    for a in range(ring.size):
-        jmask = classify.spectral_mask(ring, a, "jacobson")
-        if not jmask.any():
-            continue
-        dmask = classify.spectral_mask(ring, a, "delta")
-        if (jmask & ~dmask).any():
-            p = int(np.argmax(jmask & ~dmask))
-            return _verdict(
-                FAIL, _witness(ring, [a, p], "jacobson-spectral p not delta-spectral")
-            )
+    bad = classify.spectral_grid(ring, "jacobson") & ~classify.spectral_grid(ring, "delta")
+    if bad.any():
+        a, j = np.argwhere(bad)[0]
+        p = analysis.idempotent_indices(ring)[j]
+        return _verdict(FAIL, _witness(ring, [a, p], "jacobson-spectral p not delta-spectral"))
     return _verdict(PASS)
 
 
@@ -429,34 +424,33 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     return _verdict(PASS)
 
 
-def _c18_unit_spectral(ring: FiniteRing, ctx: SuiteContext):
+def _sole_spectral_idempotent(ring: FiniteRing, members: np.ndarray, p: int, detail: str):
+    """In a delta-quasipolar ring, every member's delta-spectral set is {p}.
+
+    The witness is the first member whose set differs, then its set.
+    """
     dqp, _ = classify.is_delta_quasipolar(ring)
     if not dqp:
         return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
-    for u in analysis.unit_indices(ring):
-        mask = classify.spectral_mask(ring, int(u), "delta")
-        if not mask[ring.one] or mask.sum() != 1:
-            extras = [int(x) for x in np.flatnonzero(mask)]
-            return _verdict(
-                FAIL,
-                _witness(ring, [int(u)] + extras, "unit spectral set differs from {1}"),
-            )
+    idl = analysis.idempotent_indices(ring)
+    grid = classify.spectral_grid(ring, "delta")
+    bad = members & (grid != (idl == p)).any(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        return _verdict(FAIL, _witness(ring, [a, *idl[grid[a]]], detail))
     return _verdict(PASS)
+
+
+def _c18_unit_spectral(ring: FiniteRing, ctx: SuiteContext):
+    return _sole_spectral_idempotent(
+        ring, analysis.unit_mask(ring), ring.one, "unit spectral set differs from {1}"
+    )
 
 
 def _c19_nilpotent_spectral(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
-    for a in np.flatnonzero(analysis.nilpotent_mask(ring)):
-        mask = classify.spectral_mask(ring, int(a), "delta")
-        if not mask[ring.zero] or mask.sum() != 1:
-            extras = [int(x) for x in np.flatnonzero(mask)]
-            return _verdict(
-                FAIL,
-                _witness(ring, [int(a)] + extras, "nilpotent spectral set differs from {0}"),
-            )
-    return _verdict(PASS)
+    return _sole_spectral_idempotent(
+        ring, analysis.nilpotent_mask(ring), ring.zero, "nilpotent spectral set differs from {0}"
+    )
 
 
 def _c20_nil_in_delta(ring: FiniteRing, ctx: SuiteContext):
@@ -516,25 +510,20 @@ def _c23_local_equivalences(ring: FiniteRing, ctx: SuiteContext):
 
 
 def _c24_annihilators(ring: FiniteRing, ctx: SuiteContext):
-    zero_col = ring.mul_table == ring.zero
-    for a in range(ring.size):
-        spectral = np.flatnonzero(classify.spectral_mask(ring, a, "delta"))
-        if spectral.size == 0:
-            continue
-        left_a = zero_col[:, a]
-        right_a = zero_col[a, :]
-        for p in spectral:
-            if (left_a & ~zero_col[:, p]).any():
-                x = int(np.argmax(left_a & ~zero_col[:, p]))
-                return _verdict(
-                    FAIL, _witness(ring, [a, int(p), x], "x*a = 0 but x*p != 0")
-                )
-            if (right_a & ~zero_col[int(p), :]).any():
-                x = int(np.argmax(right_a & ~zero_col[int(p), :]))
-                return _verdict(
-                    FAIL, _witness(ring, [a, int(p), x], "a*x = 0 but p*x != 0")
-                )
-    return _verdict(PASS)
+    zero = ring.mul_table == ring.zero  # (x, y): x*y == 0
+    idl = analysis.idempotent_indices(ring)
+    left_ok = analysis.row_subset_grid(zero.T, idl)  # ann_left(a) within ann_left(p)
+    right_ok = analysis.row_subset_grid(zero, idl)  # ann_right(a) within ann_right(p)
+    bad = classify.spectral_grid(ring, "delta") & ~(left_ok & right_ok)
+    if not bad.any():
+        return _verdict(PASS)
+    a, j = np.argwhere(bad)[0]
+    p = idl[j]
+    if not left_ok[a, j]:
+        x = np.argmax(zero[:, a] & ~zero[:, p])
+        return _verdict(FAIL, _witness(ring, [a, p, x], "x*a = 0 but x*p != 0"))
+    x = np.argmax(zero[a] & ~zero[p])
+    return _verdict(FAIL, _witness(ring, [a, p, x], "a*x = 0 but p*x != 0"))
 
 
 def _c25_abelian_j_clean(ring: FiniteRing, ctx: SuiteContext):
@@ -609,6 +598,9 @@ def _c28_corners(ring: FiniteRing, ctx: SuiteContext):
     for e in analysis.idempotents(ring).indices():
         if e == ring.zero:
             continue
+        checked += 1
+        if e == ring.one:
+            continue  # corner(R, 1) is R itself, already delta-quasipolar
         sub = constructions.corner(ring, e)
         ok, witness = classify.is_delta_quasipolar(sub)
         if not ok:
@@ -618,7 +610,6 @@ def _c28_corners(ring: FiniteRing, ctx: SuiteContext):
                 "detail": f"corner at idempotent {e} is not delta-quasipolar",
             }
             return _verdict(FAIL, corner_witness)
-        checked += 1
     return _verdict(PASS, note=f"{checked} corners checked")
 
 

@@ -8,15 +8,16 @@ FLAVORS = ("delta", "jacobson", "unit", "quasipolar")
 # -- spectral idempotents ----------------------------------------------------------
 
 
-def test_spectral_sets_match_oracle_on_probe_rings(z4, t2z2, f4, m2z2):
-    for ring in (z4, t2z2, f4):
+def test_spectral_sets_match_oracle_on_probe_rings(corpus_rings):
+    # M(2, Z2) has six non-central idempotents for the comm2 test to
+    # prune; every element of H(1, 1, Z2) is idempotent, so its grid is square
+    probes = ("Z4", "T(2, Z2)", "table:f4.json", "M(2, Z2)", "H(1, 1, Z2)", "corner(M(2, Z2), 8)")
+    for spell in probes:
+        ring = corpus_rings[spell]
         for a in ring.elements():
             for flavor in FLAVORS:
                 got = set(classify.spectral_idempotents(ring, a, flavor).indices())
-                assert got == oracles.spectral_of(ring, a, flavor), (ring.spell(), a, flavor)
-    for a in (0, 2, 9, 11):
-        got = set(classify.spectral_idempotents(m2z2, a, "delta").indices())
-        assert got == oracles.spectral_of(m2z2, a, "delta")
+                assert got == oracles.spectral_of(ring, a, flavor), (spell, a, flavor)
 
 
 def test_idempotent_with_idempotent_residual_in_triangular_ring(t2z2):

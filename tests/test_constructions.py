@@ -223,7 +223,6 @@ def test_corner_at_matrix_unit_is_a_copy_of_the_base(t2z2, m2z2):
         e = con.matrix_unit_index(parent, 0, 0)
         ring = con.corner(parent, e)
         assert ring.size == 2
-        assert con.is_isomorphic_to_z2(ring)
         prov = ring.provenance
         assert list(prov.members) == [parent.zero, e]
         assert ring.one == 1  # compressed index of e
@@ -260,7 +259,6 @@ def test_quotient_is_a_ring_homomorphism_image(z4):
     ideal = con.ideal_generated(z4, [2])
     ring = con.quotient(z4, ideal)
     assert ring.size == 2
-    assert con.is_isomorphic_to_z2(ring)
     for x in z4.elements():
         for y in z4.elements():
             px, py = con.quotient_project(ring, x), con.quotient_project(ring, y)
@@ -354,8 +352,3 @@ def test_nonunital_component_is_structurally_validated(z4):
         con.NonUnitalRing(2, [[0, 1], [1, 0]], [[0, 0], [0, 5]], 0)
     with pytest.raises(MalformedTableError, match="2x2"):
         con.NonUnitalRing(2, [[0, 1]], [[0, 0], [0, 0]], 0)
-
-
-def test_two_element_ring_recognition(z2, z4):
-    assert con.is_isomorphic_to_z2(z2)
-    assert not con.is_isomorphic_to_z2(z4)

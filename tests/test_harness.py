@@ -174,3 +174,37 @@ def test_witness_reverification_is_independent(z4, m2z2):
     # elements that do have a spectral idempotent are not witnesses
     assert not reverify_not_dqp_witness(z4, 2)
     assert not reverify_not_dqp_witness(m2z2, 0)
+
+
+# Single-entry corruptions that make a spectral check FAIL when run
+# without the C00 gate.  Each witness lists the lowest failing element,
+# then the lowest offending idempotent (C09, C24) or the element's whole
+# spectral set (C18, C19), then for C24 the lowest annihilated x.
+SPECTRAL_FAIL_WITNESSES = [
+    ("C09", "T(2, Z2)", (3, 3, 5), [3, 5], "jacobson-spectral p not delta-spectral"),
+    ("C09", "dorroh(Z4, ideal(2))", (5, 3, 2), [3, 2], "jacobson-spectral p not delta-spectral"),
+    ("C18", "prod(Z2, Z4)", (3, 3, 5), [3, 1], "unit spectral set differs from {1}"),
+    ("C18", "H(1, 1, Z2)", (2, 1, 0), [1, 1, 3], "unit spectral set differs from {1}"),
+    ("C19", "H(1, 1, Z2)", (1, 1, 0), [0, 0, 2, 3, 4, 5, 6, 7], "nilpotent spectral set differs from {0}"),
+    ("C19", "dorroh(Z4, ideal(2))", (4, 4, 4), [0, 0, 4], "nilpotent spectral set differs from {0}"),
+    ("C19", "prod(Z2, Z4)", (6, 6, 0), [6, 4], "nilpotent spectral set differs from {0}"),
+    ("C24", "H(1, 1, Z2)", (2, 1, 0), [4, 6, 5], "x*a = 0 but x*p != 0"),
+    ("C24", "T(2, Z2)", (6, 6, 5), [6, 5, 1], "x*a = 0 but x*p != 0"),
+    ("C24", "prod(Z2, Z4)", (6, 7, 0), [6, 4, 7], "a*x = 0 but p*x != 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, spell, entry, elements, detail",
+    SPECTRAL_FAIL_WITNESSES,
+    ids=[f"{check_id}-{spell}" for check_id, spell, *_ in SPECTRAL_FAIL_WITNESSES],
+)
+def test_spectral_check_fail_witnesses(corpus_rings, check_id, spell, entry, elements, detail):
+    ring = harness.mutate_mul_entry(corpus_rings[spell], *entry)
+    result = run_check(check_id, ring)
+    assert result.verdict == FAIL
+    assert result.witness == {
+        "elements": elements,
+        "names": [ring.element_name(x) for x in elements],
+        "detail": detail,
+    }
