@@ -9,6 +9,32 @@ entry at a time through the scalar accessors).
 from __future__ import annotations
 
 
+def axioms_hold(ring):
+    """Every unital-ring axiom, checked on every pair and triple in turn."""
+    add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
+    elements = range(ring.size)
+    for x in elements:
+        if add(zero, x) != x or add(x, zero) != x:
+            return False
+        if mul(one, x) != x or mul(x, one) != x:
+            return False
+        if all(add(x, y) != zero for y in elements):
+            return False
+        for y in elements:
+            if add(x, y) != add(y, x):
+                return False
+            for z in elements:
+                if add(add(x, y), z) != add(x, add(y, z)):
+                    return False
+                if mul(mul(x, y), z) != mul(x, mul(y, z)):
+                    return False
+                if mul(x, add(y, z)) != add(mul(x, y), mul(x, z)):
+                    return False
+                if mul(add(x, y), z) != add(mul(x, z), mul(y, z)):
+                    return False
+    return True
+
+
 def inverse_of(ring, x):
     """Two-sided inverse of x found by scanning, or None."""
     for y in range(ring.size):

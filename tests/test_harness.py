@@ -4,6 +4,7 @@ import pytest
 
 from deltaring import (
     CapacityError,
+    FiniteRing,
     classify,
     constructions as con,
     harness,
@@ -208,3 +209,61 @@ def test_spectral_check_fail_witnesses(corpus_rings, check_id, spell, entry, ele
         "names": [ring.element_name(x) for x in elements],
         "detail": detail,
     }
+
+
+# Corruptions that C00 must reject with the full triple scan's report:
+# one multiplication entry, one diagonal addition entry (the pair axioms
+# still hold, so only a triple scan can find the witnesses), and one
+# addition entry that breaks a pair axiom and all three triple axioms
+# that can involve addition.
+C00_FAIL_WITNESSES = [
+    (
+        "mul",
+        "M(2, Z2)",
+        (5, 6, 3),
+        [1, 5, 6],
+        "axiom mul-associativity violated",
+        "violated: mul-associativity, left-distributivity, right-distributivity (exhaustive scan)",
+    ),
+    (
+        "add",
+        "Z6",
+        (4, 4, 1),
+        [1, 3, 4],
+        "axiom add-associativity violated",
+        "violated: add-associativity, left-distributivity, right-distributivity (exhaustive scan)",
+    ),
+    (
+        "add",
+        "prod(Z2, Z4)",
+        (2, 5, 1),
+        [2, 5],
+        "axiom add-commutativity violated",
+        "violated: add-commutativity, add-associativity, left-distributivity, "
+        "right-distributivity (exhaustive scan)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "table, spell, entry, elements, detail, note",
+    C00_FAIL_WITNESSES,
+    ids=[f"{table}-{spell}" for table, spell, *_ in C00_FAIL_WITNESSES],
+)
+def test_c00_fail_witnesses(corpus_rings, table, spell, entry, elements, detail, note):
+    ring = corpus_rings[spell]
+    x, y, value = entry
+    if table == "mul":
+        bad = harness.mutate_mul_entry(ring, x, y, value)
+    else:
+        add = ring.add_table.copy()
+        add[x, y] = value
+        bad = FiniteRing(ring.size, add, ring.mul_table, zero=ring.zero, one=ring.one)
+    result = run_check("C00", bad)
+    assert result.verdict == FAIL
+    assert result.witness == {
+        "elements": elements,
+        "names": [bad.element_name(x) for x in elements],
+        "detail": detail,
+    }
+    assert result.note == note

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,8 +9,10 @@ from deltaring import (
     CapacityError,
     ElementSet,
     FiniteRing,
+    build_ring,
     element_capacity,
     harness,
+    kernel,
     validate_ring,
     zn,
 )
@@ -145,6 +149,12 @@ def _replay(ring, axiom, w):
     if axiom == "one-identity":
         (x,) = w
         return ring.mul(ring.one, x) != x or ring.mul(x, ring.one) != x
+    if axiom == "zero-identity":
+        (x,) = w
+        return ring.add(ring.zero, x) != x or ring.add(x, ring.zero) != x
+    if axiom == "add-inverse":
+        (x,) = w
+        return all(ring.add(x, y) != ring.zero for y in ring.elements())
     raise AssertionError(f"unexpected axiom {axiom}")
 
 
@@ -182,3 +192,148 @@ def test_tables_are_read_only(z4):
         z4.mul_table[0, 0] = 1
     with pytest.raises(ValueError):
         z4.add_table[0, 0] = 1
+
+
+def _mutate_add_entry(ring, x, y, value):
+    add = ring.add_table.copy()
+    add[x, y] = value
+    return FiniteRing(ring.size, add, ring.mul_table, zero=ring.zero, one=ring.one)
+
+
+def test_validate_ring_agrees_with_scalar_oracle_on_corruptions(corpus):
+    rng = random.Random(20240)
+    rejected = passed = triple_only = 0
+    for entry in corpus:
+        ring = entry.ring
+        if ring.size > 16:
+            continue
+        for i in range(12):
+            x, y, value = (rng.randrange(ring.size) for _ in range(3))
+            # every fourth add corruption sits on the diagonal, where the
+            # pair axioms can survive and only the triple axioms fail
+            if i % 4 == 0:
+                y = x
+            for bad in (
+                harness.mutate_mul_entry(ring, x, y, value),
+                _mutate_add_entry(ring, x, y, value),
+            ):
+                report = validate_ring(bad)
+                assert report.ok == oracles.axioms_hold(bad), (entry.spec_text, x, y, value)
+                assert report.mode == "exhaustive"
+                for violation in report.violations:
+                    assert _replay(bad, violation.axiom, violation.witness)
+                rejected += not report.ok
+                passed += report.ok
+                triple_only += not report.ok and all(
+                    v.axiom in kernel._TRIPLE_AXIOMS for v in report.violations
+                )
+    assert rejected > 300 and passed > 10 and triple_only > 100
+
+
+def test_certificate_never_passes_what_the_scan_rejects(corpus_rings):
+    ring = corpus_rings["M(2, Z4)"]
+    rng = random.Random(150)
+    certified = 0
+    for i in range(150):
+        x, y, value = (rng.randrange(ring.size) for _ in range(3))
+        if i == 0:
+            value = ring.mul(x, y)  # an unchanged table must be certified
+        bad = harness.mutate_mul_entry(ring, x, y, value)
+        if kernel._certify_triple_axioms(bad.add_table, bad.mul_table, bad.zero):
+            certified += 1
+            assert kernel._scan_triple_axioms(bad.add_table, bad.mul_table) == []
+    assert certified >= 1
+
+
+def test_certificate_covers_the_most_generators_under_the_limit():
+    ring = build_ring("prod(M(2, Z2), M(2, Z2))")
+    assert ring.size == kernel.FULL_SCAN_LIMIT
+    assert len(kernel._additive_generators(ring.add_table, ring.zero)) == 8
+    report = validate_ring(ring)
+    assert report.ok and report.mode == "exhaustive"
+
+
+_XOR4 = [[x ^ y for y in range(4)] for x in range(4)]
+# the near-ring x*y = L_x(y) for the endomorphisms L_x of Z2^2 that form a
+# monoid but not an additive group: every axiom but right-distributivity
+_NEAR_RING = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 0, 3]]
+# the bilinear unital Z2-algebra on 1 = 1, a = 2, b = 4 with aa = b,
+# ab = 1 and ba = bb = 0: every axiom but (aa)a = 0 != 1 = a(aa)
+_NONASSOCIATIVE_ALGEBRA = [
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [0, 2, 4, 6, 1, 3, 5, 7],
+    [0, 3, 6, 5, 5, 6, 3, 0],
+    [0, 4, 0, 4, 0, 4, 0, 4],
+    [0, 5, 2, 7, 4, 1, 6, 3],
+    [0, 6, 4, 2, 1, 7, 5, 3],
+    [0, 7, 6, 1, 5, 2, 3, 4],
+]
+
+# Hand-built tables whose faults the generator certificate must reject,
+# each with the full triple scan's report.
+FAULTY_TABLE_REPORTS = [
+    (
+        # commutative addition, two-sided zero and inverses, but any two
+        # nonzero elements sum to 0
+        "add-associativity only",
+        [[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 3, 3]],
+        [("add-associativity", [1, 1, 2])],
+    ),
+    (
+        "Z4 but 2*0 = 2",
+        [[(x + y) % 4 for y in range(4)] for x in range(4)],
+        [[0, 0, 0, 0], [0, 1, 2, 3], [2, 2, 0, 2], [0, 3, 2, 1]],
+        [
+            ("mul-associativity", [2, 0, 2]),
+            ("left-distributivity", [2, 0, 0]),
+            ("right-distributivity", [1, 1, 0]),
+        ],
+    ),
+    ("right-distributivity only", _XOR4, _NEAR_RING, [("right-distributivity", [1, 2, 2])]),
+    (
+        "left-distributivity only",
+        _XOR4,
+        [list(col) for col in zip(*_NEAR_RING)],
+        [("left-distributivity", [2, 1, 2])],
+    ),
+    (
+        "mul-associativity only",
+        [[x ^ y for y in range(8)] for x in range(8)],
+        _NONASSOCIATIVE_ALGEBRA,
+        [("mul-associativity", [2, 2, 2])],
+    ),
+    (
+        # the certificate passes this table, which is sound only once the
+        # pair axioms hold: here they do not, and the triple scan runs
+        "pair faults hide triple faults",
+        [[0, 0, 0], [1, 1, 2], [1, 1, 2]],
+        [[(x * y) % 3 for y in range(3)] for x in range(3)],
+        [
+            ("add-commutativity", [0, 1]),
+            ("zero-identity", [1]),
+            ("add-inverse", [1]),
+            ("add-associativity", [1, 0, 2]),
+            ("left-distributivity", [2, 1, 0]),
+            ("right-distributivity", [1, 0, 2]),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "add, mul, violations",
+    [case[1:] for case in FAULTY_TABLE_REPORTS],
+    ids=[case[0] for case in FAULTY_TABLE_REPORTS],
+)
+def test_faulty_tables_get_the_scan_report(add, mul, violations):
+    n = len(add)
+    report = validate_ring(FiniteRing(n, add, mul, zero=0, one=1))
+    assert report.to_dict() == {
+        "ring": f"ring<{n}>",
+        "size": n,
+        "mode": "exhaustive",
+        "ok": False,
+        "violations": [{"axiom": axiom, "witness": w} for axiom, w in violations],
+    }
