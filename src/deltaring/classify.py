@@ -229,26 +229,17 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def is_strongly_pi_regular(ring: FiniteRing) -> tuple[bool, int | None]:
-    """Every a has a^n = a^(n+1) * b for some n <= size and b commuting with a.
+def is_strongly_pi_regular(ring: FiniteRing) -> tuple[bool, None]:
+    """Every a has a^s = a^(s+1) * b for some s >= 1 and b commuting with a.
 
-    The exponent is searched upward from 1; power sequences in a finite
-    ring enter a cycle within size steps, so the bound is exhaustive.
+    A theorem settles this for every finite ring, so nothing is searched.
+    The powers a, a^2, ... take at most n values, so the sequence is
+    eventually periodic: a^s = a^(s+m) for some s, m >= 1.  Take
+    b = a^(m-1), or b = 1 when m = 1.  Then b commutes with a, and
+    a^(s+1) * b = a^(s+m) = a^s.  (More generally every Artinian ring is
+    strongly pi-regular, by Azumaya.)  The proof needs the ring axioms,
+    so the answer means nothing on a table that fails them (C00).
     """
-    comm = analysis.comm_matrix(ring)
-    mul = ring.mul_table
-    for a in range(ring.size):
-        commuters = np.flatnonzero(comm[a])
-        power = a
-        found = False
-        for _ in range(ring.size):
-            next_power = int(mul[power, a])
-            if (mul[next_power, commuters] == power).any():
-                found = True
-                break
-            power = next_power
-        if not found:
-            return False, a
     return True, None
 
 
@@ -285,7 +276,6 @@ _WITNESS_REASONS = {
     "uniquely_delta_clean": "element does not have exactly one idempotent + delta decomposition",
     "abelian": "idempotent is not central",
     "local": "two non-units add to a unit",
-    "strongly_pi_regular": "no exponent and commuting witness found",
 }
 
 

@@ -271,15 +271,19 @@ def _parse_check_filter(raw: str | None) -> tuple[str, ...] | None:
     ids = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not ids:
         raise _UsageError("--check given but no check ids found")
-    for check_id in ids:
+    for i, check_id in enumerate(ids):
         if check_id not in harness.CHECKS:
             known = ", ".join(harness.CHECK_IDS)
             raise _UsageError(f"unknown check id {check_id!r} (known: {known})")
+        if check_id in ids[:i]:
+            raise _UsageError(f"check id {check_id!r} given more than once")
     return ids
 
 
 def _cmd_verify(args) -> int:
     check_ids = _parse_check_filter(args.check)
+    if args.jobs is not None and args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     entries = harness.build_corpus(args.manifest)
     report = harness.run_suite(
         entries,

@@ -1,14 +1,25 @@
 """Corpus-quantified verification checks C00 - C31.
 
-Each check states one property of a single ring (sometimes reaching into
-the ring's construction provenance for component rings) and returns one
-of four verdicts:
+Each check encodes one statement as "hypothesis => assertion" about a
+single ring (sometimes reaching into the ring's construction provenance
+for component rings) and returns one of four verdicts:
 
     PASS            hypothesis applied, assertion verified
     FAIL            assertion violated; witness re-verifies independently
     NOT-APPLICABLE  the ring does not satisfy the check's hypothesis
     VACUOUS         hypothesis applied but quantified over nothing,
                     recorded explicitly rather than silently passing
+
+A check is one function registered with `@check(id, statement,
+requires=hypothesis)`; its body holds only the assertion and returns the
+(verdict, witness, note) triple, with witnesses built by `_witness`.  A
+hypothesis takes (ring, ctx) and returns None when the ring qualifies,
+else the NOT-APPLICABLE note.  The shared ones (delta-quasipolar,
+abelian, T(2, Z2), one per construction kind) are defined once; a check
+with a hypothesis of its own defines it beside the body.  `run_check`
+evaluates the hypothesis first, inside the timed window, and runs the
+body only on qualifying rings.  Checks register in definition order,
+which is id order.
 
 C00 is the axiom gate: when it fails on a ring, every other check on
 that ring is reported NOT-APPLICABLE (and the C00 failure row is always
@@ -33,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, classify, constructions, ringspec
-from .kernel import ElementSet, FiniteRing, RingError, validate_ring
+from .kernel import FiniteRing, RingError, validate_ring
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -108,7 +119,7 @@ class SuiteReport:
             row[result.verdict] += 1
         for check_id in sorted(per_check):
             row = per_check[check_id]
-            statement = CHECKS[check_id].statement if check_id in CHECKS else ""
+            statement = CHECKS[check_id].statement
             lines.append(
                 f"| {check_id} | {statement} | {row[PASS]} | {row[FAIL]} "
                 f"| {row[NOT_APPLICABLE]} | {row[VACUOUS]} |"
@@ -140,6 +151,7 @@ class SuiteContext:
 
 
 def _witness(ring: FiniteRing, elements, detail: str) -> dict:
+    """Witness elements named by the ring they belong to."""
     elements = [int(x) for x in elements]
     return {
         "elements": elements,
@@ -148,34 +160,94 @@ def _witness(ring: FiniteRing, elements, detail: str) -> dict:
     }
 
 
-def _verdict(verdict: str, witness: dict | None = None, note: str | None = None):
-    return verdict, witness, note
+def _first_mismatch(ring: FiniteRing, expected: np.ndarray, actual: np.ndarray, detail: str):
+    """A FAIL at the first element where the masks differ, or None;
+    `{side}` in detail reads "missing from" or "extra in" the expected set."""
+    differs = expected != actual
+    if not differs.any():
+        return None
+    bad = int(np.argmax(differs))
+    side = "missing from" if expected[bad] else "extra in"
+    return FAIL, _witness(ring, [bad], detail.format(side=side)), None
+
+
+# -- registry and shared hypotheses ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    check_id: str
+    statement: str
+    body: object
+    requires: object = None
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def check(check_id: str, statement: str, requires=None):
+    """Register the decorated body as `check_id`; see the module docstring."""
+
+    def register(body):
+        CHECKS[check_id] = Check(check_id, statement, body, requires)
+        return body
+
+    return register
+
+
+def _hypothesis(note: str, holds):
+    """The hypothesis that a ring predicate holds, with its NOT-APPLICABLE note."""
+    return lambda ring, ctx: None if holds(ring) else note
+
+
+def _built_as(kind: str):
+    """Whether a ring's construction provenance is of this kind."""
+    return lambda ring: getattr(ring.provenance, "kind", None) == kind
+
+
+delta_quasipolar_ring = _hypothesis(
+    "applies to delta-quasipolar rings", lambda ring: classify.is_delta_quasipolar(ring)[0]
+)
+direct_product = _hypothesis("applies to direct products", _built_as("product"))
+full_matrix_ring = _hypothesis(
+    "applies to full matrix rings of dimension >= 2",
+    lambda ring: _built_as("matrix")(ring) and ring.provenance.k >= 2,
+)
+upper_triangular_ring = _hypothesis(
+    "applies to upper-triangular matrix rings", _built_as("upper_triangular")
+)
+extension_ring = _hypothesis("applies to extension rings", _built_as("dorroh"))
+h_subring = _hypothesis("applies to the constrained 3x3 subrings", _built_as("h"))
+abelian_ring = _hypothesis("applies to abelian rings", lambda ring: classify.is_abelian(ring)[0])
+t2z2_ring = _hypothesis("applies to the ring T(2, Z2)", lambda ring: ring.spell() == "T(2, Z2)")
 
 
 # -- individual check bodies ----------------------------------------------------------
 
 
+@check("C00", "the compiled tables satisfy the unital-ring axioms")
 def _c00_axioms(ring: FiniteRing, ctx: SuiteContext):
     report = validate_ring(ring)
     if report.ok:
-        return _verdict(PASS, note=f"{report.mode} scan")
+        return PASS, None, f"{report.mode} scan"
     violation = report.violations[0]
     witness = _witness(ring, violation.witness, f"axiom {violation.axiom} violated")
     all_axioms = ", ".join(v.axiom for v in report.violations)
-    return _verdict(FAIL, witness, note=f"violated: {all_axioms} ({report.mode} scan)")
+    return FAIL, witness, f"violated: {all_axioms} ({report.mode} scan)"
 
 
+@check("C01", "the four sweeps defining delta agree (1-xu, x+u, xu+1, ux+1 forms)")
 def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
     primary = analysis.delta(ring)
     labels = ("x+u form", "xu+1 form", "ux+1 form")
     for label, variant in zip(labels, analysis.delta_alternative_forms(ring)):
         if variant != primary:
             diff = (variant ^ primary).indices()
-            witness = _witness(ring, diff[:1], f"{label} disagrees with the 1-xu form")
-            return _verdict(FAIL, witness)
-    return _verdict(PASS)
+            return FAIL, _witness(ring, diff[:1], f"{label} disagrees with the 1-xu form"), None
+    return PASS, None, None
 
 
+@check("C02", "delta is stable under unit multiplication on both sides")
 def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     dl = np.flatnonzero(dmask)
@@ -183,34 +255,29 @@ def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
     right = ring.mul_table[np.ix_(dl, ul)]
     if not dmask[right].all():
         i, j = np.argwhere(~dmask[right])[0]
-        d, u = int(dl[i]), int(ul[j])
-        return _verdict(FAIL, _witness(ring, [d, u], "d*u escapes delta"))
+        return FAIL, _witness(ring, [dl[i], ul[j]], "d*u escapes delta"), None
     left = ring.mul_table[np.ix_(ul, dl)]
     if not dmask[left].all():
         i, j = np.argwhere(~dmask[left])[0]
-        u, d = int(ul[i]), int(dl[j])
-        return _verdict(FAIL, _witness(ring, [u, d], "u*d escapes delta"))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [ul[i], dl[j]], "u*d escapes delta"), None
+    return PASS, None, None
 
 
+@check("C03", "delta contains 0 and is closed under subtraction and multiplication")
 def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     if not dmask[ring.zero]:
-        return _verdict(FAIL, _witness(ring, [ring.zero], "zero missing from delta"))
+        return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
     dl = np.flatnonzero(dmask)
     diffs = ring.add_table[np.ix_(dl, ring.neg_table[dl])]
     if not dmask[diffs].all():
         i, j = np.argwhere(~dmask[diffs])[0]
-        return _verdict(
-            FAIL, _witness(ring, [int(dl[i]), int(dl[j])], "difference escapes delta")
-        )
+        return FAIL, _witness(ring, [dl[i], dl[j]], "difference escapes delta"), None
     prods = ring.mul_table[np.ix_(dl, dl)]
     if not dmask[prods].all():
         i, j = np.argwhere(~dmask[prods])[0]
-        return _verdict(
-            FAIL, _witness(ring, [int(dl[i]), int(dl[j])], "product escapes delta")
-        )
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [dl[i], dl[j]], "product escapes delta"), None
+    return PASS, None, None
 
 
 def _is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
@@ -231,185 +298,176 @@ def _is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     return True, None, None
 
 
+@check("C04", "delta is a two-sided ideal exactly when it equals the jacobson radical")
 def _c04_ideal_iff_radical(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     is_ideal, pair, why = _is_two_sided_ideal(ring, dmask)
     equals_radical = analysis.delta(ring) == analysis.jacobson_radical(ring)
     if is_ideal == equals_radical:
-        return _verdict(PASS, note=f"ideal={is_ideal}, delta==radical={equals_radical}")
+        return PASS, None, f"ideal={is_ideal}, delta==radical={equals_radical}"
     if is_ideal:
         diff = (analysis.delta(ring) ^ analysis.jacobson_radical(ring)).indices()
-        witness = _witness(ring, diff[:1], "delta is an ideal yet differs from the radical")
-    else:
-        witness = _witness(ring, pair, f"delta equals the radical yet is {why}")
-    return _verdict(FAIL, witness)
+        return FAIL, _witness(ring, diff[:1], "delta is an ideal yet differs from the radical"), None
+    return FAIL, _witness(ring, pair, f"delta equals the radical yet is {why}"), None
 
 
+@check("C05", "delta of a direct product is the product of component deltas", requires=direct_product)
 def _c05_product_delta(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    if not isinstance(prov, constructions.ProductProvenance):
-        return _verdict(NOT_APPLICABLE, note="applies to direct products")
     sn = prov.right.size
     arange = np.arange(ring.size)
     expected = analysis.delta_mask(prov.left)[arange // sn] & analysis.delta_mask(prov.right)[arange % sn]
-    actual = analysis.delta_mask(ring)
-    if (expected == actual).all():
-        return _verdict(PASS)
-    bad = int(np.argmax(expected != actual))
-    side = "missing from" if expected[bad] else "extra in"
-    return _verdict(FAIL, _witness(ring, [bad], f"element {side} the componentwise product"))
+    detail = "element {side} the componentwise product"
+    return _first_mismatch(ring, expected, analysis.delta_mask(ring), detail) or (PASS, None, None)
 
 
-def _c06_central_units_qnil(ring: FiniteRing, ctx: SuiteContext):
+def _units_central(ring: FiniteRing, ctx: SuiteContext):
     central_units = ~analysis.unit_mask(ring) | analysis.center_mask(ring)
     if not central_units.all():
-        u = int(np.argmax(~central_units))
-        return _verdict(NOT_APPLICABLE, note=f"unit {u} is not central")
+        return f"unit {int(np.argmax(~central_units))} is not central"
+    return None
+
+
+@check("C06", "when all units are central, quasinilpotents lie in delta", requires=_units_central)
+def _c06_central_units_qnil(ring: FiniteRing, ctx: SuiteContext):
     escaped = analysis.qnil_mask(ring) & ~analysis.delta_mask(ring)
     if escaped.any():
-        a = int(np.argmax(escaped))
-        return _verdict(FAIL, _witness(ring, [a], "quasinilpotent outside delta"))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [np.argmax(escaped)], "quasinilpotent outside delta"), None
+    return PASS, None, None
 
 
+@check("C07", "delta of an upper-triangular ring is: diagonal in base delta, strict upper free",
+       requires=upper_triangular_ring)
 def _c07_triangular_delta(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    if not (
-        isinstance(prov, constructions.MatrixProvenance)
-        and prov.kind == "upper_triangular"
-    ):
-        return _verdict(NOT_APPLICABLE, note="applies to upper-triangular matrix rings")
     base_delta = analysis.delta_mask(prov.base)
     expected = np.ones(ring.size, dtype=bool)
     for i in range(prov.k):
         expected &= base_delta[prov.grid[:, i, i]]
-    actual = analysis.delta_mask(ring)
-    if (expected == actual).all():
-        return _verdict(PASS, note="delta = diagonal-in-base-delta, strict upper free")
-    bad = int(np.argmax(expected != actual))
-    side = "missing from" if expected[bad] else "extra in"
-    return _verdict(FAIL, _witness(ring, [bad], f"element {side} the diagonal formula"))
+    detail = "element {side} the diagonal formula"
+    failed = _first_mismatch(ring, expected, analysis.delta_mask(ring), detail)
+    return failed or (PASS, None, "delta = diagonal-in-base-delta, strict upper free")
 
 
+@check("C08", "every member of delta is delta-quasipolar as an element")
 def _c08_delta_members_qp(ring: FiniteRing, ctx: SuiteContext):
-    flags = classify.element_flags(ring, "delta")
-    bad = analysis.delta_mask(ring) & ~flags
+    bad = analysis.delta_mask(ring) & ~classify.element_flags(ring, "delta")
     if bad.any():
-        d = int(np.argmax(bad))
-        return _verdict(FAIL, _witness(ring, [d], "delta member with empty spectral set"))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [np.argmax(bad)], "delta member with empty spectral set"), None
+    return PASS, None, None
 
 
+@check("C09", "jacobson-spectral idempotents are delta-spectral idempotents, elementwise")
 def _c09_j_spectral_subset(ring: FiniteRing, ctx: SuiteContext):
     bad = classify.spectral_grid(ring, "jacobson") & ~classify.spectral_grid(ring, "delta")
     if bad.any():
         a, j = np.argwhere(bad)[0]
         p = analysis.idempotent_indices(ring)[j]
-        return _verdict(FAIL, _witness(ring, [a, p], "jacobson-spectral p not delta-spectral"))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [a, p], "jacobson-spectral p not delta-spectral"), None
+    return PASS, None, None
 
 
+@check("C10", "if a is delta-quasipolar then so is -1-a")
 def _c10_negated_shift(ring: FiniteRing, ctx: SuiteContext):
     flags = classify.element_flags(ring, "delta")
     image = ring.neg_table[ring.add_table[ring.one]]
     bad = flags & ~flags[image]
     if bad.any():
         a = int(np.argmax(bad))
-        return _verdict(
-            FAIL, _witness(ring, [a, int(image[a])], "-1-a loses delta-quasipolarity")
-        )
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [a, image[a]], "-1-a loses delta-quasipolarity"), None
+    return PASS, None, None
 
 
+_dqp_or_abelian_sdc = _hypothesis(
+    "neither delta-quasipolar nor abelian strongly delta-clean",
+    lambda ring: classify.is_delta_quasipolar(ring)[0]
+    or (classify.is_abelian(ring)[0] and classify.is_strongly_delta_clean(ring)[0]),
+)
+
+
+@check("C11", "delta-quasipolar implies strongly delta-clean; abelian strongly delta-clean implies back",
+       requires=_dqp_or_abelian_sdc)
 def _c11_strongly_delta_clean(ring: FiniteRing, ctx: SuiteContext):
     dqp, dqp_witness = classify.is_delta_quasipolar(ring)
-    abelian, _ = classify.is_abelian(ring)
     sdc, sdc_witness = classify.is_strongly_delta_clean(ring)
-    if not dqp and not (abelian and sdc):
-        return _verdict(
-            NOT_APPLICABLE, note="neither delta-quasipolar nor abelian strongly delta-clean"
-        )
     if dqp and not sdc:
-        return _verdict(
-            FAIL, _witness(ring, [sdc_witness], "delta-quasipolar but not strongly delta-clean")
-        )
-    if abelian and sdc and not dqp:
-        return _verdict(
-            FAIL,
-            _witness(ring, [dqp_witness], "abelian strongly delta-clean but not delta-quasipolar"),
-        )
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [sdc_witness], "delta-quasipolar but not strongly delta-clean"), None
+    if not dqp:  # so the hypothesis holds through the abelian leg
+        detail = "abelian strongly delta-clean but not delta-quasipolar"
+        return FAIL, _witness(ring, [dqp_witness], detail), None
+    return PASS, None, None
 
 
+@check("C12", "on abelian rings: delta-quasipolar, strongly delta-clean, uniquely clean coincide",
+       requires=abelian_ring)
 def _c12_abelian_equivalences(ring: FiniteRing, ctx: SuiteContext):
-    abelian, _ = classify.is_abelian(ring)
-    if not abelian:
-        return _verdict(NOT_APPLICABLE, note="applies to abelian rings")
     dqp, a = classify.is_delta_quasipolar(ring)
     sdc, b = classify.is_strongly_delta_clean(ring)
     uc, c = classify.is_uniquely_clean(ring)
     if dqp == sdc == uc:
-        return _verdict(PASS, note=f"all three {'hold' if dqp else 'fail'}")
+        return PASS, None, f"all three {'hold' if dqp else 'fail'}"
     pieces = f"delta-quasipolar={dqp}, strongly delta-clean={sdc}, uniquely clean={uc}"
     witness_elt = next(w for w in (a, b, c) if w is not None)
-    return _verdict(FAIL, _witness(ring, [witness_elt], pieces))
+    return FAIL, _witness(ring, [witness_elt], pieces), None
 
 
+@check("C13", "T(2, Z2) is delta-quasipolar yet neither abelian nor uniquely clean", requires=t2z2_ring)
 def _c13_t2z2_profile(ring: FiniteRing, ctx: SuiteContext):
-    if ring.spell() != "T(2, Z2)":
-        return _verdict(NOT_APPLICABLE, note="applies to the ring T(2, Z2)")
     dqp, w1 = classify.is_delta_quasipolar(ring)
     abelian, w2 = classify.is_abelian(ring)
     uc, w3 = classify.is_uniquely_clean(ring)
     if dqp and not abelian and not uc:
-        return _verdict(PASS, note="delta-quasipolar, not abelian, not uniquely clean")
+        return PASS, None, "delta-quasipolar, not abelian, not uniquely clean"
     bad = w1 if not dqp else (w2 if abelian else w3)
     profile = f"delta-quasipolar={dqp}, abelian={abelian}, uniquely clean={uc}"
-    return _verdict(FAIL, _witness(ring, [bad if bad is not None else ring.zero], profile))
+    return FAIL, _witness(ring, [bad if bad is not None else ring.zero], profile), None
 
 
+def _uniquely_clean_premises(ring: FiniteRing, ctx: SuiteContext) -> list[str]:
+    uc = classify.is_uniquely_clean(ring)[0]
+    udc = classify.is_uniquely_delta_clean(ring, ctx.strict_commuting)[0]
+    return [name for name, held in (("uniquely clean", uc), ("uniquely delta-clean", udc)) if held]
+
+
+def _some_uniquely_clean_premise(ring: FiniteRing, ctx: SuiteContext):
+    if not _uniquely_clean_premises(ring, ctx):
+        return "neither uniquely clean nor uniquely delta-clean"
+    return None
+
+
+@check("C14", "uniquely clean implies delta-quasipolar; uniquely delta-clean implies it too",
+       requires=_some_uniquely_clean_premise)
 def _c14_uniquely_clean_implications(ring: FiniteRing, ctx: SuiteContext):
-    uc, _ = classify.is_uniquely_clean(ring)
-    udc, _ = classify.is_uniquely_delta_clean(ring, ctx.strict_commuting)
-    if not uc and not udc:
-        return _verdict(NOT_APPLICABLE, note="neither uniquely clean nor uniquely delta-clean")
+    premises = _uniquely_clean_premises(ring, ctx)
     dqp, witness = classify.is_delta_quasipolar(ring)
     if dqp:
-        held = []
-        if uc:
-            held.append("uniquely clean")
-        if udc:
-            held.append("uniquely delta-clean")
-        return _verdict(PASS, note=f"premises: {', '.join(held)}")
-    premise = "uniquely clean" if uc else "uniquely delta-clean"
-    return _verdict(FAIL, _witness(ring, [witness], f"{premise} ring fails delta-quasipolarity"))
+        return PASS, None, f"premises: {', '.join(premises)}"
+    return FAIL, _witness(ring, [witness], f"{premises[0]} ring fails delta-quasipolarity"), None
 
 
+@check("C15", "in a delta-quasipolar ring, 2 lies in delta", requires=delta_quasipolar_ring)
 def _c15_two_in_delta(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     two = ring.add(ring.one, ring.one)
     if analysis.delta_mask(ring)[two]:
-        return _verdict(PASS, note=f"2 is element {two}")
-    return _verdict(FAIL, _witness(ring, [two], "1+1 escapes delta"))
+        return PASS, None, f"2 is element {two}"
+    return FAIL, _witness(ring, [two], "1+1 escapes delta"), None
 
 
+@check("C16", "full matrix rings: delta equals the radical yet a quasinilpotent escapes delta",
+       requires=full_matrix_ring)
 def _c16_matrix_qnil_gap(ring: FiniteRing, ctx: SuiteContext):
-    prov = ring.provenance
-    if not (isinstance(prov, constructions.MatrixProvenance) and prov.kind == "matrix" and prov.k >= 2):
-        return _verdict(NOT_APPLICABLE, note="applies to full matrix rings of dimension >= 2")
     if analysis.delta(ring) != analysis.jacobson_radical(ring):
         diff = (analysis.delta(ring) ^ analysis.jacobson_radical(ring)).indices()
-        return _verdict(FAIL, _witness(ring, diff[:1], "delta differs from the radical"))
+        return FAIL, _witness(ring, diff[:1], "delta differs from the radical"), None
     e12 = constructions.matrix_unit_index(ring, 0, 1)
     if not analysis.qnil_mask(ring)[e12]:
-        return _verdict(FAIL, _witness(ring, [e12], "expected quasinilpotent is not"))
+        return FAIL, _witness(ring, [e12], "expected quasinilpotent is not"), None
     if analysis.delta_mask(ring)[e12]:
-        return _verdict(FAIL, _witness(ring, [e12], "expected escapee lies in delta"))
-    return _verdict(PASS, note="delta = radical; a quasinilpotent stays outside")
+        return FAIL, _witness(ring, [e12], "expected escapee lies in delta"), None
+    return PASS, None, "delta = radical; a quasinilpotent stays outside"
 
 
+@check("C17", "delta-quasipolarity of elements survives conjugation by units")
 def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     flags = classify.element_flags(ring, "delta")
     inv = ring.inverse_table()
@@ -417,81 +475,71 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
         conj = ring.mul_table[ring.mul_table[int(inv[u])], u]
         bad = flags & ~flags[conj]
         if bad.any():
-            a = int(np.argmax(bad))
-            return _verdict(
-                FAIL, _witness(ring, [a, int(u)], "conjugate loses delta-quasipolarity")
-            )
-    return _verdict(PASS)
+            return FAIL, _witness(ring, [np.argmax(bad), u], "conjugate loses delta-quasipolarity"), None
+    return PASS, None, None
 
 
 def _sole_spectral_idempotent(ring: FiniteRing, members: np.ndarray, p: int, detail: str):
-    """In a delta-quasipolar ring, every member's delta-spectral set is {p}.
+    """Every member's delta-spectral set is {p}.
 
     The witness is the first member whose set differs, then its set.
     """
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     idl = analysis.idempotent_indices(ring)
     grid = classify.spectral_grid(ring, "delta")
     bad = members & (grid != (idl == p)).any(axis=1)
     if bad.any():
         a = int(np.argmax(bad))
-        return _verdict(FAIL, _witness(ring, [a, *idl[grid[a]]], detail))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [a, *idl[grid[a]]], detail), None
+    return PASS, None, None
 
 
+@check("C18", "in a delta-quasipolar ring, a unit's only spectral idempotent is 1",
+       requires=delta_quasipolar_ring)
 def _c18_unit_spectral(ring: FiniteRing, ctx: SuiteContext):
     return _sole_spectral_idempotent(
         ring, analysis.unit_mask(ring), ring.one, "unit spectral set differs from {1}"
     )
 
 
+@check("C19", "in a delta-quasipolar ring, a nilpotent's only spectral idempotent is 0",
+       requires=delta_quasipolar_ring)
 def _c19_nilpotent_spectral(ring: FiniteRing, ctx: SuiteContext):
     return _sole_spectral_idempotent(
         ring, analysis.nilpotent_mask(ring), ring.zero, "nilpotent spectral set differs from {0}"
     )
 
 
+@check("C20", "in a delta-quasipolar ring, nilpotents lie in delta", requires=delta_quasipolar_ring)
 def _c20_nil_in_delta(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     escaped = analysis.nilpotent_mask(ring) & ~analysis.delta_mask(ring)
     if escaped.any():
-        a = int(np.argmax(escaped))
-        return _verdict(FAIL, _witness(ring, [a], "nilpotent outside delta"))
-    return _verdict(PASS)
+        return FAIL, _witness(ring, [np.argmax(escaped)], "nilpotent outside delta"), None
+    return PASS, None, None
 
 
+@check("C21", "in a delta-quasipolar ring, every a has idempotent p in comm2(a) with a+p a unit",
+       requires=delta_quasipolar_ring)
 def _c21_unit_variant(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     flags = classify.element_flags(ring, "unit")
     if flags.all():
-        return _verdict(PASS)
-    a = int(np.argmax(~flags))
-    return _verdict(FAIL, _witness(ring, [a], "no idempotent p in comm2(a) with a+p a unit"))
+        return PASS, None, None
+    return FAIL, _witness(ring, [np.argmax(~flags)], "no idempotent p in comm2(a) with a+p a unit"), None
 
 
+@check("C22", "a delta-quasipolar ring with 2 a unit has delta as an ideal (vacuity tracked)",
+       requires=delta_quasipolar_ring)
 def _c22_ideal_when_two_unit(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     two = ring.add(ring.one, ring.one)
     if not analysis.unit_mask(ring)[two]:
         in_delta = bool(analysis.delta_mask(ring)[two])
-        return _verdict(
-            VACUOUS,
-            note=f"2 (element {two}) is not a unit; 2 in delta(R): {in_delta}",
-        )
+        return VACUOUS, None, f"2 (element {two}) is not a unit; 2 in delta(R): {in_delta}"
     is_ideal, pair, why = _is_two_sided_ideal(ring, analysis.delta_mask(ring))
     if is_ideal:
-        return _verdict(PASS, note="2 is a unit and delta is an ideal")
-    return _verdict(FAIL, _witness(ring, pair, f"2 is a unit yet delta is {why}"))
+        return PASS, None, "2 is a unit and delta is an ideal"
+    return FAIL, _witness(ring, pair, f"2 is a unit yet delta is {why}"), None
 
 
+@check("C23", "local+delta-quasipolar, delta-quasipolar+trivial idempotents, and radical index 2 coincide")
 def _c23_local_equivalences(ring: FiniteRing, ctx: SuiteContext):
     dqp, _ = classify.is_delta_quasipolar(ring)
     local, _ = classify.is_local(ring)
@@ -504,11 +552,11 @@ def _c23_local_equivalences(ring: FiniteRing, ctx: SuiteContext):
     }
     values = set(legs.values())
     if len(values) == 1:
-        return _verdict(PASS, note=f"all three legs {'hold' if values.pop() else 'fail'}")
-    detail = "; ".join(f"{k}={v}" for k, v in legs.items())
-    return _verdict(FAIL, _witness(ring, [ring.one], detail))
+        return PASS, None, f"all three legs {'hold' if values.pop() else 'fail'}"
+    return FAIL, _witness(ring, [ring.one], "; ".join(f"{k}={v}" for k, v in legs.items())), None
 
 
+@check("C24", "annihilators of an element embed in those of each of its spectral idempotents")
 def _c24_annihilators(ring: FiniteRing, ctx: SuiteContext):
     zero = ring.mul_table == ring.zero  # (x, y): x*y == 0
     idl = analysis.idempotent_indices(ring)
@@ -516,84 +564,71 @@ def _c24_annihilators(ring: FiniteRing, ctx: SuiteContext):
     right_ok = analysis.row_subset_grid(zero, idl)  # ann_right(a) within ann_right(p)
     bad = classify.spectral_grid(ring, "delta") & ~(left_ok & right_ok)
     if not bad.any():
-        return _verdict(PASS)
+        return PASS, None, None
     a, j = np.argwhere(bad)[0]
     p = idl[j]
     if not left_ok[a, j]:
         x = np.argmax(zero[:, a] & ~zero[:, p])
-        return _verdict(FAIL, _witness(ring, [a, p, x], "x*a = 0 but x*p != 0"))
+        return FAIL, _witness(ring, [a, p, x], "x*a = 0 but x*p != 0"), None
     x = np.argmax(zero[a] & ~zero[p])
-    return _verdict(FAIL, _witness(ring, [a, p, x], "a*x = 0 but p*x != 0"))
+    return FAIL, _witness(ring, [a, p, x], "a*x = 0 but p*x != 0"), None
 
 
+_abelian_j_clean = _hypothesis(
+    "applies to abelian rings with idempotent + radical decompositions",
+    lambda ring: classify.is_abelian(ring)[0] and classify.is_j_clean(ring)[0],
+)
+
+
+@check("C25", "abelian rings with idempotent+radical decompositions are delta-quasipolar",
+       requires=_abelian_j_clean)
 def _c25_abelian_j_clean(ring: FiniteRing, ctx: SuiteContext):
-    abelian, _ = classify.is_abelian(ring)
-    j_clean, _ = classify.is_j_clean(ring)
-    if not (abelian and j_clean):
-        return _verdict(NOT_APPLICABLE, note="applies to abelian rings with idempotent + radical decompositions")
     dqp, witness = classify.is_delta_quasipolar(ring)
     if dqp:
-        return _verdict(PASS)
-    return _verdict(FAIL, _witness(ring, [witness], "abelian j-clean ring fails delta-quasipolarity"))
+        return PASS, None, None
+    return FAIL, _witness(ring, [witness], "abelian j-clean ring fails delta-quasipolarity"), None
 
 
+_dqp_delta_is_radical = _hypothesis(
+    "applies to delta-quasipolar rings with delta equal to the radical",
+    lambda ring: classify.is_delta_quasipolar(ring)[0]
+    and analysis.delta(ring) == analysis.jacobson_radical(ring),
+)
+
+
+@check("C26", "with delta equal to the radical: strong pi-regularity iff radical=qnil=nil=delta",
+       requires=_dqp_delta_is_radical)
 def _c26_pi_regular_equivalence(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp or analysis.delta(ring) != analysis.jacobson_radical(ring):
-        return _verdict(
-            NOT_APPLICABLE, note="applies to delta-quasipolar rings with delta equal to the radical"
-        )
-    spr, spr_witness = classify.is_strongly_pi_regular(ring)
+    """Every finite ring is strongly pi-regular (see
+    `classify.is_strongly_pi_regular`), so the equivalence asserts that
+    the radical (here equal to delta) is both qnil and nil."""
     radical = analysis.jacobson_radical(ring)
-    sets_equal = (
-        radical == analysis.qnil(ring)
-        and radical == analysis.nilpotents(ring)
-        and radical == analysis.delta(ring)
-    )
-    if spr == sets_equal:
-        return _verdict(PASS, note=f"both sides {spr}")
-    if spr:
-        for other in (analysis.qnil(ring), analysis.nilpotents(ring)):
-            diff = (radical ^ other).indices()
-            if diff:
-                return _verdict(
-                    FAIL,
-                    _witness(ring, diff[:1], "strongly pi-regular yet the four sets differ"),
-                )
-        return _verdict(FAIL, _witness(ring, [ring.zero], "set mismatch not localized"))
-    return _verdict(
-        FAIL, _witness(ring, [spr_witness], "sets agree yet strong pi-regularity fails")
-    )
+    for other in (analysis.qnil(ring), analysis.nilpotents(ring)):
+        diff = (radical ^ other).indices()
+        if diff:
+            return FAIL, _witness(ring, diff[:1], "strongly pi-regular yet the four sets differ"), None
+    return PASS, None, "both sides True"
 
 
+@check("C27", "a direct product is delta-quasipolar exactly when both factors are", requires=direct_product)
 def _c27_product_biconditional(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    if not isinstance(prov, constructions.ProductProvenance):
-        return _verdict(NOT_APPLICABLE, note="applies to direct products")
     whole, whole_witness = classify.is_delta_quasipolar(ring)
     left, left_witness = classify.is_delta_quasipolar(prov.left)
     right, right_witness = classify.is_delta_quasipolar(prov.right)
     if whole == (left and right):
-        return _verdict(PASS, note=f"product={whole}, factors=({left}, {right})")
+        return PASS, None, f"product={whole}, factors=({left}, {right})"
     if whole:
-        bad = left_witness if not left else right_witness
-        factor = prov.left if not left else prov.right
-        witness = {
-            "elements": [int(bad)],
-            "names": [factor.element_name(int(bad))],
-            "detail": f"product is delta-quasipolar but factor {factor.spell()} is not",
-        }
-        return _verdict(FAIL, witness)
-    return _verdict(
-        FAIL,
-        _witness(ring, [whole_witness], "factors are delta-quasipolar but the product is not"),
-    )
+        factor, bad = (prov.left, left_witness) if not left else (prov.right, right_witness)
+        detail = f"product is delta-quasipolar but factor {factor.spell()} is not"
+        return FAIL, _witness(factor, [bad], detail), None
+    detail = "factors are delta-quasipolar but the product is not"
+    return FAIL, _witness(ring, [whole_witness], detail), None
 
 
+@check("C28", "corners of a delta-quasipolar ring at nonzero idempotents stay delta-quasipolar",
+       requires=delta_quasipolar_ring)
 def _c28_corners(ring: FiniteRing, ctx: SuiteContext):
-    dqp, _ = classify.is_delta_quasipolar(ring)
-    if not dqp:
-        return _verdict(NOT_APPLICABLE, note="applies to delta-quasipolar rings")
     checked = 0
     for e in analysis.idempotents(ring).indices():
         if e == ring.zero:
@@ -609,8 +644,8 @@ def _c28_corners(ring: FiniteRing, ctx: SuiteContext):
                 "names": [ring.element_name(int(e)), sub.element_name(int(witness))],
                 "detail": f"corner at idempotent {e} is not delta-quasipolar",
             }
-            return _verdict(FAIL, corner_witness)
-    return _verdict(PASS, note=f"{checked} corners checked")
+            return FAIL, corner_witness, None
+    return PASS, None, f"{checked} corners checked"
 
 
 def _dorroh_conditions(base: FiniteRing, action: constructions.BimoduleRingAction):
@@ -629,10 +664,10 @@ def _dorroh_conditions(base: FiniteRing, action: constructions.BimoduleRingActio
     return base_dqp, idempotents_commute, quasi_inverses
 
 
+@check("C29", "extension rings: delta-quasipolar only if the base is; three conditions force the converse",
+       requires=extension_ring)
 def _c29_dorroh(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    if not isinstance(prov, constructions.DorrohProvenance):
-        return _verdict(NOT_APPLICABLE, note="applies to extension rings")
     ext_dqp, ext_witness = classify.is_delta_quasipolar(ring)
     base_dqp, commute, quasi = _dorroh_conditions(prov.base, prov.action)
     profile = (
@@ -641,51 +676,32 @@ def _c29_dorroh(ring: FiniteRing, ctx: SuiteContext):
     )
     if ext_dqp and not base_dqp:
         _, base_witness = classify.is_delta_quasipolar(prov.base)
-        witness = {
-            "elements": [int(base_witness)],
-            "names": [prov.base.element_name(int(base_witness))],
-            "detail": "extension is delta-quasipolar but the base is not",
-        }
-        return _verdict(FAIL, witness, note=profile)
+        detail = "extension is delta-quasipolar but the base is not"
+        return FAIL, _witness(prov.base, [base_witness], detail), profile
     if base_dqp and commute and quasi and not ext_dqp:
-        return _verdict(
-            FAIL,
-            _witness(ring, [ext_witness], "all conditions hold but the extension fails"),
-            note=profile,
-        )
-    return _verdict(PASS, note=profile)
+        return FAIL, _witness(ring, [ext_witness], "all conditions hold but the extension fails"), profile
+    return PASS, None, profile
 
 
+@check("C30", "constrained 3x3 subrings: units and delta follow the (a,d,f) formulas; quasipolarity matches the base",
+       requires=h_subring)
 def _c30_h_ring(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    if not isinstance(prov, constructions.HProvenance):
-        return _verdict(NOT_APPLICABLE, note="applies to the constrained 3x3 subrings")
     base = prov.base
-    base_units = analysis.unit_mask(base)
-    expected_units = base_units[prov.a_of] & base_units[prov.d_of] & base_units[prov.f_of]
-    actual_units = analysis.unit_mask(ring)
-    if (expected_units != actual_units).any():
-        bad = int(np.argmax(expected_units != actual_units))
-        return _verdict(FAIL, _witness(ring, [bad], "unit set differs from the (a,d,f) formula"))
-    base_delta = analysis.delta_mask(base)
-    expected_delta = base_delta[prov.a_of] & base_delta[prov.d_of] & base_delta[prov.f_of]
-    actual_delta = analysis.delta_mask(ring)
-    if (expected_delta != actual_delta).any():
-        bad = int(np.argmax(expected_delta != actual_delta))
-        return _verdict(FAIL, _witness(ring, [bad], "delta differs from the (a,d,f) formula"))
+    for label, mask_of in (("unit set", analysis.unit_mask), ("delta", analysis.delta_mask)):
+        base_mask = mask_of(base)
+        expected = base_mask[prov.a_of] & base_mask[prov.d_of] & base_mask[prov.f_of]
+        detail = f"{label} differs from the (a,d,f) formula"
+        failed = _first_mismatch(ring, expected, mask_of(ring), detail)
+        if failed:
+            return failed
     ring_dqp, ring_witness = classify.is_delta_quasipolar(ring)
     base_dqp, base_witness = classify.is_delta_quasipolar(base)
-    if ring_dqp != base_dqp:
-        if ring_dqp:
-            witness = {
-                "elements": [int(base_witness)],
-                "names": [base.element_name(int(base_witness))],
-                "detail": "subring is delta-quasipolar but the base is not",
-            }
-        else:
-            witness = _witness(ring, [ring_witness], "base is delta-quasipolar but the subring is not")
-        return _verdict(FAIL, witness)
-    return _verdict(PASS, note=f"both sides delta-quasipolar={ring_dqp}")
+    if ring_dqp == base_dqp:
+        return PASS, None, f"both sides delta-quasipolar={ring_dqp}"
+    if ring_dqp:
+        return FAIL, _witness(base, [base_witness], "subring is delta-quasipolar but the base is not"), None
+    return FAIL, _witness(ring, [ring_witness], "base is delta-quasipolar but the subring is not"), None
 
 
 def reverify_not_dqp_witness(ring: FiniteRing, a: int) -> bool:
@@ -719,160 +735,42 @@ def reverify_not_dqp_witness(ring: FiniteRing, a: int) -> bool:
     return True
 
 
+@check("C31", "full matrix rings of dimension >= 2 are not delta-quasipolar (witness re-verified)",
+       requires=full_matrix_ring)
 def _c31_matrix_not_dqp(ring: FiniteRing, ctx: SuiteContext):
-    prov = ring.provenance
-    if not (isinstance(prov, constructions.MatrixProvenance) and prov.kind == "matrix" and prov.k >= 2):
-        return _verdict(NOT_APPLICABLE, note="applies to full matrix rings of dimension >= 2")
     dqp, witness = classify.is_delta_quasipolar(ring)
     if dqp:
-        return _verdict(
-            FAIL, _witness(ring, [ring.one], "matrix ring unexpectedly delta-quasipolar")
-        )
+        return FAIL, _witness(ring, [ring.one], "matrix ring unexpectedly delta-quasipolar"), None
     if not reverify_not_dqp_witness(ring, witness):
-        return _verdict(
-            FAIL, _witness(ring, [witness], "witness failed scalar re-verification")
-        )
-    return _verdict(
-        PASS,
-        witness=_witness(ring, [witness], "element with no spectral idempotent, re-verified"),
-        note="not delta-quasipolar",
-    )
+        return FAIL, _witness(ring, [witness], "witness failed scalar re-verification"), None
+    detail = "element with no spectral idempotent, re-verified"
+    return PASS, _witness(ring, [witness], detail), "not delta-quasipolar"
 
-
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    statement: str
-    body: object
-
-
-CHECKS: dict[str, Check] = {}
-
-
-def _register(check_id: str, statement: str, body) -> None:
-    CHECKS[check_id] = Check(check_id, statement, body)
-
-
-_register("C00", "the compiled tables satisfy the unital-ring axioms", _c00_axioms)
-_register(
-    "C01",
-    "the four sweeps defining delta agree (1-xu, x+u, xu+1, ux+1 forms)",
-    _c01_forms_agree,
-)
-_register("C02", "delta is stable under unit multiplication on both sides", _c02_unit_stability)
-_register(
-    "C03", "delta contains 0 and is closed under subtraction and multiplication", _c03_subring
-)
-_register(
-    "C04",
-    "delta is a two-sided ideal exactly when it equals the jacobson radical",
-    _c04_ideal_iff_radical,
-)
-_register("C05", "delta of a direct product is the product of component deltas", _c05_product_delta)
-_register("C06", "when all units are central, quasinilpotents lie in delta", _c06_central_units_qnil)
-_register(
-    "C07",
-    "delta of an upper-triangular ring is: diagonal in base delta, strict upper free",
-    _c07_triangular_delta,
-)
-_register("C08", "every member of delta is delta-quasipolar as an element", _c08_delta_members_qp)
-_register(
-    "C09",
-    "jacobson-spectral idempotents are delta-spectral idempotents, elementwise",
-    _c09_j_spectral_subset,
-)
-_register("C10", "if a is delta-quasipolar then so is -1-a", _c10_negated_shift)
-_register(
-    "C11",
-    "delta-quasipolar implies strongly delta-clean; abelian strongly delta-clean implies back",
-    _c11_strongly_delta_clean,
-)
-_register(
-    "C12",
-    "on abelian rings: delta-quasipolar, strongly delta-clean, uniquely clean coincide",
-    _c12_abelian_equivalences,
-)
-_register(
-    "C13",
-    "T(2, Z2) is delta-quasipolar yet neither abelian nor uniquely clean",
-    _c13_t2z2_profile,
-)
-_register(
-    "C14",
-    "uniquely clean implies delta-quasipolar; uniquely delta-clean implies it too",
-    _c14_uniquely_clean_implications,
-)
-_register("C15", "in a delta-quasipolar ring, 2 lies in delta", _c15_two_in_delta)
-_register(
-    "C16",
-    "full matrix rings: delta equals the radical yet a quasinilpotent escapes delta",
-    _c16_matrix_qnil_gap,
-)
-_register("C17", "delta-quasipolarity of elements survives conjugation by units", _c17_conjugation)
-_register("C18", "in a delta-quasipolar ring, a unit's only spectral idempotent is 1", _c18_unit_spectral)
-_register(
-    "C19", "in a delta-quasipolar ring, a nilpotent's only spectral idempotent is 0", _c19_nilpotent_spectral
-)
-_register("C20", "in a delta-quasipolar ring, nilpotents lie in delta", _c20_nil_in_delta)
-_register(
-    "C21",
-    "in a delta-quasipolar ring, every a has idempotent p in comm2(a) with a+p a unit",
-    _c21_unit_variant,
-)
-_register(
-    "C22",
-    "a delta-quasipolar ring with 2 a unit has delta as an ideal (vacuity tracked)",
-    _c22_ideal_when_two_unit,
-)
-_register(
-    "C23",
-    "local+delta-quasipolar, delta-quasipolar+trivial idempotents, and radical index 2 coincide",
-    _c23_local_equivalences,
-)
-_register(
-    "C24",
-    "annihilators of an element embed in those of each of its spectral idempotents",
-    _c24_annihilators,
-)
-_register("C25", "abelian rings with idempotent+radical decompositions are delta-quasipolar", _c25_abelian_j_clean)
-_register(
-    "C26",
-    "with delta equal to the radical: strong pi-regularity iff radical=qnil=nil=delta",
-    _c26_pi_regular_equivalence,
-)
-_register("C27", "a direct product is delta-quasipolar exactly when both factors are", _c27_product_biconditional)
-_register(
-    "C28", "corners of a delta-quasipolar ring at nonzero idempotents stay delta-quasipolar", _c28_corners
-)
-_register(
-    "C29",
-    "extension rings: delta-quasipolar only if the base is; three conditions force the converse",
-    _c29_dorroh,
-)
-_register(
-    "C30",
-    "constrained 3x3 subrings: units and delta follow the (a,d,f) formulas; quasipolarity matches the base",
-    _c30_h_ring,
-)
-_register("C31", "full matrix rings of dimension >= 2 are not delta-quasipolar (witness re-verified)", _c31_matrix_not_dqp)
 
 CHECK_IDS = tuple(CHECKS)
 
 
 def run_check(check_id: str, ring: FiniteRing, ctx: SuiteContext | None = None) -> CheckResult:
-    """Evaluate one check on one ring, timing it.
+    """Evaluate one check on one ring, timing its hypothesis and body together.
 
-    A RingError escaping a check body (possible on deliberately
-    corrupted rings, e.g. a corner construction finding unclosed tables)
-    is reported as a FAIL with the error message, never as a crash.
+    A ring outside the hypothesis is NOT-APPLICABLE with the hypothesis's
+    note, and the body does not run.  A RingError escaping either
+    (possible on deliberately corrupted rings, e.g. a corner
+    construction finding unclosed tables) is reported as a FAIL with the
+    error message, never as a crash.
     """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
+    entry = CHECKS[check_id]
     if ctx is None:
         ctx = SuiteContext()
     started = time.perf_counter()
     try:
-        verdict, witness, note = CHECKS[check_id].body(ring, ctx)
+        note = entry.requires(ring, ctx) if entry.requires else None
+        if note is None:
+            verdict, witness, note = entry.body(ring, ctx)
+        else:
+            verdict, witness = NOT_APPLICABLE, None
     except RingError as exc:
         verdict, witness, note = FAIL, None, f"check aborted by error: {exc}"
     millis = (time.perf_counter() - started) * 1000.0
@@ -989,41 +887,3 @@ def run_suite(
     for batch in batches:
         report.results.extend(batch)
     return report
-
-
-# -- standalone check entry points and test hooks -------------------------------------------
-
-
-def check_dorroh(base: FiniteRing, action: constructions.BimoduleRingAction) -> CheckResult:
-    """Build the extension of base by the action and run the extension check."""
-    ring = constructions.dorroh(base, action)
-    return run_check("C29", ring)
-
-
-def check_h_ring_equivalence(base: FiniteRing, s: int, t: int) -> CheckResult:
-    """Build the constrained 3x3 subring and run its formula/equivalence check."""
-    ring = constructions.h_ring(s, t, base)
-    return run_check("C30", ring)
-
-
-def mutate_mul_entry(ring: FiniteRing, x: int, y: int, value: int) -> FiniteRing:
-    """A copy of the ring with one multiplication entry overwritten.
-
-    Used by the mutation test: the result is structurally well-formed
-    but (generically) violates an axiom, which C00 must catch.
-    """
-    ring._check_index(x)
-    ring._check_index(y)
-    ring._check_index(value)
-    mul = ring.mul_table.copy()
-    mul[x, y] = value
-    names = list(ring.element_names) if ring.element_names is not None else None
-    return FiniteRing(
-        ring.size,
-        ring.add_table,
-        mul,
-        zero=ring.zero,
-        one=ring.one,
-        provenance=constructions.TableProvenance(f"mutated:{ring.spell()}"),
-        element_names=names,
-    )

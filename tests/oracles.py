@@ -3,10 +3,38 @@
 Everything here is written with plain Python loops, sets, and tuples,
 deliberately independent of the vectorized implementations under test.
 The only shared input is the ring's add/mul tables themselves (read one
-entry at a time through the scalar accessors).
+entry at a time through the scalar accessors).  `mutate_mul_entry` is
+the one table builder here: it makes the corrupted rings that the
+mutation tests feed to both sides.
 """
 
 from __future__ import annotations
+
+from deltaring.constructions import TableProvenance
+from deltaring.kernel import FiniteRing
+
+
+def mutate_mul_entry(ring, x, y, value):
+    """A copy of the ring with one multiplication entry overwritten.
+
+    The result is structurally well-formed but (generically) violates an
+    axiom, which C00 must catch.
+    """
+    ring._check_index(x)
+    ring._check_index(y)
+    ring._check_index(value)
+    mul = ring.mul_table.copy()
+    mul[x, y] = value
+    names = list(ring.element_names) if ring.element_names is not None else None
+    return FiniteRing(
+        ring.size,
+        ring.add_table,
+        mul,
+        zero=ring.zero,
+        one=ring.one,
+        provenance=TableProvenance(f"mutated:{ring.spell()}"),
+        element_names=names,
+    )
 
 
 def axioms_hold(ring):
@@ -61,6 +89,28 @@ def nilpotents_of(ring):
                 break
             power = ring.mul(power, x)
     return out
+
+
+def strongly_pi_regular_of(ring):
+    """(verdict, first failing element) of a search for a^s = a^(s+1) * b
+    with 1 <= s <= n and b commuting with a.
+
+    Power sequences enter a cycle within n steps, so the bound is
+    exhaustive.  Rows of the multiplication table are compared whole
+    (numpy) so that the search stays fast on rings of 1024 elements.
+    """
+    mul = ring.mul_table
+    for a in range(ring.size):
+        commuters = (mul[a] == mul[:, a]).nonzero()[0]
+        power = a
+        for _ in range(ring.size):
+            next_power = int(mul[power, a])
+            if (mul[next_power, commuters] == power).any():
+                break
+            power = next_power
+        else:
+            return False, a
+    return True, None
 
 
 def center_of(ring):

@@ -1,4 +1,4 @@
-from deltaring import analysis, classify, zn
+from deltaring import analysis, build_ring, classify, zn
 
 import oracles
 
@@ -205,9 +205,16 @@ def test_local_verdicts(corpus_rings):
         assert ring.add(x, y) in units
 
 
+# the rings of the benchmark's ring_ladder workload, 512 to 1024 elements
+LADDER_SPECS = ("Z512", "T(2, Z8)", "H(1, 1, Z8)", "prod(M(2, Z2), T(2, Z4))", "quot(Z2048, 512)")
+
+
 def test_every_corpus_ring_is_strongly_pi_regular(corpus):
-    for entry in corpus:
-        assert classify.is_strongly_pi_regular(entry.ring) == (True, None), entry.spec_text
+    # classify answers by the theorem; the oracle searches for the exponent
+    rings = [entry.ring for entry in corpus] + [build_ring(spec) for spec in LADDER_SPECS]
+    for ring in rings:
+        assert oracles.strongly_pi_regular_of(ring) == (True, None), ring.spell()
+        assert classify.is_strongly_pi_regular(ring) == (True, None)
 
 
 # -- reports -----------------------------------------------------------------------

@@ -121,6 +121,19 @@ def test_verify_rejects_unknown_check(capsys):
     assert err.startswith("error: usage: unknown check id")
 
 
+def test_verify_rejects_repeated_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "C01,C07,C01")
+    assert code == 2 and out == ""
+    assert err == "error: usage: check id 'C01' given more than once\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: usage: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_custom_manifest_failure_exit(capsys, tmp_path):
     table = {
         "size": 2,

@@ -11,7 +11,6 @@ from deltaring import (
     FiniteRing,
     build_ring,
     element_capacity,
-    harness,
     kernel,
     validate_ring,
     zn,
@@ -159,7 +158,7 @@ def _replay(ring, axiom, w):
 
 
 def test_validate_ring_catches_mutation_with_genuine_witnesses(z4):
-    bad = harness.mutate_mul_entry(z4, 2, 3, 1)
+    bad = oracles.mutate_mul_entry(z4, 2, 3, 1)
     report = validate_ring(bad)
     assert not report.ok
     axioms = {v.axiom for v in report.violations}
@@ -181,7 +180,7 @@ def test_validate_ring_catches_broken_addition():
 
 def test_mutation_leaves_original_untouched(z4):
     before = z4.mul(2, 3)
-    mutated = harness.mutate_mul_entry(z4, 2, 3, 1)
+    mutated = oracles.mutate_mul_entry(z4, 2, 3, 1)
     assert mutated.mul(2, 3) == 1
     assert z4.mul(2, 3) == before
     assert mutated.spell() == "table:mutated:Z4"
@@ -214,7 +213,7 @@ def test_validate_ring_agrees_with_scalar_oracle_on_corruptions(corpus):
             if i % 4 == 0:
                 y = x
             for bad in (
-                harness.mutate_mul_entry(ring, x, y, value),
+                oracles.mutate_mul_entry(ring, x, y, value),
                 _mutate_add_entry(ring, x, y, value),
             ):
                 report = validate_ring(bad)
@@ -238,7 +237,7 @@ def test_certificate_never_passes_what_the_scan_rejects(corpus_rings):
         x, y, value = (rng.randrange(ring.size) for _ in range(3))
         if i == 0:
             value = ring.mul(x, y)  # an unchanged table must be certified
-        bad = harness.mutate_mul_entry(ring, x, y, value)
+        bad = oracles.mutate_mul_entry(ring, x, y, value)
         if kernel._certify_triple_axioms(bad.add_table, bad.mul_table, bad.zero):
             certified += 1
             assert kernel._scan_triple_axioms(bad.add_table, bad.mul_table) == []
