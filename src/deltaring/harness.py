@@ -704,33 +704,48 @@ def _c30_h_ring(ring: FiniteRing, ctx: SuiteContext):
     return FAIL, _witness(ring, [ring_witness], "base is delta-quasipolar but the subring is not"), None
 
 
+def _positions(row: np.ndarray, value: int):
+    """Indices of ``value`` in one int32 table row, found by a C-level byte search."""
+    raw = row.tobytes()
+    pattern = np.int32(value).tobytes()
+    at = raw.find(pattern)
+    while at >= 0:
+        if at % 4:
+            at = raw.find(pattern, at + 1)
+        else:
+            yield at // 4
+            at = raw.find(pattern, at + 4)
+
+
 def reverify_not_dqp_witness(ring: FiniteRing, a: int) -> bool:
     """Scalar re-verification that element a has no spectral idempotent.
 
     Recomputes units, idempotents, the double commutant of a, and delta
-    membership of a+p with plain Python loops over the tables, avoiding
-    the vectorized sweeps used everywhere else.  True when no idempotent
-    qualifies (the witness is genuine).
+    membership of a+p with plain Python loops over table rows read one
+    at a time, avoiding the vectorized sweeps used everywhere else.  True
+    when no idempotent qualifies (the witness is genuine).
+
+    u is a unit when some v with u*v = 1 also has v*u = 1.  Every such v
+    in row u is tried, found by a byte search of the row, so a table
+    that is not a ring gets the same answer as a scan of every pair.
+    Cost: n row searches, n*|C(a)| Python steps for the double
+    commutant, and |units| steps per candidate idempotent.
     """
     n = ring.size
     mul = ring.mul_table
-    add = ring.add_table
     one = ring.one
-    units = [
-        u
-        for u in range(n)
-        if any(mul[u, v] == one and mul[v, u] == one for v in range(n))
-    ]
+    units = [u for u in range(n) if any(mul[v, u] == one for v in _positions(mul[u], one))]
     unit_set = set(units)
-    neg = ring.neg_table
-    comm_a = [x for x in range(n) if mul[x, a] == mul[a, x]]
-    comm2_a = [
-        y for y in range(n) if all(mul[y, x] == mul[x, y] for x in comm_a)
-    ]
-    candidates = [p for p in comm2_a if mul[p, p] == p]
+    row_a, col_a = mul[a].tolist(), mul[:, a].tolist()
+    comm_a = [x for x in range(n) if col_a[x] == row_a[x]]
+    left = mul[:, comm_a].tolist()  # left[y] = [y*x for x in comm_a]
+    right = mul[comm_a].T.tolist()  # right[y] = [x*y for x in comm_a]
+    candidates = [p for p in range(n) if left[p] == right[p] and mul[p, p] == p]
+    one_plus = ring.add_table[one].tolist()
+    neg = ring.neg_table.tolist()
     for p in candidates:
-        s = int(add[a, p])
-        if all(int(add[one, neg[mul[s, u]]]) in unit_set for u in units):
+        products = mul[ring.add(a, p)].tolist()
+        if all(one_plus[neg[products[u]]] in unit_set for u in units):
             return False
     return True
 
@@ -864,7 +879,9 @@ def run_suite(
 
     Worker threads split by ring; each ring's caches are touched by one
     worker only, and the report is assembled in corpus order, so output
-    is identical whatever the parallelism.
+    is identical whatever the parallelism.  ``jobs`` is the number of
+    worker threads, ``os.cpu_count()`` when None; below 1 it raises
+    ValueError, as ``verify --jobs`` rejects it.
     """
     if check_ids is None:
         selected = CHECK_IDS
@@ -873,11 +890,13 @@ def run_suite(
             if check_id not in CHECKS:
                 raise KeyError(f"unknown check id {check_id!r}")
         selected = tuple(check_ids)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ctx = SuiteContext(strict_commuting=strict_commuting)
     report = SuiteReport(corpus=[(e.spec_text, e.ring.size) for e in entries])
     if not entries:
         return report
-    workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    workers = jobs or os.cpu_count() or 1
     workers = min(workers, len(entries))
     if workers <= 1:
         batches = [_ring_results(entry, selected, ctx) for entry in entries]

@@ -308,3 +308,16 @@ def matadd_of(base, a_grid, b_grid):
     return tuple(
         tuple(base.add(a_grid[i][j], b_grid[i][j]) for j in range(k)) for i in range(k)
     )
+
+
+def not_dqp_witnesses_of(ring):
+    """{a : no idempotent p of comm2(a) puts a + p in the 1 - xu form of
+    delta}: the elements that C31's re-verifier accepts, on any table."""
+    units = units_of(ring)
+    delta = delta_one_minus_form(ring, units)
+    idempotents = idempotents_of(ring)
+    return {
+        a
+        for a in range(ring.size)
+        if not any(ring.add(a, p) in delta for p in idempotents & comm2_of(ring, a))
+    }

@@ -1,10 +1,13 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from deltaring import (
     CapacityError,
     FiniteRing,
+    build_ring,
     classify,
     constructions as con,
     harness,
@@ -175,6 +178,45 @@ def test_witness_reverification_is_independent(z4, m2z2):
     # elements that do have a spectral idempotent are not witnesses
     assert not reverify_not_dqp_witness(z4, 2)
     assert not reverify_not_dqp_witness(m2z2, 0)
+
+
+def _false_hits(ring, count):
+    """Copies of the table where row u gains u*w = 1 for some w < u^-1
+    with w*u != 1: u stays a unit only if every hit in its row is tried."""
+    out = []
+    for u in sorted(oracles.units_of(ring)):
+        w = next((w for w in range(ring.inverse(u)) if ring.mul(w, u) != ring.one), None)
+        if w is not None and len(out) < count:
+            out.append(oracles.mutate_mul_entry(ring, u, w, ring.one))
+    return out
+
+
+def test_c31_reverifier_matches_scalar_oracle_on_non_rings(m2z2):
+    # the golden corruptions that keep provenance run C31 on non-ring
+    # M(2, .) tables, so the re-verifier must decide the same predicate
+    # as a scan of every pair on any table
+    rng = random.Random(31)
+    for ring, hits, random_entries in ((m2z2, 8, 8), (build_ring("M(2, Z3)"), 3, 2)):
+        tables = [ring] + _false_hits(ring, hits)
+        for _ in range(random_entries):
+            x, y, value = (rng.randrange(ring.size) for _ in range(3))
+            tables.append(oracles.mutate_mul_entry(ring, x, y, value))
+        for table in tables:
+            accepted = {a for a in range(table.size) if reverify_not_dqp_witness(table, a)}
+            assert accepted == oracles.not_dqp_witnesses_of(table), table.spell()
+
+
+def test_row_search_skips_matches_across_entries():
+    # 256 = bytes 00 01 00 00 and 0 = 00 00 00 00: a 1 = 01 00 00 00 at byte 1
+    row = np.array([256, 0, 1, 7, 1], dtype=np.int32)
+    assert list(harness._positions(row, 1)) == [2, 4]
+    assert list(harness._positions(row, 3)) == []
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_suite_rejects_jobs_below_one(corpus, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_suite(corpus[:2], jobs=jobs)
 
 
 # Single-entry corruptions that make a spectral check FAIL when run

@@ -128,6 +128,37 @@ def test_validate_ring_samples_large_rings():
     assert d["sample_seed"] is not None
 
 
+def _sampled_report(ring):
+    """The report of the seeded sample that validate_ring falls back to
+    above the scan limit, on a table whose pair axioms hold."""
+    n = ring.size
+    seed = kernel.VALIDATION_SEED
+    return kernel.ValidationReport(
+        ring=ring.spell(),
+        size=n,
+        mode="sampled",
+        sampled_triples=n * n,
+        sample_seed=seed,
+        violations=kernel._sample_triple_axioms(ring.add_table, ring.mul_table, seed),
+    )
+
+
+def test_validate_ring_above_the_scan_limit_reports_the_sample(ladder_rings):
+    for ring in [zn(300), *ladder_rings.values()]:
+        assert ring.size > kernel.FULL_SCAN_LIMIT
+        assert validate_ring(ring).to_dict() == _sampled_report(ring).to_dict(), ring.spell()
+
+
+def test_certified_rings_never_draw_the_sample(ladder_rings, monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("the sample was drawn on a certified ring")
+
+    monkeypatch.setattr(kernel, "_sample_triple_axioms", no_sample)
+    for ring in ladder_rings.values():
+        report = validate_ring(ring)
+        assert report.ok and report.mode == "sampled", ring.spell()
+
+
 def _replay(ring, axiom, w):
     """Re-check a reported violation witness with direct table lookups."""
     if axiom == "mul-associativity":
@@ -305,7 +336,15 @@ FAULTY_TABLE_REPORTS = [
     ),
     (
         # the certificate passes this table, which is sound only once the
-        # pair axioms hold: here they do not, and the triple scan runs
+        # pair axioms hold: here 1 and 2 have no additive inverse, and the
+        # triple scan runs
+        "missing inverses hide a triple fault",
+        [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+        [[0, 0, 1], [0, 1, 2], [1, 2, 2]],
+        [("add-inverse", [1]), ("mul-associativity", [0, 0, 2])],
+    ),
+    (
+        # every pair axiom on addition fails; the triple scan runs
         "pair faults hide triple faults",
         [[0, 0, 0], [1, 1, 2], [1, 1, 2]],
         [[(x * y) % 3 for y in range(3)] for x in range(3)],
@@ -336,3 +375,73 @@ def test_faulty_tables_get_the_scan_report(add, mul, violations):
         "ok": False,
         "violations": [{"axiom": axiom, "witness": w} for axiom, w in violations],
     }
+
+
+def _with_factor(ring, add, mul):
+    """The table of ring x T for a 4- or 8-element table T with zero 0 and
+    one 1, its pairs (r, t) numbered r * |T| + t."""
+    t = len(add)
+
+    def combine(big, small):
+        return (big[:, None, :, None] * t + np.array(small)[None, :, None, :]).reshape(
+            ring.size * t, ring.size * t
+        )
+
+    return FiniteRing(
+        ring.size * t,
+        combine(ring.add_table, add),
+        combine(ring.mul_table, mul),
+        zero=ring.zero * t,
+        one=ring.one * t + 1,
+    )
+
+
+def _stranded_z512():
+    """Z512 with every sum of two nonzero elements that lands in 1..11
+    replaced by 0: the pair axioms hold, but each of 1..11 is reached
+    only by picking it, one pick more than a group of 512 needs."""
+    ring = zn(512)
+    add = ring.add_table.copy()
+    stranded = (add >= 1) & (add <= 11)
+    stranded[0, :] = stranded[:, 0] = False
+    add[stranded] = 0
+    return FiniteRing(512, add, ring.mul_table, zero=0, one=1)
+
+
+def _step_corruption(step):
+    """A table above the scan limit that only the given certificate step rejects."""
+    faulty = {case[0]: case[1:3] for case in FAULTY_TABLE_REPORTS}
+    if step == "generator-closure":
+        return _stranded_z512()
+    if step == "g-cubed":
+        return _with_factor(build_ring("prod(Z4, M(2, Z2))"), *faulty["mul-associativity only"])
+    factor = {
+        "light": "add-associativity only",
+        "right-distributivity": "right-distributivity only",
+        "left-distributivity-on-generators": "left-distributivity only",
+    }[step]
+    return _with_factor(build_ring("prod(Z8, M(2, Z2))"), *faulty[factor])
+
+
+CERTIFICATE_STEPS = (
+    "generator-closure",
+    "light",
+    "right-distributivity",
+    "left-distributivity-on-generators",
+    "g-cubed",
+)
+
+
+@pytest.mark.parametrize("step", CERTIFICATE_STEPS)
+def test_certificate_rejects_each_step_above_the_scan_limit(step):
+    bad = _step_corruption(step)
+    assert bad.size > kernel.FULL_SCAN_LIMIT
+    add, mul = bad.add_table, bad.mul_table
+    gens = kernel._additive_generators(add, bad.zero)
+    assert (gens is None) == (step == "generator-closure")
+    assert not kernel._certify_triple_axioms(add, mul, bad.zero)
+    report = validate_ring(bad)
+    assert report.to_dict() == _sampled_report(bad).to_dict()
+    assert not report.ok
+    for violation in report.violations:
+        assert _replay(bad, violation.axiom, violation.witness)
