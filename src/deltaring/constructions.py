@@ -6,6 +6,11 @@ was built, and assigns each element a structural display name.  Element
 indices follow a canonical mixed-radix encoding per construction, most
 significant component first, so encode/decode round-trips are exact and
 reports are reproducible.
+
+Every table builder's docstring gives its tracemalloc peak in bytes per
+cell of the n x n result, the FiniteRing's own int32 copies and negation
+scan included, as measured with numpy 2.4 at 512 to 4096 elements; a
+memory pre-flight multiplies it by n^2.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .kernel import (
     ElementSet,
     FiniteRing,
     MalformedTableError,
+    _axiom_violations,
     element_capacity,
 )
 
@@ -32,6 +38,31 @@ def _check_capacity(size: int, what: str) -> None:
     cap = element_capacity()
     if size > cap:
         raise CapacityError(f"{what} would have {size} elements, exceeding the cap {cap}")
+
+
+def _provenance(ring: FiniteRing, kind: type, builder: str):
+    """The ring's provenance record, which must be a ``kind``."""
+    if not isinstance(ring.provenance, kind):
+        raise ConstructionError(f"ring was not built by {builder}")
+    return ring.provenance
+
+
+def _componentwise(tables, coords, place_values) -> np.ndarray:
+    """The int32 n x n table that applies ``tables[p]`` to coordinate p.
+
+    ``coords[p][x]`` is coordinate p of element x, and entry (x, y) packs
+    ``tables[p][coords[p][x], coords[p][y]]`` by ``place_values[p]``.
+    The packed value is an element index below the capped size, so it
+    fits int32 at every cap.  Cost: one n^2 gather per coordinate;
+    tracemalloc peak 12 bytes per n^2 (the table and two gathers).
+    """
+    n = len(coords[0])
+    out = np.zeros((n, n), dtype=np.int32)
+    for table, coord, pv in zip(tables, coords, place_values):
+        part = table[coord[:, None], coord[None, :]]
+        part *= pv
+        out += part
+    return out
 
 
 # -- provenance records -------------------------------------------------------
@@ -136,7 +167,12 @@ class QuotientProvenance:
 
 
 def zn(n: int) -> FiniteRing:
-    """The integers modulo n, for n >= 2."""
+    """The integers modulo n, for n >= 2.
+
+    The tables come from int64 n^2 products, since a*b overflows int32
+    above 46340 when the cap is raised.  Tracemalloc peak: 25 bytes per
+    n^2.
+    """
     if n < 2:
         raise ConstructionError(f"Z{n} is not a unital ring with one != zero")
     _check_capacity(n, f"Z{n}")
@@ -203,17 +239,18 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
-    """Direct product; index of (r, s) is r * |right| + s."""
+    """Direct product; index of (r, s) is r * |right| + s.
+
+    Both tables are componentwise.  Tracemalloc peak: 17 bytes per n^2.
+    """
     n = left.size * right.size
     _check_capacity(n, f"prod({left.spell()}, {right.spell()})")
     sn = right.size
     arange = np.arange(n)
     rs = arange // sn
     ss = arange % sn
-    add = left.add_table[rs[:, None], rs[None, :]].astype(np.int64) * sn
-    add += right.add_table[ss[:, None], ss[None, :]]
-    mul = left.mul_table[rs[:, None], rs[None, :]].astype(np.int64) * sn
-    mul += right.mul_table[ss[:, None], ss[None, :]]
+    add = _componentwise((left.add_table, right.add_table), (rs, ss), (sn, 1))
+    mul = _componentwise((left.mul_table, right.mul_table), (rs, ss), (sn, 1))
     names = [
         f"({left.element_name(int(r))}, {right.element_name(int(s))})"
         for r, s in zip(rs, ss)
@@ -230,17 +267,13 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
 
 
 def product_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
-    prov = ring.provenance
-    if not isinstance(prov, ProductProvenance):
-        raise ConstructionError("ring was not built by product()")
+    prov = _provenance(ring, ProductProvenance, "product()")
     ring._check_index(x)
     return divmod(x, prov.right.size)
 
 
 def product_encode(ring: FiniteRing, r: int, s: int) -> int:
-    prov = ring.provenance
-    if not isinstance(prov, ProductProvenance):
-        raise ConstructionError("ring was not built by product()")
+    prov = _provenance(ring, ProductProvenance, "product()")
     prov.left._check_index(r)
     prov.right._check_index(s)
     return r * prov.right.size + s
@@ -260,16 +293,16 @@ def _matrix_like(base: FiniteRing, k: int, positions: list[tuple[int, int]], kin
     for p, (i, j) in enumerate(positions):
         grid[:, i, j] = (arange // place_values[p]) % base.size
 
-    add = np.zeros((n, n), dtype=np.int64)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for p, (i, j) in enumerate(positions):
-        col = grid[:, i, j]
-        add += base.add_table[col[:, None], col[None, :]].astype(np.int64) * place_values[p]
+    coords = [grid[:, i, j] for i, j in positions]
+    add = _componentwise([base.add_table] * m, coords, place_values)
+    mul = np.zeros((n, n), dtype=np.int32)
+    for (i, j), pv in zip(positions, place_values):
         acc = np.full((n, n), base.zero, dtype=np.int32)
         for l in range(k):
             term = base.mul_table[grid[:, i, l][:, None], grid[:, l, j][None, :]]
             acc = base.add_table[acc, term]
-        mul += acc.astype(np.int64) * place_values[p]
+        acc *= pv
+        mul += acc
 
     prov = MatrixProvenance(kind, k, base, positions, place_values, grid)
     zero = sum(base.zero * pv for pv in place_values)
@@ -291,7 +324,11 @@ def _matrix_name(base: FiniteRing, grid_x: np.ndarray) -> str:
 
 
 def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
-    """Full k x k matrices over the base ring, row-major mixed radix."""
+    """Full k x k matrices over the base ring, row-major mixed radix.
+
+    Tracemalloc peak: 25 bytes per n^2, from the k-term row-by-column
+    sums of the multiplication table.
+    """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(k) for j in range(k)]
@@ -299,7 +336,10 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
 
 
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
-    """Upper-triangular k x k matrices over the base ring."""
+    """Upper-triangular k x k matrices over the base ring.
+
+    Tracemalloc peak: 25 bytes per n^2, as for matrix_ring.
+    """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(k) for j in range(k) if i <= j]
@@ -308,18 +348,14 @@ def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
 
 def matrix_entries(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
     """Decode an element of a matrix-shaped ring into its k x k entry grid."""
-    prov = ring.provenance
-    if not isinstance(prov, MatrixProvenance):
-        raise ConstructionError("ring was not built by matrix_ring() or upper_triangular()")
+    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
     ring._check_index(x)
     return tuple(tuple(int(v) for v in row) for row in prov.grid[x])
 
 
 def matrix_encode(ring: FiniteRing, grid) -> int:
     """Encode a k x k grid of base indices into an element index."""
-    prov = ring.provenance
-    if not isinstance(prov, MatrixProvenance):
-        raise ConstructionError("ring was not built by matrix_ring() or upper_triangular()")
+    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
     k = prov.k
     grid = [list(row) for row in grid]
     if len(grid) != k or any(len(row) != k for row in grid):
@@ -341,9 +377,7 @@ def matrix_encode(ring: FiniteRing, grid) -> int:
 
 def matrix_unit_index(ring: FiniteRing, i: int, j: int) -> int:
     """Index of the matrix with the base one at (i, j) and zeros elsewhere."""
-    prov = ring.provenance
-    if not isinstance(prov, MatrixProvenance):
-        raise ConstructionError("ring was not built by matrix_ring() or upper_triangular()")
+    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
     grid = [[prov.base.zero] * prov.k for _ in range(prov.k)]
     grid[i][j] = prov.base.one
     return matrix_encode(ring, grid)
@@ -363,6 +397,8 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     fixed central units s and t.  Elements are stored as the free triple
     (c, e, f), most significant first; the dependent entries are
     d = f + t*e and a = d + s*c.  Size is |base|^3, not |base|^9.
+    Tracemalloc peak: 29 bytes per n^2, from the two-term sums of the
+    multiplication table.
     """
     base._check_index(s)
     base._check_index(t)
@@ -383,22 +419,19 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     d_of = base.add_table[f_of, base.mul_table[t, e_of]]
     a_of = base.add_table[d_of, base.mul_table[s, c_of]]
 
-    addc = base.add_table[c_of[:, None], c_of[None, :]].astype(np.int64)
-    adde = base.add_table[e_of[:, None], e_of[None, :]].astype(np.int64)
-    addf = base.add_table[f_of[:, None], f_of[None, :]].astype(np.int64)
-    add = (addc * bs + adde) * bs + addf
+    add = _componentwise([base.add_table] * 3, (c_of, e_of, f_of), (bs * bs, bs, 1))
 
     # 3 x 3 matrix product restricted to the stored pattern:
     # c' = c1*a2 + d1*c2, e' = d1*e2 + e1*f2, f' = f1*f2
     cprod = base.add_table[
         base.mul_table[c_of[:, None], a_of[None, :]],
         base.mul_table[d_of[:, None], c_of[None, :]],
-    ].astype(np.int64)
+    ]
     eprod = base.add_table[
         base.mul_table[d_of[:, None], e_of[None, :]],
         base.mul_table[e_of[:, None], f_of[None, :]],
-    ].astype(np.int64)
-    fprod = base.mul_table[f_of[:, None], f_of[None, :]].astype(np.int64)
+    ]
+    fprod = base.mul_table[f_of[:, None], f_of[None, :]]
     mul = (cprod * bs + eprod) * bs + fprod
 
     z = base.zero
@@ -423,9 +456,7 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
 
 def h_components(ring: FiniteRing, x: Element) -> tuple[int, int, int, int, int]:
     """Return (a, c, d, e, f) for an element of an h_ring."""
-    prov = ring.provenance
-    if not isinstance(prov, HProvenance):
-        raise ConstructionError("ring was not built by h_ring()")
+    prov = _provenance(ring, HProvenance, "h_ring()")
     ring._check_index(x)
     return (
         int(prov.a_of[x]),
@@ -437,9 +468,7 @@ def h_components(ring: FiniteRing, x: Element) -> tuple[int, int, int, int, int]
 
 
 def h_encode(ring: FiniteRing, c: int, e: int, f: int) -> int:
-    prov = ring.provenance
-    if not isinstance(prov, HProvenance):
-        raise ConstructionError("ring was not built by h_ring()")
+    prov = _provenance(ring, HProvenance, "h_ring()")
     for v in (c, e, f):
         prov.base._check_index(v)
     bs = prov.base.size
@@ -463,7 +492,7 @@ class NonUnitalRing:
     assumes or uses an identity in V.
     """
 
-    __slots__ = ("size", "add_table", "mul_table", "neg_table", "zero", "names")
+    __slots__ = ("size", "add_table", "mul_table", "zero", "names")
 
     def __init__(self, size: int, add, mul, zero: int, names: list[str] | None = None):
         if not isinstance(size, int) or size < 1:
@@ -483,9 +512,6 @@ class NonUnitalRing:
         self.add_table = add_arr
         self.mul_table = mul_arr
         self.zero = zero
-        neg = np.argmax(add_arr == zero, axis=1).astype(np.int32)
-        neg.flags.writeable = False
-        self.neg_table = neg
         if names is not None and len(names) != size:
             raise MalformedTableError("V names length does not match size")
         self.names = names
@@ -514,54 +540,33 @@ class BimoduleRingAction:
         self.right.flags.writeable = False
 
 
-def _validate_nonunital(v: NonUnitalRing) -> list[str]:
-    errs = []
-    n = v.size
-    add = v.add_table
-    mul = v.mul_table
-    arange = np.arange(n)
-    if (add != add.T).any():
-        at = np.argwhere(add != add.T)[0]
-        errs.append(f"V addition is not commutative at ({at[0]}, {at[1]})")
-    if (add[v.zero] != arange).any():
-        errs.append("V zero is not an additive identity")
-    if (~(add == v.zero).any(axis=1)).any():
-        errs.append("V has an element without an additive inverse")
-    for x in range(n):
-        if (add[add[x]] != add[x][add]).any():
-            errs.append(f"V addition is not associative (x={x})")
-            break
-    for x in range(n):
-        if (mul[mul[x]] != mul[x][mul]).any():
-            errs.append(f"V multiplication is not associative (x={x})")
-            break
-    for x in range(n):
-        if (mul[x][add] != add[mul[x][:, None], mul[x][None, :]]).any():
-            errs.append(f"V left distributivity fails (x={x})")
-            break
-        col = mul[:, x]
-        if (col[add] != add[col[:, None], col[None, :]]).any():
-            errs.append(f"V right distributivity fails (x={x})")
-            break
-    return errs
-
-
 def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> list[str]:
     """Exhaustively check every law a Dorroh extension relies on.
 
-    Covers: V is a ring (without needing a V-identity); both actions are
-    biadditive and unital over the base one; the module associativity
-    laws (r*s).v = r.(s.v), v.(r*s) = (v.r).s, (r.v).s = r.(v.s); and the
-    three ring-compatibility laws (v w).r = v (w.r), (v.r) w = v (r.w),
-    (r.v) w = r.(v w).  Returns human-readable violations, empty when all
-    laws hold.
+    V must be a ring, judged by the kernel's axiom code without a one:
+    the certificate needs no identity, and a V that fails it gets the
+    triple scan at every size, so the check stays exhaustive.  Then
+    both actions must be biadditive and unital over the base one, and
+    satisfy the module associativity laws (r*s).v = r.(s.v),
+    v.(r*s) = (v.r).s, (r.v).s = r.(v.s) and the three
+    ring-compatibility laws (v w).r = v (w.r), (v.r) w = v (r.w),
+    (r.v) w = r.(v w).  Each law is one broadcast comparison over its
+    variables r, s in the base and v, w in V, at most
+    |base| |V| max(|base|, |V|) cells.  Returns human-readable
+    violations, one per failing axiom or law with its first witness,
+    empty when all hold.
     """
-    errs = _validate_nonunital(action.v)
-    v = action.v
+    ring_v = action.v
+    errs = [
+        f"V {violation.describe(ring_v)}"
+        for violation in _axiom_violations(
+            ring_v.add_table, ring_v.mul_table, ring_v.zero, sample_seed=None
+        )
+    ]
     left = action.left
     right = action.right
     n = base.size
-    vn = v.size
+    vn = ring_v.size
     if left.shape != (n, vn):
         return errs + [f"left action table must be {n}x{vn}"]
     if right.shape != (vn, n):
@@ -570,60 +575,30 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
         return errs + ["left action table entry out of range"]
     if right.size and (int(right.min()) < 0 or int(right.max()) >= vn):
         return errs + ["right action table entry out of range"]
-    varange = np.arange(vn)
 
-    if (left[base.one] != varange).any():
-        errs.append("1.v == v fails")
-    if (right[:, base.one] != varange).any():
-        errs.append("v.1 == v fails")
-
-    for r in range(n):
-        lr = left[r]
-        if (lr[v.add_table] != v.add_table[lr[:, None], lr[None, :]]).any():
-            errs.append(f"r.(v+w) == r.v + r.w fails (r={r})")
-            break
-    for r in range(n):
-        if (left[base.add_table[r]] != v.add_table[left[r][None, :], left]).any():
-            errs.append(f"(r+s).v == r.v + s.v fails (r={r})")
-            break
-    for r in range(n):
-        rr = right[:, r]
-        if (rr[v.add_table] != v.add_table[rr[:, None], rr[None, :]]).any():
-            errs.append(f"(v+w).r == v.r + w.r fails (r={r})")
-            break
-    for r in range(n):
-        if (right[:, base.add_table[r]] != v.add_table[right[:, r][:, None], right]).any():
-            errs.append(f"v.(r+s) == v.r + v.s fails (r={r})")
-            break
-
-    for r in range(n):
-        if (left[base.mul_table[r]] != left[r][left]).any():
-            errs.append(f"(r*s).v == r.(s.v) fails (r={r})")
-            break
-    for r in range(n):
-        if (right[:, base.mul_table[r]] != right[right[:, r], :]).any():
-            errs.append(f"v.(r*s) == (v.r).s fails (r={r})")
-            break
-    for r in range(n):
-        if (right[left[r], :] != left[r][right]).any():
-            errs.append(f"(r.v).s == r.(v.s) fails (r={r})")
-            break
-
-    for w in range(vn):
-        # (v w).r == v (w.r)
-        if (right[v.mul_table[:, w], :] != v.mul_table[:, right[w]]).any():
-            errs.append(f"(v*w).r == v*(w.r) fails (w={w})")
-            break
-    for x in range(vn):
-        # (v.r) w == v (r.w)
-        if (v.mul_table[right[x], :][:, :] != v.mul_table[x][left]).any():
-            errs.append(f"(v.r)*w == v*(r.w) fails (v={x})")
-            break
-    for r in range(n):
-        # (r.v) w == r.(v w)
-        if (v.mul_table[left[r], :] != left[r][v.mul_table]).any():
-            errs.append(f"(r.v)*w == r.(v*w) fails (r={r})")
-            break
+    # open grids, one axis per variable: r, s over the base, v, w over V
+    r, s, v, w = np.ix_(np.arange(n), np.arange(n), np.arange(vn), np.arange(vn))
+    badd, bmul, vadd, vmul = base.add_table, base.mul_table, ring_v.add_table, ring_v.mul_table
+    laws = (
+        ("1.v == v", lambda: (left[base.one, v], v)),
+        ("v.1 == v", lambda: (right[v, base.one], v)),
+        ("r.(v+w) == r.v + r.w", lambda: (left[r, vadd[v, w]], vadd[left[r, v], left[r, w]])),
+        ("(r+s).v == r.v + s.v", lambda: (left[badd[r, s], v], vadd[left[r, v], left[s, v]])),
+        ("(v+w).r == v.r + w.r", lambda: (right[vadd[v, w], r], vadd[right[v, r], right[w, r]])),
+        ("v.(r+s) == v.r + v.s", lambda: (right[v, badd[r, s]], vadd[right[v, r], right[v, s]])),
+        ("(r*s).v == r.(s.v)", lambda: (left[bmul[r, s], v], left[r, left[s, v]])),
+        ("v.(r*s) == (v.r).s", lambda: (right[v, bmul[r, s]], right[right[v, r], s])),
+        ("(r.v).s == r.(v.s)", lambda: (right[left[r, v], s], left[r, right[v, s]])),
+        ("(v*w).r == v*(w.r)", lambda: (right[vmul[v, w], r], vmul[v, right[w, r]])),
+        ("(v.r)*w == v*(r.w)", lambda: (vmul[right[v, r], w], vmul[v, left[r, w]])),
+        ("(r.v)*w == r.(v*w)", lambda: (vmul[left[r, v], w], left[r, vmul[v, w]])),
+    )
+    for law, sides in laws:
+        mismatch = np.not_equal(*sides())
+        if mismatch.any():
+            at = dict(zip("rsvw", np.argwhere(mismatch)[0]))
+            witness = ", ".join(f"{name}={int(at[name])}" for name in "rsvw" if name in law)
+            errs.append(f"{law} fails ({witness})")
     return errs
 
 
@@ -674,30 +649,29 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         (r, v) + (s, w) = (r + s, v + w)
         (r, v) * (s, w) = (r * s, r.w + v.s + v * w)
 
-    and identity (1, 0).  All action laws are validated exhaustively
-    before the tables are compiled; V is never assumed to have an
-    identity of its own.
+    and identity (1, 0).  The capacity is checked first, then all
+    action laws exhaustively, then the tables are compiled; V is never
+    assumed to have an identity of its own.  Tracemalloc peak: 29 bytes
+    per n^2 for the tables, and about 11 bytes per cell of the largest
+    action law, |base| |V| max(|base|, |V|) cells, for the validation.
     """
+    v = action.v
+    vn = v.size
+    n = base.size * vn
+    _check_capacity(n, f"dorroh({base.spell()}, {v_spell})")
     errs = validate_bimodule_action(base, action)
     if errs:
         raise ConstructionError(f"invalid bimodule action: {errs[0]}")
-    v = action.v
-    n = base.size * v.size
-    _check_capacity(n, f"dorroh({base.spell()}, {v_spell})")
-    vn = v.size
     arange = np.arange(n)
     rvec = (arange // vn).astype(np.int32)
     vvec = (arange % vn).astype(np.int32)
 
-    add = base.add_table[rvec[:, None], rvec[None, :]].astype(np.int64) * vn
-    add += v.add_table[vvec[:, None], vvec[None, :]]
-
-    rpart = base.mul_table[rvec[:, None], rvec[None, :]].astype(np.int64)
+    add = _componentwise((base.add_table, v.add_table), (rvec, vvec), (vn, 1))
     lw = action.left[rvec[:, None], vvec[None, :]]
     vs = action.right[vvec[:, None], rvec[None, :]]
     vw = v.mul_table[vvec[:, None], vvec[None, :]]
-    vpart = v.add_table[v.add_table[lw, vs], vw]
-    mul = rpart * vn + vpart
+    mul = v.add_table[v.add_table[lw, vs], vw]
+    mul += base.mul_table[rvec[:, None], rvec[None, :]] * vn
 
     names = [
         f"({base.element_name(int(r))}, {v.element_name(int(w))})"
@@ -716,9 +690,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
 
 
 def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
-    prov = ring.provenance
-    if not isinstance(prov, DorrohProvenance):
-        raise ConstructionError("ring was not built by dorroh()")
+    prov = _provenance(ring, DorrohProvenance, "dorroh()")
     ring._check_index(x)
     return divmod(x, prov.action.v.size)
 
@@ -727,7 +699,10 @@ def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
 
 
 def corner(base: FiniteRing, e: Element) -> FiniteRing:
-    """The corner ring e*R*e with identity e, for a nonzero idempotent e."""
+    """The corner ring e*R*e with identity e, for a nonzero idempotent e.
+
+    Tracemalloc peak: 17 bytes per m^2 for a corner of m elements.
+    """
     base._check_index(e)
     if base.mul(e, e) != e:
         raise ConstructionError(f"element {e} is not idempotent")
@@ -790,6 +765,8 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     Cosets are represented by their minimum element index.  Quotients
     that would collapse one onto zero (ideal containing one) are
     rejected, keeping every constructed ring unital and nonzero.
+    Tracemalloc peak: 17 bytes per m^2 for a quotient of m elements,
+    or 5 bytes per cell of the |base| x |ideal| coset table if larger.
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
@@ -840,9 +817,7 @@ def quotient_by_generators(base: FiniteRing, generators) -> FiniteRing:
 
 def quotient_project(ring: FiniteRing, parent_x: Element) -> int:
     """Image of a parent element under the quotient projection."""
-    prov = ring.provenance
-    if not isinstance(prov, QuotientProvenance):
-        raise ConstructionError("ring was not built by quotient()")
+    prov = _provenance(ring, QuotientProvenance, "quotient()")
     prov.parent._check_index(parent_x)
     rep = int(prov.rep_of[parent_x])
     return int(np.searchsorted(prov.representatives, rep))

@@ -247,19 +247,26 @@ def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
     return PASS, None, None
 
 
+def _first_escape(mask: np.ndarray, block: np.ndarray) -> tuple[int, int] | None:
+    """The first (row, column) of ``block`` whose entry lies outside ``mask``, or None."""
+    escaped = ~mask[block]
+    if not escaped.any():
+        return None
+    i, j = np.argwhere(escaped)[0]
+    return int(i), int(j)
+
+
 @check("C02", "delta is stable under unit multiplication on both sides")
 def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     dl = np.flatnonzero(dmask)
     ul = analysis.unit_indices(ring)
-    right = ring.mul_table[np.ix_(dl, ul)]
-    if not dmask[right].all():
-        i, j = np.argwhere(~dmask[right])[0]
-        return FAIL, _witness(ring, [dl[i], ul[j]], "d*u escapes delta"), None
-    left = ring.mul_table[np.ix_(ul, dl)]
-    if not dmask[left].all():
-        i, j = np.argwhere(~dmask[left])[0]
-        return FAIL, _witness(ring, [ul[i], dl[j]], "u*d escapes delta"), None
+    at = _first_escape(dmask, ring.mul_table[np.ix_(dl, ul)])
+    if at is not None:
+        return FAIL, _witness(ring, [dl[at[0]], ul[at[1]]], "d*u escapes delta"), None
+    at = _first_escape(dmask, ring.mul_table[np.ix_(ul, dl)])
+    if at is not None:
+        return FAIL, _witness(ring, [ul[at[0]], dl[at[1]]], "u*d escapes delta"), None
     return PASS, None, None
 
 
@@ -269,32 +276,27 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
     dl = np.flatnonzero(dmask)
-    diffs = ring.add_table[np.ix_(dl, ring.neg_table[dl])]
-    if not dmask[diffs].all():
-        i, j = np.argwhere(~dmask[diffs])[0]
-        return FAIL, _witness(ring, [dl[i], dl[j]], "difference escapes delta"), None
-    prods = ring.mul_table[np.ix_(dl, dl)]
-    if not dmask[prods].all():
-        i, j = np.argwhere(~dmask[prods])[0]
-        return FAIL, _witness(ring, [dl[i], dl[j]], "product escapes delta"), None
+    at = _first_escape(dmask, ring.add_table[np.ix_(dl, ring.neg_table[dl])])
+    if at is not None:
+        return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "difference escapes delta"), None
+    at = _first_escape(dmask, ring.mul_table[np.ix_(dl, dl)])
+    if at is not None:
+        return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "product escapes delta"), None
     return PASS, None, None
 
 
 def _is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     """Returns (bool, witness elements, description)."""
     members = np.flatnonzero(mask)
-    sums = ring.add_table[np.ix_(members, members)]
-    if not mask[sums].all():
-        i, j = np.argwhere(~mask[sums])[0]
-        return False, [int(members[i]), int(members[j])], "not closed under addition"
-    for label, table in (("left", ring.mul_table[:, members]), ("right", ring.mul_table[members, :])):
-        if not mask[table].all():
-            at = np.argwhere(~mask[table])[0]
-            if label == "left":
-                pair = [int(at[0]), int(members[at[1]])]
-            else:
-                pair = [int(members[at[0]]), int(at[1])]
-            return False, pair, f"not closed under {label} multiplication"
+    at = _first_escape(mask, ring.add_table[np.ix_(members, members)])
+    if at is not None:
+        return False, [int(members[at[0]]), int(members[at[1]])], "not closed under addition"
+    at = _first_escape(mask, ring.mul_table[:, members])
+    if at is not None:
+        return False, [at[0], int(members[at[1]])], "not closed under left multiplication"
+    at = _first_escape(mask, ring.mul_table[members, :])
+    if at is not None:
+        return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
     return True, None, None
 
 
@@ -655,12 +657,8 @@ def _dorroh_conditions(base: FiniteRing, action: constructions.BimoduleRingActio
     idempotents_commute = bool(
         (action.left[idl, :] == action.right[:, idl].T).all()
     )
-    quasi_inverses = True
-    for x in range(v.size):
-        sums = v.add_table[v.add_table[x], v.mul_table[x]]
-        if not (sums == v.zero).any():
-            quasi_inverses = False
-            break
+    # every x has a y with x + y + xy = 0
+    quasi_inverses = bool((v.add_table[v.add_table, v.mul_table] == v.zero).any(axis=1).all())
     return base_dqp, idempotents_commute, quasi_inverses
 
 

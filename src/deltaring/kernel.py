@@ -481,8 +481,11 @@ def _certify_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     """Prove the four triple-quantified axioms in O(n^2 k + n k^2) gathers.
 
     Sound only on tables that already satisfy the pair-quantified axioms
-    (commutative addition, two-sided zero and one, additive inverses).
-    Each step is sound only once the steps before it have passed:
+    of addition (commutative, two-sided zero, additive inverses).  No
+    step uses a multiplicative identity, so the certificate serves a ring
+    without one too, such as the V of a Dorroh extension
+    (``constructions.validate_bimodule_action``).  Each step is sound
+    only once the steps before it have passed:
 
     1. A greedy additive generating set G, k = |G| <= log2 n
        (:func:`_additive_generators`): every element is a sum of picks.
@@ -645,31 +648,71 @@ def _sample_triple_axioms(
     return violations
 
 
+def _identity_witness(table: np.ndarray, unit: int) -> tuple[int] | None:
+    """(x,) for the first x with table[unit, x] != x, else for the first
+    with table[x, unit] != x; None when ``unit`` is a two-sided identity."""
+    arange = np.arange(table.shape[0])
+    bad = table[unit] != arange
+    if not bad.any():
+        bad = table[:, unit] != arange
+    return (int(np.argmax(bad)),) if bad.any() else None
+
+
+def _axiom_violations(
+    add: np.ndarray,
+    mul: np.ndarray,
+    zero: int,
+    one: int | None = None,
+    *,
+    sample_seed: int | None = VALIDATION_SEED,
+) -> list[AxiomViolation]:
+    """The ring axioms on an add and a mul table: one witness per violated axiom.
+
+    The pair-quantified axioms (additive commutativity, two-sided zero,
+    additive inverses, and a two-sided one unless ``one`` is None) are
+    checked on all n^2 pairs.  Once they pass,
+    :func:`_certify_triple_axioms` proves the triple-quantified ones
+    (both associativities, both distributive laws) without using an
+    identity, so ``one=None`` judges a ring that need not have one.
+    Only a table that is not a ring fails a pair axiom or a certificate
+    step; it gets the fallback that reports witnesses, the
+    lexicographically first of each violated axiom among all n^3
+    triples (:func:`_scan_triple_axioms`) when n <= 256 or
+    ``sample_seed`` is None, else the first in a seeded sample of n^2
+    triples (:func:`_sample_triple_axioms`).
+    """
+    n = add.shape[0]
+    violations: list[AxiomViolation] = []
+    mismatch = add != add.T
+    if mismatch.any():
+        violations.append(AxiomViolation("add-commutativity", _first_witness(mismatch)))
+    witness = _identity_witness(add, zero)
+    if witness is not None:
+        violations.append(AxiomViolation("zero-identity", witness))
+    no_inverse = ~(add == zero).any(axis=1)
+    if no_inverse.any():
+        violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
+    witness = None if one is None else _identity_witness(mul, one)
+    if witness is not None:
+        violations.append(AxiomViolation("one-identity", witness))
+    if violations or not _certify_triple_axioms(add, mul, zero):
+        if n <= FULL_SCAN_LIMIT or sample_seed is None:
+            violations += _scan_triple_axioms(add, mul)
+        else:
+            violations += _sample_triple_axioms(add, mul, sample_seed)
+    return violations
+
+
 def validate_ring(ring: FiniteRing, *, sample_seed: int = VALIDATION_SEED) -> ValidationReport:
     """Check the unital-ring axioms against the compiled tables.
 
-    The pair-quantified axioms (additive commutativity, two-sided zero
-    and one, additive inverses) are checked on all n^2 pairs at every
-    size.  Once they pass, :func:`_certify_triple_axioms` proves the
-    triple-quantified ones (both associativities, both distributive
-    laws) at every size, through its steps in soundness order:
-    generators, additive associativity (Light's test, per generator),
-    right distributivity, left distributivity on generators,
-    multiplicative associativity on generator triples.  Each step is
-    sound only after the ones before it (see there).
+    :func:`_axiom_violations` judges them.  Above 256 elements the
+    report has mode "sampled", with the sample size and seed, though
+    only a table that is not a ring draws that sample: on a table that
+    passes the certificate the sample provably finds nothing.  That
+    label stays only because the benchmark's reference outputs pin it.
 
-    A table that fails a pair axiom or a certificate step, which happens
-    only on a table that is not a ring, gets the fallback that reports
-    witnesses: on at most 256 elements :func:`_scan_triple_axioms` scans
-    all n^3 triples and reports the lexicographically first witness of
-    each violated axiom; above that :func:`_sample_triple_axioms` checks
-    a seeded sample of n^2 triples.  A larger table that passes the
-    certificate is a ring, where that sample provably finds nothing, so
-    its report is the sample's (mode "sampled", with the sample size and
-    seed) without drawing it.  That label stays only because the
-    benchmark's reference outputs pin it.
-
-    So a passing ring costs n^2 pair checks plus O(n^2 k + n k^2)
+    A passing ring costs n^2 pair checks plus O(n^2 k + n k^2)
     certificate gathers, k <= log2 n generators, in blocks of about
     16 MB, and n^3 or the sample is paid only on a failing table.
     Structural totality (square tables, in-range entries) is enforced
@@ -677,45 +720,14 @@ def validate_ring(ring: FiniteRing, *, sample_seed: int = VALIDATION_SEED) -> Va
     scan only ever judges axioms.
     """
     n = ring.size
-    add = ring.add_table
-    mul = ring.mul_table
-    arange = np.arange(n)
-    violations: list[AxiomViolation] = []
-
-    # Pair-quantified axioms, always exhaustive.
-    mismatch = add != add.T
-    if mismatch.any():
-        violations.append(AxiomViolation("add-commutativity", _first_witness(mismatch)))
-    bad = add[ring.zero] != arange
-    if bad.any():
-        violations.append(AxiomViolation("zero-identity", (int(np.argmax(bad)),)))
-    else:
-        bad = add[:, ring.zero] != arange
-        if bad.any():
-            violations.append(AxiomViolation("zero-identity", (int(np.argmax(bad)),)))
-    no_inverse = ~(add == ring.zero).any(axis=1)
-    if no_inverse.any():
-        violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
-    bad = mul[ring.one] != arange
-    if bad.any():
-        violations.append(AxiomViolation("one-identity", (int(np.argmax(bad)),)))
-    else:
-        bad = mul[:, ring.one] != arange
-        if bad.any():
-            violations.append(AxiomViolation("one-identity", (int(np.argmax(bad)),)))
-
-    certified = not violations and _certify_triple_axioms(add, mul, ring.zero)
     exhaustive = n <= FULL_SCAN_LIMIT
-    if not certified:
-        if exhaustive:
-            violations += _scan_triple_axioms(add, mul)
-        else:
-            violations += _sample_triple_axioms(add, mul, sample_seed)
     return ValidationReport(
         ring=ring.spell(),
         size=n,
         mode="exhaustive" if exhaustive else "sampled",
         sampled_triples=0 if exhaustive else n * n,
         sample_seed=None if exhaustive else sample_seed,
-        violations=violations,
+        violations=_axiom_violations(
+            ring.add_table, ring.mul_table, ring.zero, ring.one, sample_seed=sample_seed
+        ),
     )

@@ -10,6 +10,8 @@ mutation tests feed to both sides.
 
 from __future__ import annotations
 
+import itertools
+
 from deltaring.constructions import TableProvenance
 from deltaring.kernel import FiniteRing
 
@@ -321,3 +323,49 @@ def not_dqp_witnesses_of(ring):
         for a in range(ring.size)
         if not any(ring.add(a, p) in delta for p in idempotents & comm2_of(ring, a))
     }
+
+
+def action_law_failures(base, action):
+    """[(law, witness)] for each bimodule law the action breaks, in the
+    order validate_bimodule_action checks them.  A law's variables are
+    the letters r, s (base) and v, w (V) in its name, and its witness is
+    the first failing assignment in r, s, v, w order."""
+    ring_v = action.v
+    left = [[int(e) for e in row] for row in action.left]
+    right = [[int(e) for e in row] for row in action.right]
+
+    def vadd(a, b):
+        return int(ring_v.add_table[a][b])
+
+    def vmul(a, b):
+        return int(ring_v.mul_table[a][b])
+
+    badd, bmul, one = base.add, base.mul, base.one
+    laws = {
+        "1.v == v": lambda r, s, v, w: left[one][v] == v,
+        "v.1 == v": lambda r, s, v, w: right[v][one] == v,
+        "r.(v+w) == r.v + r.w": lambda r, s, v, w: left[r][vadd(v, w)]
+        == vadd(left[r][v], left[r][w]),
+        "(r+s).v == r.v + s.v": lambda r, s, v, w: left[badd(r, s)][v]
+        == vadd(left[r][v], left[s][v]),
+        "(v+w).r == v.r + w.r": lambda r, s, v, w: right[vadd(v, w)][r]
+        == vadd(right[v][r], right[w][r]),
+        "v.(r+s) == v.r + v.s": lambda r, s, v, w: right[v][badd(r, s)]
+        == vadd(right[v][r], right[v][s]),
+        "(r*s).v == r.(s.v)": lambda r, s, v, w: left[bmul(r, s)][v] == left[r][left[s][v]],
+        "v.(r*s) == (v.r).s": lambda r, s, v, w: right[v][bmul(r, s)] == right[right[v][r]][s],
+        "(r.v).s == r.(v.s)": lambda r, s, v, w: right[left[r][v]][s] == left[r][right[v][s]],
+        "(v*w).r == v*(w.r)": lambda r, s, v, w: right[vmul(v, w)][r] == vmul(v, right[w][r]),
+        "(v.r)*w == v*(r.w)": lambda r, s, v, w: vmul(right[v][r], w) == vmul(v, left[r][w]),
+        "(r.v)*w == r.(v*w)": lambda r, s, v, w: vmul(left[r][v], w) == left[r][vmul(v, w)],
+    }
+    sizes = {"r": base.size, "s": base.size, "v": ring_v.size, "w": ring_v.size}
+    out = []
+    for law, holds in laws.items():
+        names = [name for name in "rsvw" if name in law]
+        for values in itertools.product(*(range(sizes[name]) for name in names)):
+            assignment = dict(zip(names, values))
+            if not holds(**{**dict.fromkeys("rsvw", 0), **assignment}):
+                out.append((law, assignment))
+                break
+    return out

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from deltaring import cli, harness
+from deltaring import cli, constructions, harness
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +244,17 @@ def test_error_exit_codes(capsys):
         assert out == ""
         assert err.startswith(prefix)
         assert err.count("\n") == 1  # single-line errors
+
+
+def test_dorroh_checks_capacity_before_validating_the_action(capsys, monkeypatch):
+    def no_validation(*args):
+        raise AssertionError("the action was validated before the capacity check")
+
+    monkeypatch.setattr(constructions, "validate_bimodule_action", no_validation)
+    code, out, err = run_cli(capsys, "classify", "dorroh(Z1024, self)")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: capacity: dorroh(Z1024, self) would have 1048576 elements")
 
 
 def test_missing_verb_is_usage_error(capsys):

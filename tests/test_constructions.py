@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from deltaring import (
     MalformedTableError,
     analysis,
     constructions as con,
+    kernel,
     zn,
 )
 
@@ -345,6 +348,136 @@ def test_broken_action_is_rejected(z4):
     assert errors
     with pytest.raises(ConstructionError, match="invalid bimodule action"):
         con.dorroh(z4, bad)
+
+
+def _rows(text):
+    """A table written as space-separated rows of one-digit entries."""
+    return [[int(c) for c in row] for row in text.split()]
+
+
+_XOR4 = "0123 1032 2301 3210"
+_XOR8 = " ".join("".join(str(x ^ y) for y in range(8)) for x in range(8))
+# the bilinear Z2-algebra of test_kernel's "mul-associativity only" case
+_NONASSOCIATIVE_MUL_8 = "00000000 01234567 02461357 03655630 04040404 05274163 06421753 07615234"
+# Tables that only the named axiom, of those checked, rejects first; V
+# acts through Z2 as 0.v = 0 and 1.v = v, so only V can be at fault.
+_V_FAULTS = [
+    ("add-commutativity", "01 01", "00 00"),
+    ("zero-identity", "10 01", "00 00"),
+    ("add-inverse", "01 11", "00 00"),
+    ("add-associativity", "0123 1000 2000 3000", "0000 0123 0213 0333"),
+    ("mul-associativity", _XOR8, _NONASSOCIATIVE_MUL_8),
+    ("left-distributivity", _XOR4, "0000 0123 0200 0323"),
+    ("right-distributivity", _XOR4, "0000 0123 0202 0303"),
+]
+
+
+@pytest.mark.parametrize("axiom, add, mul", _V_FAULTS, ids=[case[0] for case in _V_FAULTS])
+def test_broken_v_is_rejected_naming_its_axiom(z2, axiom, add, mul):
+    add, mul = _rows(add), _rows(mul)
+    n = len(add)
+    action = con.BimoduleRingAction(
+        v=con.NonUnitalRing(n, add, mul, 0),
+        left=[[0] * n, list(range(n))],
+        right=[[0, x] for x in range(n)],
+    )
+    with pytest.raises(ConstructionError, match=rf"^invalid bimodule action: V {axiom} at \("):
+        con.dorroh(z2, action)
+
+
+def test_broken_v_above_the_scan_limit_gets_every_triple(z2, monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("V was judged on a sample of its triples")
+
+    monkeypatch.setattr(kernel, "_sample_triple_axioms", no_sample)
+    ring = zn(kernel.FULL_SCAN_LIMIT + 4)
+    n = ring.size
+    mul = ring.mul_table.copy()
+    mul[3, 5] = 16  # 3 * 5 is 15
+    action = con.BimoduleRingAction(
+        v=con.NonUnitalRing(n, ring.add_table, mul, 0),
+        left=[[0] * n, list(range(n))],
+        right=[[0, x] for x in range(n)],
+    )
+    axioms = [error.split(" at ")[0] for error in con.validate_bimodule_action(z2, action)]
+    assert axioms[:3] == ["V mul-associativity", "V left-distributivity", "V right-distributivity"]
+
+
+# Actions of prod(Z2, Z2) (one = 3) on V = Z2^2 under XOR, each given by
+# V's multiplication, left[r][v] = r.v and right[v][r] = v.r, whose
+# first failing law, in the order they are checked, is the named one.
+_ACTION_FAULTS = [
+    ("1.v == v", "0000 0000 0000 0000", "0000 0101 0303 0330", "0000 0011 0202 0213"),
+    ("v.1 == v", "0000 0000 0000 0000", "0000 0000 0123 0123", "0000 0022 0030 0012"),
+    ("r.(v+w) == r.v + r.w", "0000 0000 0000 0000", "0000 0202 0222 0123", "0000 0011 0022 0033"),
+    ("(r+s).v == r.v + s.v", "0000 0000 0000 0000", "0000 0000 0110 0123", "0000 0101 0202 0303"),
+    ("(v+w).r == v.r + w.r", "0000 0123 0000 0123", "0000 0123 0000 0123", "0000 0201 0202 0303"),
+    ("v.(r+s) == v.r + v.s", "0000 0000 0000 0000", "0000 0303 0220 0123", "0000 0301 0002 0303"),
+    ("(r*s).v == r.(s.v)", "0000 0000 0000 0000", "0000 0231 0312 0123", "0000 0101 0202 0303"),
+    ("v.(r*s) == (v.r).s", "0000 0330 0330 0000", "0000 0000 0123 0123", "0000 0321 0312 0033"),
+    ("(r.v).s == r.(v.s)", "0000 0000 0000 0000", "0000 0110 0033 0123", "0000 0231 0202 0033"),
+    ("(v*w).r == v*(w.r)", "0000 0330 0330 0000", "0000 0000 0123 0123", "0000 0321 0022 0303"),
+    ("(v.r)*w == v*(r.w)", "0000 0011 0022 0033", "0000 0123 0000 0123", "0000 0011 0022 0033"),
+    ("(r.v)*w == r.(v*w)", "0000 0000 0033 0033", "0000 0022 0101 0123", "0000 0101 0202 0303"),
+]
+
+
+def _xor4_action(mul, left, right):
+    v = con.NonUnitalRing(4, _rows(_XOR4), _rows(mul), 0)
+    return con.BimoduleRingAction(v=v, left=_rows(left), right=_rows(right))
+
+
+def _law_messages(base, action):
+    return [
+        f"{law} fails ({', '.join(f'{k}={x}' for k, x in witness.items())})"
+        for law, witness in oracles.action_law_failures(base, action)
+    ]
+
+
+@pytest.mark.parametrize(
+    "law, mul, left, right", _ACTION_FAULTS, ids=[case[0] for case in _ACTION_FAULTS]
+)
+def test_broken_action_is_rejected_naming_its_law(law, mul, left, right):
+    base = con.product(zn(2), zn(2))
+    action = _xor4_action(mul, left, right)
+    errors = con.validate_bimodule_action(base, action)
+    assert errors == _law_messages(base, action)
+    assert errors[0].startswith(f"{law} fails (")
+    with pytest.raises(ConstructionError, match=re.escape(f"invalid bimodule action: {errors[0]}")):
+        con.dorroh(base, action)
+
+
+def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):
+    base = con.product(zn(2), zn(2))
+    rng = random.Random(7)
+    muls = sorted({case[1] for case in _ACTION_FAULTS})
+    additive = [[0, a, b, a ^ b] for a in range(4) for b in range(4)]
+
+    def some_map(usual):
+        if rng.random() < 0.9:
+            return usual
+        return rng.choice(additive) if rng.random() < 0.8 else [rng.randrange(4) for _ in range(4)]
+
+    failing = 0
+    for _ in range(300):
+        # the maps of r = 0, 1, 2, 3: mostly zero, a projection, its
+        # complement and the identity, so that many actions hold
+        maps = [
+            [some_map(usual) for usual in ([0] * 4, [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3])]
+            for _side in range(2)
+        ]
+        mul = rng.choice(muls) if rng.random() < 0.5 else "0000 0000 0000 0000"
+        v = con.NonUnitalRing(4, _rows(_XOR4), _rows(mul), 0)
+        action = con.BimoduleRingAction(v=v, left=maps[0], right=np.array(maps[1]).T)
+        errors = con.validate_bimodule_action(base, action)
+        assert errors == _law_messages(base, action), (maps, v.mul_table.tolist())
+        failing += bool(errors)
+    assert 50 < failing < 250
+    for ring in (*(corpus_rings[spec] for spec in ("Z4", "T(2, Z2)", "M(2, Z2)")), base):
+        for action in (con.self_action(ring), con.zero_action(ring)):
+            assert con.validate_bimodule_action(ring, action) == [], ring.spell()
+            assert _law_messages(ring, action) == [], ring.spell()
+    assert con.validate_bimodule_action(z4, con.ideal_action(z4, [2])) == []
 
 
 def test_nonunital_component_is_structurally_validated(z4):

@@ -171,6 +171,27 @@ def test_extension_and_subring_entry_points(z2, z4):
     assert result.check == "C30" and result.verdict in (PASS, NOT_APPLICABLE)
 
 
+def test_c29_quasi_inverse_condition_matches_a_scalar_search(z2):
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        zero = rng.randrange(n)
+        action = con.BimoduleRingAction(
+            v=con.NonUnitalRing(n, add, mul, zero), left=[[0] * n] * 2, right=[[0, 0]] * n
+        )
+        _, _, quasi = harness._dorroh_conditions(z2, action)
+        # every x has a y with x + y + xy = 0, on any table
+        expect = all(
+            any(add[add[x][y]][mul[x][y]] == zero for y in range(n)) for x in range(n)
+        )
+        assert quasi == expect, (add, mul, zero)
+        verdicts.add(quasi)
+    assert verdicts == {True, False}
+
+
 def test_witness_reverification_is_independent(z4, m2z2):
     ok, first_failure = classify.is_delta_quasipolar(m2z2)
     assert not ok

@@ -344,6 +344,24 @@ FAULTY_TABLE_REPORTS = [
         [("add-inverse", [1]), ("mul-associativity", [0, 0, 2])],
     ),
     (
+        # 0 + x = x holds, x + 0 = x fails at 1
+        "zero is only a left identity",
+        [[0, 1], [0, 0]],
+        [[0, 0], [0, 1]],
+        [
+            ("add-commutativity", [0, 1]),
+            ("zero-identity", [1]),
+            ("add-associativity", [1, 0, 1]),
+        ],
+    ),
+    (
+        # x * y = y: 1 * x = x holds, x * 1 = x fails at 0
+        "one is only a left identity",
+        [[0, 1], [1, 0]],
+        [[0, 1], [0, 1]],
+        [("one-identity", [0]), ("right-distributivity", [0, 0, 1])],
+    ),
+    (
         # every pair axiom on addition fails; the triple scan runs
         "pair faults hide triple faults",
         [[0, 0, 0], [1, 1, 2], [1, 1, 2]],
