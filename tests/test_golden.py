@@ -1,9 +1,11 @@
-"""Byte-for-byte pins of `verify`, `classify` and `run_check` output.
+"""Byte-for-byte pins of `verify`, `classify` and `run_check` output,
+and of the tables the constructions build.
 
 The gzipped files under tests/golden/ hold the exact bytes these
 payloads produced before the check registry was rewritten as declared
-hypotheses.  A refactor of the checks or the classifier must leave every
-one of them unchanged; a deliberate output change re-records them with
+hypotheses (tables.json: before M, T and H shared one grid builder).  A
+refactor of the checks, the classifier or the constructions must leave
+every one of them unchanged; a deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import hashlib
 import io
 import json
 import random
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from deltaring import FiniteRing, classify, cli, harness
+from deltaring import FiniteRing, build_ring, classify, cli, harness
 
 import oracles
 
@@ -29,6 +32,12 @@ GOLDEN = Path(__file__).parent / "golden"
 CORRUPTION_SEED = 5
 CORRUPTIONS_PER_RING = 12
 CORRUPTION_MAX_SIZE = 16
+# the benchmark's ladder rings (conftest.LADDER_SPECS), then matrix-shaped
+# rings beyond the corpus and the ladder, H over a product base
+TABLE_SPECS = (
+    "Z512", "T(2, Z8)", "H(1, 1, Z8)", "prod(M(2, Z2), T(2, Z4))", "quot(Z2048, 512)",
+    "M(2, Z3)", "T(3, Z2)", "H(5, 7, prod(Z2, Z4))",
+)
 
 
 def _cli_stdout(*argv: str) -> bytes:
@@ -81,12 +90,34 @@ def _corruption_rows(corpus) -> bytes:
     return json.dumps(out, indent=1).encode()
 
 
+def _digest(table) -> str:
+    return hashlib.sha256(str(table.dtype).encode() + table.tobytes()).hexdigest()
+
+
+def _table_digests(corpus) -> bytes:
+    rings = [(e.spec_text, e.ring) for e in corpus]
+    rings += [(spec, build_ring(spec)) for spec in TABLE_SPECS]
+    out = [
+        {
+            "ring": spec,
+            "add": _digest(ring.add_table),
+            "mul": _digest(ring.mul_table),
+            "zero": ring.zero,
+            "one": ring.one,
+            "names": ring.element_names,
+        }
+        for spec, ring in rings
+    ]
+    return json.dumps(out, indent=1).encode()
+
+
 PAYLOADS = {
     "verify.json": lambda corpus: _cli_stdout("verify"),
     "verify_strict.json": lambda corpus: _cli_stdout("verify", "--strict-commuting"),
     "verify.md": lambda corpus: _cli_stdout("verify", "--format", "md"),
     "classify.json": _classify_corpus,
     "corruptions.json": _corruption_rows,
+    "tables.json": _table_digests,
 }
 
 
