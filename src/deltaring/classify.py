@@ -24,17 +24,22 @@ import numpy as np
 from . import analysis
 from .kernel import Element, ElementSet, FiniteRing
 
-FLAVORS = ("delta", "jacobson", "unit", "quasipolar")
+# The set a + p must land in for each spectral flavor, and the residual w
+# of a clean decomposition for each target; the quasipolar flavor also
+# asks a*p to be quasinilpotent (spectral_grid).
+_TARGET_MASKS = {
+    "delta": analysis.delta_mask,
+    "jacobson": analysis.jacobson_mask,
+    "unit": analysis.unit_mask,
+    "quasipolar": analysis.unit_mask,
+}
+FLAVORS = tuple(_TARGET_MASKS)
 
 
 def _target_mask(ring: FiniteRing, flavor: str) -> np.ndarray:
-    if flavor == "delta":
-        return analysis.delta_mask(ring)
-    if flavor == "jacobson":
-        return analysis.jacobson_mask(ring)
-    if flavor in ("unit", "quasipolar"):
-        return analysis.unit_mask(ring)
-    raise ValueError(f"unknown spectral flavor {flavor!r}")
+    if flavor not in _TARGET_MASKS:
+        raise ValueError(f"unknown spectral flavor {flavor!r}")
+    return _TARGET_MASKS[flavor](ring)
 
 
 def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
@@ -116,13 +121,6 @@ def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     return analysis._cached(ring, "decomposition_grid", compute)
 
 
-_CLEAN_TARGETS = {
-    "unit": analysis.unit_mask,
-    "jacobson": analysis.jacobson_mask,
-    "delta": analysis.delta_mask,
-}
-
-
 def clean_flags(
     ring: FiniteRing,
     target: str = "unit",
@@ -138,7 +136,7 @@ def clean_flags(
     qualifying decomposition instead of at least one.
     """
     residual, commutes = _decomposition_grid(ring)
-    good = _CLEAN_TARGETS[target](ring)[residual]
+    good = _target_mask(ring, target)[residual]
     if commuting:
         good = good & commutes
     counts = good.sum(axis=1)
@@ -190,7 +188,7 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     ring._check_index(a)
     idl = analysis.idempotent_indices(ring)
     residual, commutes = _decomposition_grid(ring)
-    good = _CLEAN_TARGETS[target](ring)[residual[a]]
+    good = _target_mask(ring, target)[residual[a]]
     out = []
     for j in np.flatnonzero(good):
         e = int(idl[j])

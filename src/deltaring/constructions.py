@@ -103,7 +103,6 @@ class MatrixProvenance:
     k: int
     base: FiniteRing
     positions: list[tuple[int, int]]
-    place_values: list[int]
     grid: np.ndarray  # (size, k, k) base indices, fixed zeros included
 
     def spell(self) -> str:
@@ -117,11 +116,7 @@ class HProvenance:
     base: FiniteRing
     s: int
     t: int
-    c_of: np.ndarray
-    e_of: np.ndarray
-    f_of: np.ndarray
-    d_of: np.ndarray
-    a_of: np.ndarray
+    grid: np.ndarray  # (size, 3, 3) base indices, dependent entries and zeros included
 
     def spell(self) -> str:
         return f"H({self.s}, {self.t}, {self.base.spell()})"
@@ -282,68 +277,94 @@ def product_encode(ring: FiniteRing, r: int, s: int) -> int:
 # -- matrix-shaped constructions -------------------------------------------------
 
 
-def _matrix_like(base: FiniteRing, k: int, positions: list[tuple[int, int]], kind: str) -> FiniteRing:
+def _stored_grid(
+    base: FiniteRing, k: int, positions: list[tuple[int, int]], what: str
+) -> np.ndarray:
+    """The (n, k, k) int32 grid of base indices of every element.
+
+    Element x holds the mixed-radix digits of x at ``positions``, most
+    significant first, and the base zero everywhere else.
+    """
     m = len(positions)
     n = base.size**m
-    head = "M" if kind == "matrix" else "T"
-    _check_capacity(n, f"{head}({k}, {base.spell()})")
-    place_values = [base.size ** (m - 1 - p) for p in range(m)]
+    _check_capacity(n, what)
     arange = np.arange(n)
     grid = np.full((n, k, k), base.zero, dtype=np.int32)
     for p, (i, j) in enumerate(positions):
-        grid[:, i, j] = (arange // place_values[p]) % base.size
+        grid[:, i, j] = (arange // base.size ** (m - 1 - p)) % base.size
+    return grid
 
-    coords = [grid[:, i, j] for i, j in positions]
-    add = _componentwise([base.add_table] * m, coords, place_values)
+
+def _grid_ring(
+    base: FiniteRing, grid: np.ndarray, positions: list[tuple[int, int]], provenance
+) -> FiniteRing:
+    """The ring of the matrices ``grid[x]``, indexed by their entries at
+    ``positions`` (most significant first), with the matrix sum and product.
+
+    The sum is componentwise over the stored positions.  Product entry
+    (i, j) of xy sums x[i, l] * y[l, j], first term first, over the l
+    where places (i, l) and (l, j) are nonzero in some element's grid:
+    every other term has a factor that is the base zero in all elements.
+    The identity is nonzero on the whole diagonal, so l = j always
+    contributes.  Cost: one n^2 gather per stored position for the sum,
+    and per contributing term one for the product and one more to add it
+    to the ones before.
+    """
+    m = len(positions)
+    n, k, _ = grid.shape
+    place_values = [base.size ** (m - 1 - p) for p in range(m)]
+    add = _componentwise([base.add_table] * m, [grid[:, i, j] for i, j in positions], place_values)
+    support = (grid != base.zero).any(axis=0)
     mul = np.zeros((n, n), dtype=np.int32)
     for (i, j), pv in zip(positions, place_values):
-        acc = np.full((n, n), base.zero, dtype=np.int32)
-        for l in range(k):
+        acc = None
+        for l in np.flatnonzero(support[i] & support[:, j]):
             term = base.mul_table[grid[:, i, l][:, None], grid[:, l, j][None, :]]
-            acc = base.add_table[acc, term]
+            acc = term if acc is None else base.add_table[acc, term]
         acc *= pv
         mul += acc
+    del acc, term  # not alive while FiniteRing copies the tables
 
-    prov = MatrixProvenance(kind, k, base, positions, place_values, grid)
     zero = sum(base.zero * pv for pv in place_values)
     one = sum(
         (base.one if i == j else base.zero) * pv
         for (i, j), pv in zip(positions, place_values)
     )
-    names = [_matrix_name(base, grid[x]) for x in range(n)]
-    ring = FiniteRing(n, add, mul, zero=zero, one=one, provenance=prov, element_names=names)
+    fmt = "[" + ",".join(["[" + ",".join(["{}"] * k) + "]"] * k) + "]"
+    base_names = np.array([base.element_name(v) for v in range(base.size)], dtype=object)
+    # k*k column lists, not n live row lists: those would set off the
+    # cyclic collector, which frees earlier rings (held in cycles) at
+    # other times and so moves the peak RSS
+    columns = base_names[grid.reshape(n, k * k)].T.tolist()
+    names = [fmt.format(*cells) for cells in zip(*columns)]
     grid.flags.writeable = False
-    return ring
-
-
-def _matrix_name(base: FiniteRing, grid_x: np.ndarray) -> str:
-    rows = []
-    for row in grid_x:
-        rows.append("[" + ",".join(base.element_name(int(v)) for v in row) + "]")
-    return "[" + ",".join(rows) + "]"
+    return FiniteRing(n, add, mul, zero=zero, one=one, provenance=provenance, element_names=names)
 
 
 def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """Full k x k matrices over the base ring, row-major mixed radix.
 
-    Tracemalloc peak: 25 bytes per n^2, from the k-term row-by-column
-    sums of the multiplication table.
+    Tracemalloc peak: 20 bytes per n^2, while _grid_ring adds a term:
+    both tables, the running sum, the term and their sum.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    return _matrix_like(base, k, positions, "matrix")
+    grid = _stored_grid(base, k, positions, f"M({k}, {base.spell()})")
+    return _grid_ring(base, grid, positions, MatrixProvenance("matrix", k, base, positions, grid))
 
 
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """Upper-triangular k x k matrices over the base ring.
 
-    Tracemalloc peak: 25 bytes per n^2, as for matrix_ring.
+    Tracemalloc peak: 20 bytes per n^2, as for matrix_ring.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
     positions = [(i, j) for i in range(k) for j in range(k) if i <= j]
-    return _matrix_like(base, k, positions, "upper_triangular")
+    grid = _stored_grid(base, k, positions, f"T({k}, {base.spell()})")
+    prov = MatrixProvenance("upper_triangular", k, base, positions, grid)
+    return _grid_ring(base, grid, positions, prov)
 
 
 def matrix_entries(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
@@ -361,14 +382,12 @@ def matrix_encode(ring: FiniteRing, grid) -> int:
     if len(grid) != k or any(len(row) != k for row in grid):
         raise ConstructionError(f"expected a {k}x{k} grid")
     index = 0
-    seen = set()
-    for (i, j), pv in zip(prov.positions, prov.place_values):
+    for i, j in prov.positions:
         prov.base._check_index(grid[i][j])
-        index += grid[i][j] * pv
-        seen.add((i, j))
+        index = index * prov.base.size + grid[i][j]
     for i in range(k):
         for j in range(k):
-            if (i, j) not in seen and grid[i][j] != prov.base.zero:
+            if (i, j) not in prov.positions and grid[i][j] != prov.base.zero:
                 raise ConstructionError(
                     f"entry ({i}, {j}) must be the base zero in this construction"
                 )
@@ -385,6 +404,8 @@ def matrix_unit_index(ring: FiniteRing, i: int, j: int) -> int:
 
 # -- the constrained 3 x 3 subring ------------------------------------------------
 
+_H_POSITIONS = [(1, 0), (1, 2), (2, 2)]  # the free entries c, e, f
+
 
 def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     """The subring of 3 x 3 matrices
@@ -397,8 +418,7 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     fixed central units s and t.  Elements are stored as the free triple
     (c, e, f), most significant first; the dependent entries are
     d = f + t*e and a = d + s*c.  Size is |base|^3, not |base|^9.
-    Tracemalloc peak: 29 bytes per n^2, from the two-term sums of the
-    multiplication table.
+    Tracemalloc peak: 20 bytes per n^2, as for matrix_ring.
     """
     base._check_index(s)
     base._check_index(t)
@@ -408,63 +428,17 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
         raise ConstructionError(f"s (index {s}) must be a central unit of the base ring")
     if not (t_central and base.is_unit(t)):
         raise ConstructionError(f"t (index {t}) must be a central unit of the base ring")
-    bs = base.size
-    n = bs**3
-    _check_capacity(n, f"H({s}, {t}, {base.spell()})")
-
-    arange = np.arange(n)
-    c_of = (arange // (bs * bs)).astype(np.int32)
-    e_of = ((arange // bs) % bs).astype(np.int32)
-    f_of = (arange % bs).astype(np.int32)
-    d_of = base.add_table[f_of, base.mul_table[t, e_of]]
-    a_of = base.add_table[d_of, base.mul_table[s, c_of]]
-
-    add = _componentwise([base.add_table] * 3, (c_of, e_of, f_of), (bs * bs, bs, 1))
-
-    # 3 x 3 matrix product restricted to the stored pattern:
-    # c' = c1*a2 + d1*c2, e' = d1*e2 + e1*f2, f' = f1*f2
-    cprod = base.add_table[
-        base.mul_table[c_of[:, None], a_of[None, :]],
-        base.mul_table[d_of[:, None], c_of[None, :]],
-    ]
-    eprod = base.add_table[
-        base.mul_table[d_of[:, None], e_of[None, :]],
-        base.mul_table[e_of[:, None], f_of[None, :]],
-    ]
-    fprod = base.mul_table[f_of[:, None], f_of[None, :]]
-    mul = (cprod * bs + eprod) * bs + fprod
-
-    z = base.zero
-    zero = (z * bs + z) * bs + z
-    one = (z * bs + z) * bs + base.one
-
-    names = []
-    for x in range(n):
-        a = base.element_name(int(a_of[x]))
-        c = base.element_name(int(c_of[x]))
-        d = base.element_name(int(d_of[x]))
-        e = base.element_name(int(e_of[x]))
-        f = base.element_name(int(f_of[x]))
-        zname = base.element_name(z)
-        names.append(f"[[{a},{zname},{zname}],[{c},{d},{e}],[{zname},{zname},{f}]]")
-
-    for vec in (c_of, e_of, f_of, d_of, a_of):
-        vec.flags.writeable = False
-    prov = HProvenance(base, s, t, c_of, e_of, f_of, d_of, a_of)
-    return FiniteRing(n, add, mul, zero=zero, one=one, provenance=prov, element_names=names)
+    grid = _stored_grid(base, 3, _H_POSITIONS, f"H({s}, {t}, {base.spell()})")
+    c, e, f = (grid[:, i, j] for i, j in _H_POSITIONS)
+    grid[:, 1, 1] = base.add_table[f, base.mul_table[t, e]]
+    grid[:, 0, 0] = base.add_table[grid[:, 1, 1], base.mul_table[s, c]]
+    return _grid_ring(base, grid, _H_POSITIONS, HProvenance(base, s, t, grid))
 
 
 def h_components(ring: FiniteRing, x: Element) -> tuple[int, int, int, int, int]:
     """Return (a, c, d, e, f) for an element of an h_ring."""
-    prov = _provenance(ring, HProvenance, "h_ring()")
-    ring._check_index(x)
-    return (
-        int(prov.a_of[x]),
-        int(prov.c_of[x]),
-        int(prov.d_of[x]),
-        int(prov.e_of[x]),
-        int(prov.f_of[x]),
-    )
+    (a, _, _), (c, d, e), (_, _, f) = h_matrix(ring, x)
+    return a, c, d, e, f
 
 
 def h_encode(ring: FiniteRing, c: int, e: int, f: int) -> int:
@@ -477,9 +451,9 @@ def h_encode(ring: FiniteRing, c: int, e: int, f: int) -> int:
 
 def h_matrix(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
     """Expand an h_ring element to its full 3 x 3 grid of base indices."""
-    a, c, d, e, f = h_components(ring, x)
-    z = ring.provenance.base.zero
-    return ((a, z, z), (c, d, e), (z, z, f))
+    prov = _provenance(ring, HProvenance, "h_ring()")
+    ring._check_index(x)
+    return tuple(tuple(row) for row in prov.grid[x].tolist())
 
 
 # -- Dorroh-style extensions -------------------------------------------------------

@@ -171,6 +171,11 @@ def _first_mismatch(ring: FiniteRing, expected: np.ndarray, actual: np.ndarray, 
     return FAIL, _witness(ring, [bad], detail.format(side=side)), None
 
 
+def _diagonal_in(base_mask: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Elements of a matrix-shaped ring whose every diagonal entry is in base_mask."""
+    return base_mask[grid.diagonal(axis1=1, axis2=2)].all(axis=1)
+
+
 # -- registry and shared hypotheses ---------------------------------------------------
 
 
@@ -342,10 +347,7 @@ def _c06_central_units_qnil(ring: FiniteRing, ctx: SuiteContext):
        requires=upper_triangular_ring)
 def _c07_triangular_delta(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
-    base_delta = analysis.delta_mask(prov.base)
-    expected = np.ones(ring.size, dtype=bool)
-    for i in range(prov.k):
-        expected &= base_delta[prov.grid[:, i, i]]
+    expected = _diagonal_in(analysis.delta_mask(prov.base), prov.grid)
     detail = "element {side} the diagonal formula"
     failed = _first_mismatch(ring, expected, analysis.delta_mask(ring), detail)
     return failed or (PASS, None, "delta = diagonal-in-base-delta, strict upper free")
@@ -687,8 +689,7 @@ def _c30_h_ring(ring: FiniteRing, ctx: SuiteContext):
     prov = ring.provenance
     base = prov.base
     for label, mask_of in (("unit set", analysis.unit_mask), ("delta", analysis.delta_mask)):
-        base_mask = mask_of(base)
-        expected = base_mask[prov.a_of] & base_mask[prov.d_of] & base_mask[prov.f_of]
+        expected = _diagonal_in(mask_of(base), prov.grid)
         detail = f"{label} differs from the (a,d,f) formula"
         failed = _first_mismatch(ring, expected, mask_of(ring), detail)
         if failed:

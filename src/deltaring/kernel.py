@@ -563,48 +563,37 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
     stops once all four are.
     """
     n = add.shape[0]
-    triple_axioms = dict.fromkeys(_TRIPLE_AXIOMS, True)
     violations: list[AxiomViolation] = []
     chunk = max(1, _CHUNK_CELLS // (n * n))
+
+    def distributes(rows):
+        # rows[a, b] = a*b, or b*a for right distributivity:
+        # rows[a, b + c] against rows[a, b] + rows[a, c]
+        return rows[:, add], add[rows[:, :, None], rows[:, None, :]]
+
     for x0 in range(0, n, chunk):
-        if not any(triple_axioms.values()):
+        if len(violations) == len(_TRIPLE_AXIOMS):
             break
         xs = np.arange(x0, min(n, x0 + chunk))
         a_rows = add[xs]
         m_rows = mul[xs]
-        if triple_axioms["add-associativity"]:
-            mismatch = add[a_rows] != a_rows[:, add]
+        # (axiom, sides, order): witness coordinate p is coordinate
+        # order[p] of the first mismatch of the two sides
+        laws = (
+            ("add-associativity", lambda: (add[a_rows], a_rows[:, add]), (0, 1, 2)),
+            ("mul-associativity", lambda: (mul[m_rows], m_rows[:, mul]), (0, 1, 2)),
+            ("left-distributivity", lambda: distributes(m_rows), (0, 1, 2)),
+            # indexed [z, x, y] for (x+y)z != xz+yz, so that z is scanned
+            # first; reported as (x, y, z) like the sampled path
+            ("right-distributivity", lambda: distributes(mul[:, xs].T), (1, 2, 0)),
+        )
+        for axiom, sides, order in laws:
+            if any(v.axiom == axiom for v in violations):
+                continue
+            mismatch = np.not_equal(*sides())
             if mismatch.any():
-                violations.append(
-                    AxiomViolation("add-associativity", _first_witness(mismatch, x0))
-                )
-                triple_axioms["add-associativity"] = False
-        if triple_axioms["mul-associativity"]:
-            mismatch = mul[m_rows] != m_rows[:, mul]
-            if mismatch.any():
-                violations.append(
-                    AxiomViolation("mul-associativity", _first_witness(mismatch, x0))
-                )
-                triple_axioms["mul-associativity"] = False
-        if triple_axioms["left-distributivity"]:
-            mismatch = m_rows[:, add] != add[m_rows[:, :, None], m_rows[:, None, :]]
-            if mismatch.any():
-                violations.append(
-                    AxiomViolation("left-distributivity", _first_witness(mismatch, x0))
-                )
-                triple_axioms["left-distributivity"] = False
-        if triple_axioms["right-distributivity"]:
-            cols = mul[:, xs].T
-            mismatch = cols[:, add] != add[cols[:, :, None], cols[:, None, :]]
-            if mismatch.any():
-                # mismatch is indexed [z, x, y] for (x+y)z != xz+yz;
-                # reorder so the witness reads (x, y, z) like the
-                # sampled path reports it
-                z, x, y = _first_witness(mismatch, x0)
-                violations.append(
-                    AxiomViolation("right-distributivity", (x, y, z))
-                )
-                triple_axioms["right-distributivity"] = False
+                at = _first_witness(mismatch, x0)
+                violations.append(AxiomViolation(axiom, tuple(at[i] for i in order)))
     return violations
 
 
@@ -670,7 +659,8 @@ def _axiom_violations(
 
     The pair-quantified axioms (additive commutativity, two-sided zero,
     additive inverses, and a two-sided one unless ``one`` is None) are
-    checked on all n^2 pairs.  Once they pass,
+    checked on all n^2 pairs, the n x n ones in row blocks of about
+    ``_CERT_BLOCK_CELLS`` cells.  Once they pass,
     :func:`_certify_triple_axioms` proves the triple-quantified ones
     (both associativities, both distributive laws) without using an
     identity, so ``one=None`` judges a ring that need not have one.
@@ -683,13 +673,17 @@ def _axiom_violations(
     """
     n = add.shape[0]
     violations: list[AxiomViolation] = []
-    mismatch = add != add.T
-    if mismatch.any():
-        violations.append(AxiomViolation("add-commutativity", _first_witness(mismatch)))
+    blocks = _row_blocks(n, n)
+    for rows in blocks:
+        mismatch = add[rows] != add[:, rows].T
+        if mismatch.any():
+            witness = _first_witness(mismatch, rows.start)
+            violations.append(AxiomViolation("add-commutativity", witness))
+            break
     witness = _identity_witness(add, zero)
     if witness is not None:
         violations.append(AxiomViolation("zero-identity", witness))
-    no_inverse = ~(add == zero).any(axis=1)
+    no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in blocks])
     if no_inverse.any():
         violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
     witness = None if one is None else _identity_witness(mul, one)

@@ -174,6 +174,42 @@ def test_one_by_one_matrix_ring_is_the_base():
     assert np.array_equal(ring.mul_table, base.mul_table)
 
 
+def _relabelled_z3():
+    """Z3 with residue v at index label[v]: zero is index 2 and one is index 0."""
+    label = [2, 0, 1]
+
+    def table(op):
+        out = [[None] * 3 for _ in range(3)]
+        for x in range(3):
+            for y in range(3):
+                out[label[x]][label[y]] = label[op(x, y) % 3]
+        return out
+
+    data = {"size": 3, "add": table(int.__add__), "mul": table(int.__mul__), "zero": 2, "one": 0}
+    return con.table_ring(data, label="z3-relabelled")
+
+
+@pytest.mark.parametrize("build, y_step", [
+    pytest.param(lambda base: con.upper_triangular(3, base), 29, id="T(3, R)"),  # 729 elements
+    pytest.param(lambda base: con.matrix_ring(2, base), 1, id="M(2, R)"),
+    pytest.param(lambda base: con.h_ring(base.one, base.one, base), 1, id="H(1, 1, R)"),
+])
+def test_matrix_shaped_rings_over_a_base_whose_zero_is_not_index_0(build, y_step):
+    base = _relabelled_z3()
+    ring = build(base)
+    entries = con.h_matrix if ring.provenance.kind == "h" else con.matrix_entries
+    k = len(entries(ring, ring.zero))
+    assert entries(ring, ring.zero) == tuple((2,) * k for _ in range(k))
+    assert entries(ring, ring.one) == tuple(
+        tuple(0 if i == j else 2 for j in range(k)) for i in range(k)
+    )
+    grids = [entries(ring, x) for x in ring.elements()]
+    for x in ring.elements():
+        for y in range(0, ring.size, y_step):
+            assert grids[ring.mul(x, y)] == oracles.matmul_of(base, grids[x], grids[y])
+            assert grids[ring.add(x, y)] == oracles.matadd_of(base, grids[x], grids[y])
+
+
 def test_matrix_ring_respects_capacity():
     with pytest.raises(CapacityError):
         con.matrix_ring(2, zn(16))  # 16^4 elements

@@ -230,6 +230,13 @@ def _mutate_add_entry(ring, x, y, value):
     return FiniteRing(ring.size, add, ring.mul_table, zero=ring.zero, one=ring.one)
 
 
+def test_pair_axiom_witnesses_past_the_first_row_block():
+    bad = _mutate_add_entry(zn(1024), 500, 524, 1)  # row 500 loses its inverse 524
+    assert kernel._row_blocks(1024, 1024)[1].start <= 500
+    pairs = [(v.axiom, v.witness) for v in validate_ring(bad).violations if len(v.witness) < 3]
+    assert pairs == [("add-commutativity", (500, 524)), ("add-inverse", (500,))]
+
+
 def test_validate_ring_agrees_with_scalar_oracle_on_corruptions(corpus):
     rng = random.Random(20240)
     rejected = passed = triple_only = 0
