@@ -7,10 +7,17 @@ indices follow a canonical mixed-radix encoding per construction, most
 significant component first, so encode/decode round-trips are exact and
 reports are reproducible.
 
+The product, matrix-shaped and Dorroh tables are sums of row gathers
+(``_gather_rows``): row x is a sum of rows picked by small keys of x, so
+none of them runs an elementwise n x n gather but Dorroh's V-part
+product, which depends on all of x.  Zn's tables are a sliding window
+and an outer product; corner and quotient select from their parent's
+tables.  The FiniteRing keeps the fresh int32 tables it is handed.
 Every table builder's docstring gives its tracemalloc peak in bytes per
-cell of the n x n result, the FiniteRing's own int32 copies and negation
-scan included, as measured with numpy 2.4 at 512 to 4096 elements; a
-memory pre-flight multiplies it by n^2.
+cell of the n x n result, the ring's tables and negation scan included,
+as measured with numpy 2.4 at 512 to 4096 elements (the peak per cell
+falls with n, towards the 8 bytes of the two tables); a memory
+pre-flight multiplies it by n^2.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from .kernel import (
     ElementSet,
     FiniteRing,
     MalformedTableError,
+    _SWEEP_BLOCK_CELLS,
     _axiom_violations,
+    _row_blocks,
     element_capacity,
 )
 
@@ -47,22 +56,47 @@ def _provenance(ring: FiniteRing, kind: type, builder: str):
     return ring.provenance
 
 
+def _gather_rows(terms) -> np.ndarray:
+    """The int32 n x n table sum_p rows_p[keys_p], one row gather per term.
+
+    Each term is a pair (rows, keys): ``keys[x]`` is a small key derived
+    from element x, and ``rows`` is the (#keys, n) int32 table whose row
+    ``keys[x]`` is the term's contribution to row x, place value folded
+    in.  Terms are consumed one at a time, and each after the first is
+    added in row blocks.  Cost: one contiguous n^2 row copy per term, in
+    place of an elementwise n^2 gather; tracemalloc peak 4 bytes per n^2
+    (the sum), one block and one ``rows``.
+    """
+    out = None
+    for rows, keys in terms:
+        if out is None:
+            out = np.take(rows, keys, axis=0)
+            continue
+        for block in _row_blocks(len(keys), len(keys), _SWEEP_BLOCK_CELLS):
+            part = out[block]
+            part += np.take(rows, keys[block], axis=0)
+    return out
+
+
 def _componentwise(tables, coords, place_values) -> np.ndarray:
     """The int32 n x n table that applies ``tables[p]`` to coordinate p.
 
     ``coords[p][x]`` is coordinate p of element x, and entry (x, y) packs
-    ``tables[p][coords[p][x], coords[p][y]]`` by ``place_values[p]``.
+    ``tables[p][coords[p][x], coords[p][y]]`` by ``place_values[p]``: row
+    x of term p is row ``coords[p][x]`` of ``tables[p][:, coords[p]]``.
     The packed value is an element index below the capped size, so it
-    fits int32 at every cap.  Cost: one n^2 gather per coordinate;
-    tracemalloc peak 12 bytes per n^2 (the table and two gathers).
+    fits int32 at every cap.  Cost: one row gather per coordinate.
     """
-    n = len(coords[0])
-    out = np.zeros((n, n), dtype=np.int32)
-    for table, coord, pv in zip(tables, coords, place_values):
-        part = table[coord[:, None], coord[None, :]]
-        part *= pv
-        out += part
-    return out
+    return _gather_rows(
+        (_columns(table, coord) * np.int32(pv), coord)
+        for table, coord, pv in zip(tables, coords, place_values)
+    )
+
+
+def _columns(table: np.ndarray, coord: np.ndarray) -> np.ndarray:
+    """``table[:, coord]``, C-contiguous so that its rows gather as
+    contiguous copies (the fancy index lays it out column-major)."""
+    return np.take(table, coord, axis=1)
 
 
 # -- provenance records -------------------------------------------------------
@@ -164,16 +198,20 @@ class QuotientProvenance:
 def zn(n: int) -> FiniteRing:
     """The integers modulo n, for n >= 2.
 
-    The tables come from int64 n^2 products, since a*b overflows int32
-    above 46340 when the cap is raised.  Tracemalloc peak: 25 bytes per
-    n^2.
+    Row x of the sum is the window x..x+n-1 of 0..n-1 written twice.
+    The product is a uint32 outer product reduced mod n in place: exact
+    while (n-1)^2 < 2^32, that is up to the hard cap of 65536.
+    Tracemalloc peak: 9 bytes per n^2.
     """
     if n < 2:
         raise ConstructionError(f"Z{n} is not a unital ring with one != zero")
     _check_capacity(n, f"Z{n}")
-    arange = np.arange(n)
-    add = (arange[:, None] + arange[None, :]) % n
-    mul = (arange[:, None] * arange[None, :]) % n
+    twice = np.arange(2 * n, dtype=np.int32) % n
+    add = np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
+    arange = np.arange(n, dtype=np.uint32)
+    mul = np.multiply.outer(arange, arange)
+    mul %= np.uint32(n)
+    mul = mul.view(np.int32)
     return FiniteRing(
         n,
         add,
@@ -233,10 +271,16 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
     )
 
 
+def _pair_names(first, second) -> list[str]:
+    """The name "(a, b)" of every pair, indexed first * |second| + second."""
+    names = [second.element_name(w) for w in range(second.size)]
+    return [f"({first.element_name(r)}, {w})" for r in range(first.size) for w in names]
+
+
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Direct product; index of (r, s) is r * |right| + s.
 
-    Both tables are componentwise.  Tracemalloc peak: 17 bytes per n^2.
+    Both tables are componentwise.  Tracemalloc peak: 10 bytes per n^2.
     """
     n = left.size * right.size
     _check_capacity(n, f"prod({left.spell()}, {right.spell()})")
@@ -246,10 +290,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     ss = arange % sn
     add = _componentwise((left.add_table, right.add_table), (rs, ss), (sn, 1))
     mul = _componentwise((left.mul_table, right.mul_table), (rs, ss), (sn, 1))
-    names = [
-        f"({left.element_name(int(r))}, {right.element_name(int(s))})"
-        for r, s in zip(rs, ss)
-    ]
+    names = _pair_names(left, right)
     return FiniteRing(
         n,
         add,
@@ -302,28 +343,41 @@ def _grid_ring(
     ``positions`` (most significant first), with the matrix sum and product.
 
     The sum is componentwise over the stored positions.  Product entry
-    (i, j) of xy sums x[i, l] * y[l, j], first term first, over the l
-    where places (i, l) and (l, j) are nonzero in some element's grid:
+    (i, j) of xy sums x[i, l] * y[l, j], first term first, over the l in
+    L where places (i, l) and (l, j) are nonzero in some element's grid:
     every other term has a factor that is the base zero in all elements.
     The identity is nonzero on the whole diagonal, so l = j always
-    contributes.  Cost: one n^2 gather per stored position for the sum,
-    and per contributing term one for the product and one more to add it
-    to the ones before.
+    contributes.  That entry depends on x only through its entries
+    x[i, l] for l in L, so it is a row gather keyed by them in mixed
+    radix, from a table of |S|^|L| rows: n^(1/k) for M(k, S), at most
+    n^(2/3) for T(k, S) and H, and n only for k = 1.
+    Dependent entries, such as h_ring's a and d, are keys like any other.
+    Cost: one n^2 row gather per stored position for the sum and one for
+    the product, plus |S|^|L| * n cells of elementwise work per position
+    to build the product's keyed rows.
     """
     m = len(positions)
     n, k, _ = grid.shape
-    place_values = [base.size ** (m - 1 - p) for p in range(m)]
+    bs = base.size
+    place_values = [bs ** (m - 1 - p) for p in range(m)]
     add = _componentwise([base.add_table] * m, [grid[:, i, j] for i, j in positions], place_values)
     support = (grid != base.zero).any(axis=0)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for (i, j), pv in zip(positions, place_values):
-        acc = None
-        for l in np.flatnonzero(support[i] & support[:, j]):
-            term = base.mul_table[grid[:, i, l][:, None], grid[:, l, j][None, :]]
-            acc = term if acc is None else base.add_table[acc, term]
-        acc *= pv
-        mul += acc
-    del acc, term  # not alive while FiniteRing copies the tables
+
+    def product_terms():
+        for (i, j), pv in zip(positions, place_values):
+            ls = np.flatnonzero(support[i] & support[:, j])
+            keys = np.zeros(n, dtype=np.intp)
+            for l in ls:
+                keys = keys * bs + grid[:, i, l]
+            digits = np.indices((bs,) * len(ls)).reshape(len(ls), -1)
+            acc = None
+            for digit, l in zip(digits, ls):
+                term = _columns(np.take(base.mul_table, digit, axis=0), grid[:, l, j])
+                acc = term if acc is None else base.add_table[acc, term]
+            acc *= pv
+            yield acc, keys
+
+    mul = _gather_rows(product_terms())
 
     zero = sum(base.zero * pv for pv in place_values)
     one = sum(
@@ -344,8 +398,9 @@ def _grid_ring(
 def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """Full k x k matrices over the base ring, row-major mixed radix.
 
-    Tracemalloc peak: 20 bytes per n^2, while _grid_ring adds a term:
-    both tables, the running sum, the term and their sum.
+    Tracemalloc peak: 10.5 bytes per n^2: both tables, one row block,
+    and the keyed product rows of _grid_ring, which are n x n for k = 1
+    and take it to 12.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -357,7 +412,7 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """Upper-triangular k x k matrices over the base ring.
 
-    Tracemalloc peak: 20 bytes per n^2, as for matrix_ring.
+    Tracemalloc peak: 10.5 bytes per n^2, as for matrix_ring.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -418,7 +473,9 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     fixed central units s and t.  Elements are stored as the free triple
     (c, e, f), most significant first; the dependent entries are
     d = f + t*e and a = d + s*c.  Size is |base|^3, not |base|^9.
-    Tracemalloc peak: 20 bytes per n^2, as for matrix_ring.
+    Tracemalloc peak: 11 bytes per n^2: the product is keyed on two
+    entries, so its keyed rows take |base|^2 x n cells, one in |base|
+    of n^2.
     """
     base._check_index(s)
     base._check_index(t)
@@ -625,7 +682,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
 
     and identity (1, 0).  The capacity is checked first, then all
     action laws exhaustively, then the tables are compiled; V is never
-    assumed to have an identity of its own.  Tracemalloc peak: 29 bytes
+    assumed to have an identity of its own.  Tracemalloc peak: 12.5 bytes
     per n^2 for the tables, and about 11 bytes per cell of the largest
     action law, |base| |V| max(|base|, |V|) cells, for the validation.
     """
@@ -641,16 +698,19 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     vvec = (arange % vn).astype(np.int32)
 
     add = _componentwise((base.add_table, v.add_table), (rvec, vvec), (vn, 1))
-    lw = action.left[rvec[:, None], vvec[None, :]]
-    vs = action.right[vvec[:, None], rvec[None, :]]
-    vw = v.mul_table[vvec[:, None], vvec[None, :]]
-    mul = v.add_table[v.add_table[lw, vs], vw]
-    mul += base.mul_table[rvec[:, None], rvec[None, :]] * vn
+    mul = _componentwise((base.mul_table,), (rvec,), (vn,))
+    # r.w, v.s and v*w are rows keyed by r or v, but their V-sum depends
+    # on all of x, so it is summed elementwise, one row block at a time
+    lw = _columns(action.left, vvec)
+    vs = _columns(action.right, rvec)
+    vw = _columns(v.mul_table, vvec)
+    vadd = v.add_table
+    for block in _row_blocks(n, n, _SWEEP_BLOCK_CELLS):
+        xr, xv = rvec[block], vvec[block]
+        part = mul[block]
+        part += vadd[vadd[lw[xr], vs[xv]], vw[xv]]
 
-    names = [
-        f"({base.element_name(int(r))}, {v.element_name(int(w))})"
-        for r, w in zip(rvec, vvec)
-    ]
+    names = _pair_names(base, v)
     prov = DorrohProvenance(base, action, v_spell)
     return FiniteRing(
         n,
@@ -675,7 +735,7 @@ def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
 def corner(base: FiniteRing, e: Element) -> FiniteRing:
     """The corner ring e*R*e with identity e, for a nonzero idempotent e.
 
-    Tracemalloc peak: 17 bytes per m^2 for a corner of m elements.
+    Tracemalloc peak: 12.5 bytes per m^2 for a corner of m elements.
     """
     base._check_index(e)
     if base.mul(e, e) != e:

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_CAPACITY = 4096
+# Zn's uint32 product is exact while (n-1)^2 < 2^32, that is up to here,
+# where the two int32 tables of a ring already take 32 GiB
+MAX_CAPACITY = 65536
 CAPACITY_ENV_VAR = "DELTARING_CAPACITY"
 
 # An element is an index into a ring's canonical element order; it is
@@ -50,8 +53,8 @@ def element_capacity() -> int:
     """Return the current element-count cap for constructed rings.
 
     Defaults to 4096.  The DELTARING_CAPACITY environment variable
-    overrides it; values above 65536 are accepted but unsupported, since
-    the compiled tables grow quadratically with the size.
+    overrides it with a value from 2 to MAX_CAPACITY (65536); any other
+    value raises CapacityError.
     """
     raw = os.environ.get(CAPACITY_ENV_VAR)
     if raw is None:
@@ -62,26 +65,39 @@ def element_capacity() -> int:
         raise CapacityError(
             f"{CAPACITY_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
-    if value < 2:
-        raise CapacityError(f"{CAPACITY_ENV_VAR} must be at least 2, got {value}")
+    if not 2 <= value <= MAX_CAPACITY:
+        raise CapacityError(
+            f"{CAPACITY_ENV_VAR} must be between 2 and {MAX_CAPACITY}, got {value}"
+        )
     return value
 
 
 def _as_table(name: str, data, size: int) -> np.ndarray:
+    """``data`` as a read-only, C-contiguous int32 table of elements.
+
+    A C-contiguous int32 array is kept, not copied, and marked read-only:
+    builders hand over fresh tables they never touch again, and another
+    ring's tables are read-only already.  Other integer data is
+    range-checked before the int32 cast, so no entry wraps into range;
+    data that is not integer is malformed.
+    """
     try:
-        table = np.array(data, dtype=np.int32)
+        table = np.asarray(data)
     except (ValueError, TypeError) as exc:
         raise MalformedTableError(f"{name} table is not rectangular integer data: {exc}")
     if table.ndim != 2 or table.shape != (size, size):
         raise MalformedTableError(
             f"{name} table must be {size}x{size}, got shape {table.shape}"
         )
-    if size and (int(table.min()) < 0 or int(table.max()) >= size):
+    if table.dtype.kind not in "iu":
+        raise MalformedTableError(f"{name} table is not integer data (dtype {table.dtype})")
+    # one pass: read unsigned, a negative entry is larger than any size
+    if int(table.view(f"u{table.dtype.itemsize}").max()) >= size:
         bad = np.argwhere((table < 0) | (table >= size))[0]
         raise MalformedTableError(
             f"{name} table entry at ({bad[0]}, {bad[1]}) is outside 0..{size - 1}"
         )
-    table = np.ascontiguousarray(table)
+    table = np.ascontiguousarray(table, dtype=np.int32)
     table.flags.writeable = False
     return table
 
@@ -124,7 +140,7 @@ class FiniteRing:
         if size > cap:
             raise CapacityError(
                 f"ring of size {size} exceeds the capacity cap {cap} "
-                f"(override via {CAPACITY_ENV_VAR}, unsupported above 65536)"
+                f"(override via {CAPACITY_ENV_VAR}, at most {MAX_CAPACITY})"
             )
         self.add_table = _as_table("add", add, size)
         self.mul_table = _as_table("mul", mul, size)
@@ -138,8 +154,14 @@ class FiniteRing:
         self.one = one
         # Lenient negation scan: first position of `zero` in each row, or 0
         # when a row has none.  A missing additive inverse is an axiom
-        # failure and is reported by validate_ring, not here.
-        neg = np.argmax(self.add_table == zero, axis=1).astype(np.int32)
+        # failure and is reported by validate_ring, not here.  Row blocks
+        # keep the boolean scan from adding 1 byte per n^2 to every build.
+        neg = np.concatenate(
+            [
+                np.argmax(self.add_table[rows] == zero, axis=1)
+                for rows in _row_blocks(size, size, _SWEEP_BLOCK_CELLS)
+            ]
+        ).astype(np.int32)
         neg.flags.writeable = False
         self.neg_table = neg
         self.provenance = provenance
@@ -426,10 +448,16 @@ _CHUNK_CELLS = 4_000_000
 _CERT_BLOCK_CELLS = _CHUNK_CELLS // 8
 
 
-def _row_blocks(count: int, width: int) -> list[slice]:
+# Row blocks for one-pass sweeps over a table (the negation scan, and the
+# constructions' row gathers): 256 KB of int32 stays in cache, and is
+# small next to an n^2 table at every size.
+_SWEEP_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(count: int, width: int, cells: int = _CERT_BLOCK_CELLS) -> list[slice]:
     """Slices of ``range(count)`` whose rows of ``width`` cells hold about
-    ``_CERT_BLOCK_CELLS`` cells."""
-    step = max(1, _CERT_BLOCK_CELLS // width)
+    ``cells`` cells."""
+    step = max(1, cells // width)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 

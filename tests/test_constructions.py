@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,20 @@ def test_zn_rejects_degenerate_sizes():
         zn(0)
     with pytest.raises(ConstructionError):
         zn(-3)
+
+
+def test_zn_tables_match_python_arithmetic():
+    for n in [*range(2, 41), 97, 255, 1000]:
+        ring = zn(n)
+        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+        assert ring.add_table.tolist() == [[(x + y) % n for y in range(n)] for x in range(n)]
+        assert ring.mul_table.tolist() == [[(x * y) % n for y in range(n)] for x in range(n)]
+    n = 4096
+    ring = zn(n)
+    assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+    for x in (0, 1, 2047, 4095):  # 4095 * 4095 is the largest product
+        assert ring.add_table[x].tolist() == [(x + y) % n for y in range(n)]
+        assert ring.mul_table[x].tolist() == [(x * y) % n for y in range(n)]
 
 
 def _z3_dict():
@@ -521,3 +537,32 @@ def test_nonunital_component_is_structurally_validated(z4):
         con.NonUnitalRing(2, [[0, 1], [1, 0]], [[0, 0], [0, 5]], 0)
     with pytest.raises(MalformedTableError, match="2x2"):
         con.NonUnitalRing(2, [[0, 1]], [[0, 0], [0, 0]], 0)
+
+
+# -- stated build peaks --------------------------------------------------------------
+
+# each builder at about 1024 elements, its arguments built outside the trace
+PEAK_BUILDS = {
+    "zn": lambda: (con.zn, 1024),
+    "product": lambda: (con.product, zn(32), zn(32)),
+    "matrix_ring": lambda: (con.matrix_ring, 2, zn(6)),
+    "upper_triangular": lambda: (con.upper_triangular, 4, zn(2)),
+    "h_ring": lambda: (con.h_ring, 1, 1, zn(10)),
+    "dorroh": lambda: (con.dorroh, zn(32), con.self_action(zn(32))),
+}
+
+
+@pytest.mark.parametrize("name", PEAK_BUILDS)
+def test_build_peaks_stay_within_the_docstring_figures(name):
+    builder, *args = PEAK_BUILDS[name]()
+    stated = re.search(r"Tracemalloc peak: ([\d.]+) bytes\s+per n\^2", builder.__doc__)
+    assert stated, f"{name} states no peak per n^2"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ring = builder(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.size in range(1000, 1300)
+    assert peak / ring.size**2 <= float(stated.group(1))

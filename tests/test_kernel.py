@@ -9,6 +9,7 @@ from deltaring import (
     CapacityError,
     ElementSet,
     FiniteRing,
+    MalformedTableError,
     build_ring,
     element_capacity,
     kernel,
@@ -106,6 +107,59 @@ def test_capacity_defaults_and_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         zn(11)
     assert zn(10).size == 10
+
+
+def test_capacity_has_a_hard_ceiling(monkeypatch):
+    monkeypatch.setenv("DELTARING_CAPACITY", "65536")
+    assert element_capacity() == 65536
+    monkeypatch.setenv("DELTARING_CAPACITY", "65537")
+    with pytest.raises(CapacityError, match="between 2 and 65536"):
+        element_capacity()
+    with pytest.raises(CapacityError):
+        zn(2)
+
+
+def test_ring_keeps_a_fresh_int32_table_and_freezes_it(z4):
+    add = z4.add_table.copy()
+    mul = z4.mul_table.copy()
+    ring = FiniteRing(4, add, mul, zero=0, one=1)
+    assert np.shares_memory(ring.add_table, add)
+    assert np.shares_memory(ring.mul_table, mul)
+    with pytest.raises(ValueError):
+        add[0, 0] = 1
+    with pytest.raises(ValueError):
+        mul[0, 0] = 1
+    # another ring's read-only tables are shared as they are
+    twin = FiniteRing(4, ring.add_table, z4.mul_table, zero=0, one=1)
+    assert twin.add_table is ring.add_table and twin.mul_table is z4.mul_table
+
+
+def test_ring_converts_and_range_checks_other_table_data(z4):
+    lists = FiniteRing(4, z4.add_table.tolist(), z4.mul_table.tolist(), zero=0, one=1)
+    wide = FiniteRing(
+        4, z4.add_table.astype(np.int64), z4.mul_table.astype(np.uint8), zero=0, one=1
+    )
+    strided = np.asfortranarray(z4.add_table)
+    fortran = FiniteRing(4, strided, z4.mul_table, zero=0, one=1)
+    for ring in (lists, wide, fortran):
+        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+        assert ring.add_table.flags.c_contiguous and not ring.add_table.flags.writeable
+        assert (ring.add_table == z4.add_table).all() and (ring.mul_table == z4.mul_table).all()
+    assert not np.shares_memory(fortran.add_table, strided)
+
+    wrapping = z4.add_table.astype(np.int64)
+    wrapping[1, 2] += 2**32  # would read as 3 after an unchecked int32 cast
+    with pytest.raises(MalformedTableError, match=r"\(1, 2\) is outside 0..3"):
+        FiniteRing(4, wrapping, z4.mul_table, zero=0, one=1)
+    for entry in (4, 2**40):
+        with pytest.raises(MalformedTableError, match="outside 0..3"):
+            FiniteRing(4, [[0, 1, 2, entry]] * 4, z4.mul_table, zero=0, one=1)
+    with pytest.raises(MalformedTableError, match="not integer data"):
+        FiniteRing(4, z4.add_table / 1, z4.mul_table, zero=0, one=1)
+    with pytest.raises(MalformedTableError, match="not integer data"):
+        FiniteRing(4, [[0, 1, 2, 2**70]] * 4, z4.mul_table, zero=0, one=1)
+    with pytest.raises(MalformedTableError, match="rectangular"):
+        FiniteRing(4, [[0, 1, 2, 3]] * 3 + [[0]], z4.mul_table, zero=0, one=1)
 
 
 def test_validate_ring_accepts_sound_rings(corpus):
