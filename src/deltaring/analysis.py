@@ -1,10 +1,14 @@
 """Distinguished subsets of a finite ring.
 
 Every function here is an exhaustive sweep over the compiled tables,
-vectorised with numpy and cached on the ring object.  The caches are
-pure functions of the tables, so a populated cache always equals its
-from-scratch recomputation; concurrent callers may compute a value twice
-and publish the same answer, which is harmless.
+vectorised with numpy.  The sweeps' results are cached on the ring
+object as read-only boolean masks, and only as arrays: the public
+functions build a fresh :class:`ElementSet` from a cached mask on every
+call, so no cache entry points back at its ring and each ring is freed
+by reference counting alone.  The caches are pure functions of the
+tables, so a populated cache always equals its from-scratch
+recomputation; concurrent callers may compute a value twice and publish
+the same answer, which is harmless.
 
 Two standard facts keep the sweeps one-sided and bounded:
 
@@ -154,33 +158,29 @@ def comm2_mask(ring: FiniteRing, a: Element) -> np.ndarray:
 # -- public ElementSet layer ---------------------------------------------------
 
 
-def _as_set(ring: FiniteRing, key: str, mask_fn) -> ElementSet:
-    return _cached(ring, key, lambda: ElementSet.from_bool_array(ring, mask_fn(ring)))
-
-
 def units(ring: FiniteRing) -> ElementSet:
     """Elements with a two-sided multiplicative inverse."""
-    return _as_set(ring, "units", unit_mask)
+    return ElementSet(ring, unit_mask(ring))
 
 
 def idempotents(ring: FiniteRing) -> ElementSet:
     """Elements equal to their own square."""
-    return _as_set(ring, "idempotents", idempotent_mask)
+    return ElementSet(ring, idempotent_mask(ring))
 
 
 def nilpotents(ring: FiniteRing) -> ElementSet:
     """Elements with some power equal to zero (index capped at the size)."""
-    return _as_set(ring, "nilpotents", nilpotent_mask)
+    return ElementSet(ring, nilpotent_mask(ring))
 
 
 def center(ring: FiniteRing) -> ElementSet:
     """Elements commuting with the whole ring."""
-    return _as_set(ring, "center", center_mask)
+    return ElementSet(ring, center_mask(ring))
 
 
 def jacobson_radical(ring: FiniteRing) -> ElementSet:
     """The Jacobson radical, computed as {x : 1 - r*x is a unit for all r}."""
-    return _as_set(ring, "jacobson", jacobson_mask)
+    return ElementSet(ring, jacobson_mask(ring))
 
 
 def delta(ring: FiniteRing) -> ElementSet:
@@ -191,7 +191,7 @@ def delta(ring: FiniteRing) -> ElementSet:
     not be an ideal; it is the largest subring of that shape sitting
     over the radical.
     """
-    return _as_set(ring, "delta", delta_mask)
+    return ElementSet(ring, delta_mask(ring))
 
 
 def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, ElementSet]:
@@ -220,38 +220,34 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
         right = units_b[plus_one[mul[:, ulist]]].all(axis=1)
         left = units_b[plus_one[mul[ulist, :]]].all(axis=0)
 
-        return (
-            ElementSet.from_bool_array(ring, sum_form),
-            ElementSet.from_bool_array(ring, right),
-            ElementSet.from_bool_array(ring, left),
-        )
+        return _frozen(sum_form), _frozen(right), _frozen(left)
 
-    return _cached(ring, "delta_forms", compute)
+    return tuple(ElementSet(ring, mask) for mask in _cached(ring, "delta_forms", compute))
 
 
 def qnil(ring: FiniteRing) -> ElementSet:
     """Quasinilpotents: a with 1 + a*x a unit for every x commuting with a."""
-    return _as_set(ring, "qnil", qnil_mask)
+    return ElementSet(ring, qnil_mask(ring))
 
 
 def comm(ring: FiniteRing, a: Element) -> ElementSet:
     """The commutant of a: elements x with a*x == x*a."""
-    return ElementSet.from_bool_array(ring, comm_mask(ring, a))
+    return ElementSet(ring, comm_mask(ring, a))
 
 
 def comm2(ring: FiniteRing, a: Element) -> ElementSet:
     """The double commutant of a: elements commuting with every member of comm(a)."""
     ring._check_index(a)
-    return ElementSet.from_bool_array(ring, comm2_mask(ring, a))
+    return ElementSet(ring, comm2_mask(ring, a))
 
 
 def ann_left(ring: FiniteRing, a: Element) -> ElementSet:
     """Left annihilator {x : x*a == 0}."""
     ring._check_index(a)
-    return ElementSet.from_bool_array(ring, ring.mul_table[:, a] == ring.zero)
+    return ElementSet(ring, ring.mul_table[:, a] == ring.zero)
 
 
 def ann_right(ring: FiniteRing, a: Element) -> ElementSet:
     """Right annihilator {x : a*x == 0}."""
     ring._check_index(a)
-    return ElementSet.from_bool_array(ring, ring.mul_table[a] == ring.zero)
+    return ElementSet(ring, ring.mul_table[a] == ring.zero)

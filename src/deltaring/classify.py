@@ -76,7 +76,7 @@ def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") ->
 
     Empty exactly when the element is not (delta-/j-/...)quasipolar.
     """
-    return ElementSet.from_bool_array(ring, spectral_mask(ring, a, flavor))
+    return ElementSet(ring, spectral_mask(ring, a, flavor))
 
 
 def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:

@@ -14,9 +14,9 @@ table of a ring so element indices in other commands can be chosen.
 
 Exit codes: 0 success / all checks pass; 1 FAIL verdicts or axiom
 violations; 2 usage, parse, or malformed-input errors; 3 capacity
-exceeded.  Every error path prints a single line `error: <category>:
-<message>` to stderr.  JSON output is byte-stable for identical inputs;
-timing figures appear only under --timing.
+exceeded or out of memory.  Every error path prints a single line
+`error: <category>: <message>` to stderr.  JSON output is byte-stable
+for identical inputs; timing figures appear only under --timing.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
         return 2
     except CapacityError as exc:
         _error_line("capacity", exc)
+        return 3
+    except MemoryError as exc:
+        _error_line("capacity", str(exc) or "out of memory")
         return 3
     except MalformedTableError as exc:
         _error_line("table", exc)

@@ -72,8 +72,9 @@ def element_capacity() -> int:
     return value
 
 
-def _as_table(name: str, data, size: int) -> np.ndarray:
-    """``data`` as a read-only, C-contiguous int32 table of elements.
+def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.ndarray:
+    """``data`` as a read-only, C-contiguous int32 table of the given
+    shape (any 2-D shape when None), with every entry in ``0..bound-1``.
 
     A C-contiguous int32 array is kept, not copied, and marked read-only:
     builders hand over fresh tables they never touch again, and another
@@ -85,17 +86,16 @@ def _as_table(name: str, data, size: int) -> np.ndarray:
         table = np.asarray(data)
     except (ValueError, TypeError) as exc:
         raise MalformedTableError(f"{name} table is not rectangular integer data: {exc}")
-    if table.ndim != 2 or table.shape != (size, size):
-        raise MalformedTableError(
-            f"{name} table must be {size}x{size}, got shape {table.shape}"
-        )
+    if table.ndim != 2 or shape not in (None, table.shape):
+        want = "2-D" if shape is None else f"{shape[0]}x{shape[1]}"
+        raise MalformedTableError(f"{name} table must be {want}, got shape {table.shape}")
     if table.dtype.kind not in "iu":
         raise MalformedTableError(f"{name} table is not integer data (dtype {table.dtype})")
-    # one pass: read unsigned, a negative entry is larger than any size
-    if int(table.view(f"u{table.dtype.itemsize}").max()) >= size:
-        bad = np.argwhere((table < 0) | (table >= size))[0]
+    # one pass: read unsigned, a negative entry is larger than any bound
+    if table.size and int(table.view(f"u{table.dtype.itemsize}").max()) >= bound:
+        bad = np.argwhere((table < 0) | (table >= bound))[0]
         raise MalformedTableError(
-            f"{name} table entry at ({bad[0]}, {bad[1]}) is outside 0..{size - 1}"
+            f"{name} table entry at ({bad[0]}, {bad[1]}) is outside 0..{bound - 1}"
         )
     table = np.ascontiguousarray(table, dtype=np.int32)
     table.flags.writeable = False
@@ -142,8 +142,8 @@ class FiniteRing:
                 f"ring of size {size} exceeds the capacity cap {cap} "
                 f"(override via {CAPACITY_ENV_VAR}, at most {MAX_CAPACITY})"
             )
-        self.add_table = _as_table("add", add, size)
-        self.mul_table = _as_table("mul", mul, size)
+        self.add_table = _as_table("add", add, (size, size), size)
+        self.mul_table = _as_table("mul", mul, (size, size), size)
         for label, idx in (("zero", zero), ("one", one)):
             if not isinstance(idx, int) or not (0 <= idx < size):
                 raise MalformedTableError(f"{label} index {idx!r} is outside 0..{size - 1}")
@@ -250,73 +250,57 @@ class FiniteRing:
 
 
 class ElementSet:
-    """An immutable subset of one ring's elements, stored as a bitset.
+    """An immutable subset of one ring's elements: the ring and a
+    read-only boolean mask, entry i recording element i.
 
-    Set algebra is only defined between subsets of the same ring object;
-    mixing rings raises ValueError.  Membership, iteration, and the
-    boolean-mask view are all derived from a single Python integer whose
-    bit i records element i.
+    The mask is the set's own frozen copy, so a later write to the
+    array it was built from changes nothing, and :meth:`bool_array`
+    hands it out as it is.  Set algebra is only defined between subsets
+    of the same ring object; mixing rings raises ValueError.
     """
 
-    __slots__ = ("ring", "bits", "_array")
+    __slots__ = ("ring", "_mask")
 
-    def __init__(self, ring: FiniteRing, bits: int):
-        if bits < 0 or bits >> ring.size:
-            raise ValueError("bitset has bits outside the ring's element range")
+    def __init__(self, ring: FiniteRing, mask):
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != (ring.size,):
+            raise ValueError("boolean mask length does not match ring size")
+        mask.flags.writeable = False
         self.ring = ring
-        self.bits = bits
-        self._array = None
+        self._mask = mask
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def empty(cls, ring: FiniteRing) -> "ElementSet":
-        return cls(ring, 0)
+        return cls(ring, np.zeros(ring.size, dtype=bool))
 
     @classmethod
     def full(cls, ring: FiniteRing) -> "ElementSet":
-        return cls(ring, (1 << ring.size) - 1)
+        return cls(ring, np.ones(ring.size, dtype=bool))
 
     @classmethod
     def singleton(cls, ring: FiniteRing, x: Element) -> "ElementSet":
-        ring._check_index(x)
-        return cls(ring, 1 << x)
+        return cls.from_indices(ring, [x])
 
     @classmethod
     def from_indices(cls, ring: FiniteRing, indices) -> "ElementSet":
-        bits = 0
+        mask = np.zeros(ring.size, dtype=bool)
         for x in indices:
-            ring._check_index(int(x))
-            bits |= 1 << int(x)
-        return cls(ring, bits)
+            mask[ring._check_index(int(x))] = True
+        return cls(ring, mask)
 
     @classmethod
     def from_bool_array(cls, ring: FiniteRing, mask: np.ndarray) -> "ElementSet":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (ring.size,):
-            raise ValueError("boolean mask length does not match ring size")
-        packed = np.packbits(mask, bitorder="little").tobytes()
-        return cls(ring, int.from_bytes(packed, "little"))
+        return cls(ring, mask)
 
     # -- views ---------------------------------------------------------------
 
     def bool_array(self) -> np.ndarray:
-        if self._array is None:
-            nbytes = (self.ring.size + 7) // 8
-            raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-            arr = np.unpackbits(raw, bitorder="little")[: self.ring.size].astype(bool)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
+        return self._mask
 
     def indices(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(np.flatnonzero(self._mask).tolist())
 
     # -- set algebra ----------------------------------------------------------
 
@@ -328,26 +312,25 @@ class ElementSet:
 
     def __and__(self, other: "ElementSet") -> "ElementSet":
         self._require_same_ring(other)
-        return ElementSet(self.ring, self.bits & other.bits)
+        return ElementSet(self.ring, self._mask & other._mask)
 
     def __or__(self, other: "ElementSet") -> "ElementSet":
         self._require_same_ring(other)
-        return ElementSet(self.ring, self.bits | other.bits)
+        return ElementSet(self.ring, self._mask | other._mask)
 
     def __xor__(self, other: "ElementSet") -> "ElementSet":
         self._require_same_ring(other)
-        return ElementSet(self.ring, self.bits ^ other.bits)
+        return ElementSet(self.ring, self._mask ^ other._mask)
 
     def __sub__(self, other: "ElementSet") -> "ElementSet":
         self._require_same_ring(other)
-        return ElementSet(self.ring, self.bits & ~other.bits)
+        return ElementSet(self.ring, self._mask & ~other._mask)
 
     def complement(self) -> "ElementSet":
-        return ElementSet(self.ring, ~self.bits & ((1 << self.ring.size) - 1))
+        return ElementSet(self.ring, ~self._mask)
 
     def issubset(self, other: "ElementSet") -> bool:
-        self._require_same_ring(other)
-        return self.bits & ~other.bits == 0
+        return not (self - other)
 
     def __le__(self, other: "ElementSet") -> bool:
         return self.issubset(other)
@@ -355,24 +338,24 @@ class ElementSet:
     # -- protocol -------------------------------------------------------------
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.ring.size and (self.bits >> x) & 1 == 1
+        return 0 <= x < self.ring.size and bool(self._mask[x])
 
     def __iter__(self):
         return iter(self.indices())
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        return int(np.count_nonzero(self._mask))
 
     def __bool__(self) -> bool:
-        return self.bits != 0
+        return bool(self._mask.any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return other.ring is self.ring and other.bits == self.bits
+        return other.ring is self.ring and bool((other._mask == self._mask).all())
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.bits))
+        return hash((id(self.ring), self._mask.tobytes()))
 
     def __repr__(self) -> str:
         shown = self.indices()

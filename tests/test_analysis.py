@@ -101,7 +101,9 @@ def test_delta_is_ideal_exactly_when_it_equals_radical(corpus):
 
 
 def test_results_are_cached_and_masks_frozen(z4):
-    assert analysis.delta(z4) is analysis.delta(z4)
-    assert analysis.units(z4) is analysis.units(z4)
+    assert analysis.delta_mask(z4) is analysis.delta_mask(z4)
+    assert analysis.unit_mask(z4) is analysis.unit_mask(z4)
+    assert analysis.delta(z4) == analysis.delta(z4)
+    assert analysis.units(z4) == analysis.units(z4)
     assert not analysis.unit_mask(z4).flags.writeable
     assert not analysis.delta_mask(z4).flags.writeable

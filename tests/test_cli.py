@@ -257,6 +257,17 @@ def test_dorroh_checks_capacity_before_validating_the_action(capsys, monkeypatch
     assert err.startswith("error: capacity: dorroh(Z1024, self) would have 1048576 elements")
 
 
+def test_running_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
+    def no_memory(n):
+        raise MemoryError(f"Unable to allocate the tables of Z{n}")
+
+    monkeypatch.setattr(constructions, "zn", no_memory)
+    code, out, err = run_cli(capsys, "classify", "M(2, Z16)")
+    assert code == 3
+    assert out == ""
+    assert err == "error: capacity: Unable to allocate the tables of Z16\n"
+
+
 def test_missing_verb_is_usage_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2

@@ -533,10 +533,33 @@ def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):
 
 
 def test_nonunital_component_is_structurally_validated(z4):
-    with pytest.raises(MalformedTableError, match="out of range"):
+    with pytest.raises(MalformedTableError, match=r"\(1, 1\) is outside 0..1"):
         con.NonUnitalRing(2, [[0, 1], [1, 0]], [[0, 0], [0, 5]], 0)
     with pytest.raises(MalformedTableError, match="2x2"):
         con.NonUnitalRing(2, [[0, 1]], [[0, 0], [0, 0]], 0)
+
+
+# entries that an int32 cast before the range check would wrap into
+# range, truncate, or fail to convert
+_BAD_ENTRIES = [
+    ("wraps", np.array([[0, 1], [1, 2**32 + 1]]), "outside 0..1"),
+    ("truncates", [[0, 1], [1, 0.5]], "not integer data"),
+    ("overflows", [[0, 1], [1, 2**40]], "outside 0..1"),
+]
+
+
+@pytest.mark.parametrize(
+    "mul, match", [case[1:] for case in _BAD_ENTRIES], ids=[case[0] for case in _BAD_ENTRIES]
+)
+def test_v_and_action_tables_are_range_checked_before_the_cast(mul, match):
+    xor = [[0, 1], [1, 0]]
+    with pytest.raises(MalformedTableError, match="V mul table .*" + match):
+        con.NonUnitalRing(2, xor, mul, 0)
+    v = con.NonUnitalRing(2, xor, [[0, 0], [0, 0]], 0)
+    with pytest.raises(MalformedTableError, match="left action table .*" + match):
+        con.BimoduleRingAction(v=v, left=mul, right=xor)
+    with pytest.raises(MalformedTableError, match="right action table .*" + match):
+        con.BimoduleRingAction(v=v, left=xor, right=mul)
 
 
 # -- stated build peaks --------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,23 @@ def test_c29_quasi_inverse_condition_matches_a_scalar_search(z2):
         assert quasi == expect, (add, mul, zero)
         verdicts.add(quasi)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec", ["T(2, Z2)", "quot(Z8, 2)", "corner(M(2, Z2), 8)", "dorroh(Z4, ideal(2))"]
+)
+def test_rings_are_freed_without_the_cyclic_collector(spec):
+    gc.disable()
+    try:
+        ring = build_ring(spec)
+        tables = weakref.ref(ring.add_table)
+        classify.classification_report(ring)
+        for check_id in CHECK_IDS:
+            run_check(check_id, ring)
+        del ring
+        assert tables() is None
+    finally:
+        gc.enable()
 
 
 def test_witness_reverification_is_independent(z4, m2z2):

@@ -91,6 +91,11 @@ def test_element_set_algebra_matches_python_sets(left, right):
     assert a.issubset(b) == left.issubset(right)
     assert (a <= b) == (left <= right)
     assert (a == b) == (left == right)
+    assert len(a) == len(left) and bool(a) == bool(left)
+    for x in range(-1, 11):
+        assert (x in a) == (x in left)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_element_set_rejects_mixed_rings():
