@@ -19,16 +19,30 @@ Two standard facts keep the sweeps one-sided and bounded:
   radical.  The radical is a two-sided notion, so no mirrored sweep over
   ``1 - x*r`` is needed, and in a finite ring one-sided invertibility is
   two-sided anyway (see the kernel notes).
-* A nilpotent element of an n-element ring has nilpotency index at most
-  n, because the power sequence repeats within n steps; power iterations
-  therefore stop at the ring size.
+* The powers x_1 = a, x_(k+1) = x_k * a of any table close a cycle: once
+  x_k = x_s with s < k, every later power is one of x_s, ..., x_(k-1),
+  which have already been tested.  So a power iteration can drop an
+  element at the first repeat it sees, and never needs more than n
+  steps, on any table, ring or not.
+
+The n^2 sweeps run over row blocks of about ``_BLOCK_CELLS`` cells, each
+a flat ``np.take`` into an n-vector lookup composed once (for example
+``is_unit(1 - y)`` for every y), so no sweep holds an n^2 temporary.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .kernel import Element, ElementSet, FiniteRing
+from .kernel import Element, ElementSet, FiniteRing, _row_blocks
+
+# Cells per row block of a sweep.  np.take turns int32 indices into an
+# intp copy, so a block costs 9-13 bytes per cell, about 2.4-3.4 MB at
+# every ring size.  Blocks of 2^20 cells raised the peak RSS of small
+# workloads; blocks of 2^16 made each sweep 1.8x slower.
+_BLOCK_CELLS = 1 << 18
 
 
 def _cached(ring: FiniteRing, key, compute):
@@ -43,6 +57,61 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     mask = np.ascontiguousarray(mask)
     mask.flags.writeable = False
     return mask
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices of ``range(count)`` whose rows of ``width`` cells hold about
+    ``_BLOCK_CELLS`` cells; an empty row counts as one cell."""
+    return _row_blocks(count, max(width, 1), _BLOCK_CELLS)
+
+
+def _all_along_rows(lookup, table, cols=None, where=None) -> np.ndarray:
+    """Entry x is True when ``lookup[table[x, c]]`` holds for every column
+    c of ``cols`` (every column when None) at which ``where[x]`` is True.
+
+    Cost: one flat gather per cell, in row blocks.
+    """
+    out = np.empty(table.shape[0], dtype=bool)
+    width = table.shape[1] if cols is None else len(cols)
+    for rows in _blocks(table.shape[0], width):
+        part = table[rows] if cols is None else np.take(table[rows], cols, axis=1)
+        out[rows] = np.take(lookup, part).all(axis=1, where=True if where is None else where[rows])
+    return out
+
+
+def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
+    """Entry y is True when ``lookup[table[r, y]]`` holds for every row r
+    of ``rows`` (every row when None).
+
+    Cost: one flat gather per cell, in row blocks.
+    """
+    out = np.ones(table.shape[1], dtype=bool)
+    count = table.shape[0] if rows is None else len(rows)
+    for block in _blocks(count, table.shape[1]):
+        part = table[block] if rows is None else np.take(table, rows[block], axis=0)
+        out &= np.take(lookup, part).all(axis=0)
+    return out
+
+
+def first_escape(mask, table, rows=None, cols=None) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with ``table[rows[i], cols[j]]``
+    outside ``mask``, or None; ``rows`` or ``cols`` None means every index.
+
+    Cost: one flat gather per cell, in blocks of whole table rows,
+    stopping at the first block with an escape.  Tracemalloc peak: one
+    block, at most 17 bytes per cell.
+    """
+    outside = ~mask
+    count = table.shape[0] if rows is None else len(rows)
+    for block in _blocks(count, table.shape[1]):
+        part = table[block] if rows is None else np.take(table, rows[block], axis=0)
+        if cols is not None:
+            part = np.take(part, cols, axis=1)
+        escaped = np.take(outside, part)
+        if escaped.any():
+            i, j = np.argwhere(escaped)[0]
+            return block.start + int(i), int(j)
+    return None
 
 
 # -- boolean-mask layer (internal fast paths) --------------------------------
@@ -73,14 +142,40 @@ def idempotent_indices(ring: FiniteRing) -> np.ndarray:
 
 
 def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
+    """a with a^k = 0 for some k <= n + 1, powers taken as x_(k+1) = x_k * a.
+
+    Every a iterates its powers from x_1 = a while it is unresolved.  It
+    leaves as nilpotent at x_k = 0, and as not nilpotent when x_k repeats
+    x_1 or the power saved at the last power-of-two step (Brent's cycle
+    test): every later power is then one of x_s, ..., x_(k-1), already
+    tested (module notes).  So the mask equals that of testing all n + 1
+    powers, on any table.  Cost: one gather over the unresolved elements
+    per step, at most n steps.  A pure cycle, such as a unit's powers,
+    leaves after its length; an orbit with a tail of t powers and a
+    cycle of c leaves within 2*max(t, c) + c steps.  Peak: a few
+    n-vectors.
+    """
+
     def compute():
-        arange = np.arange(ring.size)
-        current = arange.copy()
-        seen_zero = current == ring.zero
-        for _ in range(ring.size):
-            current = ring.mul_table[current, arange]
-            seen_zero |= current == ring.zero
-        return _frozen(seen_zero)
+        flat = ring.mul_table.reshape(-1)
+        nilpotent = np.zeros(ring.size, dtype=bool)
+        start = np.arange(ring.size)
+        power = saved = start
+        for k in range(1, ring.size + 2):
+            zero = power == ring.zero
+            nilpotent[start[zero]] = True
+            done = zero
+            if k > 1:
+                done = done | (power == start) | (power == saved)
+            if done.any():
+                live = ~done
+                start, power, saved = start[live], power[live], saved[live]
+            if k & (k - 1) == 0:
+                saved = power
+            if not start.size or k > ring.size:
+                break
+            power = np.take(flat, np.multiply(power, ring.size, dtype=np.intp) + start)
+        return _frozen(nilpotent)
 
     return _cached(ring, "nilpotent_mask", compute)
 
@@ -88,11 +183,29 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
 def comm_matrix(ring: FiniteRing) -> np.ndarray:
     """Boolean matrix with entry (x, y) true when x*y == y*x.
 
-    Cost: one n x n comparison, n^2 bytes kept.  The matrix is symmetric
-    for any table, ring or not, so row x is both C(x) and the set of
-    elements x commutes with.
+    The matrix is symmetric for any table, ring or not, so row x is both
+    C(x) and the set of elements x commutes with.  Cost: n^2/2
+    comparisons over square tiles of about ``_BLOCK_CELLS`` cells, each
+    tile above the diagonal mirrored below it, so both operands of a
+    comparison are read from cache.  Tracemalloc peak: 1.1 bytes
+    per n^2, the kept matrix and numpy's buffers for the transposed
+    tiles.
     """
-    return _cached(ring, "comm_matrix", lambda: _frozen(ring.mul_table == ring.mul_table.T))
+
+    def compute():
+        mul = ring.mul_table
+        side = math.isqrt(_BLOCK_CELLS)
+        out = np.empty(mul.shape, dtype=bool)
+        for lo in range(0, ring.size, side):
+            rows = slice(lo, lo + side)
+            for hi in range(lo, ring.size, side):
+                cols = slice(hi, hi + side)
+                np.equal(mul[rows, cols], mul[cols, rows].T, out=out[rows, cols])
+                if hi != lo:
+                    out[cols, rows] = out[rows, cols].T
+        return _frozen(out)
+
+    return _cached(ring, "comm_matrix", compute)
 
 
 def row_subset_grid(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -109,38 +222,71 @@ def row_subset_grid(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return grid
 
 
+def comm2_grid(ring: FiniteRing) -> np.ndarray:
+    """Entry (a, j) is True when idempotent ``idempotent_indices[j]`` lies
+    in comm2(a), that is when C(a) is a subset of C(p).
+
+    One row-subset grid over the commutation matrix, shared by every
+    spectral flavor: |Id|*n^2/8 byte operations, n*|Id| bytes kept.
+    """
+    return _cached(
+        ring,
+        "comm2_grid",
+        lambda: _frozen(row_subset_grid(comm_matrix(ring), idempotent_indices(ring))),
+    )
+
+
 def center_mask(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "center_mask", lambda: _frozen(comm_matrix(ring).all(axis=1)))
 
 
+def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
+    """Entry y: whether 1 + (-y) is a unit."""
+    return unit_mask(ring)[ring.add_table[ring.one][ring.neg_table]]
+
+
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - r*x a unit for every r: column x of the multiplication
+    table read through ``is_unit(1 - y)``.
+
+    Cost: n^2 flat gathers in row blocks.  Tracemalloc peak: 2.5 bytes
+    per n^2 at n = 1024, one block at 9 bytes per cell, so it falls as
+    1/n^2 above that.
+    """
     def compute():
-        units = unit_mask(ring)
-        one_minus = ring.add_table[ring.one][ring.neg_table[ring.mul_table]]
-        return _frozen(units[one_minus].all(axis=0))
+        return _frozen(_all_down_columns(_one_minus_is_unit(ring), ring.mul_table))
 
     return _cached(ring, "jacobson_mask", compute)
 
 
 def delta_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - x*u a unit for every unit u.
+
+    Cost: n*|U| flat gathers in row blocks.  Tracemalloc peak: 3.5 bytes
+    per n^2 at n = 1024, one block at 13 bytes per cell (the unit
+    columns, their intp copy and the bool gather).
+    """
+
     def compute():
-        units = unit_mask(ring)
-        ulist = unit_indices(ring)
-        products = ring.mul_table[:, ulist]
-        one_minus = ring.add_table[ring.one][ring.neg_table[products]]
-        return _frozen(units[one_minus].all(axis=1))
+        lookup = _one_minus_is_unit(ring)
+        return _frozen(_all_along_rows(lookup, ring.mul_table, unit_indices(ring)))
 
     return _cached(ring, "delta_mask", compute)
 
 
 def qnil_mask(ring: FiniteRing) -> np.ndarray:
-    """a with 1 + a*x a unit for every x in C(a): one n x n boolean gather
-    masked by the commutation matrix, so n^2 work and bytes."""
+    """a with 1 + a*x a unit for every x in C(a): row a of the
+    multiplication table read through ``is_unit(1 + y)``, where row a of
+    the commutation matrix is True.
+
+    Cost: n^2 flat gathers in row blocks, plus the commutation matrix.
+    Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 above that matrix,
+    one block at 9 bytes per cell.
+    """
 
     def compute():
         one_plus_is_unit = unit_mask(ring)[ring.add_table[ring.one]]
-        unit_at = one_plus_is_unit[ring.mul_table]  # (a, x): 1 + a*x is a unit
-        return _frozen((unit_at | ~comm_matrix(ring)).all(axis=1))
+        return _frozen(_all_along_rows(one_plus_is_unit, ring.mul_table, where=comm_matrix(ring)))
 
     return _cached(ring, "qnil_mask", compute)
 
@@ -204,22 +350,18 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
     * left_form  = {r : u*r + 1 is a unit for every unit u}
 
     Each is swept from its own formula so the equality of all three (and
-    of :func:`delta`) is a checkable fact, not a shared code path.
+    of :func:`delta`) is a checkable fact, not a shared code path.  Cost:
+    3*n*|U| flat gathers in row blocks.  Tracemalloc peak: 3.5 bytes
+    per n^2 at n = 1024, one block at 13 bytes per cell.
     """
 
     def compute():
-        units_b = unit_mask(ring)
+        is_unit = unit_mask(ring)
         ulist = unit_indices(ring)
-        add = ring.add_table
-        mul = ring.mul_table
-        plus_one = add[:, ring.one]
-
-        sums = add[:, ulist]
-        sum_form = units_b[sums].all(axis=1)
-
-        right = units_b[plus_one[mul[:, ulist]]].all(axis=1)
-        left = units_b[plus_one[mul[ulist, :]]].all(axis=0)
-
+        plus_one_is_unit = is_unit[ring.add_table[:, ring.one]]
+        sum_form = _all_along_rows(is_unit, ring.add_table, ulist)
+        right = _all_along_rows(plus_one_is_unit, ring.mul_table, ulist)
+        left = _all_down_columns(plus_one_is_unit, ring.mul_table, ulist)
         return _frozen(sum_form), _frozen(right), _frozen(left)
 
     return tuple(ElementSet(ring, mask) for mask in _cached(ring, "delta_forms", compute))

@@ -46,18 +46,17 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
     spectral idempotent of a for the target; cached and frozen.
 
-    p lies in comm2(a) exactly when C(a) is a subset of C(p), so the
-    double-commutant test for every pair is one row-subset grid over the
-    commutation matrix: |Id|*n^2/8 byte operations, plus an n x |Id|
-    gather of a + p (and of a*p for the quasipolar flavor).
+    The double-commutant test is the shared :func:`analysis.comm2_grid`,
+    filled once for every flavor; each flavor adds an n x |Id| gather of
+    a + p (and of a*p for the quasipolar flavor).
     """
 
     def compute():
         idl = analysis.idempotent_indices(ring)
-        grid = _target_mask(ring, flavor)[ring.add_table[:, idl]]
-        grid &= analysis.row_subset_grid(analysis.comm_matrix(ring), idl)
+        grid = np.take(_target_mask(ring, flavor), np.take(ring.add_table, idl, axis=1))
+        grid &= analysis.comm2_grid(ring)
         if flavor == "quasipolar":
-            grid &= analysis.qnil_mask(ring)[ring.mul_table[:, idl]]
+            grid &= np.take(analysis.qnil_mask(ring), np.take(ring.mul_table, idl, axis=1))
         return analysis._frozen(grid)
 
     return analysis._cached(ring, ("spectral_grid", flavor), compute)
@@ -114,7 +113,7 @@ def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
 
     def compute():
         idl = analysis.idempotent_indices(ring)
-        residual = ring.add_table[:, ring.neg_table[idl]]
+        residual = np.take(ring.add_table, ring.neg_table[idl], axis=1)
         commutes = analysis.comm_matrix(ring)[:, idl]
         return analysis._frozen(residual), analysis._frozen(commutes)
 
@@ -216,14 +215,15 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     multiplication by anything (a product with a non-unit factor cannot
     be a unit, else that factor would have a one-sided inverse, which is
     two-sided here), so additive closure is the whole question.  The
-    witness is a pair of non-units whose sum is a unit.
+    witness is the first pair of non-units, in row-major order, whose
+    sum is a unit.  Cost: one blocked sweep of the non-unit square of
+    the addition table (:func:`analysis.first_escape`).
     """
-    nonunits = np.flatnonzero(~analysis.unit_mask(ring))
-    sums = ring.add_table[np.ix_(nonunits, nonunits)]
-    bad = analysis.unit_mask(ring)[sums]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        return False, (int(nonunits[i]), int(nonunits[j]))
+    nonunit = ~analysis.unit_mask(ring)
+    nonunits = np.flatnonzero(nonunit)
+    at = analysis.first_escape(nonunit, ring.add_table, nonunits, nonunits)
+    if at is not None:
+        return False, (int(nonunits[at[0]]), int(nonunits[at[1]]))
     return True, None
 
 

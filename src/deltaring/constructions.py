@@ -690,15 +690,17 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     add = _componentwise((base.add_table, v.add_table), (rvec, vvec), (vn, 1))
     mul = _componentwise((base.mul_table,), (rvec,), (vn,))
     # r.w, v.s and v*w are rows keyed by r or v, but their V-sum depends
-    # on all of x, so it is summed elementwise, one row block at a time
+    # on all of x, so it is summed elementwise, one row block at a time,
+    # by flat gathers from V's addition table
     lw = _columns(action.left, vvec)
     vs = _columns(action.right, rvec)
     vw = _columns(v.mul_table, vvec)
-    vadd = v.add_table
+    vadd = v.add_table.reshape(-1)
+    width = np.int32(vn)
     for block in _row_blocks(n, n, _SWEEP_BLOCK_CELLS):
         xr, xv = rvec[block], vvec[block]
         part = mul[block]
-        part += vadd[vadd[lw[xr], vs[xv]], vw[xv]]
+        part += np.take(vadd, np.take(vadd, lw[xr] * width + vs[xv]) * width + vw[xv])
 
     names = _pair_names(base, v)
     prov = DorrohProvenance(base, action, v_spell)

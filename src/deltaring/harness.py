@@ -252,24 +252,15 @@ def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
     return PASS, None, None
 
 
-def _first_escape(mask: np.ndarray, block: np.ndarray) -> tuple[int, int] | None:
-    """The first (row, column) of ``block`` whose entry lies outside ``mask``, or None."""
-    escaped = ~mask[block]
-    if not escaped.any():
-        return None
-    i, j = np.argwhere(escaped)[0]
-    return int(i), int(j)
-
-
 @check("C02", "delta is stable under unit multiplication on both sides")
 def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     dl = np.flatnonzero(dmask)
     ul = analysis.unit_indices(ring)
-    at = _first_escape(dmask, ring.mul_table[np.ix_(dl, ul)])
+    at = analysis.first_escape(dmask, ring.mul_table, dl, ul)
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], ul[at[1]]], "d*u escapes delta"), None
-    at = _first_escape(dmask, ring.mul_table[np.ix_(ul, dl)])
+    at = analysis.first_escape(dmask, ring.mul_table, ul, dl)
     if at is not None:
         return FAIL, _witness(ring, [ul[at[0]], dl[at[1]]], "u*d escapes delta"), None
     return PASS, None, None
@@ -281,10 +272,10 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
     dl = np.flatnonzero(dmask)
-    at = _first_escape(dmask, ring.add_table[np.ix_(dl, ring.neg_table[dl])])
+    at = analysis.first_escape(dmask, ring.add_table, dl, ring.neg_table[dl])
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "difference escapes delta"), None
-    at = _first_escape(dmask, ring.mul_table[np.ix_(dl, dl)])
+    at = analysis.first_escape(dmask, ring.mul_table, dl, dl)
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "product escapes delta"), None
     return PASS, None, None
@@ -293,13 +284,13 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
 def _is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     """Returns (bool, witness elements, description)."""
     members = np.flatnonzero(mask)
-    at = _first_escape(mask, ring.add_table[np.ix_(members, members)])
+    at = analysis.first_escape(mask, ring.add_table, members, members)
     if at is not None:
         return False, [int(members[at[0]]), int(members[at[1]])], "not closed under addition"
-    at = _first_escape(mask, ring.mul_table[:, members])
+    at = analysis.first_escape(mask, ring.mul_table, cols=members)
     if at is not None:
         return False, [at[0], int(members[at[1]])], "not closed under left multiplication"
-    at = _first_escape(mask, ring.mul_table[members, :])
+    at = analysis.first_escape(mask, ring.mul_table, rows=members)
     if at is not None:
         return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
     return True, None, None
@@ -473,13 +464,24 @@ def _c16_matrix_qnil_gap(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C17", "delta-quasipolarity of elements survives conjugation by units")
 def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
+    """Conjugates u^-1 * x * u for a block of units at a time: the rows
+    u^-1 * x, then one flat gather of (u^-1 * x) * u.  The witness is the
+    first element that the first offending unit moves out of the flagged
+    set, then that unit."""
     flags = classify.element_flags(ring, "delta")
     inv = ring.inverse_table()
-    for u in analysis.unit_indices(ring):
-        conj = ring.mul_table[ring.mul_table[int(inv[u])], u]
-        bad = flags & ~flags[conj]
-        if bad.any():
-            return FAIL, _witness(ring, [np.argmax(bad), u], "conjugate loses delta-quasipolarity"), None
+    ul = analysis.unit_indices(ring)
+    flat = ring.mul_table.reshape(-1)
+    for block in analysis._blocks(len(ul), ring.size):
+        units = ul[block]
+        left = np.take(ring.mul_table, inv[units], axis=0)
+        conj = np.take(flat, np.multiply(left, ring.size, dtype=np.intp) + units[:, None])
+        bad = flags & ~np.take(flags, conj)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            i = rows[0]
+            detail = "conjugate loses delta-quasipolarity"
+            return FAIL, _witness(ring, [np.argmax(bad[i]), units[i]], detail), None
     return PASS, None, None
 
 

@@ -217,10 +217,17 @@ class FiniteRing:
     def inverse_table(self) -> np.ndarray:
         table = self._cache.get("inverse_table")
         if table is None:
-            hits = self.mul_table == self.one
-            right = np.argmax(hits, axis=1)
-            has_right = hits.any(axis=1)
-            two_sided = self.mul_table[right, np.arange(self.size)] == self.one
+            # the first right inverse in each row, scanned in row blocks as
+            # the negation scan is, kept where it is also a left inverse
+            right = np.concatenate(
+                [
+                    np.argmax(self.mul_table[rows] == self.one, axis=1)
+                    for rows in _row_blocks(self.size, self.size, _SWEEP_BLOCK_CELLS)
+                ]
+            )
+            arange = np.arange(self.size)
+            has_right = self.mul_table[arange, right] == self.one
+            two_sided = self.mul_table[right, arange] == self.one
             table = np.where(has_right & two_sided, right, -1).astype(np.int32)
             table.flags.writeable = False
             self._cache["inverse_table"] = table

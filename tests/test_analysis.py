@@ -1,4 +1,12 @@
-from deltaring import analysis
+import gc
+import random
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from deltaring import FiniteRing, analysis, build_ring, zn
 
 import oracles
 
@@ -107,3 +115,105 @@ def test_results_are_cached_and_masks_frozen(z4):
     assert analysis.units(z4) == analysis.units(z4)
     assert not analysis.unit_mask(z4).flags.writeable
     assert not analysis.delta_mask(z4).flags.writeable
+
+
+# -- exact early-exit power orbits -----------------------------------------------------
+
+
+def _fresh(ring):
+    """The same tables as a new ring object, so no cached sweep carries over."""
+    return FiniteRing(
+        ring.size, ring.add_table, ring.mul_table, zero=ring.zero, one=ring.one,
+        provenance=ring.provenance, element_names=ring.element_names,
+    )
+
+
+def _corruptions(ring, seed, count):
+    """Single-entry corruptions of the multiplication table, alternately
+    on the diagonal, rewriting the square of some a (the second step of
+    a's power orbit), and anywhere."""
+    rng = random.Random(seed)
+    for k in range(count):
+        x, y, value = (rng.randrange(ring.size) for _ in range(3))
+        yield oracles.mutate_mul_entry(ring, x, y if k % 2 else x, value)
+
+
+def test_nilpotent_orbits_match_the_n_step_oracle_on_rings_and_non_rings(corpus):
+    # Z1024's units cycle with orders up to 256; in T(2, Z8) powers such
+    # as those of diag(1, 2) run a tail into a nonzero cycle
+    cases = [(entry.ring, 6) for entry in corpus]
+    cases += [(build_ring("Z1024"), 0), (build_ring("T(2, Z8)"), 2)]
+    for seed, (ring, count) in enumerate(cases):
+        for case in (ring, *_corruptions(ring, seed, count)):
+            got = set(np.flatnonzero(analysis.nilpotent_mask(case)).tolist())
+            assert got == oracles.nilpotents_of(case), case.spell()
+
+
+# -- row blocks ------------------------------------------------------------------------
+
+
+def test_sweeps_match_the_oracle_across_many_blocks(corpus, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
+    for entry in corpus:
+        ring = _fresh(entry.ring)
+        delta = oracles.delta_of(ring)
+        assert _indices(analysis.delta(ring)) == delta, entry.spec_text
+        for form in analysis.delta_alternative_forms(ring):
+            assert _indices(form) == delta, entry.spec_text
+        assert _indices(analysis.jacobson_radical(ring)) == oracles.jacobson_of(ring)
+        assert _indices(analysis.qnil(ring)) == oracles.qnil_of(ring), entry.spec_text
+        for a in range(0, ring.size, 7):
+            assert _indices(analysis.comm(ring, a)) == oracles.comm_of(ring, a)
+
+
+def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
+    rng = np.random.default_rng(11)
+    table = rng.integers(0, 30, (30, 30)).astype(np.int32)
+    for _ in range(200):
+        mask = rng.random(30) < 0.97
+        rows = None if rng.random() < 0.3 else rng.choice(30, rng.integers(0, 30), replace=False)
+        cols = None if rng.random() < 0.3 else rng.choice(30, rng.integers(0, 30), replace=False)
+        row_ids = range(30) if rows is None else rows
+        col_ids = range(30) if cols is None else cols
+        want = next(
+            (
+                (i, j)
+                for i, r in enumerate(row_ids)
+                for j, c in enumerate(col_ids)
+                if not mask[table[r, c]]
+            ),
+            None,
+        )
+        assert analysis.first_escape(mask, table, rows, cols) == want
+
+
+# -- stated peaks ----------------------------------------------------------------------
+
+PEAK_LAYERS = {
+    "comm_matrix": analysis.comm_matrix,
+    "jacobson_mask": analysis.jacobson_mask,
+    "delta_mask": analysis.delta_mask,
+    "qnil_mask": analysis.qnil_mask,
+    "delta_alternative_forms": analysis.delta_alternative_forms,
+}
+
+
+@pytest.mark.parametrize("name", PEAK_LAYERS)
+def test_sweep_peaks_stay_within_the_docstring_figures(name):
+    layer = PEAK_LAYERS[name]
+    stated = re.search(r"Tracemalloc peak: ([\d.]+) bytes\s+per n\^2", layer.__doc__)
+    assert stated, f"{name} states no peak per n^2"
+    ring = zn(1024)
+    # the inputs a layer reads, filled outside the trace
+    analysis.unit_indices(ring)
+    if layer is not analysis.comm_matrix:
+        analysis.comm_matrix(ring)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        layer(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ring.size**2 <= float(stated.group(1))
