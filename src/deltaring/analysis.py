@@ -208,15 +208,23 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "comm_matrix", compute)
 
 
-def row_subset_grid(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Entry (a, j) is True when row a of ``rows`` is contained in row
-    ``targets[j]``.
+def packed_equal_rows(table: np.ndarray, value: int) -> np.ndarray:
+    """``np.packbits(table == value, axis=1)``, compared in row blocks:
+    one block of booleans at a time, n*n/8 bytes kept for n x n."""
+    count, width = table.shape
+    out = np.empty((count, (width + 7) // 8), dtype=np.uint8)
+    for rows in _blocks(count, width):
+        out[rows] = np.packbits(table[rows] == value, axis=1)
+    return out
 
-    Rows are packed into bitsets, so the cost is n*k*n/8 byte operations
-    for an n x n matrix and k targets, with one Python step per target.
+
+def row_subset_grid(packed: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Entry (a, j) is True when row a of a boolean matrix, given as
+    ``packed = np.packbits(rows, axis=1)``, is contained in row
+    ``targets[j]``.  Cost: n*k*n/8 byte operations for an n x n matrix
+    and k targets, with one Python step per target.
     """
-    packed = np.packbits(rows, axis=1)
-    grid = np.empty((rows.shape[0], len(targets)), dtype=bool)
+    grid = np.empty((packed.shape[0], len(targets)), dtype=bool)
     for j, t in enumerate(targets):
         grid[:, j] = ~(packed & ~packed[t]).any(axis=1)
     return grid
@@ -229,11 +237,12 @@ def comm2_grid(ring: FiniteRing) -> np.ndarray:
     One row-subset grid over the commutation matrix, shared by every
     spectral flavor: |Id|*n^2/8 byte operations, n*|Id| bytes kept.
     """
-    return _cached(
-        ring,
-        "comm2_grid",
-        lambda: _frozen(row_subset_grid(comm_matrix(ring), idempotent_indices(ring))),
-    )
+
+    def compute():
+        packed = np.packbits(comm_matrix(ring), axis=1)
+        return _frozen(row_subset_grid(packed, idempotent_indices(ring)))
+
+    return _cached(ring, "comm2_grid", compute)
 
 
 def center_mask(ring: FiniteRing) -> np.ndarray:

@@ -189,6 +189,8 @@ def _md_validate(obj: dict) -> str:
         lines.append("## Violations")
         for violation in obj["violations"]:
             lines.append(f"- {violation['axiom']} at {violation['witness']}")
+    if obj.get("not_checked"):
+        lines += ["", "## Not checked"] + [f"- {axiom}" for axiom in obj["not_checked"]]
     lines.append("")
     return "\n".join(lines)
 

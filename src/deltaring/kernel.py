@@ -386,30 +386,30 @@ class AxiomViolation:
 class ValidationReport:
     """Outcome of a ring-axiom scan.
 
-    Pair-quantified axioms are always checked on every pair.  ``mode``
-    says how the triple-quantified ones were covered.  "exhaustive"
-    (rings of at most 256 elements) means every triple is covered by
-    proof: by the generator certificate on a ring, by the full triple
-    scan otherwise.  "sampled" (larger rings) records the seeded sample
-    of ``sampled_triples`` triples that a table failing the certificate
-    gets.  A table that passes it is a ring, on which that sample
-    provably finds nothing, so its report is the sample's without a
-    draw: the coverage there is exhaustive too.  The "sampled" label and
-    its two fields stay only because the benchmark's reference outputs
-    (``ringbench/refs``) pin them byte for byte.  One witness is
-    reported per violated axiom.
+    Pair-quantified axioms are checked on every pair, triple-quantified
+    ones by the generator certificate or, on a failing table of at most
+    256 elements, by the full triple scan.  One witness is reported per
+    violated axiom, but above 256 elements a failing table gets only its
+    certificate step's witness, and ``not_checked`` (written only when
+    non-empty) lists the triple axioms left undecided.  ``mode`` is
+    "exhaustive" up to 256 elements and "sampled" above, where the dict
+    also carries ``sampled_triples`` (n^2) and ``sample_seed``, although
+    nothing is sampled: the benchmark's reference outputs
+    (``ringbench/refs``) pin them.
     """
 
     ring: str
     size: int
-    mode: str
-    sampled_triples: int
-    sample_seed: int | None
     violations: list[AxiomViolation] = field(default_factory=list)
+    not_checked: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.size <= FULL_SCAN_LIMIT else "sampled"
 
     def to_dict(self) -> dict:
         out = {
@@ -421,9 +421,11 @@ class ValidationReport:
                 {"axiom": v.axiom, "witness": list(v.witness)} for v in self.violations
             ],
         }
+        if self.not_checked:
+            out["not_checked"] = list(self.not_checked)
         if self.mode == "sampled":
-            out["sampled_triples"] = self.sampled_triples
-            out["sample_seed"] = self.sample_seed
+            out["sampled_triples"] = self.size * self.size
+            out["sample_seed"] = VALIDATION_SEED
         return out
 
 
@@ -458,8 +460,16 @@ def _first_witness(mismatch: np.ndarray, x_offset: int = 0) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray | None:
-    """A greedy additive generating set G, or None if the closure runs long.
+_TRIPLE_AXIOMS = (
+    "add-associativity",
+    "mul-associativity",
+    "left-distributivity",
+    "right-distributivity",
+)
+
+
+def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
+    """A greedy additive generating set G, complete unless a bound is hit.
 
     G starts empty and repeatedly takes the lowest element not yet
     reached.  After each pick the reached set is closed by sumset
@@ -467,19 +477,25 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray | None:
     sum of up to 2^r picked elements; a round that reaches every
     element ends the closure.  In a group each pick at least doubles
     the reached subgroup and each closure stops growing within
-    ``bit_length(n)`` rounds, so k = |G| <= log2 n.  Exceeding either
-    bound proves the addition is not a group; None then sends the caller
-    to the triple scan.  Cost: O(n^2) per round, O(n^2 log n) in total,
-    gathered in blocks of about ``_CERT_BLOCK_CELLS``.
+    ``bit_length(n)`` rounds, so k = |G| <= log2 n.  A bound that is hit
+    stops the picking, and the picks so far are returned.
+
+    Given the additive pair axioms, some pick then fails Light's test
+    (step 2 of :func:`_certify_triple_axioms`), which names a witness.
+    The s passing it, (x+s)+y = x+(s+y) for all x, y, are closed under
+    + (Light's lemma); for such s with s + t = 0, (x+s)+t = x, so
+    x -> x+s is a bijection.  Picks that all pass thus generate a
+    finite abelian group, where both bounds hold.
+
+    Cost: O(n^2) per round, O(n^2 log n) in total, gathered in blocks of
+    about ``_CERT_BLOCK_CELLS``.
     """
     n = add.shape[0]
     limit = n.bit_length()
     reach = np.zeros(n, dtype=bool)
     reach[zero] = True
     gens = []
-    while not reach.all():
-        if len(gens) == limit:
-            return None
+    while not reach.all() and len(gens) < limit:
         g = int(np.argmin(reach))
         gens.append(g)
         reach[g] = True
@@ -491,11 +507,13 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray | None:
             if count == idx.size or count == n:
                 break
         else:
-            return None
+            break
     return np.array(gens, dtype=np.intp)
 
 
-def _certify_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
+def _certify_triple_axioms(
+    add: np.ndarray, mul: np.ndarray, zero: int
+) -> tuple[AxiomViolation, tuple[str, ...]] | None:
     """Prove the four triple-quantified axioms in O(n^2 k + n k^2) gathers.
 
     Sound only on tables that already satisfy the pair-quantified axioms
@@ -506,7 +524,8 @@ def _certify_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     only once the steps before it have passed:
 
     1. A greedy additive generating set G, k = |G| <= log2 n
-       (:func:`_additive_generators`): every element is a sum of picks.
+       (:func:`_additive_generators`): every element is a sum of picks,
+       unless a bound cut the closure short, which step 2 then rejects.
     2. Additive associativity by Light's test, one generator at a time:
        with commutative addition, (x+g)+y = x+(g+y) for all x, y says
        that M_g = add[add[:, g]] is symmetric.  The g that associate
@@ -528,8 +547,14 @@ def _certify_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
        is a sum of generators, so agreement on G^3 is agreement
        everywhere.
 
-    True is a proof covering every triple.  False means some step
-    failed, which happens only on a table that is not a ring.
+    None is a proof covering every triple.  Otherwise the first failing
+    step returns its first violated triple (in steps 2 and 3 the least
+    x, then g, then y, so the row blocks do not change it; picks come
+    in increasing order) and the triple axioms it leaves undecided: step 2 add-associativity (x, g, y), leaving the
+    other three; step 3 right-distributivity (y, g, x), leaving
+    mul-associativity and left-distributivity; step 4
+    left-distributivity (g, y, h), leaving mul-associativity; step 5
+    mul-associativity (g, h, k), leaving none.
 
     Cost: steps 2 and 3 are k row-block gathers each over the n^2
     cells, step 4 is n k^2 and step 5 k^3.  Every n x n step runs in row
@@ -537,40 +562,49 @@ def _certify_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     near 16 MB at every size.
     """
     gens = _additive_generators(add, zero)
-    if gens is None:
-        return False
     n = add.shape[0]
     plus = add[:, gens].T  # plus[j, y] = y + g_j
     blocks = _row_blocks(n, n)
     for rows in blocks:
         add_rows = add[rows]
-        for plus_g in plus:
-            # (x+g)+y against x+(y+g), which is M_g[y, x], for the block's x
-            if (add[plus_g[rows]] != np.take(add_rows, plus_g, axis=1)).any():
-                return False
+        found = []
+        for g, plus_g in zip(gens, plus):
+            # (x+g)+y against x+(g+y), which is M_g[y, x], for the block's x
+            mismatch = add[plus_g[rows]] != np.take(add_rows, plus_g, axis=1)
+            if mismatch.any():
+                x, y = _first_witness(mismatch, rows.start)
+                found.append((x, int(g), y))
+        if found:
+            return AxiomViolation("add-associativity", min(found)), _TRIPLE_AXIOMS[1:]
     for rows in blocks:
         # cols[i, y] = y*x for the block's x; every gather below stays
         # inside one row of cols or of add
         cols = np.ascontiguousarray(mul[:, rows].T)
         flat = cols + (np.arange(cols.shape[0], dtype=np.intp) * n)[:, None]
+        found = []
         for g, plus_g in zip(gens, plus):
             # (y+g)x against gx + yx
-            if (np.take(cols, plus_g, axis=1) != np.take(add[cols[:, g]], flat)).any():
-                return False
+            mismatch = np.take(cols, plus_g, axis=1) != np.take(add[cols[:, g]], flat)
+            if mismatch.any():
+                x, y = _first_witness(mismatch, rows.start)
+                found.append((x, int(g), y))
+        if found:
+            x, g, y = min(found)
+            return AxiomViolation("right-distributivity", (y, g, x)), _TRIPLE_AXIOMS[1:3]
     mul_gens = mul[gens]
     gg = mul_gens[:, gens]
     # g(y+h) against gy + gh
-    if (mul_gens[:, plus.T] != add[mul_gens[:, :, None], gg[:, None, :]]).any():
-        return False
-    return bool((mul[gg[:, :, None], gens] == mul[gens[:, None, None], gg]).all())
-
-
-_TRIPLE_AXIOMS = (
-    "add-associativity",
-    "mul-associativity",
-    "left-distributivity",
-    "right-distributivity",
-)
+    mismatch = mul_gens[:, plus.T] != add[mul_gens[:, :, None], gg[:, None, :]]
+    if mismatch.any():
+        i, y, j = _first_witness(mismatch)
+        witness = (int(gens[i]), y, int(gens[j]))
+        return AxiomViolation("left-distributivity", witness), _TRIPLE_AXIOMS[1:2]
+    # (gh)k against g(hk)
+    mismatch = mul[gg[:, :, None], gens] != mul[gens[:, None, None], gg]
+    if mismatch.any():
+        witness = tuple(int(gens[i]) for i in _first_witness(mismatch))
+        return AxiomViolation("mul-associativity", witness), ()
+    return None
 
 
 def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation]:
@@ -602,7 +636,7 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
             ("mul-associativity", lambda: (mul[m_rows], m_rows[:, mul]), (0, 1, 2)),
             ("left-distributivity", lambda: distributes(m_rows), (0, 1, 2)),
             # indexed [z, x, y] for (x+y)z != xz+yz, so that z is scanned
-            # first; reported as (x, y, z) like the sampled path
+            # first; reported as (x, y, z) like the other laws
             ("right-distributivity", lambda: distributes(mul[:, xs].T), (1, 2, 0)),
         )
         for axiom, sides, order in laws:
@@ -612,46 +646,6 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
             if mismatch.any():
                 at = _first_witness(mismatch, x0)
                 violations.append(AxiomViolation(axiom, tuple(at[i] for i in order)))
-    return violations
-
-
-def _sample_triple_axioms(
-    add: np.ndarray, mul: np.ndarray, seed: int
-) -> list[AxiomViolation]:
-    """n^2 triples drawn from ``seed``, in batches: the first witness per axiom.
-
-    A witness is the first sampled violating (x, y, z) of its axiom.  An
-    axiom stops being checked once violated, and the sample stops once
-    all four are.
-    """
-    n = add.shape[0]
-    triple_axioms = dict.fromkeys(_TRIPLE_AXIOMS, True)
-    violations: list[AxiomViolation] = []
-    rng = np.random.default_rng(seed)
-    sampled = n * n
-    batch = 1_000_000
-    done = 0
-    while done < sampled and any(triple_axioms.values()):
-        count = min(batch, sampled - done)
-        xs = rng.integers(0, n, size=count)
-        ys = rng.integers(0, n, size=count)
-        zs = rng.integers(0, n, size=count)
-        done += count
-        checks = (
-            ("add-associativity", add[add[xs, ys], zs], add[xs, add[ys, zs]]),
-            ("mul-associativity", mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]),
-            ("left-distributivity", mul[xs, add[ys, zs]], add[mul[xs, ys], mul[xs, zs]]),
-            ("right-distributivity", mul[add[xs, ys], zs], add[mul[xs, zs], mul[ys, zs]]),
-        )
-        for axiom, lhs, rhs in checks:
-            if not triple_axioms[axiom]:
-                continue
-            mismatch = lhs != rhs
-            if mismatch.any():
-                at = int(np.argmax(mismatch))
-                witness = (int(xs[at]), int(ys[at]), int(zs[at]))
-                violations.append(AxiomViolation(axiom, witness))
-                triple_axioms[axiom] = False
     return violations
 
 
@@ -666,28 +660,23 @@ def _identity_witness(table: np.ndarray, unit: int) -> tuple[int] | None:
 
 
 def _axiom_violations(
-    add: np.ndarray,
-    mul: np.ndarray,
-    zero: int,
-    one: int | None = None,
-    *,
-    sample_seed: int | None = VALIDATION_SEED,
-) -> list[AxiomViolation]:
-    """The ring axioms on an add and a mul table: one witness per violated axiom.
+    add: np.ndarray, mul: np.ndarray, zero: int, one: int | None = None
+) -> tuple[list[AxiomViolation], tuple[str, ...]]:
+    """The ring axioms on an add and a mul table: the violations found,
+    and the triple axioms left unchecked.
 
     The pair-quantified axioms (additive commutativity, two-sided zero,
     additive inverses, and a two-sided one unless ``one`` is None) are
     checked on all n^2 pairs, the n x n ones in row blocks of about
-    ``_CERT_BLOCK_CELLS`` cells.  Once they pass,
-    :func:`_certify_triple_axioms` proves the triple-quantified ones
+    ``_CERT_BLOCK_CELLS`` cells.  Once the three additive ones pass,
+    :func:`_certify_triple_axioms` decides the triple-quantified ones
     (both associativities, both distributive laws) without using an
     identity, so ``one=None`` judges a ring that need not have one.
-    Only a table that is not a ring fails a pair axiom or a certificate
-    step; it gets the fallback that reports witnesses, the
-    lexicographically first of each violated axiom among all n^3
-    triples (:func:`_scan_triple_axioms`) when n <= 256 or
-    ``sample_seed`` is None, else the first in a seeded sample of n^2
-    triples (:func:`_sample_triple_axioms`).
+    A failing table of at most 256 elements gets the n^3 scan
+    (:func:`_scan_triple_axioms`), the lexicographically first triple of
+    each violated triple axiom.  Above that it gets the certificate's
+    witness and the triple axioms left undecided: all four when an
+    additive pair axiom fails, since the certificate needs them.
     """
     n = add.shape[0]
     violations: list[AxiomViolation] = []
@@ -704,42 +693,30 @@ def _axiom_violations(
     no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in blocks])
     if no_inverse.any():
         violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
+    additive = not violations
     witness = None if one is None else _identity_witness(mul, one)
     if witness is not None:
         violations.append(AxiomViolation("one-identity", witness))
-    if violations or not _certify_triple_axioms(add, mul, zero):
-        if n <= FULL_SCAN_LIMIT or sample_seed is None:
-            violations += _scan_triple_axioms(add, mul)
-        else:
-            violations += _sample_triple_axioms(add, mul, sample_seed)
-    return violations
+    failed = _certify_triple_axioms(add, mul, zero) if additive else None
+    if (violations or failed) and n <= FULL_SCAN_LIMIT:
+        return violations + _scan_triple_axioms(add, mul), ()
+    if not additive:
+        return violations, _TRIPLE_AXIOMS
+    if failed is None:
+        return violations, ()
+    return violations + [failed[0]], failed[1]
 
 
-def validate_ring(ring: FiniteRing, *, sample_seed: int = VALIDATION_SEED) -> ValidationReport:
+def validate_ring(ring: FiniteRing) -> ValidationReport:
     """Check the unital-ring axioms against the compiled tables.
 
-    :func:`_axiom_violations` judges them.  Above 256 elements the
-    report has mode "sampled", with the sample size and seed, though
-    only a table that is not a ring draws that sample: on a table that
-    passes the certificate the sample provably finds nothing.  That
-    label stays only because the benchmark's reference outputs pin it.
-
-    A passing ring costs n^2 pair checks plus O(n^2 k + n k^2)
+    :func:`_axiom_violations` judges them, exactly at every size.  A
+    passing ring costs n^2 pair checks plus O(n^2 k + n k^2)
     certificate gathers, k <= log2 n generators, in blocks of about
-    16 MB, and n^3 or the sample is paid only on a failing table.
+    16 MB; only a failing table of at most 256 elements pays n^3.
     Structural totality (square tables, in-range entries) is enforced
     at construction time and raises MalformedTableError there, so this
     scan only ever judges axioms.
     """
-    n = ring.size
-    exhaustive = n <= FULL_SCAN_LIMIT
-    return ValidationReport(
-        ring=ring.spell(),
-        size=n,
-        mode="exhaustive" if exhaustive else "sampled",
-        sampled_triples=0 if exhaustive else n * n,
-        sample_seed=None if exhaustive else sample_seed,
-        violations=_axiom_violations(
-            ring.add_table, ring.mul_table, ring.zero, ring.one, sample_seed=sample_seed
-        ),
-    )
+    violations, not_checked = _axiom_violations(ring.add_table, ring.mul_table, ring.zero, ring.one)
+    return ValidationReport(ring.spell(), ring.size, violations, not_checked)

@@ -198,6 +198,28 @@ def test_validate_broken_table_exits_one(capsys, tmp_path):
     assert "mul-associativity" in axioms
 
 
+def test_validate_broken_table_above_the_scan_limit_lists_what_is_not_checked(capsys, tmp_path):
+    n = 260
+    table = {
+        "size": n,
+        "add": [[(x + y) % n for y in range(n)] for x in range(n)],
+        "mul": [[(x * y) % n for y in range(n)] for x in range(n)],
+        "zero": 0,
+        "one": 1,
+    }
+    table["mul"][3][5] = 16
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    code, data = run_json(capsys, "validate", f"table:{path}")
+    assert code == 1
+    assert data["violations"] == [{"axiom": "right-distributivity", "witness": [2, 1, 5]}]
+    assert data["not_checked"] == ["mul-associativity", "left-distributivity"]
+    code, out, err = run_cli(capsys, "validate", f"table:{path}", "--format", "md")
+    assert code == 1 and err == ""
+    assert "- right-distributivity at [2, 1, 5]" in out
+    assert "## Not checked\n- mul-associativity\n- left-distributivity\n" in out
+
+
 def test_validate_markdown(capsys):
     code, out, _ = run_cli(capsys, "validate", "Z6", "--format", "md")
     assert code == 0

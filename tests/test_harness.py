@@ -349,3 +349,14 @@ def test_c00_fail_witnesses(corpus_rings, table, spell, entry, elements, detail,
         "detail": detail,
     }
     assert result.note == note
+
+
+def test_c00_above_the_scan_limit_notes_what_is_not_checked():
+    bad = oracles.mutate_mul_entry(zn(260), 3, 5, 16)
+    result = run_check("C00", bad)
+    assert result.verdict == FAIL
+    assert result.witness["elements"] == [2, 1, 5]
+    assert result.note == (
+        "violated: right-distributivity; "
+        "not checked: mul-associativity, left-distributivity (sampled scan)"
+    )

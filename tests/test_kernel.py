@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import deltaring
 from deltaring import (
     CapacityError,
     ElementSet,
@@ -188,35 +191,35 @@ def test_validate_ring_samples_large_rings():
     assert d["sample_seed"] is not None
 
 
-def _sampled_report(ring):
-    """The report of the seeded sample that validate_ring falls back to
-    above the scan limit, on a table whose pair axioms hold."""
-    n = ring.size
-    seed = kernel.VALIDATION_SEED
-    return kernel.ValidationReport(
-        ring=ring.spell(),
-        size=n,
-        mode="sampled",
-        sampled_triples=n * n,
-        sample_seed=seed,
-        violations=kernel._sample_triple_axioms(ring.add_table, ring.mul_table, seed),
-    )
-
-
 def test_validate_ring_above_the_scan_limit_reports_the_sample(ladder_rings):
     for ring in [zn(300), *ladder_rings.values()]:
-        assert ring.size > kernel.FULL_SCAN_LIMIT
-        assert validate_ring(ring).to_dict() == _sampled_report(ring).to_dict(), ring.spell()
+        n = ring.size
+        assert n > kernel.FULL_SCAN_LIMIT
+        assert validate_ring(ring).to_dict() == {
+            "ring": ring.spell(),
+            "size": n,
+            "mode": "sampled",
+            "ok": True,
+            "violations": [],
+            "sampled_triples": n * n,
+            "sample_seed": 24301,
+        }, ring.spell()
 
 
-def test_certified_rings_never_draw_the_sample(ladder_rings, monkeypatch):
-    def no_sample(*args):
-        raise AssertionError("the sample was drawn on a certified ring")
-
-    monkeypatch.setattr(kernel, "_sample_triple_axioms", no_sample)
-    for ring in ladder_rings.values():
-        report = validate_ring(ring)
-        assert report.ok and report.mode == "sampled", ring.spell()
+def test_no_module_draws_random_numbers():
+    # every verdict is exact, so no module may fall back on a sample
+    for path in sorted(pathlib.Path(deltaring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            drawn = [n for n in names if n in ("random", "np.random", "numpy.random")]
+            assert not drawn, f"{path.name}:{node.lineno} uses {drawn[0]}"
 
 
 def _replay(ring, axiom, w):
@@ -336,9 +339,12 @@ def test_certificate_never_passes_what_the_scan_rejects(corpus_rings):
         if i == 0:
             value = ring.mul(x, y)  # an unchanged table must be certified
         bad = oracles.mutate_mul_entry(ring, x, y, value)
-        if kernel._certify_triple_axioms(bad.add_table, bad.mul_table, bad.zero):
+        failed = kernel._certify_triple_axioms(bad.add_table, bad.mul_table, bad.zero)
+        if failed is None:
             certified += 1
             assert kernel._scan_triple_axioms(bad.add_table, bad.mul_table) == []
+        else:
+            assert _replay(bad, failed[0].axiom, failed[0].witness)
     assert certified >= 1
 
 
@@ -508,13 +514,42 @@ def _step_corruption(step):
     return _with_factor(build_ring("prod(Z8, M(2, Z2))"), *faulty[factor])
 
 
-CERTIFICATE_STEPS = (
-    "generator-closure",
-    "light",
-    "right-distributivity",
-    "left-distributivity-on-generators",
-    "g-cubed",
-)
+# Each certificate step's witness on its corruption, and the triple
+# axioms that step leaves unchecked.
+CERTIFICATE_STEPS = {
+    "generator-closure": (
+        "add-associativity",
+        (1, 1, 2),
+        ["mul-associativity", "left-distributivity", "right-distributivity"],
+    ),
+    "light": (
+        "add-associativity",
+        (1, 1, 2),
+        ["mul-associativity", "left-distributivity", "right-distributivity"],
+    ),
+    "right-distributivity": (
+        "right-distributivity",
+        (2, 1, 2),
+        ["mul-associativity", "left-distributivity"],
+    ),
+    "left-distributivity-on-generators": ("left-distributivity", (2, 1, 2), ["mul-associativity"]),
+    "g-cubed": ("mul-associativity", (2, 2, 2), []),
+}
+
+
+def _step_report(bad, axiom, witness, not_checked):
+    report = {
+        "ring": bad.spell(),
+        "size": bad.size,
+        "mode": "sampled",
+        "ok": False,
+        "violations": [{"axiom": axiom, "witness": list(witness)}],
+        "sampled_triples": bad.size**2,
+        "sample_seed": 24301,
+    }
+    if not_checked:
+        report["not_checked"] = not_checked
+    return report
 
 
 @pytest.mark.parametrize("step", CERTIFICATE_STEPS)
@@ -523,10 +558,26 @@ def test_certificate_rejects_each_step_above_the_scan_limit(step):
     assert bad.size > kernel.FULL_SCAN_LIMIT
     add, mul = bad.add_table, bad.mul_table
     gens = kernel._additive_generators(add, bad.zero)
-    assert (gens is None) == (step == "generator-closure")
-    assert not kernel._certify_triple_axioms(add, mul, bad.zero)
-    report = validate_ring(bad)
-    assert report.to_dict() == _sampled_report(bad).to_dict()
-    assert not report.ok
-    for violation in report.violations:
-        assert _replay(bad, violation.axiom, violation.witness)
+    # the stranded closure stops at the bound, one pick short of Z512
+    closure_cut = len(gens) == bad.size.bit_length()
+    assert closure_cut == (step == "generator-closure")
+    expected = CERTIFICATE_STEPS[step]
+    violation, not_checked = kernel._certify_triple_axioms(add, mul, bad.zero)
+    assert (violation.axiom, violation.witness, list(not_checked)) == expected
+    assert _replay(bad, violation.axiom, violation.witness)
+    assert validate_ring(bad).to_dict() == _step_report(bad, *expected)
+
+
+@pytest.mark.parametrize("step", CERTIFICATE_STEPS)
+def test_certificate_witnesses_do_not_depend_on_the_row_blocks(step, monkeypatch):
+    bad = _step_corruption(step)
+    expected = validate_ring(bad).to_dict()
+    rows_of = kernel._row_blocks
+    # one row per block, so a witness in row x comes from block x and
+    # needs that block's offset; the default cell count is bound when
+    # _row_blocks is defined, so the function itself is replaced
+    monkeypatch.setattr(
+        kernel, "_row_blocks", lambda count, width, cells=None: rows_of(count, width, width)
+    )
+    assert len(kernel._row_blocks(bad.size, bad.size)) == bad.size
+    assert validate_ring(bad).to_dict() == expected
