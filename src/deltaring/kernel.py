@@ -387,10 +387,10 @@ class ValidationReport:
     """Outcome of a ring-axiom scan.
 
     Pair-quantified axioms are checked on every pair, triple-quantified
-    ones by the generator certificate or, on a failing table of at most
-    256 elements, by the full triple scan.  One witness is reported per
-    violated axiom, but above 256 elements a failing table gets only its
-    certificate step's witness, and ``not_checked`` (written only when
+    ones by the prover or, on a failing table of at most 256 elements,
+    by the full triple scan.  One witness is reported per violated
+    axiom, but above 256 elements a failing table gets only the witness
+    of the certificate step that fails, and ``not_checked`` (written only when
     non-empty) lists the triple axioms left undecided.  ``mode`` is
     "exhaustive" up to 256 elements and "sampled" above, where the dict
     also carries ``sampled_triples`` (n^2) and ``sample_seed``, although
@@ -468,6 +468,181 @@ _TRIPLE_AXIOMS = (
 )
 
 
+def _additive_tree(add: np.ndarray, zero: int):
+    """The enumeration of :func:`_prove_triple_axioms`: (picks, orders,
+    relations, parent, pick), or None when two layers meet.
+
+    ``picks[j]`` is g_j, ``orders[j]`` m_j and ``relations[j]`` r_j.
+    ``parent`` and ``pick`` hold p(y) and j(y) for every element y, so
+    that y = g_j(y) + p(y); zero is its own parent, with pick k.  The
+    walk is O(n) list steps plus one row per pick, and it ends after at
+    most n layers even on a table that is not a group.
+    """
+    n = add.shape[0]
+    index = [-1] * n  # position in the enumeration, -1 while unreached
+    index[zero] = 0
+    order = [zero]
+    parent = [zero] * n
+    pick = [-1] * n
+    picks, orders, relations = [], [], []
+    while len(order) < n:
+        g = index.index(-1)
+        row = add[g].tolist()
+        base = len(order)  # H_{j-1} is order[:base], zero first
+        layer, m = order, 1
+        # the first entry of each layer is m g_j, the orbit of zero
+        while index[row[layer[0]]] < 0:
+            for p in layer[:base]:
+                y = row[p]
+                if index[y] >= 0:
+                    return None
+                index[y] = len(order)
+                order.append(y)
+                parent[y] = p
+                pick[y] = len(picks)
+            layer, m = order[-base:], m + 1
+        relation = row[layer[0]]
+        if index[relation] >= base:  # the orbit closed outside H_{j-1}
+            return None
+        picks.append(g)
+        orders.append(m)
+        relations.append(relation)
+    pick[zero] = len(picks)
+    return (
+        np.array(picks, dtype=np.intp),
+        orders,
+        relations,
+        np.array(parent, dtype=np.intp),
+        np.array(pick, dtype=np.intp),
+    )
+
+
+def _multiple(add: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """m w, elementwise for a vector w of elements and m >= 1, by doubling."""
+    out = None
+    while m:
+        if m & 1:
+            out = w if out is None else add[out, w]
+        w = add[w, w]
+        m >>= 1
+    return out
+
+
+def _prove_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
+    """Prove the four triple-quantified axioms with two n^2 passes,
+    whatever the number k of additive generators.
+
+    True proves both associativities and both distributive laws on
+    every triple of a table that satisfies the additive pair axioms
+    (commutative +, two-sided zero, additive inverses); every ring gets
+    True.  No step uses a multiplicative identity, so a ring without
+    one, such as the V of a Dorroh extension, is judged the same way.
+
+    Enumeration (:func:`_additive_tree`).  H_0 = {0}.  Stage j picks
+    g_j, the lowest element outside H_{j-1}.  Layer 0 is H_{j-1}, and
+    layer c is g_j + (layer c-1), elementwise, until the image of 0
+    (the orbit point c g_j) lands in H_{j-1}: at c = m_j, as r_j.  An
+    element y of layer c >= 1 records its parent p(y), the element of
+    layer c-1 it came from, and its pick j(y), so y = g_j(y) + p(y).
+    H_j is layers 0..m_j-1, and the stages end when H_k holds all n
+    elements.  Each stage at least doubles H, so k <= log2 n.
+
+    The gates, each over all x, y, z and every pick:
+
+    1. the layers are disjoint, so c(0) = 0 and c(y) = c(p(y)) + e_j(y)
+       is a bijection from the elements onto B = prod_j [0, m_j);
+    2. the translations T_j: z -> g_j + z commute pairwise;
+    3. the additive tree: y + z = p(y) + (g_j(y) + z) for y != 0;
+    4. the left-distributive tree: xy = x p(y) + x g_j(y) for y != 0,
+       and x0 = x0 + x0;
+    5. the multiplicative relations: m_j (x g_j) = x r_j, by doubling;
+    6. right distributivity on G: (y + g_j) g_i = y g_i + g_j g_i;
+    7. multiplicative associativity on G^3.
+
+    Soundness, given the additive pair axioms and gates 1-7.  Write
+    T_y: z -> y + z, and T^v for the composite of T_j^{v_j} over j,
+    v in N^k, whose order does not matter by gate 2.
+
+    (a) T_0 is the identity, and gate 3 says T_y = T_{p(y)} T_j(y), so
+        by induction along parents T_y = T^{c(y)}.
+    (b) T_{r_j} = T_j^{m_j}, as r_j = T_j^{m_j}(0): by commutativity,
+        (a) and gate 2, r_j + z = T^{c(z)}(T_j^{m_j}(0)) =
+        T_j^{m_j}(T_z(0)) = T_j^{m_j}(z).  So the additive relations
+        need no gate of their own.
+    (c) If v_j >= m_j, (a) and (b) give T^v = T^{v'} for
+        v' = v - m_j e_j + c(r_j); c(r_j) vanishes from coordinate j
+        on, since r_j is in H_{j-1}.  Taking the highest such j each
+        time lowers v read from the top, so the rewriting ends in B,
+        at some c(w) by gate 1: T^v = T_w.
+    (d) So T_x T_y = T^{c(x) + c(y)} = T_w for some w, and at 0 this
+        reads x + y = w.  Thus x + (y + z) = (x + y) + z, and with the
+        pair axioms (R, +) is an abelian group.
+    (e) psi: Z^k -> R, v -> sum_j v_j g_j, maps c(y) to T^{c(y)}(0) =
+        y, so it is onto and its kernel K has index n.  K holds the
+        relations rho_j = m_j e_j - c(r_j), a triangular set with
+        diagonal m_j, so they span a lattice of index
+        prod_j m_j = |B| = n (gate 1): all of K.
+    (f) Fix x and let phi: Z^k -> R, v -> sum_j v_j (x g_j).  Gate 4 at
+        y = g_j, whose parent is 0, gives x0 = 0, and then, by
+        induction along parents, xy = phi(c(y)); in particular
+        phi(c(r_j)) = x r_j.  By gate 5, phi(rho_j) = 0, so phi
+        vanishes on K and factors as lambda psi with lambda additive:
+        xy = lambda(psi(c(y))) = lambda(y).  Every y -> xy is additive.
+    (g) For fixed i, the h with (y + h) g_i = y g_i + h g_i for all y
+        are closed under +, and they include G by gate 6.  A nonempty
+        subset of a finite group closed under + is a subgroup, and G
+        generates R, so y -> y g_i is additive.  By (f),
+        y(x + x') = yx + yx', and a sum of additive maps is additive,
+        so by the same argument every y -> yx is additive.
+    (h) By (f) and (g), (xy)z and x(yz) are additive in each argument,
+        and every element is a sum of picks (0 the empty one), so
+        gate 7 makes them equal everywhere.
+
+    Completeness.  In a ring (R, +) is an abelian group: H_{j-1} is
+    the subgroup the earlier picks generate, layer c is the coset
+    c g_j + H_{j-1}, and these are distinct for c below m_j, the order
+    of g_j modulo H_{j-1}; so gate 1 holds, and gates 2-7 are
+    identities of every ring (x0 = 0 among them).
+
+    Cost: the walk, k^2 n for gate 2, n sum_j log m_j for gate 5,
+    n k^2 for gate 6 and k^3 for gate 7.  Gates 3 and 4 are one n^2
+    pass each, in row blocks of about ``_CERT_BLOCK_CELLS`` cells:
+    gate 3 gathers, for the y of one pick, the rows of p(y) through
+    the columns g_j + z, and gate 4 reads each x's row of ``mul`` and
+    gathers from one row of ``add`` per pick.
+    """
+    tree = _additive_tree(add, zero)
+    if tree is None:
+        return False
+    picks, orders, relations, parent, pick = tree
+    n = add.shape[0]
+    translate = add[picks]  # translate[j, z] = g_j + z
+    after = translate[:, translate]  # after[i, j, z] = g_i + (g_j + z)
+    if (after != after.transpose(1, 0, 2)).any():
+        return False
+    for j, t in enumerate(translate):
+        ys = np.flatnonzero(pick == j)
+        for rows in _row_blocks(ys.size, n):
+            if (np.take(add[parent[ys[rows]]], t, axis=1) != add[ys[rows]]).any():
+                return False
+    flat = add.reshape(-1)
+    heads = np.append(picks, zero)  # x g_j by pick, and x0 for y = 0
+    for rows in _row_blocks(n, n):
+        block = mul[rows]
+        at = np.take(block[:, heads].astype(np.intp) * n, pick, axis=1)
+        at += np.take(block, parent, axis=1)
+        if (np.take(flat, at) != block).any():
+            return False
+    for g, m, r in zip(picks, orders, relations):
+        if (_multiple(add, mul[:, g], m) != mul[:, r]).any():
+            return False
+    cols = mul[:, picks]  # cols[y, i] = y g_i
+    if (cols[translate] != add[cols, cols[picks][:, None]]).any():
+        return False
+    gg = cols[picks]
+    return not (mul[gg[:, :, None], picks] != mul[picks[:, None, None], gg]).any()
+
+
 def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
     """A greedy additive generating set G, complete unless a bound is hit.
 
@@ -514,7 +689,9 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
 def _certify_triple_axioms(
     add: np.ndarray, mul: np.ndarray, zero: int
 ) -> tuple[AxiomViolation, tuple[str, ...]] | None:
-    """Prove the four triple-quantified axioms in O(n^2 k + n k^2) gathers.
+    """The witness search for a table above 256 elements that
+    :func:`_prove_triple_axioms` rejects: a certificate on an additive
+    generating set, in O(n^2 k + n k^2) gathers.
 
     Sound only on tables that already satisfy the pair-quantified axioms
     of addition (commutative, two-sided zero, additive inverses).  No
@@ -669,14 +846,15 @@ def _axiom_violations(
     additive inverses, and a two-sided one unless ``one`` is None) are
     checked on all n^2 pairs, the n x n ones in row blocks of about
     ``_CERT_BLOCK_CELLS`` cells.  Once the three additive ones pass,
-    :func:`_certify_triple_axioms` decides the triple-quantified ones
+    :func:`_prove_triple_axioms` decides the triple-quantified ones
     (both associativities, both distributive laws) without using an
     identity, so ``one=None`` judges a ring that need not have one.
-    A failing table of at most 256 elements gets the n^3 scan
-    (:func:`_scan_triple_axioms`), the lexicographically first triple of
-    each violated triple axiom.  Above that it gets the certificate's
-    witness and the triple axioms left undecided: all four when an
-    additive pair axiom fails, since the certificate needs them.
+    A failing table of at most 256 elements goes straight to the n^3
+    scan (:func:`_scan_triple_axioms`), the lexicographically first
+    triple of each violated triple axiom.  Above that, a table the
+    prover rejects gets the witness of :func:`_certify_triple_axioms`
+    and the triple axioms it leaves undecided: all four when an
+    additive pair axiom fails, since both need those.
     """
     n = add.shape[0]
     violations: list[AxiomViolation] = []
@@ -697,23 +875,30 @@ def _axiom_violations(
     witness = None if one is None else _identity_witness(mul, one)
     if witness is not None:
         violations.append(AxiomViolation("one-identity", witness))
-    failed = _certify_triple_axioms(add, mul, zero) if additive else None
-    if (violations or failed) and n <= FULL_SCAN_LIMIT:
-        return violations + _scan_triple_axioms(add, mul), ()
+    if n <= FULL_SCAN_LIMIT:
+        if violations or not _prove_triple_axioms(add, mul, zero):
+            violations += _scan_triple_axioms(add, mul)
+        return violations, ()
     if not additive:
         return violations, _TRIPLE_AXIOMS
-    if failed is None:
+    if _prove_triple_axioms(add, mul, zero):
         return violations, ()
-    return violations + [failed[0]], failed[1]
+    # the prover is complete, so the sound certificate fails too
+    violation, not_checked = _certify_triple_axioms(add, mul, zero)
+    return violations + [violation], not_checked
 
 
 def validate_ring(ring: FiniteRing) -> ValidationReport:
     """Check the unital-ring axioms against the compiled tables.
 
     :func:`_axiom_violations` judges them, exactly at every size.  A
-    passing ring costs n^2 pair checks plus O(n^2 k + n k^2)
-    certificate gathers, k <= log2 n generators, in blocks of about
-    16 MB; only a failing table of at most 256 elements pays n^3.
+    passing ring costs n^2 pair checks plus the two n^2 passes of
+    :func:`_prove_triple_axioms`, whatever the number of additive
+    generators, all in row blocks of ``_CERT_BLOCK_CELLS`` cells; only
+    a failing table of at most 256 elements pays n^3.
+
+    Tracemalloc peak: 9 bytes per n^2 at about 1024 elements, where one
+    block is half the table; at every size the blocks hold it near 9 MB.
     Structural totality (square tables, in-range entries) is enforced
     at construction time and raises MalformedTableError there, so this
     scan only ever judges axioms.

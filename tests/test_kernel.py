@@ -1,10 +1,15 @@
 import ast
+import gc
+import itertools
+import math
 import pathlib
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltaring
@@ -468,6 +473,151 @@ def test_faulty_tables_get_the_scan_report(add, mul, violations):
     }
 
 
+def _zero_table(n):
+    return [[0] * n for _ in range(n)]
+
+
+# Z4 numbered 0, 2, 1, 3: the prover's first pick has order 2, so the
+# second one meets the relation 2 * 1 = 2 in these labels
+_Z4_RENUMBERED = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+
+# Tables that satisfy the additive pair axioms but not the triple axioms,
+# each rejected by exactly one gate of the prover, which it names
+ONE_GATE_TABLES = {
+    # 1 + 1 = 0 and 2 + 1 = 0: the second pick's layer meets the first's
+    "bijective enumeration": (FAULTY_TABLE_REPORTS[0][1], _zero_table(4)),
+    "commuting translations": (
+        [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 0]],
+        _zero_table(4),
+    ),
+    # a commutative loop of order 6 that is not associative
+    "additive tree": (
+        [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 2, 5, 4],
+            [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0],
+            [4, 5, 0, 1, 3, 2],
+            [5, 4, 1, 0, 2, 3],
+        ],
+        _zero_table(6),
+    ),
+    "left-distributive tree": (_XOR4, [list(col) for col in zip(*_NEAR_RING)]),
+    # x * y = x when y is an odd element of Z4 and 0 otherwise: additive in
+    # the picks' coordinates, but 2 (x * 1) = 0 != x * 2 for odd x
+    "multiplicative relations": (
+        _Z4_RENUMBERED,
+        [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 0, 3, 3]],
+    ),
+    "right distributivity on G": (_XOR4, _NEAR_RING),
+    "G^3": ([[x ^ y for y in range(8)] for x in range(8)], _NONASSOCIATIVE_ALGEBRA),
+}
+
+
+@pytest.mark.parametrize("gate", ONE_GATE_TABLES)
+def test_prover_rejects_what_only_one_gate_catches(gate):
+    add, mul = (np.array(t, dtype=np.int32) for t in ONE_GATE_TABLES[gate])
+    pair_faults, _ = kernel._axiom_violations(add, mul, 0)
+    assert {v.axiom for v in pair_faults} <= set(kernel._TRIPLE_AXIOMS)
+    assert kernel._scan_triple_axioms(add, mul)
+    assert not kernel._prove_triple_axioms(add, mul, 0)
+
+
+def _additive_pair_axioms_hold(add, zero):
+    arange = np.arange(add.shape[0])
+    return (
+        (add == add.T).all()
+        and (add[zero] == arange).all()
+        and (add[:, zero] == arange).all()
+        and (add == zero).any(axis=1).all()
+    )
+
+
+# the rings of the benchmark's point_queries workload
+POINT_SPECS = (
+    "T(3, Z2)",
+    "M(2, Z3)",
+    "T(2, Z8)",
+    "H(1, 1, Z8)",
+    "Z1024",
+    "prod(M(2, Z2), T(2, Z4))",
+)
+
+
+def test_prover_never_passes_what_the_scan_rejects(corpus, ladder_rings):
+    prove = kernel._prove_triple_axioms
+    for ring in [*ladder_rings.values(), *map(build_ring, POINT_SPECS)]:
+        assert prove(ring.add_table, ring.mul_table, ring.zero), ring.spell()
+    rng = random.Random(13)
+    rejected = 0
+    for entry in corpus:
+        ring = entry.ring
+        add, mul, zero = ring.add_table, ring.mul_table, ring.zero
+        assert prove(add, mul, zero), entry.spec_text
+        tables = []
+        for i in range(8 if ring.size < 256 else 2):
+            x, y, value = (rng.randrange(ring.size) for _ in range(3))
+            tables.append((add, oracles.mutate_mul_entry(ring, x, y, value).mul_table))
+            # a diagonal entry or a symmetric pair keeps add commutative
+            y = x if i % 2 else y
+            bad = add.copy()
+            bad[x, y] = bad[y, x] = value
+            if _additive_pair_axioms_hold(bad, zero):
+                tables.append((bad, mul))
+        for bad_add, bad_mul in tables:
+            proved = prove(bad_add, bad_mul, zero)
+            assert proved == (kernel._scan_triple_axioms(bad_add, bad_mul) == []), entry.spec_text
+            rejected += not proved
+    assert rejected > 150
+
+
+@st.composite
+def shuffled_bilinear_tables(draw):
+    """A product of cyclic groups, its elements numbered in a shuffled
+    order, with a bilinear product of the standard basis vectors and one
+    product entry then overwritten."""
+    orders = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    n = math.prod(orders)
+    modulus = np.array(orders)
+    coords = np.array(list(itertools.product(*map(range, orders))))
+    # e_a e_b may be any vector of order dividing gcd(m_a, m_b)
+    basis = np.array(
+        [
+            [
+                [
+                    draw(st.integers(0, m - 1)) * (m // math.gcd(m, math.gcd(a, b)))
+                    for m in orders
+                ]
+                for b in orders
+            ]
+            for a in orders
+        ]
+    )
+    label = np.array(draw(st.permutations(range(n))))
+    number = dict(zip(map(tuple, coords), label))
+
+    def table(values):
+        out = np.empty((n, n), dtype=np.int32)
+        for u in range(n):
+            for v in range(n):
+                out[label[u], label[v]] = number[tuple(values[u, v] % modulus)]
+        return out
+
+    add = table(coords[:, None, :] + coords[None, :, :])
+    mul = table(np.einsum("ua,vb,abi->uvi", coords, coords, basis))
+    x, y, value = (draw(st.integers(0, n - 1)) for _ in range(3))
+    mul[x, y] = value
+    return add, mul, int(label[0])
+
+
+@settings(derandomize=True)
+@given(shuffled_bilinear_tables())
+def test_prover_agrees_with_the_scan_on_shuffled_groups(tables):
+    add, mul, zero = tables
+    scanned = kernel._scan_triple_axioms(add, mul)
+    assert kernel._prove_triple_axioms(add, mul, zero) == (scanned == [])
+
+
 def _with_factor(ring, add, mul):
     """The table of ring x T for a 4- or 8-element table T with zero 0 and
     one 1, its pairs (r, t) numbered r * |T| + t."""
@@ -581,3 +731,19 @@ def test_certificate_witnesses_do_not_depend_on_the_row_blocks(step, monkeypatch
     )
     assert len(kernel._row_blocks(bad.size, bad.size)) == bad.size
     assert validate_ring(bad).to_dict() == expected
+
+
+@pytest.mark.parametrize("spec", ["Z1024", "T(4, Z2)", "H(1, 1, Z10)"])
+def test_validate_ring_peak_stays_within_the_docstring_figure(spec):
+    ring = build_ring(spec)
+    stated = re.search(r"Tracemalloc peak: ([\d.]+) bytes\s+per n\^2", validate_ring.__doc__)
+    assert stated, "validate_ring states no peak per n^2"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = validate_ring(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and ring.size in range(1000, 1300)
+    assert peak / ring.size**2 <= float(stated.group(1))
