@@ -32,11 +32,9 @@ a flat ``np.take`` into an n-vector lookup composed once (for example
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .kernel import Element, ElementSet, FiniteRing, _row_blocks
+from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles
 
 # Cells per row block of a sweep.  np.take turns int32 indices into an
 # intp copy, so a block costs 9-13 bytes per cell, about 2.4-3.4 MB at
@@ -194,15 +192,11 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
 
     def compute():
         mul = ring.mul_table
-        side = math.isqrt(_BLOCK_CELLS)
         out = np.empty(mul.shape, dtype=bool)
-        for lo in range(0, ring.size, side):
-            rows = slice(lo, lo + side)
-            for hi in range(lo, ring.size, side):
-                cols = slice(hi, hi + side)
-                np.equal(mul[rows, cols], mul[cols, rows].T, out=out[rows, cols])
-                if hi != lo:
-                    out[cols, rows] = out[rows, cols].T
+        for rows, cols in _upper_tiles(ring.size, _BLOCK_CELLS):
+            np.equal(mul[rows, cols], mul[cols, rows].T, out=out[rows, cols])
+            if cols != rows:
+                out[cols, rows] = out[rows, cols].T
         return _frozen(out)
 
     return _cached(ring, "comm_matrix", compute)

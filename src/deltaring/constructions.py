@@ -570,10 +570,11 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
     """Exhaustively check every law a Dorroh extension relies on.
 
     V must be a ring, judged exactly by the kernel's axiom code without
-    a one, since the certificate needs no identity.  A V that fails gets
-    one error per violated pair axiom, and for the triple axioms one per
-    violated axiom from the triple scan up to 256 elements, or the
-    failing certificate step's single witness above that.  Then
+    a one, since the triple-axiom prover needs no identity.  A V that
+    fails gets one error per violated pair axiom, and for the triple
+    axioms one per violated axiom from the triple scan up to 256
+    elements, or the prover's failing gate's single witness above
+    that.  Then
     both actions must be biadditive and unital over the base one, and
     satisfy the module associativity laws (r*s).v = r.(s.v),
     v.(r*s) = (v.r).s, (r.v).s = r.(v.s) and the three

@@ -17,6 +17,7 @@ the left product once per hit.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -390,8 +391,8 @@ class ValidationReport:
     ones by the prover or, on a failing table of at most 256 elements,
     by the full triple scan.  One witness is reported per violated
     axiom, but above 256 elements a failing table gets only the witness
-    of the certificate step that fails, and ``not_checked`` (written only when
-    non-empty) lists the triple axioms left undecided.  ``mode`` is
+    of the prover's gate that fails, and ``not_checked`` (written only
+    when non-empty) lists the triple axioms left undecided.  ``mode`` is
     "exhaustive" up to 256 elements and "sampled" above, where the dict
     also carries ``sampled_triples`` (n^2) and ``sample_seed``, although
     nothing is sampled: the benchmark's reference outputs
@@ -434,15 +435,16 @@ VALIDATION_SEED = 0x5EED
 
 # Keep chunked triple tensors around 16 MB of int32.
 _CHUNK_CELLS = 4_000_000
-# A certificate step keeps up to eight block-sized arrays alive at once
-# (intp ones counting twice), so its blocks are an eighth of a scan
-# chunk: about 16 MB in all.
+# A row-block pass of the triple-axiom prover keeps up to eight
+# block-sized arrays alive at once (intp ones counting twice), so its
+# blocks are an eighth of a scan chunk: about 16 MB in all.
 _CERT_BLOCK_CELLS = _CHUNK_CELLS // 8
 
 
 # Row blocks for one-pass sweeps over a table (the negation scan, and the
-# constructions' row gathers): 256 KB of int32 stays in cache, and is
-# small next to an n^2 table at every size.
+# constructions' row gathers), and the commutativity check's tiles:
+# 256 KB of int32 stays in cache, and is small next to an n^2 table at
+# every size.
 _SWEEP_BLOCK_CELLS = 1 << 16
 
 
@@ -453,11 +455,28 @@ def _row_blocks(count: int, width: int, cells: int = _CERT_BLOCK_CELLS) -> list[
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _first_witness(mismatch: np.ndarray, x_offset: int = 0) -> tuple[int, ...]:
-    at = np.argwhere(mismatch)[0]
-    coords = [int(c) for c in at]
-    coords[0] += x_offset
-    return tuple(coords)
+def _upper_tiles(n: int, cells: int) -> list[tuple[slice, slice]]:
+    """Square tiles (rows, cols) of about ``cells`` cells that cover the
+    diagonal of an n x n table and the part above it, row band by row
+    band: comparing a tile with its mirror below the diagonal reads both
+    from cache, where a band of rows against its columns does not."""
+    side = math.isqrt(cells)
+    return [
+        (slice(lo, lo + side), slice(hi, hi + side))
+        for lo in range(0, n, side)
+        for hi in range(lo, n, side)
+    ]
+
+
+def _first_mismatch(left, right, offset: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """The first index, in row-major order, at which two arrays of one
+    shape differ, with ``offset`` added to its leading coordinates; None
+    when they are equal."""
+    mismatch = left != right
+    if not mismatch.any():
+        return None
+    at = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
+    return tuple(int(c) + s for c, s in zip(at, offset + (0,) * mismatch.ndim))
 
 
 _TRIPLE_AXIOMS = (
@@ -469,8 +488,10 @@ _TRIPLE_AXIOMS = (
 
 
 def _additive_tree(add: np.ndarray, zero: int):
-    """The enumeration of :func:`_prove_triple_axioms`: (picks, orders,
-    relations, parent, pick), or None when two layers meet.
+    """The enumeration of :func:`_prove_triple_axioms`: the picks, and
+    (orders, relations, parent, pick), or None in their place when the
+    walk breaks down (two layers meet, or an orbit closes outside
+    H_{j-1}), the picks then ending with the one whose stage broke down.
 
     ``picks[j]`` is g_j, ``orders[j]`` m_j and ``relations[j]`` r_j.
     ``parent`` and ``pick`` hold p(y) and j(y) for every element y, so
@@ -487,6 +508,7 @@ def _additive_tree(add: np.ndarray, zero: int):
     picks, orders, relations = [], [], []
     while len(order) < n:
         g = index.index(-1)
+        picks.append(g)
         row = add[g].tolist()
         base = len(order)  # H_{j-1} is order[:base], zero first
         layer, m = order, 1
@@ -495,21 +517,19 @@ def _additive_tree(add: np.ndarray, zero: int):
             for p in layer[:base]:
                 y = row[p]
                 if index[y] >= 0:
-                    return None
+                    return np.array(picks, dtype=np.intp), None
                 index[y] = len(order)
                 order.append(y)
                 parent[y] = p
-                pick[y] = len(picks)
+                pick[y] = len(picks) - 1
             layer, m = order[-base:], m + 1
         relation = row[layer[0]]
         if index[relation] >= base:  # the orbit closed outside H_{j-1}
-            return None
-        picks.append(g)
+            return np.array(picks, dtype=np.intp), None
         orders.append(m)
         relations.append(relation)
     pick[zero] = len(picks)
-    return (
-        np.array(picks, dtype=np.intp),
+    return np.array(picks, dtype=np.intp), (
         orders,
         relations,
         np.array(parent, dtype=np.intp),
@@ -518,7 +538,7 @@ def _additive_tree(add: np.ndarray, zero: int):
 
 
 def _multiple(add: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """m w, elementwise for a vector w of elements and m >= 1, by doubling."""
+    """m w for an element or a vector of elements w and m >= 1, by doubling."""
     out = None
     while m:
         if m & 1:
@@ -528,14 +548,17 @@ def _multiple(add: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _prove_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
-    """Prove the four triple-quantified axioms with two n^2 passes,
-    whatever the number k of additive generators.
+def _prove_triple_axioms(
+    add: np.ndarray, mul: np.ndarray, zero: int
+) -> tuple[AxiomViolation, tuple[str, ...]] | None:
+    """Decide the four triple-quantified axioms with two n^2 passes,
+    whatever the number k of additive generators: None for a proof,
+    else a violated triple and the triple axioms left undecided.
 
-    True proves both associativities and both distributive laws on
+    None proves both associativities and both distributive laws on
     every triple of a table that satisfies the additive pair axioms
     (commutative +, two-sided zero, additive inverses); every ring gets
-    True.  No step uses a multiplicative identity, so a ring without
+    None.  No step uses a multiplicative identity, so a ring without
     one, such as the V of a Dorroh extension, is judged the same way.
 
     Enumeration (:func:`_additive_tree`).  H_0 = {0}.  Stage j picks
@@ -604,183 +627,119 @@ def _prove_triple_axioms(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     of g_j modulo H_{j-1}; so gate 1 holds, and gates 2-7 are
     identities of every ring (x0 = 0 among them).
 
+    Witnesses.  The first gate that fails names one triple that
+    violates one axiom, which table lookups alone replay; the triple
+    axioms that the gates after it would have proved stay undecided.
+    Commutative + gives y = p(y) + g_j(y).
+
+    1. Add-associativity at the least (x, g, y) of Light's test,
+       (x + g) + y != x + (g + y), over the picks so far, the current
+       one included; the other three axioms stay undecided.
+    2. Add-associativity at (g_i, g_j, z) or (g_j, g_i, z): their
+       left sides (g_i + g_j) + z and (g_j + g_i) + z are equal, and
+       their right sides g_i + (g_j + z) != g_j + (g_i + z) are not,
+       so one of them is violated.  Undecided as in gate 1.
+    3. Add-associativity at (p(y), g_j, z), whose left side is y + z.
+       Undecided as in gate 1.
+    4. Left-distributivity at (x, p(y), g_j(y)), or at (x, 0, 0) when
+       x0 != x0 + x0; mul-associativity and right-distributivity stay
+       undecided.
+    5. Left-distributivity at (x, (m_j - 1) g_j, g_j): gate 4 proved
+       x (c g_j) = c (x g_j) for c < m_j, so the right side is
+       m_j (x g_j), and the left side x r_j differs from it.
+       Undecided as in gate 4.
+    6. Right-distributivity at (y, g_j, g_i); mul-associativity stays
+       undecided.
+    7. Mul-associativity at (g_a, g_b, g_c); none stays undecided.
+
+    Within a gate the witness is the first failing cell in the order
+    the gate reads them, pick by pick and then row-major, and the row
+    blocks do not change it; gate 1 takes the least (x, g, y).
+
+    Gate 1 always finds its witness.  If every pick so far passed
+    Light's test, then so would every s in the monoid M they generate,
+    since the s that pass are closed under + (Light's lemma) and
+    include 0.  So + is associative on M, and for s in M and the t with
+    s + t = 0, (x + s) + t = x + (s + t) = x: x -> x + s is injective,
+    and M, a finite cancellative commutative monoid, is a group.  In it
+    H_{j-1} is the subgroup of the earlier picks, and layer c the coset
+    c g_j + H_{j-1}.  A layer is built only while its head c g_j lies
+    outside the layers before it, so it meets none of them; and the
+    head m_j g_j that stops the stage cannot lie in a layer c >= 1, or
+    the head (m_j - c) g_j of an earlier layer would lie in H_{j-1}.
+    So gate 1 could not have failed.
+
     Cost: the walk, k^2 n for gate 2, n sum_j log m_j for gate 5,
     n k^2 for gate 6 and k^3 for gate 7.  Gates 3 and 4 are one n^2
     pass each, in row blocks of about ``_CERT_BLOCK_CELLS`` cells:
     gate 3 gathers, for the y of one pick, the rows of p(y) through
     the columns g_j + z, and gate 4 reads each x's row of ``mul`` and
-    gathers from one row of ``add`` per pick.
+    gathers from one row of ``add`` per pick.  Only a failing gate 1
+    pays more: Light's test is k n^2, in the same row blocks.
     """
-    tree = _additive_tree(add, zero)
-    if tree is None:
-        return False
-    picks, orders, relations, parent, pick = tree
+    undecided = {
+        "add-associativity": _TRIPLE_AXIOMS[1:],
+        "left-distributivity": ("mul-associativity", "right-distributivity"),
+        "right-distributivity": ("mul-associativity",),
+        "mul-associativity": (),
+    }
+
+    def failure(axiom, *witness):
+        return AxiomViolation(axiom, tuple(int(c) for c in witness)), undecided[axiom]
+
+    picks, tree = _additive_tree(add, zero)
     n = add.shape[0]
     translate = add[picks]  # translate[j, z] = g_j + z
+    if tree is None:
+        found = []
+        for rows in _row_blocks(n, n):
+            for g, t in zip(picks, translate):
+                # (x + g) + y against x + (g + y), for the block's x
+                at = _first_mismatch(add[t[rows]], np.take(add[rows], t, axis=1), (rows.start,))
+                if at:
+                    found.append((at[0], g, at[1]))
+        return failure("add-associativity", *min(found))
+    orders, relations, parent, pick = tree
     after = translate[:, translate]  # after[i, j, z] = g_i + (g_j + z)
-    if (after != after.transpose(1, 0, 2)).any():
-        return False
+    at = _first_mismatch(after, after.transpose(1, 0, 2))
+    if at:
+        i, j, z = at
+        gi, gj = picks[i], picks[j]
+        if add[add[gi, gj], z] != after[i, j, z]:
+            return failure("add-associativity", gi, gj, z)
+        return failure("add-associativity", gj, gi, z)
     for j, t in enumerate(translate):
         ys = np.flatnonzero(pick == j)
         for rows in _row_blocks(ys.size, n):
-            if (np.take(add[parent[ys[rows]]], t, axis=1) != add[ys[rows]]).any():
-                return False
+            at = _first_mismatch(
+                np.take(add[parent[ys[rows]]], t, axis=1), add[ys[rows]], (rows.start,)
+            )
+            if at:
+                return failure("add-associativity", parent[ys[at[0]]], picks[j], at[1])
     flat = add.reshape(-1)
     heads = np.append(picks, zero)  # x g_j by pick, and x0 for y = 0
     for rows in _row_blocks(n, n):
         block = mul[rows]
-        at = np.take(block[:, heads].astype(np.intp) * n, pick, axis=1)
-        at += np.take(block, parent, axis=1)
-        if (np.take(flat, at) != block).any():
-            return False
+        # the flat index in add of x g_j(y) + x p(y)
+        cells = np.take(block[:, heads].astype(np.intp) * n, pick, axis=1)
+        cells += np.take(block, parent, axis=1)
+        at = _first_mismatch(np.take(flat, cells), block, (rows.start,))
+        if at:
+            x, y = at
+            return failure("left-distributivity", x, parent[y], heads[pick[y]])
     for g, m, r in zip(picks, orders, relations):
-        if (_multiple(add, mul[:, g], m) != mul[:, r]).any():
-            return False
+        at = _first_mismatch(_multiple(add, mul[:, g], m), mul[:, r])
+        if at:
+            return failure("left-distributivity", at[0], _multiple(add, g, m - 1), g)
     cols = mul[:, picks]  # cols[y, i] = y g_i
-    if (cols[translate] != add[cols, cols[picks][:, None]]).any():
-        return False
+    at = _first_mismatch(cols[translate], add[cols, cols[picks][:, None]])
+    if at:
+        j, y, i = at
+        return failure("right-distributivity", y, picks[j], picks[i])
     gg = cols[picks]
-    return not (mul[gg[:, :, None], picks] != mul[picks[:, None, None], gg]).any()
-
-
-def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
-    """A greedy additive generating set G, complete unless a bound is hit.
-
-    G starts empty and repeatedly takes the lowest element not yet
-    reached.  After each pick the reached set is closed by sumset
-    doubling, ``reach |= add[reach][:, reach]``, so r rounds reach every
-    sum of up to 2^r picked elements; a round that reaches every
-    element ends the closure.  In a group each pick at least doubles
-    the reached subgroup and each closure stops growing within
-    ``bit_length(n)`` rounds, so k = |G| <= log2 n.  A bound that is hit
-    stops the picking, and the picks so far are returned.
-
-    Given the additive pair axioms, some pick then fails Light's test
-    (step 2 of :func:`_certify_triple_axioms`), which names a witness.
-    The s passing it, (x+s)+y = x+(s+y) for all x, y, are closed under
-    + (Light's lemma); for such s with s + t = 0, (x+s)+t = x, so
-    x -> x+s is a bijection.  Picks that all pass thus generate a
-    finite abelian group, where both bounds hold.
-
-    Cost: O(n^2) per round, O(n^2 log n) in total, gathered in blocks of
-    about ``_CERT_BLOCK_CELLS``.
-    """
-    n = add.shape[0]
-    limit = n.bit_length()
-    reach = np.zeros(n, dtype=bool)
-    reach[zero] = True
-    gens = []
-    while not reach.all() and len(gens) < limit:
-        g = int(np.argmin(reach))
-        gens.append(g)
-        reach[g] = True
-        for _ in range(limit + 1):
-            idx = np.flatnonzero(reach)
-            for rows in _row_blocks(idx.size, n):
-                reach[np.take(add[idx[rows]], idx, axis=1)] = True
-            count = np.count_nonzero(reach)
-            if count == idx.size or count == n:
-                break
-        else:
-            break
-    return np.array(gens, dtype=np.intp)
-
-
-def _certify_triple_axioms(
-    add: np.ndarray, mul: np.ndarray, zero: int
-) -> tuple[AxiomViolation, tuple[str, ...]] | None:
-    """The witness search for a table above 256 elements that
-    :func:`_prove_triple_axioms` rejects: a certificate on an additive
-    generating set, in O(n^2 k + n k^2) gathers.
-
-    Sound only on tables that already satisfy the pair-quantified axioms
-    of addition (commutative, two-sided zero, additive inverses).  No
-    step uses a multiplicative identity, so the certificate serves a ring
-    without one too, such as the V of a Dorroh extension
-    (``constructions.validate_bimodule_action``).  Each step is sound
-    only once the steps before it have passed:
-
-    1. A greedy additive generating set G, k = |G| <= log2 n
-       (:func:`_additive_generators`): every element is a sum of picks,
-       unless a bound cut the closure short, which step 2 then rejects.
-    2. Additive associativity by Light's test, one generator at a time:
-       with commutative addition, (x+g)+y = x+(g+y) for all x, y says
-       that M_g = add[add[:, g]] is symmetric.  The g that associate
-       this way are closed under +, and G generates the table, so every
-       element associates.  With the pair axioms, + is now a finite
-       abelian group, generated by G alone.
-    3. Right distributivity: (y+g)x = yx + gx for all x, y and every g
-       in G.  The g for which it holds are closed under + and, in the
-       finite group of step 2, form a subgroup; so it holds for every
-       g and every right multiplication y -> yx is additive.
-    4. Left distributivity on generators only: g(y+h) = gy + gh for g,
-       h in G and all y.  For each g the h that satisfy it form a
-       subgroup, so every L_g: y -> gy is additive.  By step 3,
-       L_{x+x'} = L_x + L_{x'}, and a sum of additive maps of an
-       abelian group is additive, so the x with additive L_x form a
-       subgroup containing G: every left multiplication is additive.
-    5. Multiplicative associativity on G^3.  By steps 3 and 4 both
-       (xy)z and x(yz) are additive in each argument, and every element
-       is a sum of generators, so agreement on G^3 is agreement
-       everywhere.
-
-    None is a proof covering every triple.  Otherwise the first failing
-    step returns its first violated triple (in steps 2 and 3 the least
-    x, then g, then y, so the row blocks do not change it; picks come
-    in increasing order) and the triple axioms it leaves undecided: step 2 add-associativity (x, g, y), leaving the
-    other three; step 3 right-distributivity (y, g, x), leaving
-    mul-associativity and left-distributivity; step 4
-    left-distributivity (g, y, h), leaving mul-associativity; step 5
-    mul-associativity (g, h, k), leaving none.
-
-    Cost: steps 2 and 3 are k row-block gathers each over the n^2
-    cells, step 4 is n k^2 and step 5 k^3.  Every n x n step runs in row
-    blocks of about ``_CERT_BLOCK_CELLS`` cells, so its temporaries stay
-    near 16 MB at every size.
-    """
-    gens = _additive_generators(add, zero)
-    n = add.shape[0]
-    plus = add[:, gens].T  # plus[j, y] = y + g_j
-    blocks = _row_blocks(n, n)
-    for rows in blocks:
-        add_rows = add[rows]
-        found = []
-        for g, plus_g in zip(gens, plus):
-            # (x+g)+y against x+(g+y), which is M_g[y, x], for the block's x
-            mismatch = add[plus_g[rows]] != np.take(add_rows, plus_g, axis=1)
-            if mismatch.any():
-                x, y = _first_witness(mismatch, rows.start)
-                found.append((x, int(g), y))
-        if found:
-            return AxiomViolation("add-associativity", min(found)), _TRIPLE_AXIOMS[1:]
-    for rows in blocks:
-        # cols[i, y] = y*x for the block's x; every gather below stays
-        # inside one row of cols or of add
-        cols = np.ascontiguousarray(mul[:, rows].T)
-        flat = cols + (np.arange(cols.shape[0], dtype=np.intp) * n)[:, None]
-        found = []
-        for g, plus_g in zip(gens, plus):
-            # (y+g)x against gx + yx
-            mismatch = np.take(cols, plus_g, axis=1) != np.take(add[cols[:, g]], flat)
-            if mismatch.any():
-                x, y = _first_witness(mismatch, rows.start)
-                found.append((x, int(g), y))
-        if found:
-            x, g, y = min(found)
-            return AxiomViolation("right-distributivity", (y, g, x)), _TRIPLE_AXIOMS[1:3]
-    mul_gens = mul[gens]
-    gg = mul_gens[:, gens]
-    # g(y+h) against gy + gh
-    mismatch = mul_gens[:, plus.T] != add[mul_gens[:, :, None], gg[:, None, :]]
-    if mismatch.any():
-        i, y, j = _first_witness(mismatch)
-        witness = (int(gens[i]), y, int(gens[j]))
-        return AxiomViolation("left-distributivity", witness), _TRIPLE_AXIOMS[1:2]
-    # (gh)k against g(hk)
-    mismatch = mul[gg[:, :, None], gens] != mul[gens[:, None, None], gg]
-    if mismatch.any():
-        witness = tuple(int(gens[i]) for i in _first_witness(mismatch))
-        return AxiomViolation("mul-associativity", witness), ()
+    at = _first_mismatch(mul[gg[:, :, None], picks], mul[picks[:, None, None], gg])
+    if at:
+        return failure("mul-associativity", *picks[list(at)])
     return None
 
 
@@ -819,9 +778,8 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
         for axiom, sides, order in laws:
             if any(v.axiom == axiom for v in violations):
                 continue
-            mismatch = np.not_equal(*sides())
-            if mismatch.any():
-                at = _first_witness(mismatch, x0)
+            at = _first_mismatch(*sides(), (x0,))
+            if at:
                 violations.append(AxiomViolation(axiom, tuple(at[i] for i in order)))
     return violations
 
@@ -844,47 +802,49 @@ def _axiom_violations(
 
     The pair-quantified axioms (additive commutativity, two-sided zero,
     additive inverses, and a two-sided one unless ``one`` is None) are
-    checked on all n^2 pairs, the n x n ones in row blocks of about
-    ``_CERT_BLOCK_CELLS`` cells.  Once the three additive ones pass,
-    :func:`_prove_triple_axioms` decides the triple-quantified ones
-    (both associativities, both distributive laws) without using an
-    identity, so ``one=None`` judges a ring that need not have one.
-    A failing table of at most 256 elements goes straight to the n^3
-    scan (:func:`_scan_triple_axioms`), the lexicographically first
-    triple of each violated triple axiom.  Above that, a table the
-    prover rejects gets the witness of :func:`_certify_triple_axioms`
-    and the triple axioms it leaves undecided: all four when an
-    additive pair axiom fails, since both need those.
+    checked on all n^2 pairs: commutativity on square tiles of about
+    ``_SWEEP_BLOCK_CELLS`` cells on and above the diagonal
+    (:func:`_upper_tiles`), where the first asymmetric pair in
+    row-major order always lies, and inverses in row blocks of about
+    ``_CERT_BLOCK_CELLS`` cells.  Once the three additive ones
+    pass, :func:`_prove_triple_axioms` decides the triple-quantified
+    ones (both associativities, both distributive laws) without using
+    an identity, so ``one=None`` judges a ring that need not have one.
+    A table that fails an additive pair axiom or the prover gets, on
+    at most 256 elements, the n^3 scan (:func:`_scan_triple_axioms`):
+    the lexicographically first triple of each violated triple axiom.
+    Above that it gets the prover's witness and the triple axioms the
+    prover leaves undecided, or all four when an additive pair axiom
+    fails, since the prover needs those.
     """
     n = add.shape[0]
     violations: list[AxiomViolation] = []
-    blocks = _row_blocks(n, n)
-    for rows in blocks:
-        mismatch = add[rows] != add[:, rows].T
-        if mismatch.any():
-            witness = _first_witness(mismatch, rows.start)
-            violations.append(AxiomViolation("add-commutativity", witness))
-            break
+    asymmetric = [
+        at
+        for rows, cols in _upper_tiles(n, _SWEEP_BLOCK_CELLS)
+        if (at := _first_mismatch(add[rows, cols], add[cols, rows].T, (rows.start, cols.start)))
+    ]
+    if asymmetric:
+        violations.append(AxiomViolation("add-commutativity", min(asymmetric)))
     witness = _identity_witness(add, zero)
     if witness is not None:
         violations.append(AxiomViolation("zero-identity", witness))
-    no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in blocks])
+    no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in _row_blocks(n, n)])
     if no_inverse.any():
         violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
     additive = not violations
     witness = None if one is None else _identity_witness(mul, one)
     if witness is not None:
         violations.append(AxiomViolation("one-identity", witness))
+    if additive:
+        failure = _prove_triple_axioms(add, mul, zero)
+        if failure is None:
+            return violations, ()
     if n <= FULL_SCAN_LIMIT:
-        if violations or not _prove_triple_axioms(add, mul, zero):
-            violations += _scan_triple_axioms(add, mul)
-        return violations, ()
+        return violations + _scan_triple_axioms(add, mul), ()
     if not additive:
         return violations, _TRIPLE_AXIOMS
-    if _prove_triple_axioms(add, mul, zero):
-        return violations, ()
-    # the prover is complete, so the sound certificate fails too
-    violation, not_checked = _certify_triple_axioms(add, mul, zero)
+    violation, not_checked = failure
     return violations + [violation], not_checked
 
 
@@ -894,8 +854,11 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     :func:`_axiom_violations` judges them, exactly at every size.  A
     passing ring costs n^2 pair checks plus the two n^2 passes of
     :func:`_prove_triple_axioms`, whatever the number of additive
-    generators, all in row blocks of ``_CERT_BLOCK_CELLS`` cells; only
-    a failing table of at most 256 elements pays n^3.
+    generators, all in blocks of at most ``_CERT_BLOCK_CELLS`` cells.
+    A failing table of at most 256 elements pays n^3 for the first
+    witness of each violated triple axiom; above that, the report
+    carries the witness of the prover's failing gate and the triple
+    axioms that gate leaves ``not_checked``.
 
     Tracemalloc peak: 9 bytes per n^2 at about 1024 elements, where one
     block is half the table; at every size the blocks hold it near 9 MB.

@@ -212,12 +212,12 @@ def test_validate_broken_table_above_the_scan_limit_lists_what_is_not_checked(ca
     path.write_text(json.dumps(table))
     code, data = run_json(capsys, "validate", f"table:{path}")
     assert code == 1
-    assert data["violations"] == [{"axiom": "right-distributivity", "witness": [2, 1, 5]}]
-    assert data["not_checked"] == ["mul-associativity", "left-distributivity"]
+    assert data["violations"] == [{"axiom": "left-distributivity", "witness": [3, 4, 1]}]
+    assert data["not_checked"] == ["mul-associativity", "right-distributivity"]
     code, out, err = run_cli(capsys, "validate", f"table:{path}", "--format", "md")
     assert code == 1 and err == ""
-    assert "- right-distributivity at [2, 1, 5]" in out
-    assert "## Not checked\n- mul-associativity\n- left-distributivity\n" in out
+    assert "- left-distributivity at [3, 4, 1]" in out
+    assert "## Not checked\n- mul-associativity\n- right-distributivity\n" in out
 
 
 def test_validate_markdown(capsys):

@@ -437,7 +437,7 @@ def test_broken_v_is_rejected_naming_its_axiom(z2, axiom, add, mul):
 
 
 def test_broken_v_above_the_scan_limit_gets_every_triple(z2):
-    # every triple is decided by the certificate, whose failing step
+    # the triple axioms are decided by the prover, whose failing gate
     # names one genuine witness
     ring = zn(260)
     n = ring.size
@@ -449,9 +449,9 @@ def test_broken_v_above_the_scan_limit_gets_every_triple(z2):
         right=[[0, x] for x in range(n)],
     )
     errors = con.validate_bimodule_action(z2, action)
-    assert [e for e in errors if e.startswith("V ")] == ["V right-distributivity at (2, 1, 5)"]
-    y, g, x = 2, 1, 5
-    assert mul[ring.add(y, g), x] != ring.add(mul[y, x], mul[g, x])
+    assert [e for e in errors if e.startswith("V ")] == ["V left-distributivity at (3, 4, 1)"]
+    x, y, z = 3, 4, 1
+    assert mul[x, ring.add(y, z)] != ring.add(mul[x, y], mul[x, z])
 
 
 # Actions of prod(Z2, Z2) (one = 3) on V = Z2^2 under XOR, each given by

@@ -355,8 +355,8 @@ def test_c00_above_the_scan_limit_notes_what_is_not_checked():
     bad = oracles.mutate_mul_entry(zn(260), 3, 5, 16)
     result = run_check("C00", bad)
     assert result.verdict == FAIL
-    assert result.witness["elements"] == [2, 1, 5]
+    assert result.witness["elements"] == [3, 4, 1]
     assert result.note == (
-        "violated: right-distributivity; "
-        "not checked: mul-associativity, left-distributivity (sampled scan)"
+        "violated: left-distributivity; "
+        "not checked: mul-associativity, right-distributivity (sampled scan)"
     )

@@ -301,6 +301,9 @@ def _mutate_add_entry(ring, x, y, value):
 def test_pair_axiom_witnesses_past_the_first_row_block():
     bad = _mutate_add_entry(zn(1024), 500, 524, 1)  # row 500 loses its inverse 524
     assert kernel._row_blocks(1024, 1024)[1].start <= 500
+    # a later row, but in a square tile on the diagonal, which the
+    # commutativity check reads before the tile of (500, 524)
+    bad = _mutate_add_entry(bad, 505, 510, 1)
     pairs = [(v.axiom, v.witness) for v in validate_ring(bad).violations if len(v.witness) < 3]
     assert pairs == [("add-commutativity", (500, 524)), ("add-inverse", (500,))]
 
@@ -335,28 +338,11 @@ def test_validate_ring_agrees_with_scalar_oracle_on_corruptions(corpus):
     assert rejected > 300 and passed > 10 and triple_only > 100
 
 
-def test_certificate_never_passes_what_the_scan_rejects(corpus_rings):
-    ring = corpus_rings["M(2, Z4)"]
-    rng = random.Random(150)
-    certified = 0
-    for i in range(150):
-        x, y, value = (rng.randrange(ring.size) for _ in range(3))
-        if i == 0:
-            value = ring.mul(x, y)  # an unchanged table must be certified
-        bad = oracles.mutate_mul_entry(ring, x, y, value)
-        failed = kernel._certify_triple_axioms(bad.add_table, bad.mul_table, bad.zero)
-        if failed is None:
-            certified += 1
-            assert kernel._scan_triple_axioms(bad.add_table, bad.mul_table) == []
-        else:
-            assert _replay(bad, failed[0].axiom, failed[0].witness)
-    assert certified >= 1
-
-
 def test_certificate_covers_the_most_generators_under_the_limit():
     ring = build_ring("prod(M(2, Z2), M(2, Z2))")
     assert ring.size == kernel.FULL_SCAN_LIMIT
-    assert len(kernel._additive_generators(ring.add_table, ring.zero)) == 8
+    picks, tree = kernel._additive_tree(ring.add_table, ring.zero)
+    assert tree is not None and len(picks) == 8
     report = validate_ring(ring)
     assert report.ok and report.mode == "exhaustive"
 
@@ -378,8 +364,7 @@ _NONASSOCIATIVE_ALGEBRA = [
     [0, 7, 6, 1, 5, 2, 3, 4],
 ]
 
-# Hand-built tables whose faults the generator certificate must reject,
-# each with the full triple scan's report.
+# Hand-built faulty tables, each with the full triple scan's report.
 FAULTY_TABLE_REPORTS = [
     (
         # commutative addition, two-sided zero and inverses, but any two
@@ -413,9 +398,8 @@ FAULTY_TABLE_REPORTS = [
         [("mul-associativity", [2, 2, 2])],
     ),
     (
-        # the certificate passes this table, which is sound only once the
-        # pair axioms hold: here 1 and 2 have no additive inverse, and the
-        # triple scan runs
+        # the prover is sound only once the pair axioms hold: here 1 and
+        # 2 have no additive inverse, so the triple scan runs
         "missing inverses hide a triple fault",
         [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
         [[0, 0, 1], [0, 1, 2], [1, 2, 2]],
@@ -481,14 +465,24 @@ def _zero_table(n):
 # second one meets the relation 2 * 1 = 2 in these labels
 _Z4_RENUMBERED = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
 
+_ADDITIVE_UNDECIDED = ["mul-associativity", "left-distributivity", "right-distributivity"]
+_LEFT_UNDECIDED = ["mul-associativity", "right-distributivity"]
+
 # Tables that satisfy the additive pair axioms but not the triple axioms,
-# each rejected by exactly one gate of the prover, which it names
+# each rejected by exactly one gate of the prover, which it names, with
+# that gate's witness and the triple axioms it leaves undecided
 ONE_GATE_TABLES = {
-    # 1 + 1 = 0 and 2 + 1 = 0: the second pick's layer meets the first's
-    "bijective enumeration": (FAULTY_TABLE_REPORTS[0][1], _zero_table(4)),
+    # 1 + 1 = 0 and 2 + 1 = 0: the second pick's layer meets the first's,
+    # and Light's test names (1 + 1) + 2 != 1 + (1 + 2)
+    "bijective enumeration": (
+        FAULTY_TABLE_REPORTS[0][1],
+        _zero_table(4),
+        ("add-associativity", (1, 1, 2), _ADDITIVE_UNDECIDED),
+    ),
     "commuting translations": (
         [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 0]],
         _zero_table(4),
+        ("add-associativity", (2, 1, 1), _ADDITIVE_UNDECIDED),
     ),
     # a commutative loop of order 6 that is not associative
     "additive tree": (
@@ -501,26 +495,58 @@ ONE_GATE_TABLES = {
             [5, 4, 1, 0, 2, 3],
         ],
         _zero_table(6),
+        ("add-associativity", (2, 2, 4), _ADDITIVE_UNDECIDED),
     ),
-    "left-distributive tree": (_XOR4, [list(col) for col in zip(*_NEAR_RING)]),
+    "left-distributive tree": (
+        _XOR4,
+        [list(col) for col in zip(*_NEAR_RING)],
+        ("left-distributivity", (2, 1, 2), _LEFT_UNDECIDED),
+    ),
     # x * y = x when y is an odd element of Z4 and 0 otherwise: additive in
     # the picks' coordinates, but 2 (x * 1) = 0 != x * 2 for odd x
     "multiplicative relations": (
         _Z4_RENUMBERED,
         [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 0, 3, 3]],
+        ("left-distributivity", (2, 2, 2), _LEFT_UNDECIDED),
     ),
-    "right distributivity on G": (_XOR4, _NEAR_RING),
-    "G^3": ([[x ^ y for y in range(8)] for x in range(8)], _NONASSOCIATIVE_ALGEBRA),
+    "right distributivity on G": (
+        _XOR4,
+        _NEAR_RING,
+        ("right-distributivity", (2, 1, 2), ["mul-associativity"]),
+    ),
+    "G^3": (
+        [[x ^ y for y in range(8)] for x in range(8)],
+        _NONASSOCIATIVE_ALGEBRA,
+        ("mul-associativity", (2, 2, 2), []),
+    ),
 }
 
 
 @pytest.mark.parametrize("gate", ONE_GATE_TABLES)
 def test_prover_rejects_what_only_one_gate_catches(gate):
-    add, mul = (np.array(t, dtype=np.int32) for t in ONE_GATE_TABLES[gate])
+    add, mul = (np.array(t, dtype=np.int32) for t in ONE_GATE_TABLES[gate][:2])
     pair_faults, _ = kernel._axiom_violations(add, mul, 0)
     assert {v.axiom for v in pair_faults} <= set(kernel._TRIPLE_AXIOMS)
-    assert kernel._scan_triple_axioms(add, mul)
-    assert not kernel._prove_triple_axioms(add, mul, 0)
+    violation, not_checked = kernel._prove_triple_axioms(add, mul, 0)
+    assert (violation.axiom, violation.witness, list(not_checked)) == ONE_GATE_TABLES[gate][2]
+    assert _prover_agrees_with_the_scan(add, mul, 0) is False
+
+
+def test_the_walk_stops_where_an_orbit_closes_outside_the_earlier_picks():
+    # 1 + 1 = 2 and 1 + 2 = 1: the orbit 0, 1, 2 of the first pick closes
+    # on its own layer 1, not on {0}, before any layer meets another
+    add = np.array([[0, 1, 2, 3], [1, 2, 1, 0], [2, 1, 0, 3], [3, 0, 3, 2]], dtype=np.int32)
+    assert _additive_pair_axioms_hold(add, 0)
+    picks, tree = kernel._additive_tree(add, 0)
+    assert tree is None and picks.tolist() == [1]
+    mul = np.zeros((4, 4), dtype=np.int32)
+    violation, not_checked = kernel._prove_triple_axioms(add, mul, 0)
+    assert (violation.axiom, violation.witness, list(not_checked)) == (
+        "add-associativity",
+        (1, 1, 2),
+        _ADDITIVE_UNDECIDED,
+    )
+    assert _prover_agrees_with_the_scan(add, mul, 0) is False
 
 
 def _additive_pair_axioms_hold(add, zero):
@@ -544,16 +570,35 @@ POINT_SPECS = (
 )
 
 
-def test_prover_never_passes_what_the_scan_rejects(corpus, ladder_rings):
+def _prover_agrees_with_the_scan(add, mul, zero):
+    """Whether the prover proves the triple axioms of the tables, after
+    checking its verdict against the n^3 scan: a rejected table's
+    witness must replay, and no axiom the prover reports as decided may
+    be among the scan's violations."""
+    failure = kernel._prove_triple_axioms(add, mul, zero)
+    scanned = {v.axiom for v in kernel._scan_triple_axioms(add, mul)}
+    if failure is None:
+        assert not scanned
+        return True
+    violation, not_checked = failure
+    n = len(add)
+    # a triple axiom's replay reads no one, but the ring needs one
+    tables = FiniteRing(n, add, mul, zero=zero, one=(zero + 1) % n)
+    assert _replay(tables, violation.axiom, violation.witness)
+    assert scanned - set(not_checked) == {violation.axiom}, (violation, not_checked, scanned)
+    return False
+
+
+def test_prover_never_passes_what_the_scan_rejects(corpus, corpus_rings, ladder_rings):
     prove = kernel._prove_triple_axioms
     for ring in [*ladder_rings.values(), *map(build_ring, POINT_SPECS)]:
-        assert prove(ring.add_table, ring.mul_table, ring.zero), ring.spell()
+        assert prove(ring.add_table, ring.mul_table, ring.zero) is None, ring.spell()
     rng = random.Random(13)
     rejected = 0
     for entry in corpus:
         ring = entry.ring
         add, mul, zero = ring.add_table, ring.mul_table, ring.zero
-        assert prove(add, mul, zero), entry.spec_text
+        assert prove(add, mul, zero) is None, entry.spec_text
         tables = []
         for i in range(8 if ring.size < 256 else 2):
             x, y, value = (rng.randrange(ring.size) for _ in range(3))
@@ -565,10 +610,26 @@ def test_prover_never_passes_what_the_scan_rejects(corpus, ladder_rings):
             if _additive_pair_axioms_hold(bad, zero):
                 tables.append((bad, mul))
         for bad_add, bad_mul in tables:
-            proved = prove(bad_add, bad_mul, zero)
-            assert proved == (kernel._scan_triple_axioms(bad_add, bad_mul) == []), entry.spec_text
-            rejected += not proved
+            rejected += not _prover_agrees_with_the_scan(bad_add, bad_mul, zero)
     assert rejected > 150
+    # many single-entry corruptions of one 256-element ring: an n^3 scan
+    # takes 0.5 s here, so it runs only on the tables the prover passes,
+    # and the witness of every other one replays
+    ring = corpus_rings["M(2, Z4)"]
+    rng = random.Random(150)
+    proved = 0
+    for i in range(150):
+        x, y, value = (rng.randrange(ring.size) for _ in range(3))
+        if i == 0:
+            value = ring.mul(x, y)  # an unchanged table must be proved
+        bad = oracles.mutate_mul_entry(ring, x, y, value)
+        failure = prove(bad.add_table, bad.mul_table, bad.zero)
+        if failure is None:
+            proved += 1
+            assert kernel._scan_triple_axioms(bad.add_table, bad.mul_table) == []
+        else:
+            assert _replay(bad, failure[0].axiom, failure[0].witness)
+    assert proved >= 1
 
 
 @st.composite
@@ -613,9 +674,7 @@ def shuffled_bilinear_tables(draw):
 @settings(derandomize=True)
 @given(shuffled_bilinear_tables())
 def test_prover_agrees_with_the_scan_on_shuffled_groups(tables):
-    add, mul, zero = tables
-    scanned = kernel._scan_triple_axioms(add, mul)
-    assert kernel._prove_triple_axioms(add, mul, zero) == (scanned == [])
+    _prover_agrees_with_the_scan(*tables)
 
 
 def _with_factor(ring, add, mul):
@@ -650,7 +709,9 @@ def _stranded_z512():
 
 
 def _step_corruption(step):
-    """A table above the scan limit that only the given certificate step rejects."""
+    """A table above the scan limit with the one fault the step names: a
+    stranded additive closure, a fault that Light's test finds, right or
+    left distributivity failing on additive generators, or G^3."""
     faulty = {case[0]: case[1:3] for case in FAULTY_TABLE_REPORTS}
     if step == "generator-closure":
         return _stranded_z512()
@@ -664,25 +725,13 @@ def _step_corruption(step):
     return _with_factor(build_ring("prod(Z8, M(2, Z2))"), *faulty[factor])
 
 
-# Each certificate step's witness on its corruption, and the triple
-# axioms that step leaves unchecked.
+# The prover's witness on each step's corruption, and the triple axioms
+# its failing gate leaves unchecked.
 CERTIFICATE_STEPS = {
-    "generator-closure": (
-        "add-associativity",
-        (1, 1, 2),
-        ["mul-associativity", "left-distributivity", "right-distributivity"],
-    ),
-    "light": (
-        "add-associativity",
-        (1, 1, 2),
-        ["mul-associativity", "left-distributivity", "right-distributivity"],
-    ),
-    "right-distributivity": (
-        "right-distributivity",
-        (2, 1, 2),
-        ["mul-associativity", "left-distributivity"],
-    ),
-    "left-distributivity-on-generators": ("left-distributivity", (2, 1, 2), ["mul-associativity"]),
+    "generator-closure": ("add-associativity", (1, 1, 2), _ADDITIVE_UNDECIDED),
+    "light": ("add-associativity", (1, 1, 2), _ADDITIVE_UNDECIDED),
+    "right-distributivity": ("right-distributivity", (2, 1, 2), ["mul-associativity"]),
+    "left-distributivity-on-generators": ("left-distributivity", (2, 1, 2), _LEFT_UNDECIDED),
     "g-cubed": ("mul-associativity", (2, 2, 2), []),
 }
 
@@ -707,12 +756,13 @@ def test_certificate_rejects_each_step_above_the_scan_limit(step):
     bad = _step_corruption(step)
     assert bad.size > kernel.FULL_SCAN_LIMIT
     add, mul = bad.add_table, bad.mul_table
-    gens = kernel._additive_generators(add, bad.zero)
-    # the stranded closure stops at the bound, one pick short of Z512
-    closure_cut = len(gens) == bad.size.bit_length()
-    assert closure_cut == (step == "generator-closure")
+    picks, tree = kernel._additive_tree(add, bad.zero)
+    if step == "generator-closure":
+        # 1 + 1 = 0 and 2 + 1 = 0 in the stranded Z512: the second
+        # pick's first layer meets the first pick's
+        assert tree is None and picks.tolist() == [1, 2]
     expected = CERTIFICATE_STEPS[step]
-    violation, not_checked = kernel._certify_triple_axioms(add, mul, bad.zero)
+    violation, not_checked = kernel._prove_triple_axioms(add, mul, bad.zero)
     assert (violation.axiom, violation.witness, list(not_checked)) == expected
     assert _replay(bad, violation.axiom, violation.witness)
     assert validate_ring(bad).to_dict() == _step_report(bad, *expected)
