@@ -325,17 +325,28 @@ def product_encode(ring: FiniteRing, r: int, s: int) -> int:
 # -- matrix-shaped constructions -------------------------------------------------
 
 
-def _stored_grid(
-    base: FiniteRing, k: int, positions: list[tuple[int, int]], what: str
-) -> np.ndarray:
+def _check_digits_capacity(base: FiniteRing, m: int, what: str) -> None:
+    """Reject a ring of m base-ring digits, |base|^m elements, above the cap.
+
+    Every ring has at least two elements, so m >= the cap's bit length
+    already exceeds it: |base|^m is then never computed, and the message
+    gives it as a power.
+    """
+    cap = element_capacity()
+    if m >= cap.bit_length():
+        raise CapacityError(f"{what} would have {base.size}^{m} elements, exceeding the cap {cap}")
+    _check_capacity(base.size**m, what)
+
+
+def _stored_grid(base: FiniteRing, k: int, positions: list[tuple[int, int]]) -> np.ndarray:
     """The (n, k, k) int32 grid of base indices of every element.
 
     Element x holds the mixed-radix digits of x at ``positions``, most
-    significant first, and the base zero everywhere else.
+    significant first, and the base zero everywhere else.  The caller
+    has checked the size against the cap.
     """
     m = len(positions)
     n = base.size**m
-    _check_capacity(n, what)
     arange = np.arange(n)
     grid = np.full((n, k, k), base.zero, dtype=np.int32)
     for p, (i, j) in enumerate(positions):
@@ -408,8 +419,9 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
+    _check_digits_capacity(base, k * k, f"M({k}, {base.spell()})")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    grid = _stored_grid(base, k, positions, f"M({k}, {base.spell()})")
+    grid = _stored_grid(base, k, positions)
     return _grid_ring(base, grid, positions, MatrixProvenance("matrix", k, base, positions, grid))
 
 
@@ -420,8 +432,9 @@ def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
+    _check_digits_capacity(base, k * (k + 1) // 2, f"T({k}, {base.spell()})")
     positions = [(i, j) for i in range(k) for j in range(k) if i <= j]
-    grid = _stored_grid(base, k, positions, f"T({k}, {base.spell()})")
+    grid = _stored_grid(base, k, positions)
     prov = MatrixProvenance("upper_triangular", k, base, positions, grid)
     return _grid_ring(base, grid, positions, prov)
 
@@ -489,7 +502,8 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
         raise ConstructionError(f"s (index {s}) must be a central unit of the base ring")
     if not (t_central and base.is_unit(t)):
         raise ConstructionError(f"t (index {t}) must be a central unit of the base ring")
-    grid = _stored_grid(base, 3, _H_POSITIONS, f"H({s}, {t}, {base.spell()})")
+    _check_digits_capacity(base, len(_H_POSITIONS), f"H({s}, {t}, {base.spell()})")
+    grid = _stored_grid(base, 3, _H_POSITIONS)
     c, e, f = (grid[:, i, j] for i, j in _H_POSITIONS)
     grid[:, 1, 1] = base.add_table[f, base.mul_table[t, e]]
     grid[:, 0, 0] = base.add_table[grid[:, 1, 1], base.mul_table[s, c]]

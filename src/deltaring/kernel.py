@@ -389,14 +389,14 @@ class ValidationReport:
 
     Pair-quantified axioms are checked on every pair, triple-quantified
     ones by the prover or, on a failing table of at most 256 elements,
-    by the full triple scan.  One witness is reported per violated
-    axiom, but above 256 elements a failing table gets only the witness
-    of the prover's gate that fails, and ``not_checked`` (written only
-    when non-empty) lists the triple axioms left undecided.  ``mode`` is
-    "exhaustive" up to 256 elements and "sampled" above, where the dict
-    also carries ``sampled_triples`` (n^2) and ``sample_seed``, although
-    nothing is sampled: the benchmark's reference outputs
-    (``ringbench/refs``) pin them.
+    by the n^3 scan of those the prover did not prove.  One witness is
+    reported per violated axiom, but above 256 elements a failing table
+    gets only the witness of the prover's gate that fails, and
+    ``not_checked`` (written only when non-empty) lists the triple
+    axioms left undecided.  ``mode`` is "exhaustive" up to 256 elements
+    and "sampled" above, where the dict also carries ``sampled_triples``
+    (n^2) and ``sample_seed``, although nothing is sampled: the
+    benchmark's reference outputs (``ringbench/refs``) pin them.
     """
 
     ring: str
@@ -743,15 +743,19 @@ def _prove_triple_axioms(
     return None
 
 
-def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation]:
-    """All n^3 triples in x-chunks of about 16 MB: the first witness per axiom.
+def _scan_triple_axioms(
+    add: np.ndarray, mul: np.ndarray, axioms: tuple[str, ...] = _TRIPLE_AXIOMS
+) -> list[AxiomViolation]:
+    """All n^3 triples in x-chunks of about 16 MB: the first witness per
+    axiom of ``axioms``.
 
     A witness is the lexicographically first violating (x, y, z) of its
     axiom.  An axiom stops being scanned once violated, and the scan
-    stops once all four are.
+    stops once all of ``axioms`` are.
     """
     n = add.shape[0]
     violations: list[AxiomViolation] = []
+    pending = set(axioms)
     chunk = max(1, _CHUNK_CELLS // (n * n))
 
     def distributes(rows):
@@ -760,7 +764,7 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
         return rows[:, add], add[rows[:, :, None], rows[:, None, :]]
 
     for x0 in range(0, n, chunk):
-        if len(violations) == len(_TRIPLE_AXIOMS):
+        if not pending:
             break
         xs = np.arange(x0, min(n, x0 + chunk))
         a_rows = add[xs]
@@ -776,11 +780,12 @@ def _scan_triple_axioms(add: np.ndarray, mul: np.ndarray) -> list[AxiomViolation
             ("right-distributivity", lambda: distributes(mul[:, xs].T), (1, 2, 0)),
         )
         for axiom, sides, order in laws:
-            if any(v.axiom == axiom for v in violations):
+            if axiom not in pending:
                 continue
             at = _first_mismatch(*sides(), (x0,))
             if at:
                 violations.append(AxiomViolation(axiom, tuple(at[i] for i in order)))
+                pending.discard(axiom)
     return violations
 
 
@@ -811,8 +816,10 @@ def _axiom_violations(
     ones (both associativities, both distributive laws) without using
     an identity, so ``one=None`` judges a ring that need not have one.
     A table that fails an additive pair axiom or the prover gets, on
-    at most 256 elements, the n^3 scan (:func:`_scan_triple_axioms`):
-    the lexicographically first triple of each violated triple axiom.
+    at most 256 elements, the n^3 scan (:func:`_scan_triple_axioms`) of
+    the triple axioms still open, all four or the prover's failing one
+    and those it left undecided: the lexicographically first triple of
+    each violated triple axiom.
     Above that it gets the prover's witness and the triple axioms the
     prover leaves undecided, or all four when an additive pair axiom
     fails, since the prover needs those.
@@ -836,15 +843,17 @@ def _axiom_violations(
     witness = None if one is None else _identity_witness(mul, one)
     if witness is not None:
         violations.append(AxiomViolation("one-identity", witness))
-    if additive:
-        failure = _prove_triple_axioms(add, mul, zero)
-        if failure is None:
-            return violations, ()
-    if n <= FULL_SCAN_LIMIT:
-        return violations + _scan_triple_axioms(add, mul), ()
     if not additive:
+        if n <= FULL_SCAN_LIMIT:
+            return violations + _scan_triple_axioms(add, mul), ()
         return violations, _TRIPLE_AXIOMS
+    failure = _prove_triple_axioms(add, mul, zero)
+    if failure is None:
+        return violations, ()
     violation, not_checked = failure
+    if n <= FULL_SCAN_LIMIT:
+        # the prover proved the other triple axioms, which have no violation
+        return violations + _scan_triple_axioms(add, mul, (violation.axiom, *not_checked)), ()
     return violations + [violation], not_checked
 
 

@@ -2,22 +2,24 @@
 
 Grammar (whitespace is free between tokens):
 
-    spec    := "Z" INT
-             | "table:" PATH
-             | "prod(" spec "," spec ")"
-             | "M(" INT "," spec ")"
-             | "T(" INT "," spec ")"
-             | "H(" INT "," INT "," spec ")"
-             | "corner(" spec "," INT ")"
-             | "dorroh(" spec "," dorrohV ")"
-             | "quot(" spec "," INT ("," INT)* ")"
-    dorrohV := "self" | "zero" | "ideal(" INT ("," INT)* ")"
+    spec := "Z" INT | "table:" PATH | HEAD "(" arg ("," arg)* ")"
 
-Bare INTs after a spec are element indices of that ring; H's two INTs
-are the indices of s and t in the base ring.  A PATH extends to the next
-comma, closing parenthesis, or whitespace.  Parse errors carry 1-based
-column positions.  Building is cached per canonical spelling, so a
-corpus that mentions Z4 five times constructs it once.
+``GRAMMAR`` maps each HEAD to its argument kinds, one letter per
+argument, and to the builder that takes the arguments in that order:
+``s`` a nested spec, ``i`` an INT, ``+`` one or more INTs, and ``v`` a
+Dorroh V, ``self | zero | ideal(INT, ...)``.  So ``M`` is ``is``, and
+a new construction is one row.  Bare INTs after a spec are element
+indices of that ring; H's two are the indices of s and t in the base
+ring.  A PATH extends to the next comma, closing parenthesis, or
+whitespace.
+
+Specs are outside input, so constructions nest at most ``MAX_DEPTH``
+deep and an INT has at most ``MAX_DIGITS`` digits after its leading
+zeros.  Both are far beyond any ring under the element cap, and they
+keep the recursive parse and build, and the printing of INTs in
+messages, within Python's limits.  Parse errors carry 1-based column
+positions.  Building is cached per canonical spelling, so a corpus
+that mentions Z4 five times constructs it once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from pathlib import Path
 
 from . import constructions
 from .kernel import ConstructionError, FiniteRing, RingError
+
+MAX_DEPTH = 100
+MAX_DIGITS = 100
 
 
 class RingSpecError(RingError):
@@ -47,121 +52,49 @@ class BuildContext:
     cache: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ZnSpec:
-    n: int
-
-    def canonical(self) -> str:
-        return f"Z{self.n}"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        return constructions.zn(self.n)
-
-
-@dataclass(frozen=True)
-class TableSpec:
-    path: str
-
-    def canonical(self) -> str:
-        return f"table:{self.path}"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        path = Path(self.path)
-        if not path.is_absolute() and ctx.base_dir is not None:
-            path = ctx.base_dir / path
-        return constructions.table_ring(path, label=self.path)
+def _spell(kind: str, arg) -> str:
+    if kind == "s":
+        return arg.canonical()
+    if kind == "+":
+        return ", ".join(str(g) for g in arg)
+    if kind == "v" and not isinstance(arg, str):
+        return f"ideal({_spell('+', arg)})"
+    return str(arg)
 
 
-@dataclass(frozen=True)
-class ProdSpec:
-    left: object
-    right: object
+def _dorroh(base: FiniteRing, v) -> FiniteRing:
+    actions = {"self": constructions.self_action, "zero": constructions.zero_action}
+    action = actions[v](base) if v in actions else constructions.ideal_action(base, v)
+    return constructions.dorroh(base, action, v_spell=_spell("v", v))
 
-    def canonical(self) -> str:
-        return f"prod({self.left.canonical()}, {self.right.canonical()})"
 
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        return constructions.product(build(self.left, ctx), build(self.right, ctx))
+GRAMMAR = {
+    "prod": ("ss", constructions.product),
+    "M": ("is", constructions.matrix_ring),
+    "T": ("is", constructions.upper_triangular),
+    "H": ("iis", constructions.h_ring),
+    "corner": ("si", constructions.corner),
+    "dorroh": ("sv", _dorroh),
+    "quot": ("s+", constructions.quotient_by_generators),
+}
 
 
 @dataclass(frozen=True)
-class MatrixSpec:
-    kind: str  # "matrix" or "upper_triangular"
-    k: int
-    inner: object
+class Spec:
+    """A parsed spec: ``head`` is ``"Z"``, ``"table:"`` or a key of
+    ``GRAMMAR``, and ``args`` holds one value per argument kind: a Spec,
+    an int, a tuple of ints, or a Dorroh V (``"self"``, ``"zero"`` or
+    the tuple of ideal generators).  ``Z`` and ``table:`` hold their
+    modulus or path."""
+
+    head: str
+    args: tuple
 
     def canonical(self) -> str:
-        head = "M" if self.kind == "matrix" else "T"
-        return f"{head}({self.k}, {self.inner.canonical()})"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        base = build(self.inner, ctx)
-        if self.kind == "matrix":
-            return constructions.matrix_ring(self.k, base)
-        return constructions.upper_triangular(self.k, base)
-
-
-@dataclass(frozen=True)
-class HSpec:
-    s: int
-    t: int
-    inner: object
-
-    def canonical(self) -> str:
-        return f"H({self.s}, {self.t}, {self.inner.canonical()})"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        return constructions.h_ring(self.s, self.t, build(self.inner, ctx))
-
-
-@dataclass(frozen=True)
-class CornerSpec:
-    inner: object
-    e: int
-
-    def canonical(self) -> str:
-        return f"corner({self.inner.canonical()}, {self.e})"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        return constructions.corner(build(self.inner, ctx), self.e)
-
-
-@dataclass(frozen=True)
-class DorrohSpec:
-    inner: object
-    v_kind: str  # "self" | "zero" | "ideal"
-    gens: tuple[int, ...] = ()
-
-    def v_canonical(self) -> str:
-        if self.v_kind == "ideal":
-            return f"ideal({', '.join(str(g) for g in self.gens)})"
-        return self.v_kind
-
-    def canonical(self) -> str:
-        return f"dorroh({self.inner.canonical()}, {self.v_canonical()})"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        base = build(self.inner, ctx)
-        if self.v_kind == "self":
-            action = constructions.self_action(base)
-        elif self.v_kind == "zero":
-            action = constructions.zero_action(base)
-        else:
-            action = constructions.ideal_action(base, self.gens)
-        return constructions.dorroh(base, action, v_spell=self.v_canonical())
-
-
-@dataclass(frozen=True)
-class QuotSpec:
-    inner: object
-    gens: tuple[int, ...]
-
-    def canonical(self) -> str:
-        return f"quot({self.inner.canonical()}, {', '.join(str(g) for g in self.gens)})"
-
-    def construct(self, ctx: BuildContext) -> FiniteRing:
-        base = build(self.inner, ctx)
-        return constructions.quotient_by_generators(base, self.gens)
+        if self.head not in GRAMMAR:
+            return f"{self.head}{self.args[0]}"
+        kinds = GRAMMAR[self.head][0]
+        return f"{self.head}({', '.join(_spell(k, a) for k, a in zip(kinds, self.args))})"
 
 
 _PATH_STOPPERS = set(",) \t\r\n")
@@ -171,6 +104,13 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # constructions open around the current position
+        self.readers = {
+            "s": self.parse_spec,
+            "i": self.parse_int,
+            "+": self.parse_int_list,
+            "v": self.parse_dorroh_v,
+        }
 
     def error(self, message: str) -> RingSpecError:
         return RingSpecError(message, column=self.pos + 1)
@@ -182,22 +122,30 @@ class _Parser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def found(self) -> str:
+        return repr(self.peek()) if self.peek() else "end of input"
+
     def expect(self, ch: str) -> None:
         self.skip_ws()
         if self.peek() != ch:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected {ch!r}, found {found}")
+            raise self.error(f"expected {ch!r}, found {self.found()}")
         self.pos += 1
+
+    def to_int(self, digits: str, start: int) -> int:
+        significant = digits.lstrip("0")
+        if len(significant) > MAX_DIGITS:
+            self.pos = start
+            raise self.error(f"integers have at most {MAX_DIGITS} digits")
+        return int(significant or "0")
 
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected an integer, found {found}")
-        return int(self.text[start : self.pos])
+            raise self.error(f"expected an integer, found {self.found()}")
+        return self.to_int(self.text[start : self.pos], start)
 
     def parse_word(self) -> str:
         self.skip_ws()
@@ -218,16 +166,35 @@ class _Parser:
             else:
                 return tuple(values)
 
-    def parse_spec(self):
+    def parse_dorroh_v(self):
+        word = self.parse_word()
+        if word in ("self", "zero"):
+            return word
+        if word == "ideal":
+            self.expect("(")
+            gens = self.parse_int_list()
+            self.expect(")")
+            return gens
+        raise self.error(
+            f"expected self, zero, or ideal(...), found {repr(word) if word else self.found()}"
+        )
+
+    def parse_args(self, kinds: str) -> tuple:
+        args = []
+        for kind in kinds:
+            if args:
+                self.expect(",")
+            args.append(self.readers[kind]())
+        return tuple(args)
+
+    def parse_spec(self) -> Spec:
         self.skip_ws()
         start = self.pos
         head = self.parse_word()
         if not head:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected a ring spec, found {found}")
-
-        if head[0] == "Z" and head[1:].isdigit():
-            return ZnSpec(int(head[1:]))
+            raise self.error(f"expected a ring spec, found {self.found()}")
+        if head[0] == "Z" and head[1:].isdecimal():
+            return Spec("Z", (self.to_int(head[1:], start + 1),))
         if head == "Z":
             self.pos = start + 1
             raise self.error("Z must be followed by a modulus, e.g. Z4")
@@ -236,74 +203,25 @@ class _Parser:
             pstart = self.pos
             while self.pos < len(self.text) and self.text[self.pos] not in _PATH_STOPPERS:
                 self.pos += 1
-            path = self.text[pstart : self.pos]
-            if not path:
+            if self.pos == pstart:
                 raise self.error("table: needs a file path")
-            return TableSpec(path)
-        if head == "prod":
-            self.expect("(")
-            left = self.parse_spec()
-            self.expect(",")
-            right = self.parse_spec()
-            self.expect(")")
-            return ProdSpec(left, right)
-        if head in ("M", "T"):
-            self.expect("(")
-            k = self.parse_int()
-            self.expect(",")
-            inner = self.parse_spec()
-            self.expect(")")
-            kind = "matrix" if head == "M" else "upper_triangular"
-            return MatrixSpec(kind, k, inner)
-        if head == "H":
-            self.expect("(")
-            s = self.parse_int()
-            self.expect(",")
-            t = self.parse_int()
-            self.expect(",")
-            inner = self.parse_spec()
-            self.expect(")")
-            return HSpec(s, t, inner)
-        if head == "corner":
-            self.expect("(")
-            inner = self.parse_spec()
-            self.expect(",")
-            e = self.parse_int()
-            self.expect(")")
-            return CornerSpec(inner, e)
-        if head == "dorroh":
-            self.expect("(")
-            inner = self.parse_spec()
-            self.expect(",")
-            spec = self.parse_dorroh_v(inner)
-            self.expect(")")
-            return spec
-        if head == "quot":
-            self.expect("(")
-            inner = self.parse_spec()
-            self.expect(",")
-            gens = self.parse_int_list()
-            self.expect(")")
-            return QuotSpec(inner, gens)
-        self.pos = start
-        raise self.error(f"unknown construction {head!r}")
-
-    def parse_dorroh_v(self, inner) -> DorrohSpec:
-        self.skip_ws()
-        word = self.parse_word()
-        if word in ("self", "zero"):
-            return DorrohSpec(inner, word)
-        if word == "ideal":
-            self.expect("(")
-            gens = self.parse_int_list()
-            self.expect(")")
-            return DorrohSpec(inner, "ideal", gens)
-        found = repr(word) if word else (repr(self.peek()) if self.peek() else "end of input")
-        raise self.error(f"expected self, zero, or ideal(...), found {found}")
+            return Spec("table:", (self.text[pstart : self.pos],))
+        if head not in GRAMMAR:
+            self.pos = start
+            raise self.error(f"unknown construction {head!r}")
+        if self.depth == MAX_DEPTH:
+            self.pos = start
+            raise self.error(f"constructions nest at most {MAX_DEPTH} deep")
+        self.depth += 1
+        self.expect("(")
+        args = self.parse_args(GRAMMAR[head][0])
+        self.expect(")")
+        self.depth -= 1
+        return Spec(head, args)
 
 
-def parse_ring_spec(text: str):
-    """Parse a ring-spec string into a descriptor tree."""
+def parse_ring_spec(text: str) -> Spec:
+    """Parse a ring-spec string into a Spec tree."""
     if not text or not text.strip():
         raise RingSpecError("empty ring spec")
     parser = _Parser(text)
@@ -316,15 +234,27 @@ def parse_ring_spec(text: str):
     return spec
 
 
-def build(spec, ctx: BuildContext | None = None) -> FiniteRing:
-    """Construct the ring a descriptor names, caching by canonical spelling."""
+def _construct(spec: Spec, ctx: BuildContext) -> FiniteRing:
+    if spec.head == "Z":
+        return constructions.zn(spec.args[0])
+    if spec.head == "table:":
+        path = Path(spec.args[0])
+        if not path.is_absolute() and ctx.base_dir is not None:
+            path = ctx.base_dir / path
+        return constructions.table_ring(path, label=spec.args[0])
+    kinds, builder = GRAMMAR[spec.head]
+    return builder(*(build(a, ctx) if k == "s" else a for k, a in zip(kinds, spec.args)))
+
+
+def build(spec: Spec, ctx: BuildContext | None = None) -> FiniteRing:
+    """Construct the ring a Spec names, caching by canonical spelling."""
     if ctx is None:
         ctx = BuildContext()
     key = spec.canonical()
     ring = ctx.cache.get(key)
     if ring is None:
         try:
-            ring = spec.construct(ctx)
+            ring = _construct(spec, ctx)
         except IndexError as exc:
             # element arguments (corner idempotent, ideal generators,
             # subring parameters) validated against the built component

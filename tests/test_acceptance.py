@@ -19,7 +19,7 @@ import time
 import pytest
 
 from deltaring import analysis, classify, constructions as con, harness
-from deltaring.ringspec import ProdSpec, build_ring, parse_ring_spec
+from deltaring.ringspec import build_ring, parse_ring_spec
 
 import oracles
 
@@ -138,10 +138,10 @@ def test_acceptance_6_characterizations_and_products(capsys, corpus):
     products_agree = True
     for entry in corpus:
         spec = parse_ring_spec(entry.spec_text)
-        if not isinstance(spec, ProdSpec):
+        if spec.head != "prod":
             continue
-        left = build_ring(spec.left.canonical())
-        right = build_ring(spec.right.canonical())
+        left = build_ring(spec.args[0].canonical())
+        right = build_ring(spec.args[1].canonical())
         expected = {
             con.product_encode(entry.ring, r, s)
             for r in analysis.delta(left)

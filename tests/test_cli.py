@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltaring import cli, constructions, harness
+
+from test_ringspec import _spec_texts
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +295,57 @@ def test_running_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: capacity: Unable to allocate the tables of Z16\n"
+
+
+def test_oversized_grids_are_capacity_errors_before_any_allocation(capsys):
+    # M(100000, Z2) would have 10^10 matrix positions to lay out
+    cases = {"M(120, Z2)": "2^14400", "T(170, Z2)": "2^14535", "M(100000, Z2)": "2^10000000000"}
+    for spec, size in cases.items():
+        code, out, err = run_cli(capsys, "classify", spec)
+        assert code == 3 and out == ""
+        assert err == f"error: capacity: {spec} would have {size} elements, exceeding the cap 4096\n"
+
+
+_DIGITS = st.integers(1, 5000).map(lambda digits: "7" * digits)  # int() stops at 4300
+_NEST = st.sampled_from(
+    [("M(1, ", ")"), ("T(1, ", ")"), ("corner(", ", 1)"), ("quot(", ", 0)"), ("dorroh(", ", zero)")]
+)
+_hostile_specs = st.one_of(
+    _spec_texts,
+    st.tuples(_spec_texts, st.integers(0, 40)).map(lambda p: p[0][: p[1]]),
+    st.tuples(
+        st.sampled_from(["Z{}", "corner(Z4, {})", "H(1, {}, Z3)", "dorroh(Z4, ideal({}))"]),
+        _DIGITS,
+    ).map(lambda p: p[0].format(p[1])),
+    # grid dimensions stay small or past int()'s limit: should the capacity
+    # check ever fall behind the position list again, a dimension in
+    # between would exhaust memory rather than fail this test
+    st.tuples(
+        st.sampled_from(["M({}, Z2)", "T({}, Z2)"]),
+        st.one_of(st.integers(0, 300).map(str), st.integers(4301, 5000).map(lambda d: "7" * d)),
+    ).map(lambda p: p[0].format(p[1])),
+    st.tuples(_NEST, st.integers(1, 400)).map(lambda p: p[0][0] * p[1] + "Z2" + p[0][1] * p[1]),
+    st.from_regex(r"\A[A-Za-z_]\w{0,7}\(Z2\)\Z"),
+    st.text(max_size=20),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=_hostile_specs)
+@example(spec="Z" + "9" * 5000)
+@example(spec="M(1, " * 1000 + "Z2" + ")" * 1000)
+def test_hostile_specs_exit_cleanly_with_one_error_line(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("DELTARING_CAPACITY", "64")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--describe", spec])
+    assert code in (0, 2, 3), spec[:80]
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err.getvalue()), err.getvalue()[:200]
 
 
 def test_missing_verb_is_usage_error(capsys):

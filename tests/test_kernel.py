@@ -636,6 +636,26 @@ def test_certificate_never_passes_what_the_scan_rejects(corpus_rings):
     assert proved >= 1
 
 
+def test_a_gate_four_failure_scans_only_the_axioms_it_left_open(monkeypatch):
+    ring = build_ring("M(2, Z2)")
+    bad = oracles.mutate_mul_entry(ring, 0, 0, 1)  # 0 * 0 = 1 fails x0 = x0 + x0
+    violation, not_checked = kernel._prove_triple_axioms(bad.add_table, bad.mul_table, bad.zero)
+    assert violation.axiom == "left-distributivity"
+    scan = kernel._scan_triple_axioms
+    scanned = []
+
+    def recording_scan(add, mul, axioms=kernel._TRIPLE_AXIOMS):
+        scanned.append(axioms)
+        return scan(add, mul, axioms)
+
+    monkeypatch.setattr(kernel, "_scan_triple_axioms", recording_scan)
+    report = validate_ring(bad)
+    assert scanned == [("left-distributivity", *not_checked)]
+    assert "add-associativity" not in scanned[0]
+    # the proved axioms have no violation, so the report is the full scan's
+    assert report.violations == scan(bad.add_table, bad.mul_table)
+
+
 @st.composite
 def shuffled_bilinear_tables(draw):
     """A product of cyclic groups, its elements numbered in a shuffled

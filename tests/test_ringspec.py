@@ -60,6 +60,12 @@ def test_parse_errors_carry_columns():
         "corner(Z4, -1)": (12, "expected an integer"),
         "dorroh(Z2, banana)": (18, "expected self, zero, or ideal"),
         "table:": (7, "needs a file path"),
+        "Z" + "9" * 5000: (2, "at most 100 digits"),
+        "corner(Z4, " + "1" * 5000 + ")": (12, "at most 100 digits"),
+        "M(1, " * 500 + "Z2" + ")" * 500: (501, "nest at most 100 deep"),
+        "M(1, " * 1000 + "Z2" + ")" * 1000: (501, "nest at most 100 deep"),
+        "Z\u00b2": (1, "unknown construction"),
+        "M(\u00b2, Z2)": (3, "expected an integer"),
     }
     for text, (column, fragment) in cases.items():
         with pytest.raises(RingSpecError) as exc_info:
