@@ -112,6 +112,26 @@ def first_escape(mask, table, rows=None, cols=None) -> tuple[int, int] | None:
     return None
 
 
+def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
+    """Whether the masked set is closed under addition and under
+    multiplication by any element on either side, as (bool, the first
+    witness pair or None, what fails or None).
+
+    Cost: |I|^2 + 2 n |I| cells of ``first_escape``.
+    """
+    members = np.flatnonzero(mask)
+    at = first_escape(mask, ring.add_table, members, members)
+    if at is not None:
+        return False, [int(members[at[0]]), int(members[at[1]])], "not closed under addition"
+    at = first_escape(mask, ring.mul_table, cols=members)
+    if at is not None:
+        return False, [at[0], int(members[at[1]])], "not closed under left multiplication"
+    at = first_escape(mask, ring.mul_table, rows=members)
+    if at is not None:
+        return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
+    return True, None, None
+
+
 # -- boolean-mask layer (internal fast paths) --------------------------------
 
 

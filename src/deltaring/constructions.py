@@ -1,8 +1,14 @@
 """Constructions of finite unital rings.
 
 Each constructor compiles full operation tables eagerly (the kernel caps
-the element count), attaches a provenance record describing how the ring
-was built, and assigns each element a structural display name.  Element
+the element count), attaches a ``Provenance`` record describing how the
+ring was built, and assigns each element a structural display name.
+There is one record for every construction: its ``kind`` names the
+builder, its ``spelling`` is the canonical spec that ``spell()``
+returns, and it keeps only the parts that checks and decoding helpers
+read.  Each builder spells itself once with ``spelling(head, *args)``,
+the one formatter that ``ringspec.Spec.canonical`` also uses, and
+passes that string to both its capacity check and its record.  Element
 indices follow a canonical mixed-radix encoding per construction, most
 significant component first, so encode/decode round-trips are exact and
 reports are reproducible.
@@ -39,6 +45,7 @@ from .kernel import (
     _SWEEP_BLOCK_CELLS,
     _as_table,
     _axiom_violations,
+    _is_int,
     _row_blocks,
     element_capacity,
 )
@@ -50,9 +57,9 @@ def _check_capacity(size: int, what: str) -> None:
         raise CapacityError(f"{what} would have {size} elements, exceeding the cap {cap}")
 
 
-def _provenance(ring: FiniteRing, kind: type, builder: str):
-    """The ring's provenance record, which must be a ``kind``."""
-    if not isinstance(ring.provenance, kind):
+def _provenance(ring: FiniteRing, builder: str, *kinds: str) -> Provenance:
+    """The ring's provenance record, which must be of one of ``kinds``."""
+    if getattr(ring.provenance, "kind", None) not in kinds:
         raise ConstructionError(f"ring was not built by {builder}")
     return ring.provenance
 
@@ -106,97 +113,49 @@ def _sub_table(table: np.ndarray, members: np.ndarray, index: np.ndarray) -> np.
     return index[table[np.ix_(members, members)]]
 
 
-# -- provenance records -------------------------------------------------------
+# -- provenance ----------------------------------------------------------------
+
+
+def spelling(head: str, *args) -> str:
+    """The canonical spelling of a construction: ``Z<n>`` and
+    ``table:<label>`` for the leaves, ``head(a, b, ...)`` for the rest.
+
+    Each argument is written with ``str``, so a nested ring is passed as
+    its own spelling.  Builders, their capacity messages and
+    ``ringspec.Spec.canonical`` all spell through here.
+    """
+    if head in ("Z", "table:"):
+        return f"{head}{args[0]}"
+    return f"{head}({', '.join(map(str, args))})"
 
 
 @dataclass(eq=False)
-class ZnProvenance:
-    kind = "zn"
-    n: int
+class Provenance:
+    """How a ring was built: the construction's ``kind``, its canonical
+    ``spelling``, and the parts that checks and decoding helpers read.
 
-    def spell(self) -> str:
-        return f"Z{self.n}"
+    A product keeps ``left`` and ``right``; M, T, H and Dorroh keep
+    ``base``; M and T keep ``k``, ``positions`` and ``grid``, H keeps
+    ``grid``; Dorroh keeps ``action``.  A corner keeps its ``members``
+    and a quotient its ``representatives`` and ``rep_of``, parent
+    indices both, so neither keeps its parent ring alive.
+    """
 
-
-@dataclass(eq=False)
-class TableProvenance:
-    kind = "table"
-    label: str
-
-    def spell(self) -> str:
-        return f"table:{self.label}"
-
-
-@dataclass(eq=False)
-class ProductProvenance:
-    kind = "product"
-    left: FiniteRing
-    right: FiniteRing
-
-    def spell(self) -> str:
-        return f"prod({self.left.spell()}, {self.right.spell()})"
-
-
-@dataclass(eq=False)
-class MatrixProvenance:
-    # kind is "matrix" for full k x k rings, "upper_triangular" otherwise
     kind: str
-    k: int
-    base: FiniteRing
-    positions: list[tuple[int, int]]
-    grid: np.ndarray  # (size, k, k) base indices, fixed zeros included
+    spelling: str
+    left: FiniteRing | None = None
+    right: FiniteRing | None = None
+    base: FiniteRing | None = None
+    k: int | None = None
+    positions: list[tuple[int, int]] | None = None
+    grid: np.ndarray | None = None  # (size, k, k) base indices, fixed and dependent entries included
+    action: BimoduleRingAction | None = None
+    members: np.ndarray | None = None  # a corner's ascending parent indices
+    representatives: np.ndarray | None = None  # ascending parent indices, one per coset
+    rep_of: np.ndarray | None = None  # parent index -> minimal representative of its coset
 
     def spell(self) -> str:
-        head = "M" if self.kind == "matrix" else "T"
-        return f"{head}({self.k}, {self.base.spell()})"
-
-
-@dataclass(eq=False)
-class HProvenance:
-    kind = "h"
-    base: FiniteRing
-    s: int
-    t: int
-    grid: np.ndarray  # (size, 3, 3) base indices, dependent entries and zeros included
-
-    def spell(self) -> str:
-        return f"H({self.s}, {self.t}, {self.base.spell()})"
-
-
-@dataclass(eq=False)
-class CornerProvenance:
-    kind = "corner"
-    parent: FiniteRing
-    e: int
-    members: np.ndarray  # ascending parent indices
-
-    def spell(self) -> str:
-        return f"corner({self.parent.spell()}, {self.e})"
-
-
-@dataclass(eq=False)
-class DorrohProvenance:
-    kind = "dorroh"
-    base: FiniteRing
-    action: "BimoduleRingAction"
-    v_spell: str
-
-    def spell(self) -> str:
-        return f"dorroh({self.base.spell()}, {self.v_spell})"
-
-
-@dataclass(eq=False)
-class QuotientProvenance:
-    kind = "quotient"
-    parent: FiniteRing
-    ideal: ElementSet
-    generators: tuple[int, ...]
-    representatives: np.ndarray  # ascending parent indices, one per coset
-    rep_of: np.ndarray  # parent index -> minimal representative of its coset
-
-    def spell(self) -> str:
-        gens = ", ".join(str(g) for g in self.generators)
-        return f"quot({self.parent.spell()}, {gens})"
+        return self.spelling
 
 
 # -- elementary constructions ---------------------------------------------------
@@ -210,9 +169,10 @@ def zn(n: int) -> FiniteRing:
     while (n-1)^2 < 2^32, that is up to the hard cap of 65536.
     Tracemalloc peak: 9 bytes per n^2.
     """
+    spelled = spelling("Z", n)
     if n < 2:
-        raise ConstructionError(f"Z{n} is not a unital ring with one != zero")
-    _check_capacity(n, f"Z{n}")
+        raise ConstructionError(f"{spelled} is not a unital ring with one != zero")
+    _check_capacity(n, spelled)
     twice = np.arange(2 * n, dtype=np.int32) % n
     add = np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
     arange = np.arange(n, dtype=np.uint32)
@@ -225,7 +185,7 @@ def zn(n: int) -> FiniteRing:
         mul,
         zero=0,
         one=1,
-        provenance=ZnProvenance(n),
+        provenance=Provenance("zn", spelled),
         element_names=[str(i) for i in range(n)],
     )
 
@@ -244,12 +204,10 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
         if label is None:
             label = path.name
         try:
-            text = path.read_text()
+            data = json.loads(path.read_text())
         except OSError as exc:
             raise MalformedTableError(f"cannot read table file {path}: {exc}")
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise MalformedTableError(f"table file {path} is not valid JSON: {exc}")
     else:
         data = source
@@ -261,12 +219,12 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
     if missing:
         raise MalformedTableError(f"table data is missing keys: {', '.join(missing)}")
     size = data["size"]
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise MalformedTableError(f"table size must be a positive integer, got {size!r}")
     _check_capacity(size, f"table ring {label}")
     zero = data["zero"]
     one = data["one"]
-    if not isinstance(zero, int) or not isinstance(one, int):
+    if not (_is_int(zero) and _is_int(one)):
         raise MalformedTableError("zero and one must be element indices")
     return FiniteRing(
         size,
@@ -274,7 +232,7 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
         data["mul"],
         zero=zero,
         one=one,
-        provenance=TableProvenance(label),
+        provenance=Provenance("table", spelling("table:", label)),
     )
 
 
@@ -290,7 +248,8 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     Both tables are componentwise.  Tracemalloc peak: 10 bytes per n^2.
     """
     n = left.size * right.size
-    _check_capacity(n, f"prod({left.spell()}, {right.spell()})")
+    spelled = spelling("prod", left.spell(), right.spell())
+    _check_capacity(n, spelled)
     sn = right.size
     arange = np.arange(n)
     rs = arange // sn
@@ -304,19 +263,19 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         mul,
         zero=left.zero * sn + right.zero,
         one=left.one * sn + right.one,
-        provenance=ProductProvenance(left, right),
+        provenance=Provenance("product", spelled, left=left, right=right),
         element_names=names,
     )
 
 
 def product_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
-    prov = _provenance(ring, ProductProvenance, "product()")
+    prov = _provenance(ring, "product()", "product")
     ring._check_index(x)
     return divmod(x, prov.right.size)
 
 
 def product_encode(ring: FiniteRing, r: int, s: int) -> int:
-    prov = _provenance(ring, ProductProvenance, "product()")
+    prov = _provenance(ring, "product()", "product")
     prov.left._check_index(r)
     prov.right._check_index(s)
     return r * prov.right.size + s
@@ -419,10 +378,12 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
-    _check_digits_capacity(base, k * k, f"M({k}, {base.spell()})")
+    spelled = spelling("M", k, base.spell())
+    _check_digits_capacity(base, k * k, spelled)
     positions = [(i, j) for i in range(k) for j in range(k)]
     grid = _stored_grid(base, k, positions)
-    return _grid_ring(base, grid, positions, MatrixProvenance("matrix", k, base, positions, grid))
+    prov = Provenance("matrix", spelled, base=base, k=k, positions=positions, grid=grid)
+    return _grid_ring(base, grid, positions, prov)
 
 
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
@@ -432,23 +393,27 @@ def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
-    _check_digits_capacity(base, k * (k + 1) // 2, f"T({k}, {base.spell()})")
+    spelled = spelling("T", k, base.spell())
+    _check_digits_capacity(base, k * (k + 1) // 2, spelled)
     positions = [(i, j) for i in range(k) for j in range(k) if i <= j]
     grid = _stored_grid(base, k, positions)
-    prov = MatrixProvenance("upper_triangular", k, base, positions, grid)
+    prov = Provenance("upper_triangular", spelled, base=base, k=k, positions=positions, grid=grid)
     return _grid_ring(base, grid, positions, prov)
 
 
 def matrix_entries(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
-    """Decode an element of a matrix-shaped ring into its k x k entry grid."""
-    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
+    """Decode an element of a matrix-shaped ring, h_ring's included,
+    into its full k x k grid of base indices."""
+    prov = _provenance(
+        ring, "matrix_ring(), upper_triangular() or h_ring()", "matrix", "upper_triangular", "h"
+    )
     ring._check_index(x)
-    return tuple(tuple(int(v) for v in row) for row in prov.grid[x])
+    return tuple(tuple(row) for row in prov.grid[x].tolist())
 
 
 def matrix_encode(ring: FiniteRing, grid) -> int:
     """Encode a k x k grid of base indices into an element index."""
-    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
+    prov = _provenance(ring, "matrix_ring() or upper_triangular()", "matrix", "upper_triangular")
     k = prov.k
     grid = [list(row) for row in grid]
     if len(grid) != k or any(len(row) != k for row in grid):
@@ -468,7 +433,7 @@ def matrix_encode(ring: FiniteRing, grid) -> int:
 
 def matrix_unit_index(ring: FiniteRing, i: int, j: int) -> int:
     """Index of the matrix with the base one at (i, j) and zeros elsewhere."""
-    prov = _provenance(ring, MatrixProvenance, "matrix_ring() or upper_triangular()")
+    prov = _provenance(ring, "matrix_ring() or upper_triangular()", "matrix", "upper_triangular")
     grid = [[prov.base.zero] * prov.k for _ in range(prov.k)]
     grid[i][j] = prov.base.one
     return matrix_encode(ring, grid)
@@ -502,33 +467,28 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
         raise ConstructionError(f"s (index {s}) must be a central unit of the base ring")
     if not (t_central and base.is_unit(t)):
         raise ConstructionError(f"t (index {t}) must be a central unit of the base ring")
-    _check_digits_capacity(base, len(_H_POSITIONS), f"H({s}, {t}, {base.spell()})")
+    spelled = spelling("H", s, t, base.spell())
+    _check_digits_capacity(base, len(_H_POSITIONS), spelled)
     grid = _stored_grid(base, 3, _H_POSITIONS)
     c, e, f = (grid[:, i, j] for i, j in _H_POSITIONS)
     grid[:, 1, 1] = base.add_table[f, base.mul_table[t, e]]
     grid[:, 0, 0] = base.add_table[grid[:, 1, 1], base.mul_table[s, c]]
-    return _grid_ring(base, grid, _H_POSITIONS, HProvenance(base, s, t, grid))
+    return _grid_ring(base, grid, _H_POSITIONS, Provenance("h", spelled, base=base, grid=grid))
 
 
 def h_components(ring: FiniteRing, x: Element) -> tuple[int, int, int, int, int]:
     """Return (a, c, d, e, f) for an element of an h_ring."""
-    (a, _, _), (c, d, e), (_, _, f) = h_matrix(ring, x)
+    _provenance(ring, "h_ring()", "h")
+    (a, _, _), (c, d, e), (_, _, f) = matrix_entries(ring, x)
     return a, c, d, e, f
 
 
 def h_encode(ring: FiniteRing, c: int, e: int, f: int) -> int:
-    prov = _provenance(ring, HProvenance, "h_ring()")
+    prov = _provenance(ring, "h_ring()", "h")
     for v in (c, e, f):
         prov.base._check_index(v)
     bs = prov.base.size
     return (c * bs + e) * bs + f
-
-
-def h_matrix(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
-    """Expand an h_ring element to its full 3 x 3 grid of base indices."""
-    prov = _provenance(ring, HProvenance, "h_ring()")
-    ring._check_index(x)
-    return tuple(tuple(row) for row in prov.grid[x].tolist())
 
 
 # -- Dorroh-style extensions -------------------------------------------------------
@@ -544,11 +504,11 @@ class NonUnitalRing:
     __slots__ = ("size", "add_table", "mul_table", "zero", "names")
 
     def __init__(self, size: int, add, mul, zero: int, names: list[str] | None = None):
-        if not isinstance(size, int) or size < 1:
+        if not _is_int(size) or size < 1:
             raise MalformedTableError("V must have at least one element")
         self.add_table = _as_table("V add", add, (size, size), size)
         self.mul_table = _as_table("V mul", mul, (size, size), size)
-        if not isinstance(zero, int) or not (0 <= zero < size):
+        if not _is_int(zero) or not (0 <= zero < size):
             raise MalformedTableError(f"V zero index {zero!r} out of range")
         self.size = size
         self.zero = zero
@@ -694,7 +654,8 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     v = action.v
     vn = v.size
     n = base.size * vn
-    _check_capacity(n, f"dorroh({base.spell()}, {v_spell})")
+    spelled = spelling("dorroh", base.spell(), v_spell)
+    _check_capacity(n, spelled)
     errs = validate_bimodule_action(base, action)
     if errs:
         raise ConstructionError(f"invalid bimodule action: {errs[0]}")
@@ -717,21 +678,19 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         part = mul[block]
         part += np.take(vadd, np.take(vadd, lw[xr] * width + vs[xv]) * width + vw[xv])
 
-    names = _pair_names(base, v)
-    prov = DorrohProvenance(base, action, v_spell)
     return FiniteRing(
         n,
         add,
         mul,
         zero=base.zero * vn + v.zero,
         one=base.one * vn + v.zero,
-        provenance=prov,
-        element_names=names,
+        provenance=Provenance("dorroh", spelled, base=base, action=action),
+        element_names=_pair_names(base, v),
     )
 
 
 def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
-    prov = _provenance(ring, DorrohProvenance, "dorroh()")
+    prov = _provenance(ring, "dorroh()", "dorroh")
     ring._check_index(x)
     return divmod(x, prov.action.v.size)
 
@@ -758,16 +717,14 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     mul = _sub_table(base.mul_table, members, lookup)
     if (add < 0).any() or (mul < 0).any():
         raise ConstructionError("corner set is not closed; the base tables are defective")
-    names = [base.element_name(int(m)) for m in members]
-    prov = CornerProvenance(base, e, members)
     return FiniteRing(
         len(members),
         add,
         mul,
         zero=int(lookup[base.zero]),
         one=int(lookup[e]),
-        provenance=prov,
-        element_names=names,
+        provenance=Provenance("corner", spelling("corner", base.spell(), e), members=members),
+        element_names=[base.element_name(int(m)) for m in members],
     )
 
 
@@ -800,7 +757,8 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
 
 
 def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
-    """The quotient ring by a verified two-sided ideal.
+    """The quotient ring by a verified two-sided ideal, spelled with the
+    ideal's nonzero members as generators.
 
     Cosets are represented by their minimum element index.  Quotients
     that would collapse one onto zero (ideal containing one) are
@@ -810,20 +768,26 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
-    members = np.array(ideal.indices(), dtype=np.int64)
-    if base.zero not in ideal:
-        raise ConstructionError("not an ideal: missing zero")
-    closed_add = ideal.bool_array()[base.add_table[np.ix_(members, members)]].all()
-    if not closed_add:
-        raise ConstructionError("not an ideal: not closed under addition")
+    return _quotient(base, ideal, [g for g in ideal.indices() if g != base.zero])
+
+
+def quotient_by_generators(base: FiniteRing, generators) -> FiniteRing:
+    """The quotient by the two-sided ideal the generators generate."""
+    generators = [int(g) for g in generators]
+    return _quotient(base, ideal_generated(base, generators), generators)
+
+
+def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
     mask = ideal.bool_array()
+    if not mask[base.zero]:
+        raise ConstructionError("not an ideal: missing zero")
+    is_ideal, _, why = analysis.is_two_sided_ideal(base, mask)
+    if not is_ideal:
+        raise ConstructionError(f"not an ideal: {why}")
+    members = np.flatnonzero(mask)
     if not mask[base.neg_table[members]].all():
         raise ConstructionError("not an ideal: not closed under negation")
-    if not mask[base.mul_table[:, members]].all():
-        raise ConstructionError("not an ideal: not closed under left multiplication")
-    if not mask[base.mul_table[members, :]].all():
-        raise ConstructionError("not an ideal: not closed under right multiplication")
-    if base.one in ideal:
+    if mask[base.one]:
         raise ConstructionError("quotient by the whole ring is the zero ring; rejected")
 
     cosets = base.add_table[:, members]
@@ -834,31 +798,27 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     coset_of = lookup[rep_of]
     add = _sub_table(base.add_table, representatives, coset_of)
     mul = _sub_table(base.mul_table, representatives, coset_of)
-    names = [f"[{base.element_name(int(r))}]" for r in representatives]
-    gens = tuple(int(g) for g in members if g != base.zero)
     rep_of.flags.writeable = False
-    prov = QuotientProvenance(base, ideal, gens, representatives, rep_of)
+    spelled = spelling("quot", base.spell(), *generators)
     return FiniteRing(
         len(representatives),
         add,
         mul,
         zero=int(coset_of[base.zero]),
         one=int(coset_of[base.one]),
-        provenance=prov,
-        element_names=names,
+        provenance=Provenance(
+            "quotient", spelled, representatives=representatives, rep_of=rep_of
+        ),
+        element_names=[f"[{base.element_name(int(r))}]" for r in representatives],
     )
-
-
-def quotient_by_generators(base: FiniteRing, generators) -> FiniteRing:
-    ring = quotient(base, ideal_generated(base, generators))
-    ring.provenance.generators = tuple(int(g) for g in generators)
-    return ring
 
 
 def quotient_project(ring: FiniteRing, parent_x: Element) -> int:
     """Image of a parent element under the quotient projection."""
-    prov = _provenance(ring, QuotientProvenance, "quotient()")
-    prov.parent._check_index(parent_x)
+    prov = _provenance(ring, "quotient()", "quotient")
+    if not (0 <= parent_x < len(prov.rep_of)):
+        raise IndexError(
+            f"element index {parent_x} out of range for ring of size {len(prov.rep_of)}"
+        )
     rep = int(prov.rep_of[parent_x])
     return int(np.searchsorted(prov.representatives, rep))
-

@@ -284,25 +284,10 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     return PASS, None, None
 
 
-def _is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
-    """Returns (bool, witness elements, description)."""
-    members = np.flatnonzero(mask)
-    at = analysis.first_escape(mask, ring.add_table, members, members)
-    if at is not None:
-        return False, [int(members[at[0]]), int(members[at[1]])], "not closed under addition"
-    at = analysis.first_escape(mask, ring.mul_table, cols=members)
-    if at is not None:
-        return False, [at[0], int(members[at[1]])], "not closed under left multiplication"
-    at = analysis.first_escape(mask, ring.mul_table, rows=members)
-    if at is not None:
-        return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
-    return True, None, None
-
-
 @check("C04", "delta is a two-sided ideal exactly when it equals the jacobson radical")
 def _c04_ideal_iff_radical(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
-    is_ideal, pair, why = _is_two_sided_ideal(ring, dmask)
+    is_ideal, pair, why = analysis.is_two_sided_ideal(ring, dmask)
     equals_radical = analysis.delta(ring) == analysis.jacobson_radical(ring)
     if is_ideal == equals_radical:
         return PASS, None, f"ideal={is_ideal}, delta==radical={equals_radical}"
@@ -543,7 +528,7 @@ def _c22_ideal_when_two_unit(ring: FiniteRing, ctx: SuiteContext):
     if not analysis.unit_mask(ring)[two]:
         in_delta = bool(analysis.delta_mask(ring)[two])
         return VACUOUS, None, f"2 (element {two}) is not a unit; 2 in delta(R): {in_delta}"
-    is_ideal, pair, why = _is_two_sided_ideal(ring, analysis.delta_mask(ring))
+    is_ideal, pair, why = analysis.is_two_sided_ideal(ring, analysis.delta_mask(ring))
     if is_ideal:
         return PASS, None, "2 is a unit and delta is an ideal"
     return FAIL, _witness(ring, pair, f"2 is a unit yet delta is {why}"), None
@@ -821,9 +806,13 @@ def default_corpus_path() -> Path:
 def load_manifest(path) -> list[tuple[int, str]]:
     """Read a manifest; returns (line_number, spec_text) pairs.
 
-    Blank lines and lines starting with # are skipped.
+    Blank lines and lines starting with # are skipped.  A manifest that
+    is not UTF-8 text is a spec error naming the file.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ringspec.RingSpecError(f"manifest {path} is not UTF-8 text: {exc}") from None
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

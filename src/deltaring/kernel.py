@@ -73,6 +73,12 @@ def element_capacity() -> int:
     return value
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python int and not a bool, which JSON's
+    true and false load as and which ``isinstance(value, int)`` admits."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.ndarray:
     """``data`` as a read-only, C-contiguous int32 table of the given
     shape (any 2-D shape when None), with every entry in ``0..bound-1``.
@@ -135,7 +141,7 @@ class FiniteRing:
         provenance=None,
         element_names: list[str] | None = None,
     ):
-        if not isinstance(size, int) or size < 1:
+        if not _is_int(size) or size < 1:
             raise MalformedTableError(f"ring size must be a positive integer, got {size!r}")
         cap = element_capacity()
         if size > cap:
@@ -146,7 +152,7 @@ class FiniteRing:
         self.add_table = _as_table("add", add, (size, size), size)
         self.mul_table = _as_table("mul", mul, (size, size), size)
         for label, idx in (("zero", zero), ("one", one)):
-            if not isinstance(idx, int) or not (0 <= idx < size):
+            if not _is_int(idx) or not (0 <= idx < size):
                 raise MalformedTableError(f"{label} index {idx!r} is outside 0..{size - 1}")
         if zero == one:
             raise ConstructionError("zero ring rejected: the zero and one indices coincide")

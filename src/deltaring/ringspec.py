@@ -58,7 +58,7 @@ def _spell(kind: str, arg) -> str:
     if kind == "+":
         return ", ".join(str(g) for g in arg)
     if kind == "v" and not isinstance(arg, str):
-        return f"ideal({_spell('+', arg)})"
+        return constructions.spelling("ideal", *arg)
     return str(arg)
 
 
@@ -91,10 +91,8 @@ class Spec:
     args: tuple
 
     def canonical(self) -> str:
-        if self.head not in GRAMMAR:
-            return f"{self.head}{self.args[0]}"
-        kinds = GRAMMAR[self.head][0]
-        return f"{self.head}({', '.join(_spell(k, a) for k, a in zip(kinds, self.args))})"
+        kinds = GRAMMAR[self.head][0] if self.head in GRAMMAR else "i"
+        return constructions.spelling(self.head, *map(_spell, kinds, self.args))
 
 
 _PATH_STOPPERS = set(",) \t\r\n")

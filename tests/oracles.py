@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from deltaring.constructions import TableProvenance
+from deltaring.constructions import Provenance, spelling
 from deltaring.kernel import FiniteRing
 
 
@@ -34,7 +34,7 @@ def mutate_mul_entry(ring, x, y, value):
         mul,
         zero=ring.zero,
         one=ring.one,
-        provenance=TableProvenance(f"mutated:{ring.spell()}"),
+        provenance=Provenance("table", spelling("table:", f"mutated:{ring.spell()}")),
         element_names=names,
     )
 

@@ -348,6 +348,32 @@ def test_hostile_specs_exit_cleanly_with_one_error_line(spec):
         assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err.getvalue()), err.getvalue()[:200]
 
 
+_BOOL_INDICES = b'{"size": 2, "add": [[0,1],[1,0]], "mul": [[0,0],[0,1]], "zero": false, "one": true}'
+
+
+@pytest.mark.parametrize("content, names_file", [
+    pytest.param(b'{"size": 2\xff}', True, id="byte 0xff"),
+    pytest.param(b"[" * 100_000, True, id="100000 nested ["),
+    pytest.param(_BOOL_INDICES, False, id="boolean zero and one"),
+])
+def test_hostile_files_exit_cleanly_with_one_error_line(content, names_file, tmp_path, monkeypatch, capsys):
+    """Each file is read as a table by the single-ring verbs and as a
+    manifest by verify, and named as a table in a manifest of its own."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hostile.json").write_bytes(content)
+    (tmp_path / "wrapper.txt").write_text("table:hostile.json\n")
+    spec = "table:hostile.json"
+    runs = [["validate", spec], ["classify", spec], ["delta", spec], ["--describe", spec]]
+    runs += [[verb, "--manifest", manifest] for verb in ("verify", "corpus")
+             for manifest in ("hostile.json", "wrapper.txt")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert re.fullmatch(r"error: [a-z]+: [^\n]*\n", err), (argv, err[:200])
+        if names_file:
+            assert "hostile.json" in err, (argv, err[:200])
+
+
 def test_missing_verb_is_usage_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2

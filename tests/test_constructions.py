@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -10,9 +11,13 @@ import pytest
 from deltaring import (
     CapacityError,
     ConstructionError,
+    ElementSet,
+    FiniteRing,
     MalformedTableError,
     analysis,
+    build_ring,
     constructions as con,
+    parse_ring_spec,
     zn,
 )
 
@@ -212,13 +217,12 @@ def _relabelled_z3():
 def test_matrix_shaped_rings_over_a_base_whose_zero_is_not_index_0(build, y_step):
     base = _relabelled_z3()
     ring = build(base)
-    entries = con.h_matrix if ring.provenance.kind == "h" else con.matrix_entries
-    k = len(entries(ring, ring.zero))
-    assert entries(ring, ring.zero) == tuple((2,) * k for _ in range(k))
-    assert entries(ring, ring.one) == tuple(
+    k = len(con.matrix_entries(ring, ring.zero))
+    assert con.matrix_entries(ring, ring.zero) == tuple((2,) * k for _ in range(k))
+    assert con.matrix_entries(ring, ring.one) == tuple(
         tuple(0 if i == j else 2 for j in range(k)) for i in range(k)
     )
-    grids = [entries(ring, x) for x in ring.elements()]
+    grids = [con.matrix_entries(ring, x) for x in ring.elements()]
     for x in ring.elements():
         for y in range(0, ring.size, y_step):
             assert grids[ring.mul(x, y)] == oracles.matmul_of(base, grids[x], grids[y])
@@ -246,11 +250,11 @@ def test_h_ring_embeds_in_three_by_three_matrices(corpus_rings):
     for x in range(0, ring.size, 5):
         for y in range(0, ring.size, 7):
             expected = oracles.matmul_of(
-                base, con.h_matrix(ring, x), con.h_matrix(ring, y)
+                base, con.matrix_entries(ring, x), con.matrix_entries(ring, y)
             )
-            assert con.h_matrix(ring, ring.mul(x, y)) == expected
-            added = oracles.matadd_of(base, con.h_matrix(ring, x), con.h_matrix(ring, y))
-            assert con.h_matrix(ring, ring.add(x, y)) == added
+            assert con.matrix_entries(ring, ring.mul(x, y)) == expected
+            added = oracles.matadd_of(base, con.matrix_entries(ring, x), con.matrix_entries(ring, y))
+            assert con.matrix_entries(ring, ring.add(x, y)) == added
 
 
 def test_h_ring_requires_central_units(t2z2):
@@ -265,8 +269,8 @@ def test_h_ring_requires_central_units(t2z2):
 
 def test_h_ring_identity_is_the_identity_matrix(corpus_rings):
     ring = corpus_rings["H(1, 1, Z2)"]
-    assert con.h_matrix(ring, ring.one) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert con.h_matrix(ring, ring.zero) == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert con.matrix_entries(ring, ring.one) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert con.matrix_entries(ring, ring.zero) == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
 # -- corners -----------------------------------------------------------------------
@@ -340,6 +344,30 @@ def test_quotient_by_generators_spells_its_generators(z4):
     ring = con.quotient_by_generators(z4, [2])
     assert ring.spell() == "quot(Z4, 2)"
     assert ring.size == 2
+
+
+# -- provenance records ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: con.corner(con.matrix_ring(2, zn(4)), 1), id="corner(M(2, Z4), 1)"),
+    pytest.param(lambda: con.quotient_by_generators(zn(16), [4]), id="quot(Z16, 4)"),
+])
+def test_corners_and_quotients_keep_no_ring_of_their_parent(build):
+    prov = build().provenance
+    for field in dataclasses.fields(prov):
+        value = getattr(prov, field.name)
+        assert not isinstance(value, (FiniteRing, ElementSet)), field.name
+
+
+@pytest.mark.parametrize("spec", [
+    "Z65", "prod(Z8,Z9)", "M(2, Z3)", "T(2, Z5)", "H( 1, 1, Z5 )", "dorroh(Z9, self)",
+])
+def test_capacity_errors_start_with_the_canonical_spelling(spec, monkeypatch):
+    monkeypatch.setenv("DELTARING_CAPACITY", "64")
+    with pytest.raises(CapacityError) as info:
+        build_ring(spec)
+    assert str(info.value).startswith(parse_ring_spec(spec).canonical() + " would have ")
 
 
 # -- extensions by a bimodule-ring -------------------------------------------------
