@@ -91,21 +91,21 @@ def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
     return out
 
 
-def first_escape(mask, table, rows=None, cols=None) -> tuple[int, int] | None:
+def first_escape(mask, ring: FiniteRing, op: str, rows=None, cols=None) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with ``table[rows[i], cols[j]]``
-    outside ``mask``, or None; ``rows`` or ``cols`` None means every index.
+    of the op's table ("add" or "mul") outside ``mask``, or None; ``rows``
+    or ``cols`` None means every index.
 
-    Cost: one flat gather per cell, in blocks of whole table rows,
-    stopping at the first block with an escape.  Tracemalloc peak: one
-    block, at most 17 bytes per cell.
+    Cost: one flat gather per cell, over ``ring.block`` reads of whole
+    table rows' worth of cells, stopping at the first block with an
+    escape.  Tracemalloc peak on a filled table: one block, at most 17
+    bytes per cell.
     """
     outside = ~mask
-    count = table.shape[0] if rows is None else len(rows)
-    for block in _blocks(count, table.shape[1]):
-        part = table[block] if rows is None else np.take(table, rows[block], axis=0)
-        if cols is not None:
-            part = np.take(part, cols, axis=1)
-        escaped = np.take(outside, part)
+    count = ring.size if rows is None else len(rows)
+    for block in _blocks(count, ring.size):
+        ids = np.arange(block.start, min(block.stop, count)) if rows is None else rows[block]
+        escaped = np.take(outside, ring.block(op, ids, cols))
         if escaped.any():
             i, j = np.argwhere(escaped)[0]
             return block.start + int(i), int(j)
@@ -117,16 +117,17 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     multiplication by any element on either side, as (bool, the first
     witness pair or None, what fails or None).
 
-    Cost: |I|^2 + 2 n |I| cells of ``first_escape``.
+    Cost: |I|^2 + 2 n |I| cells of ``first_escape``, read by blocks, so
+    an unfilled ring stays unfilled.
     """
     members = np.flatnonzero(mask)
-    at = first_escape(mask, ring.add_table, members, members)
+    at = first_escape(mask, ring, "add", members, members)
     if at is not None:
         return False, [int(members[at[0]]), int(members[at[1]])], "not closed under addition"
-    at = first_escape(mask, ring.mul_table, cols=members)
+    at = first_escape(mask, ring, "mul", cols=members)
     if at is not None:
         return False, [at[0], int(members[at[1]])], "not closed under left multiplication"
-    at = first_escape(mask, ring.mul_table, rows=members)
+    at = first_escape(mask, ring, "mul", rows=members)
     if at is not None:
         return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
     return True, None, None

@@ -221,7 +221,7 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     """
     nonunit = ~analysis.unit_mask(ring)
     nonunits = np.flatnonzero(nonunit)
-    at = analysis.first_escape(nonunit, ring.add_table, nonunits, nonunits)
+    at = analysis.first_escape(nonunit, ring, "add", nonunits, nonunits)
     if at is not None:
         return False, (int(nonunits[at[0]]), int(nonunits[at[1]]))
     return True, None

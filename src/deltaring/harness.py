@@ -260,10 +260,10 @@ def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
     dmask = analysis.delta_mask(ring)
     dl = np.flatnonzero(dmask)
     ul = analysis.unit_indices(ring)
-    at = analysis.first_escape(dmask, ring.mul_table, dl, ul)
+    at = analysis.first_escape(dmask, ring, "mul", dl, ul)
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], ul[at[1]]], "d*u escapes delta"), None
-    at = analysis.first_escape(dmask, ring.mul_table, ul, dl)
+    at = analysis.first_escape(dmask, ring, "mul", ul, dl)
     if at is not None:
         return FAIL, _witness(ring, [ul[at[0]], dl[at[1]]], "u*d escapes delta"), None
     return PASS, None, None
@@ -275,10 +275,10 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
     dl = np.flatnonzero(dmask)
-    at = analysis.first_escape(dmask, ring.add_table, dl, ring.neg_table[dl])
+    at = analysis.first_escape(dmask, ring, "add", dl, ring.neg_table[dl])
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "difference escapes delta"), None
-    at = analysis.first_escape(dmask, ring.mul_table, dl, dl)
+    at = analysis.first_escape(dmask, ring, "mul", dl, dl)
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "product escapes delta"), None
     return PASS, None, None

@@ -110,13 +110,23 @@ def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.
 
 
 class FiniteRing:
-    """A finite unital ring with compiled operation tables.
+    """A finite unital ring with operation tables.
 
-    Tables are compiled eagerly at construction and never mutated; all
-    caches attached afterwards are pure functions of the tables, so a
-    populated cache always equals its from-scratch recomputation.
-    Constructions are rejected above :func:`element_capacity` elements
-    and zero rings (``one == zero``) are rejected outright.
+    A ring is given either its tables, which are checked at construction,
+    or its builder's ``arithmetic``: ``arithmetic(op, rows, cols)`` returns
+    the int32 block ``table[np.ix_(rows, cols)]`` of the "add" or "mul"
+    table, rows or cols None meaning every index, so that
+    ``arithmetic(op, None, None)`` is the whole table.  Such a ring fills
+    ``add_table``, ``mul_table`` and ``neg_table`` on their first read,
+    through the same range check and negation scan; after that a read is
+    a plain attribute read.  :meth:`block` serves a block of an unfilled
+    table from the arithmetic and leaves it unfilled, so a corner or a
+    quotient reads its parent by blocks and never fills it.  Tables are
+    never mutated; all caches attached afterwards are pure functions of
+    the tables, so a populated cache always equals its from-scratch
+    recomputation.  Constructions are rejected above
+    :func:`element_capacity` elements and zero rings (``one == zero``)
+    are rejected outright.
     """
 
     __slots__ = (
@@ -128,6 +138,7 @@ class FiniteRing:
         "neg_table",
         "provenance",
         "element_names",
+        "_arithmetic",
         "_cache",
     )
 
@@ -140,6 +151,7 @@ class FiniteRing:
         one: int,
         provenance=None,
         element_names: list[str] | None = None,
+        arithmetic=None,
     ):
         if not _is_int(size) or size < 1:
             raise MalformedTableError(f"ring size must be a positive integer, got {size!r}")
@@ -149,8 +161,10 @@ class FiniteRing:
                 f"ring of size {size} exceeds the capacity cap {cap} "
                 f"(override via {CAPACITY_ENV_VAR}, at most {MAX_CAPACITY})"
             )
-        self.add_table = _as_table("add", add, (size, size), size)
-        self.mul_table = _as_table("mul", mul, (size, size), size)
+        self._arithmetic = arithmetic
+        if arithmetic is None:
+            self.add_table = _as_table("add", add, (size, size), size)
+            self.mul_table = _as_table("mul", mul, (size, size), size)
         for label, idx in (("zero", zero), ("one", one)):
             if not _is_int(idx) or not (0 <= idx < size):
                 raise MalformedTableError(f"{label} index {idx!r} is outside 0..{size - 1}")
@@ -159,23 +173,86 @@ class FiniteRing:
         self.size = size
         self.zero = zero
         self.one = one
-        # Lenient negation scan: first position of `zero` in each row, or 0
-        # when a row has none.  A missing additive inverse is an axiom
-        # failure and is reported by validate_ring, not here.  Row blocks
-        # keep the boolean scan from adding 1 byte per n^2 to every build.
-        neg = np.concatenate(
-            [
-                np.argmax(self.add_table[rows] == zero, axis=1)
-                for rows in _row_blocks(size, size, _SWEEP_BLOCK_CELLS)
-            ]
-        ).astype(np.int32)
-        neg.flags.writeable = False
-        self.neg_table = neg
+        if arithmetic is None:
+            self.neg_table = self.neg_rows()
         self.provenance = provenance
         if element_names is not None and len(element_names) != size:
             raise MalformedTableError("element_names length does not match ring size")
         self.element_names = element_names
         self._cache: dict = {}
+
+    # -- tables and blocks --------------------------------------------------
+
+    def __getattr__(self, name: str):
+        # reached only for a slot not yet set: an unfilled table
+        if name == "neg_table":
+            table = self.neg_rows()
+        elif name in ("add_table", "mul_table") and self._arithmetic is not None:
+            op = name[:3]
+            data = self._arithmetic(op, None, None)
+            table = _as_table(op, data, (self.size, self.size), self.size)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, table)
+        return table
+
+    def _filled(self, name: str) -> np.ndarray | None:
+        """The table in slot ``name``, or None while it is unfilled."""
+        try:
+            return object.__getattribute__(self, name)
+        except AttributeError:
+            return None
+
+    def fill(self) -> "FiniteRing":
+        """Fill every table not yet filled, and return the ring."""
+        for name in ("add_table", "mul_table", "neg_table"):
+            getattr(self, name)
+        return self
+
+    def block(self, op: str, rows=None, cols=None) -> np.ndarray:
+        """``table[np.ix_(rows, cols)]`` of the "add" or "mul" table, as
+        int32; rows or cols None means every index.  The result may be a
+        read-only view of the table.
+
+        Cost on a filled table: two ``np.take``s, the shorter index
+        first: min(|rows|, |cols|) n cells, then |rows| |cols|.  An
+        unfilled table stays unfilled, and the block costs what the
+        builder's arithmetic states.
+        """
+        if op not in ("add", "mul"):
+            raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
+        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+        cols = None if cols is None else np.asarray(cols, dtype=np.intp)
+        table = self._filled(f"{op}_table")
+        if table is None:
+            return self._arithmetic(op, rows, cols)
+        if cols is not None and (rows is None or len(cols) < len(rows)):
+            part = np.take(table, cols, axis=1)
+            return part if rows is None else np.take(part, rows, axis=0)
+        part = table if rows is None else np.take(table, rows, axis=0)
+        return part if cols is None else np.take(part, cols, axis=1)
+
+    def neg_rows(self, rows=None) -> np.ndarray:
+        """``neg_table[rows]`` (every row when None), read from the table
+        once it is filled.  Until then it is the lenient negation scan:
+        the first position of ``zero`` in each row of the addition table,
+        or 0 when a row has none.  A missing additive inverse is an axiom
+        failure and is reported by validate_ring, not here.  Given rows,
+        the scan reads |rows| x n blocks and fills nothing; without, it
+        reads the filled addition table.  Row blocks keep the boolean
+        scan from adding 1 byte per n^2 to every build.
+        """
+        table = self._filled("neg_table")
+        if table is not None:
+            return table if rows is None else table[rows]
+        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
+        count = self.size if rows is None else len(rows)
+        neg = np.zeros(count, dtype=np.int32)
+        for block in _row_blocks(count, self.size, _SWEEP_BLOCK_CELLS):
+            part = self.add_table[block] if rows is None else self.block("add", rows[block])
+            neg[block] = np.argmax(part == self.zero, axis=1)
+        neg.flags.writeable = False
+        return neg
 
     # -- scalar operations ------------------------------------------------
 

@@ -19,7 +19,9 @@ zeros.  Both are far beyond any ring under the element cap, and they
 keep the recursive parse and build, and the printing of INTs in
 messages, within Python's limits.  Parse errors carry 1-based column
 positions.  Building is cached per canonical spelling, so a corpus
-that mentions Z4 five times constructs it once.
+that mentions Z4 five times constructs it once.  Only the ring a build
+returns has its tables filled: the Z2048 inside ``quot(Z2048, 512)``
+is read by blocks and keeps none.
 """
 
 from __future__ import annotations
@@ -241,13 +243,20 @@ def _construct(spec: Spec, ctx: BuildContext) -> FiniteRing:
             path = ctx.base_dir / path
         return constructions.table_ring(path, label=spec.args[0])
     kinds, builder = GRAMMAR[spec.head]
-    return builder(*(build(a, ctx) if k == "s" else a for k, a in zip(kinds, spec.args)))
+    return builder(*(_build(a, ctx) if k == "s" else a for k, a in zip(kinds, spec.args)))
 
 
 def build(spec: Spec, ctx: BuildContext | None = None) -> FiniteRing:
-    """Construct the ring a Spec names, caching by canonical spelling."""
-    if ctx is None:
-        ctx = BuildContext()
+    """Construct the ring a Spec names, caching every node by canonical
+    spelling, and return it with its tables filled.
+
+    A nested node is left as its builder left it, so a parent that only
+    a corner or a quotient reads, by blocks, never fills its tables.
+    """
+    return _build(spec, BuildContext() if ctx is None else ctx).fill()
+
+
+def _build(spec: Spec, ctx: BuildContext) -> FiniteRing:
     key = spec.canonical()
     ring = ctx.cache.get(key)
     if ring is None:

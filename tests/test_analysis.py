@@ -170,6 +170,7 @@ def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
     rng = np.random.default_rng(11)
     table = rng.integers(0, 30, (30, 30)).astype(np.int32)
+    ring = FiniteRing(30, table, table, zero=0, one=1)
     for _ in range(200):
         mask = rng.random(30) < 0.97
         rows = None if rng.random() < 0.3 else rng.choice(30, rng.integers(0, 30), replace=False)
@@ -185,7 +186,7 @@ def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
             ),
             None,
         )
-        assert analysis.first_escape(mask, table, rows, cols) == want
+        assert analysis.first_escape(mask, ring, "mul", rows, cols) == want
 
 
 # -- stated peaks ----------------------------------------------------------------------
@@ -204,8 +205,8 @@ def test_sweep_peaks_stay_within_the_docstring_figures(name):
     layer = PEAK_LAYERS[name]
     stated = re.search(r"Tracemalloc peak: ([\d.]+) bytes\s+per n\^2", layer.__doc__)
     assert stated, f"{name} states no peak per n^2"
-    ring = zn(1024)
-    # the inputs a layer reads, filled outside the trace
+    # the tables and the inputs a layer reads, filled outside the trace
+    ring = zn(1024).fill()
     analysis.unit_indices(ring)
     if layer is not analysis.comm_matrix:
         analysis.comm_matrix(ring)

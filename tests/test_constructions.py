@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deltaring import (
+    BuildContext,
     CapacityError,
     ConstructionError,
     ElementSet,
@@ -17,7 +18,9 @@ from deltaring import (
     analysis,
     build_ring,
     constructions as con,
+    harness,
     parse_ring_spec,
+    ringspec,
     zn,
 )
 
@@ -349,15 +352,77 @@ def test_quotient_by_generators_spells_its_generators(z4):
 # -- provenance records ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda: con.corner(con.matrix_ring(2, zn(4)), 1), id="corner(M(2, Z4), 1)"),
-    pytest.param(lambda: con.quotient_by_generators(zn(16), [4]), id="quot(Z16, 4)"),
-])
-def test_corners_and_quotients_keep_no_ring_of_their_parent(build):
-    prov = build().provenance
+TABLES = ("add_table", "mul_table", "neg_table")
+
+
+# the parents of the last two would fill 32 and 128 MB of tables
+@pytest.mark.parametrize(
+    "spec", ["corner(M(2, Z4), 1)", "quot(Z16, 4)", "quot(Z2048, 512)", "corner(M(2, Z8), 1)"]
+)
+def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
+    ctx = BuildContext()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prov = ringspec.build(parse_ring_spec(spec), ctx).provenance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for field in dataclasses.fields(prov):
         value = getattr(prov, field.name)
         assert not isinstance(value, (FiniteRing, ElementSet)), field.name
+    parent = ctx.cache[parse_ring_spec(spec).args[0].canonical()]
+    assert [parent._filled(name) for name in TABLES] == [None] * 3
+    assert peak < 10 * 2**20
+
+
+# -- block reads ---------------------------------------------------------------------
+
+# the benchmark's ladder rings (conftest.LADDER_SPECS), then products,
+# grids and H over nested unfilled rings
+BLOCK_SPECS = (
+    "Z512", "T(2, Z8)", "H(1, 1, Z8)", "prod(M(2, Z2), T(2, Z4))", "quot(Z2048, 512)",
+    "prod(Z6, M(2, Z2))", "H(5, 7, prod(Z2, Z4))", "T(2, prod(Z2, Z3))",
+)
+
+
+def _index_arrays(rng, n):
+    """Seeded index arrays into a ring of n: None (every index), empty,
+    unsorted with and without repeats, and runs of one repeated index."""
+    return [
+        None,
+        np.array([], dtype=np.intp),
+        rng.integers(0, n, 1),
+        rng.permutation(n)[:40],
+        rng.integers(0, n, 40),
+        np.repeat(rng.integers(0, n, 3), 4),
+    ]
+
+
+def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
+    rng = np.random.default_rng(23)
+    base_dir = harness.default_corpus_path().parent
+    for spec in [e.spec_text for e in corpus] + list(BLOCK_SPECS):
+        filled = build_ring(spec, BuildContext(base_dir=base_dir))
+        # the node as a parent sees it, its tables filled only if a
+        # table leaf or an eager builder gave it them
+        ring = ringspec._build(parse_ring_spec(spec), BuildContext(base_dir=base_dir))
+        lazy = ring._arithmetic is not None
+        every = np.arange(ring.size)
+        arrays = _index_arrays(rng, ring.size)
+        for op in ("add", "mul"):
+            table = getattr(filled, f"{op}_table")
+            for rows in arrays:
+                for cols in arrays:
+                    at = [every if ids is None else ids for ids in (rows, cols)]
+                    want = table[np.ix_(*at)]
+                    for source in (ring, filled):
+                        got = source.block(op, rows, cols)
+                        assert got.dtype == np.int32, spec
+                        assert np.array_equal(got, want), (spec, op, rows, cols)
+        for rows in arrays[1:]:
+            assert np.array_equal(ring.neg_rows(rows), filled.neg_table[rows]), spec
+        assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
 
 
 @pytest.mark.parametrize("spec", [
@@ -610,7 +675,8 @@ def test_build_peaks_stay_within_the_docstring_figures(name):
     gc.collect()
     tracemalloc.start()
     try:
-        ring = builder(*args)
+        # a ring built from its arithmetic fills its tables on first read
+        ring = builder(*args).fill()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
