@@ -36,9 +36,10 @@ import numpy as np
 
 from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles
 
-# Cells per row block of a sweep.  np.take turns int32 indices into an
-# intp copy, so a block costs 9-13 bytes per cell, about 2.4-3.4 MB at
-# every ring size.  Blocks of 2^20 cells raised the peak RSS of small
+# Cells per row block of a sweep.  np.take turns uint16 indices into an
+# intp copy, so a block costs 9-11 bytes per cell (the copy, a bool
+# result, and the block unless it is a view), about 2.4-2.9 MB at every
+# ring size.  Blocks of 2^20 cells raised the peak RSS of small
 # workloads; blocks of 2^16 made each sweep 1.8x slower.
 _BLOCK_CELLS = 1 << 18
 
@@ -91,24 +92,32 @@ def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
     return out
 
 
+def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None):
+    """``ring.block(op, rows, cols)`` in row blocks of about
+    ``_BLOCK_CELLS`` cells, as (index of the block's first row, block)
+    pairs; ``rows`` or ``cols`` None means every index.  An unfilled
+    table stays unfilled, and no read holds more than one block."""
+    count = ring.size if rows is None else len(rows)
+    for block in _blocks(count, ring.size if cols is None else len(cols)):
+        ids = np.arange(block.start, min(block.stop, count)) if rows is None else rows[block]
+        yield block.start, ring.block(op, ids, cols)
+
+
 def first_escape(mask, ring: FiniteRing, op: str, rows=None, cols=None) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with ``table[rows[i], cols[j]]``
     of the op's table ("add" or "mul") outside ``mask``, or None; ``rows``
     or ``cols`` None means every index.
 
-    Cost: one flat gather per cell, over ``ring.block`` reads of whole
-    table rows' worth of cells, stopping at the first block with an
-    escape.  Tracemalloc peak on a filled table: one block, at most 17
-    bytes per cell.
+    Cost: one flat gather per cell, over :func:`row_block_reads`,
+    stopping at the first block with an escape.  Tracemalloc peak on a
+    filled table: one block, at most 11 bytes per cell.
     """
     outside = ~mask
-    count = ring.size if rows is None else len(rows)
-    for block in _blocks(count, ring.size):
-        ids = np.arange(block.start, min(block.stop, count)) if rows is None else rows[block]
-        escaped = np.take(outside, ring.block(op, ids, cols))
+    for start, block in row_block_reads(ring, op, rows, cols):
+        escaped = np.take(outside, block)
         if escaped.any():
             i, j = np.argwhere(escaped)[0]
-            return block.start + int(i), int(j)
+            return start + int(i), int(j)
     return None
 
 

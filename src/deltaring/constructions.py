@@ -26,14 +26,15 @@ columns and gathers them at its rows; a product packs its components'
 blocks.  Table leaves, Dorroh extensions, corners and quotients are
 built with their tables, so malformed input is rejected at once; a
 corner or a quotient reads its parent only by blocks, so a parent that
-nothing else reads never fills its tables.  The FiniteRing keeps the
-fresh int32 tables it is handed.  Every table builder's docstring gives
-its tracemalloc peak in bytes per cell of the n x n result, the ring's
-tables and negation scan included, as measured with numpy 2.4 at 512 to
-4096 elements (the peak per cell falls with n, towards the 8 bytes of
-the two tables); corners and quotients give theirs per cell of their
-own m x m tables.  A memory pre-flight would multiply them by the
-square of the element count.
+nothing else reads never fills its tables.  Every builder writes its
+tables as uint16 (``kernel.TABLE_DTYPE``) with no wider n x n
+intermediate, and the FiniteRing keeps the fresh tables it is handed.
+Every table builder's docstring gives its tracemalloc peak in bytes per
+cell of the n x n result, the ring's tables and negation scan included,
+as measured with numpy 2.4 at 512 to 4096 elements (the peak per cell
+falls with n, towards the 4 bytes of the two tables); corners and
+quotients give theirs per cell of their own m x m tables.  A memory
+pre-flight would multiply them by the square of the element count.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .kernel import (
     ElementSet,
     FiniteRing,
     MalformedTableError,
+    TABLE_DTYPE,
     _SWEEP_BLOCK_CELLS,
     _as_table,
     _axiom_violations,
@@ -75,16 +77,17 @@ def _provenance(ring: FiniteRing, builder: str, *kinds: str) -> Provenance:
 
 
 def _gather_rows(terms) -> np.ndarray:
-    """The int32 table sum_p rows_p[keys_p], one row gather per term.
+    """The uint16 table sum_p rows_p[keys_p], one row gather per term.
 
     Each term is a pair (rows, keys): ``keys[x]`` is a small key derived
-    from the element of row x, and ``rows`` is the (#keys, width) int32
+    from the element of row x, and ``rows`` is the (#keys, width) uint16
     table whose row ``keys[x]`` is the term's contribution to row x,
-    place value folded in.  Terms are consumed one at a time, and each
-    after the first is added in row blocks.  Cost: one contiguous row
-    copy of the len(keys) x width result per term, in place of an
-    elementwise gather; tracemalloc peak 4 bytes per cell of the result
-    (the sum), one block and one ``rows``.
+    place value folded in.  Every entry of the sum is an element index,
+    and the terms are not negative, so no partial sum wraps.  Terms are
+    consumed one at a time, and each after the first is added in row
+    blocks.  Cost: one contiguous row copy of the len(keys) x width
+    result per term, in place of an elementwise gather; tracemalloc peak
+    2 bytes per cell of the result (the sum), one block and one ``rows``.
     """
     out = None
     for rows, keys in terms:
@@ -98,16 +101,17 @@ def _gather_rows(terms) -> np.ndarray:
 
 
 def _componentwise(tables, coords, place_values) -> np.ndarray:
-    """The int32 n x n table that applies ``tables[p]`` to coordinate p.
+    """The uint16 n x n table that applies ``tables[p]`` to coordinate p.
 
     ``coords[p][x]`` is coordinate p of element x, and entry (x, y) packs
     ``tables[p][coords[p][x], coords[p][y]]`` by ``place_values[p]``: row
     x of term p is row ``coords[p][x]`` of ``tables[p][:, coords[p]]``.
-    The packed value is an element index below the capped size, so it
-    fits int32 at every cap.  Cost: one row gather per coordinate.
+    The packed value and every term of it are element indices below the
+    capped size, so they fit uint16 at every cap.  Cost: one row gather
+    per coordinate.
     """
     return _gather_rows(
-        (_columns(table, coord) * np.int32(pv), coord)
+        (_columns(table, coord) * TABLE_DTYPE(pv), coord)
         for table, coord, pv in zip(tables, coords, place_values)
     )
 
@@ -118,6 +122,23 @@ def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
     seen = np.zeros(n, dtype=bool)
     seen[indices] = True
     return np.flatnonzero(seen)
+
+
+def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray | None:
+    """``lookup[base.block(op, rows, cols)]`` as a uint16 table, read by
+    ``analysis.row_block_reads``, so that no block of the parent is held
+    whole; None when ``lookup`` is -1 at some entry.  ``lookup`` numbers
+    the parent elements that a sub-construction keeps, -1 elsewhere, and
+    each block is checked before the uint16 store.  Cost: 2 bytes per
+    cell of the result, and one row block."""
+    count = base.size if rows is None else len(rows)
+    out = np.empty((count, base.size if cols is None else len(cols)), dtype=TABLE_DTYPE)
+    for start, block in analysis.row_block_reads(base, op, rows, cols):
+        part = lookup[block]
+        if (part < 0).any():
+            return None
+        out[start : start + len(part)] = part
+    return out
 
 
 def _columns(table: np.ndarray, coord: np.ndarray) -> np.ndarray:
@@ -178,11 +199,12 @@ def zn(n: int) -> FiniteRing:
     """The integers modulo n, for n >= 2, with its tables unfilled.
 
     Row x of the sum is the window x..x+n-1 of 0..n-1 written twice.
-    The product is a uint32 outer product reduced mod n in place: exact
+    The product, and any block of an unfilled table, is the uint32 outer
+    sum or product of the index arrays reduced mod n, in row blocks of
+    ``_SWEEP_BLOCK_CELLS`` cells stored into the uint16 result: exact
     while (n-1)^2 < 2^32, that is up to the hard cap of 65536.
-    Tracemalloc peak: 9 bytes per n^2 to fill the tables.  A block of an
-    unfilled table is the uint32 outer sum or product of its index
-    arrays, reduced mod n: 5 bytes per cell of the block.
+    Tracemalloc peak: 5 bytes per n^2 to fill the tables; a block
+    costs 2 bytes per cell of the block, and one row block.
     """
     spelled = spelling("Z", n)
     if n < 2:
@@ -191,18 +213,21 @@ def zn(n: int) -> FiniteRing:
 
     def arithmetic(op, rows, cols):
         if rows is None and cols is None and op == "add":
-            twice = np.arange(2 * n, dtype=np.int32) % n
+            twice = (np.arange(2 * n) % n).astype(TABLE_DTYPE)
             return np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
         arange = np.arange(n, dtype=np.uint32)
         left = arange if rows is None else rows.astype(np.uint32)
         right = arange if cols is None else cols.astype(np.uint32)
-        if op == "add":
-            out = np.add.outer(left, right)
-            np.subtract(out, np.uint32(n), out=out, where=out >= n)
-        else:
-            out = np.multiply.outer(left, right)
-            out %= np.uint32(n)
-        return out.view(np.int32)
+        out = np.empty((len(left), len(right)), dtype=TABLE_DTYPE)
+        for block in _row_blocks(len(left), max(1, len(right)), _SWEEP_BLOCK_CELLS):
+            if op == "add":
+                part = np.add.outer(left[block], right)
+                np.subtract(part, np.uint32(n), out=part, where=part >= n)
+            else:
+                part = np.multiply.outer(left[block], right)
+                part %= np.uint32(n)
+            out[block] = part
+        return out
 
     return FiniteRing(
         n,
@@ -272,10 +297,10 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Direct product; index of (r, s) is r * |right| + s.  Its tables
     are unfilled, and its components stay as they are.
 
-    Both tables are componentwise.  Tracemalloc peak: 10 bytes per n^2
+    Both tables are componentwise.  Tracemalloc peak: 5 bytes per n^2
     to fill the tables.  A block of an unfilled table is its components'
     blocks at the coordinates of its rows and columns, packed: the
-    components' costs plus 8 bytes per cell of the block.
+    components' costs plus 4 bytes per cell of the block.
     """
     n = left.size * right.size
     spelled = spelling("prod", left.spell(), right.spell())
@@ -289,7 +314,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
             return _componentwise(tables, (arange // sn, arange % sn), (sn, 1))
         rows = np.arange(n) if rows is None else rows
         cols = np.arange(n) if cols is None else cols
-        out = left.block(op, rows // sn, cols // sn) * np.int32(sn)
+        out = left.block(op, rows // sn, cols // sn) * TABLE_DTYPE(sn)
         out += right.block(op, rows % sn, cols % sn)
         return out
 
@@ -389,7 +414,7 @@ def _grid_ring(
         at_cols = grid if cols is None else grid[cols]
         for (i, j), pv in zip(positions, place_values):
             if op == "add":
-                yield _columns(base.add_table, at_cols[:, i, j]) * np.int32(pv), at_rows[:, i, j]
+                yield _columns(base.add_table, at_cols[:, i, j]) * TABLE_DTYPE(pv), at_rows[:, i, j]
                 continue
             ls = np.flatnonzero(support[i] & support[:, j])
             shape = (bs,) * len(ls)
@@ -429,9 +454,9 @@ def _grid_ring(
 def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """Full k x k matrices over the base ring, row-major mixed radix.
 
-    Tracemalloc peak: 10.5 bytes per n^2: both tables, one row block,
-    and the keyed product rows of _grid_ring, which are n x n for k = 1
-    and take it to 12.
+    Tracemalloc peak: 5 bytes per n^2: both tables, one row block, and
+    the keyed product rows of _grid_ring, which are n x n for k = 1 and
+    take it to 11.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -446,7 +471,7 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """Upper-triangular k x k matrices over the base ring.
 
-    Tracemalloc peak: 10.5 bytes per n^2, as for matrix_ring.
+    Tracemalloc peak: 5 bytes per n^2, as for matrix_ring.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -512,7 +537,7 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     fixed central units s and t.  Elements are stored as the free triple
     (c, e, f), most significant first; the dependent entries are
     d = f + t*e and a = d + s*c.  Size is |base|^3, not |base|^9.
-    Tracemalloc peak: 11 bytes per n^2: the product is keyed on two
+    Tracemalloc peak: 5.5 bytes per n^2: the product is keyed on two
     entries, so its keyed rows take |base|^2 x n cells, one in |base|
     of n^2.
     """
@@ -679,18 +704,18 @@ def zero_action(base: FiniteRing) -> BimoduleRingAction:
 def ideal_action(base: FiniteRing, generators) -> BimoduleRingAction:
     """V is the two-sided ideal generated by the given elements, with
     inherited operations and the base ring acting by multiplication."""
-    members = np.array(sorted(ideal_generated(base, generators).indices()), dtype=np.int32)
+    members = np.flatnonzero(ideal_generated(base, generators).bool_array())
     lookup = np.full(base.size, -1, dtype=np.int32)
     lookup[members] = np.arange(len(members), dtype=np.int32)
     v = NonUnitalRing(
         len(members),
-        lookup[base.block("add", members, members)],
-        lookup[base.block("mul", members, members)],
+        _relabelled(base, "add", members, members, lookup),
+        _relabelled(base, "mul", members, members, lookup),
         int(lookup[base.zero]),
         names=[base.element_name(int(m)) for m in members],
     )
-    left = lookup[base.block("mul", None, members)]
-    right = lookup[base.block("mul", members)]
+    left = _relabelled(base, "mul", None, members, lookup)
+    right = _relabelled(base, "mul", members, None, lookup)
     return BimoduleRingAction(v=v, left=left, right=right)
 
 
@@ -704,8 +729,8 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
 
     and identity (1, 0).  The capacity is checked first, then all
     action laws exhaustively, then the tables are compiled; V is never
-    assumed to have an identity of its own.  Tracemalloc peak: 12.5 bytes
-    per n^2 for the tables, and about 11 bytes per cell of the largest
+    assumed to have an identity of its own.  Tracemalloc peak: 5.5 bytes
+    per n^2 for the tables, and 6 to 10 bytes per cell of the largest
     action law, |base| |V| max(|base|, |V|) cells, for the validation.
     """
     v = action.v
@@ -759,12 +784,11 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     """The corner ring e*R*e with identity e, for a nonzero idempotent e.
 
     The base is read only by blocks (``FiniteRing.block``): the row e,
-    the column e at the n elements ex, and the m x m blocks of the corner
-    of m elements, so an unfilled base stays unfilled.  Tracemalloc peak:
-    12 bytes per m^2 (measured at m = 256 to 2048), plus up to about 250
-    bytes per element of the base for ex, exe and their block reads; a
-    filled base adds 4 bytes per cell of the m x n rows that its m x m
-    blocks take first.
+    the column e at the n elements ex, and the m x m tables of the corner
+    of m elements in row blocks, so an unfilled base stays unfilled.
+    Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
+    m = 256 to 2048 with n = 4096), plus one row block, under 1 MB, and
+    the n-vectors ex, exe and the lookup.
     """
     base._check_index(e)
     if int(base.block("mul", [e], [e])[0, 0]) != e:
@@ -775,9 +799,9 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     members = _distinct(exe, base.size)
     lookup = np.full(base.size, -1, dtype=np.int32)
     lookup[members] = np.arange(len(members), dtype=np.int32)
-    add = lookup[base.block("add", members, members)]
-    mul = lookup[base.block("mul", members, members)]
-    if (add < 0).any() or (mul < 0).any():
+    add = _relabelled(base, "add", members, members, lookup)
+    mul = _relabelled(base, "mul", members, members, lookup)
+    if add is None or mul is None:
         raise ConstructionError("corner set is not closed; the base tables are defective")
     return FiniteRing(
         len(members),
@@ -795,8 +819,10 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
 
     Saturates under addition of members and multiplication by arbitrary
     ring elements on both sides; negation is covered by multiplication
-    with -1.  Each round reads the base by blocks, |I|^2 + 2 n |I| cells
-    for the current members I, so an unfilled base stays unfilled.
+    with -1.  Each round reads the base in row blocks
+    (``analysis.row_block_reads``), |I|^2 + 2 n |I| cells for the
+    current members I, so an unfilled base stays unfilled and no read
+    holds more than one block.
     """
     mask = np.zeros(base.size, dtype=bool)
     mask[base.zero] = True
@@ -808,7 +834,8 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
         new_mask = mask.copy()
         reads = (("add", members, members), ("mul", None, members), ("mul", members, None))
         for op, rows, cols in reads:
-            new_mask[base.block(op, rows, cols)] = True
+            for _, block in analysis.row_block_reads(base, op, rows, cols):
+                new_mask[block] = True
         if (new_mask == mask).all():
             return ElementSet(base, mask)
         mask = new_mask
@@ -823,13 +850,11 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     rejected, keeping every constructed ring unital and nonzero.
     The base is read only by blocks (``FiniteRing.block``): the ideal
     check's |I|^2 + 2 n |I| cells, the |I| x n negation rows, the
-    n x |I| coset table and the m x m blocks of the quotient of m
-    elements, so an unfilled base stays unfilled.  Tracemalloc peak:
-    12 bytes per m^2 (measured at m = 256 to 2048), or 5.1 bytes per
-    cell of the n x |I| coset table if larger, and at least one
-    ``first_escape`` block of the ideal check, about 3.4 MB; a filled
-    base adds 4 bytes per cell of the m x n rows that its m x m blocks
-    take first.
+    n x |I| coset table and the m x m tables of the quotient of m
+    elements, all in row blocks, so an unfilled base stays unfilled.
+    Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
+    m = 256 to 2048 with n = 4096), plus one row block of the ideal
+    check or the coset table, about 3 MB, and n-vectors.
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
@@ -855,13 +880,15 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
     if mask[base.one]:
         raise ConstructionError("quotient by the whole ring is the zero ring; rejected")
 
-    rep_of = base.block("add", None, members).min(axis=1).astype(np.int32)
+    rep_of = np.empty(base.size, dtype=np.int32)
+    for start, block in analysis.row_block_reads(base, "add", None, members):
+        rep_of[start : start + len(block)] = block.min(axis=1)
     representatives = _distinct(rep_of, base.size)
     lookup = np.full(base.size, -1, dtype=np.int32)
     lookup[representatives] = np.arange(len(representatives), dtype=np.int32)
-    coset_of = lookup[rep_of]
-    add = coset_of[base.block("add", representatives, representatives)]
-    mul = coset_of[base.block("mul", representatives, representatives)]
+    coset_of = lookup[rep_of]  # every element has a coset, so no entry is -1
+    add = _relabelled(base, "add", representatives, representatives, coset_of)
+    mul = _relabelled(base, "mul", representatives, representatives, coset_of)
     rep_of.flags.writeable = False
     spelled = spelling("quot", base.spell(), *generators)
     return FiniteRing(

@@ -696,16 +696,18 @@ def _c30_h_ring(ring: FiniteRing, ctx: SuiteContext):
 
 
 def _positions(row: np.ndarray, value: int):
-    """Indices of ``value`` in one int32 table row, found by a C-level byte search."""
+    """Indices of ``value`` in one table row, found by a C-level byte
+    search that keeps only matches aligned to the row's itemsize."""
     raw = row.tobytes()
-    pattern = np.int32(value).tobytes()
+    pattern = row.dtype.type(value).tobytes()
+    width = row.itemsize
     at = raw.find(pattern)
     while at >= 0:
-        if at % 4:
+        if at % width:
             at = raw.find(pattern, at + 1)
         else:
-            yield at // 4
-            at = raw.find(pattern, at + 4)
+            yield at // width
+            at = raw.find(pattern, at + width)
 
 
 def reverify_not_dqp_witness(ring: FiniteRing, a: int) -> bool:

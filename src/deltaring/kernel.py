@@ -25,8 +25,12 @@ import numpy as np
 
 DEFAULT_CAPACITY = 4096
 # Zn's uint32 product is exact while (n-1)^2 < 2^32, that is up to here,
-# where the two int32 tables of a ring already take 32 GiB
+# and every element index fits TABLE_DTYPE; the two tables of a ring of
+# this size already take 16 GiB
 MAX_CAPACITY = 65536
+# The dtype of every add and mul table: an entry is an element index
+# below MAX_CAPACITY, 2 bytes per cell at every allowed size
+TABLE_DTYPE = np.uint16
 CAPACITY_ENV_VAR = "DELTARING_CAPACITY"
 
 # An element is an index into a ring's canonical element order; it is
@@ -80,14 +84,16 @@ def _is_int(value) -> bool:
 
 
 def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.ndarray:
-    """``data`` as a read-only, C-contiguous int32 table of the given
-    shape (any 2-D shape when None), with every entry in ``0..bound-1``.
+    """``data`` as a read-only, C-contiguous ``TABLE_DTYPE`` (uint16)
+    table of the given shape (any 2-D shape when None), with every entry
+    in ``0..bound-1``.
 
-    A C-contiguous int32 array is kept, not copied, and marked read-only:
-    builders hand over fresh tables they never touch again, and another
-    ring's tables are read-only already.  Other integer data is
-    range-checked before the int32 cast, so no entry wraps into range;
-    data that is not integer is malformed.
+    A C-contiguous uint16 array is kept, not copied, and marked
+    read-only: builders hand over fresh tables they never touch again,
+    and another ring's tables are read-only already.  Other integer data
+    is range-checked before the uint16 cast, so no entry wraps into
+    range (2^16 + 2 would read as 2); data that is not integer is
+    malformed.
     """
     try:
         table = np.asarray(data)
@@ -104,7 +110,7 @@ def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.
         raise MalformedTableError(
             f"{name} table entry at ({bad[0]}, {bad[1]}) is outside 0..{bound - 1}"
         )
-    table = np.ascontiguousarray(table, dtype=np.int32)
+    table = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
     table.flags.writeable = False
     return table
 
@@ -114,7 +120,7 @@ class FiniteRing:
 
     A ring is given either its tables, which are checked at construction,
     or its builder's ``arithmetic``: ``arithmetic(op, rows, cols)`` returns
-    the int32 block ``table[np.ix_(rows, cols)]`` of the "add" or "mul"
+    the uint16 block ``table[np.ix_(rows, cols)]`` of the "add" or "mul"
     table, rows or cols None meaning every index, so that
     ``arithmetic(op, None, None)`` is the whole table.  Such a ring fills
     ``add_table``, ``mul_table`` and ``neg_table`` on their first read,
@@ -124,7 +130,8 @@ class FiniteRing:
     quotient reads its parent by blocks and never fills it.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
-    recomputation.  Constructions are rejected above
+    recomputation.  Both tables are ``TABLE_DTYPE`` (uint16), 4 bytes
+    per n^2 together.  Constructions are rejected above
     :func:`element_capacity` elements and zero rings (``one == zero``)
     are rejected outright.
     """
@@ -211,12 +218,12 @@ class FiniteRing:
 
     def block(self, op: str, rows=None, cols=None) -> np.ndarray:
         """``table[np.ix_(rows, cols)]`` of the "add" or "mul" table, as
-        int32; rows or cols None means every index.  The result may be a
+        uint16; rows or cols None means every index.  The result may be a
         read-only view of the table.
 
-        Cost on a filled table: two ``np.take``s, the shorter index
-        first: min(|rows|, |cols|) n cells, then |rows| |cols|.  An
-        unfilled table stays unfilled, and the block costs what the
+        Cost on a filled table: one gather of |rows| |cols| cells, whole
+        rows or columns by one ``np.take`` when the other index is None.
+        An unfilled table stays unfilled, and the block costs what the
         builder's arithmetic states.
         """
         if op not in ("add", "mul"):
@@ -226,11 +233,11 @@ class FiniteRing:
         table = self._filled(f"{op}_table")
         if table is None:
             return self._arithmetic(op, rows, cols)
-        if cols is not None and (rows is None or len(cols) < len(rows)):
-            part = np.take(table, cols, axis=1)
-            return part if rows is None else np.take(part, rows, axis=0)
-        part = table if rows is None else np.take(table, rows, axis=0)
-        return part if cols is None else np.take(part, cols, axis=1)
+        if rows is None:
+            return table if cols is None else np.take(table, cols, axis=1)
+        if cols is None:
+            return np.take(table, rows, axis=0)
+        return table[rows[:, None], cols]
 
     def neg_rows(self, rows=None) -> np.ndarray:
         """``neg_table[rows]`` (every row when None), read from the table

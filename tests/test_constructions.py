@@ -42,12 +42,12 @@ def test_zn_rejects_degenerate_sizes():
 def test_zn_tables_match_python_arithmetic():
     for n in [*range(2, 41), 97, 255, 1000]:
         ring = zn(n)
-        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+        assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
         assert ring.add_table.tolist() == [[(x + y) % n for y in range(n)] for x in range(n)]
         assert ring.mul_table.tolist() == [[(x * y) % n for y in range(n)] for x in range(n)]
     n = 4096
     ring = zn(n)
-    assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+    assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
     for x in (0, 1, 2047, 4095):  # 4095 * 4095 is the largest product
         assert ring.add_table[x].tolist() == [(x + y) % n for y in range(n)]
         assert ring.mul_table[x].tolist() == [(x * y) % n for y in range(n)]
@@ -376,6 +376,33 @@ def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
     assert peak < 10 * 2**20
 
 
+def _sub_construction_peak(spec, filled):
+    """The tracemalloc peak of building ``spec``, a corner or a quotient,
+    its parent built outside the window, with its tables filled or not."""
+    ctx = BuildContext()
+    parent = ringspec._build(parse_ring_spec(spec).args[0], ctx)
+    if filled:
+        parent.fill()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ringspec._build(parse_ring_spec(spec), ctx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["corner(H(1, 1, Z16), 16)", "quot(prod(Z64, Z32), 256)"])
+def test_a_filled_parent_costs_its_corner_or_quotient_no_more_memory(spec):
+    # m x m blocks of a filled table are one gather, with no m x n rows
+    assert _sub_construction_peak(spec, True) <= _sub_construction_peak(spec, False) + 2**20
+
+
+def test_a_quotient_reads_the_n_by_ideal_blocks_in_row_blocks():
+    # the ideal closure and the coset table read 4096 x 2048 cells each
+    assert _sub_construction_peak("quot(Z4096, 2)", False) < 8 * 2**20
+
+
 # -- block reads ---------------------------------------------------------------------
 
 # the benchmark's ladder rings (conftest.LADDER_SPECS), then products,
@@ -418,11 +445,67 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
                     want = table[np.ix_(*at)]
                     for source in (ring, filled):
                         got = source.block(op, rows, cols)
-                        assert got.dtype == np.int32, spec
+                        assert got.dtype == np.uint16, spec
                         assert np.array_equal(got, want), (spec, op, rows, cols)
         for rows in arrays[1:]:
             assert np.array_equal(ring.neg_rows(rows), filled.neg_table[rows]), spec
         assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+
+
+def _digits(x, radix, count):
+    """x as ``count`` digits of ``radix``, most significant first."""
+    return [x // radix ** (count - 1 - p) % radix for p in range(count)]
+
+
+def _number(digits, radix):
+    return sum(d * radix ** (len(digits) - 1 - p) for p, d in enumerate(digits))
+
+
+def _digitwise(radix, count, op):
+    """Python arithmetic on elements read as ``count`` digits of
+    ``radix``, applying ``op`` digit by digit."""
+
+    def apply(x, y):
+        pairs = zip(_digits(x, radix, count), _digits(y, radix, count))
+        return _number([op(a, b) % radix for a, b in pairs], radix)
+
+    return apply
+
+
+def _matrix_product_z16(x, y):
+    a, b = _digits(x, 16, 4), _digits(y, 16, 4)  # [[a0, a1], [a2, a3]], row-major
+    return _number([(a[2 * i] * b[j] + a[2 * i + 1] * b[2 + j]) % 16 for i in (0, 1) for j in (0, 1)], 16)
+
+
+# rings of up to 65536 elements, the hard cap, with Python's (add, mul);
+# at 65536 a uint16 wrap is itself mod 65536, so 65521 and 65535 also
+# catch a sum or a product that wraps
+TOP_RINGS = {
+    "Z65536": (lambda x, y: (x + y) % 65536, lambda x, y: x * y % 65536),
+    "Z65521": (lambda x, y: (x + y) % 65521, lambda x, y: x * y % 65521),
+    "prod(Z256, Z256)": (_digitwise(256, 2, int.__add__), _digitwise(256, 2, int.__mul__)),
+    "prod(Z257, Z255)": (
+        lambda x, y: (x // 255 + y // 255) % 257 * 255 + (x + y) % 255,
+        lambda x, y: (x // 255) * (y // 255) % 257 * 255 + (x % 255) * (y % 255) % 255,
+    ),
+    "M(2, Z16)": (_digitwise(16, 4, int.__add__), _matrix_product_z16),
+}
+
+
+@pytest.mark.parametrize("spec", TOP_RINGS)
+def test_blocks_at_the_hard_cap_match_python_arithmetic(spec, monkeypatch):
+    monkeypatch.setenv("DELTARING_CAPACITY", "65536")
+    ring = ringspec._build(parse_ring_spec(spec), BuildContext())
+    n = ring.size
+    assert n in (65521, 65535, 65536)
+    # the top indices, then seeded random ones
+    ids = np.concatenate([np.arange(n - 6, n), np.random.default_rng(n).integers(0, n, 40)])
+    for op, python in zip(("add", "mul"), TOP_RINGS[spec]):
+        got = ring.block(op, ids, ids)
+        assert got.dtype == np.uint16
+        assert got.tolist() == [[python(int(x), int(y)) for y in ids] for x in ids], op
+    # no table of 65536^2 cells was built
+    assert [ring._filled(name) for name in TABLES] == [None] * 3
 
 
 @pytest.mark.parametrize("spec", [

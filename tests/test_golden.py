@@ -94,6 +94,8 @@ def _corruption_rows(corpus) -> bytes:
 
 
 def _digest(table) -> str:
+    # hashed as little-endian int32, the dtype the digests were recorded in
+    table = table.astype("<i4")
     return hashlib.sha256(str(table.dtype).encode() + table.tobytes()).hexdigest()
 
 

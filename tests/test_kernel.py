@@ -133,7 +133,7 @@ def test_capacity_has_a_hard_ceiling(monkeypatch):
         zn(2)
 
 
-def test_ring_keeps_a_fresh_int32_table_and_freezes_it(z4):
+def test_ring_keeps_a_fresh_uint16_table_and_freezes_it(z4):
     add = z4.add_table.copy()
     mul = z4.mul_table.copy()
     ring = FiniteRing(4, add, mul, zero=0, one=1)
@@ -156,15 +156,18 @@ def test_ring_converts_and_range_checks_other_table_data(z4):
     strided = np.asfortranarray(z4.add_table)
     fortran = FiniteRing(4, strided, z4.mul_table, zero=0, one=1)
     for ring in (lists, wide, fortran):
-        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+        assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
         assert ring.add_table.flags.c_contiguous and not ring.add_table.flags.writeable
         assert (ring.add_table == z4.add_table).all() and (ring.mul_table == z4.mul_table).all()
     assert not np.shares_memory(fortran.add_table, strided)
 
     wrapping = z4.add_table.astype(np.int64)
-    wrapping[1, 2] += 2**32  # would read as 3 after an unchecked int32 cast
+    wrapping[1, 2] += 2**32  # would read as 3 after an unchecked uint16 cast
     with pytest.raises(MalformedTableError, match=r"\(1, 2\) is outside 0..3"):
         FiniteRing(4, wrapping, z4.mul_table, zero=0, one=1)
+    wrapping = np.full((1, 1), 2**16 + 2, dtype=np.int64)  # would read as 2
+    with pytest.raises(MalformedTableError, match=r"\(0, 0\) is outside 0..3"):
+        kernel._as_table("add", wrapping, None, 4)
     for entry in (4, 2**40):
         with pytest.raises(MalformedTableError, match="outside 0..3"):
             FiniteRing(4, [[0, 1, 2, entry]] * 4, z4.mul_table, zero=0, one=1)
