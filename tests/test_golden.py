@@ -34,12 +34,13 @@ CORRUPTIONS_PER_RING = 12
 CORRUPTION_MAX_SIZE = 16
 # the benchmark's ladder rings (conftest.LADDER_SPECS), then matrix-shaped
 # rings beyond the corpus and the ladder, H over a product base, then
-# corners and quotients of every parent kind that has block arithmetic
+# corners and quotients of every parent kind
 TABLE_SPECS = (
     "Z512", "T(2, Z8)", "H(1, 1, Z8)", "prod(M(2, Z2), T(2, Z4))", "quot(Z2048, 512)",
     "M(2, Z3)", "T(3, Z2)", "H(5, 7, prod(Z2, Z4))",
     "corner(M(2, Z8), 1)", "corner(T(3, Z4), 1)", "corner(H(1, 1, Z8), 8)",
     "quot(M(2, Z8), 1026)", "quot(T(2, Z16), 2)", "quot(prod(Z64, Z32), 256)",
+    "corner(dorroh(Z16, self), 1)", "quot(dorroh(Z16, self), 1)",
 )
 
 
