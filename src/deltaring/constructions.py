@@ -13,27 +13,26 @@ indices follow a canonical mixed-radix encoding per construction, most
 significant component first, so encode/decode round-trips are exact and
 reports are reproducible.
 
-Zn, products and the matrix-shaped rings M, T and H are built from
-their arithmetic, without tables: the FiniteRing fills each table on
-its first read, and serves any block of a table it has not filled from
-the same arithmetic (``FiniteRing.block``).  Zn's tables are a sliding
-window and an outer product.  The product, matrix-shaped and Dorroh
-tables are sums of row gathers (``_gather_rows``): row x is a sum of
-rows picked by small keys of x, so none of them runs an elementwise
-n x n gather but Dorroh's V-part product, which depends on all of x.
-A block of a matrix-shaped ring restricts the same terms to its
-columns and gathers them at its rows; a product packs its components'
-blocks.  Table leaves, Dorroh extensions, corners and quotients are
-built with their tables, so malformed input is rejected at once; a
-corner or a quotient reads its parent only by blocks, so a parent that
-nothing else reads never fills its tables.  Every builder writes its
-tables as uint16 (``kernel.TABLE_DTYPE``) with no wider n x n
-intermediate, and the FiniteRing keeps the fresh tables it is handed.
-Every table builder's docstring gives its tracemalloc peak in bytes per
-cell of the n x n result, the ring's tables and negation scan included,
-as measured with numpy 2.4 at 512 to 4096 elements (the peak per cell
-falls with n, towards the 4 bytes of the two tables); corners and
-quotients give theirs per cell of their own m x m tables.  A memory
+Zn, products, the matrix-shaped rings M, T and H, and Dorroh extensions
+are built from their arithmetic, without tables: the FiniteRing fills
+each table on its first read, and serves any block of a table it has
+not filled from the same arithmetic (``FiniteRing.block``).  Zn's
+tables are a sliding window and an outer product; the others are sums
+of row gathers (``_gather_rows``): row x is a sum of rows picked by
+small keys of x, so none of them runs an elementwise n x n gather but
+Dorroh's V-part product, which depends on all of x.  A block restricts
+the same terms to its columns and gathers them at its rows, or packs
+a product's components' blocks.  Only table leaves (checked at once),
+corners and quotients (which keep no parent) hold tables from the
+start.  A corner or a quotient reads its parent only by blocks, so a
+parent that nothing else reads never fills its tables.  Every builder
+writes its tables as uint16 (``kernel.TABLE_DTYPE``) with no wider
+n x n intermediate, and the FiniteRing keeps the fresh tables it is
+handed.  Every table builder's docstring gives its tracemalloc peak in
+bytes per cell of the n x n result, the ring's tables and negation scan
+included, as measured with numpy 2.4 at 512 to 4096 elements (the peak
+per cell falls with n, towards the 4 bytes of the two tables); corners
+and quotients give theirs per cell of their own m x m tables.  A memory
 pre-flight would multiply them by the square of the element count.
 """
 
@@ -100,28 +99,15 @@ def _gather_rows(terms) -> np.ndarray:
     return out
 
 
-def _componentwise(tables, coords, place_values) -> np.ndarray:
-    """The uint16 n x n table that applies ``tables[p]`` to coordinate p.
-
-    ``coords[p][x]`` is coordinate p of element x, and entry (x, y) packs
-    ``tables[p][coords[p][x], coords[p][y]]`` by ``place_values[p]``: row
-    x of term p is row ``coords[p][x]`` of ``tables[p][:, coords[p]]``.
-    The packed value and every term of it are element indices below the
-    capped size, so they fit uint16 at every cap.  Cost: one row gather
-    per coordinate.
-    """
-    return _gather_rows(
-        (_columns(table, coord) * TABLE_DTYPE(pv), coord)
-        for table, coord, pv in zip(tables, coords, place_values)
-    )
-
-
-def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
-    """The distinct entries of ``indices``, elements of a ring of n,
-    ascending: one n-vector mask in place of ``np.unique``'s sort."""
-    seen = np.zeros(n, dtype=bool)
-    seen[indices] = True
-    return np.flatnonzero(seen)
+def _numbering(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct elements of a parent of n that ``indices`` (an index
+    array or a boolean mask) names, ascending, and the lookup that numbers
+    them: i at the i-th, -1 at every other; one n-vector, and no sort."""
+    lookup = np.full(n, -1, dtype=np.int32)
+    lookup[indices] = 0
+    kept = np.flatnonzero(lookup == 0)
+    lookup[kept] = np.arange(len(kept), dtype=np.int32)
+    return kept, lookup
 
 
 def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray | None:
@@ -309,9 +295,11 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
 
     def arithmetic(op, rows, cols):
         if rows is None and cols is None:
-            arange = np.arange(n)
-            tables = (getattr(left, f"{op}_table"), getattr(right, f"{op}_table"))
-            return _componentwise(tables, (arange // sn, arange % sn), (sn, 1))
+            xl, xr = np.divmod(np.arange(n), sn)
+            return _gather_rows(
+                (_columns(getattr(part, f"{op}_table"), x) * TABLE_DTYPE(pv), x)
+                for part, x, pv in ((left, xl, sn), (right, xr, 1))
+            )
         rows = np.arange(n) if rows is None else rows
         cols = np.arange(n) if cols is None else cols
         out = left.block(op, rows // sn, cols // sn) * TABLE_DTYPE(sn)
@@ -704,9 +692,7 @@ def zero_action(base: FiniteRing) -> BimoduleRingAction:
 def ideal_action(base: FiniteRing, generators) -> BimoduleRingAction:
     """V is the two-sided ideal generated by the given elements, with
     inherited operations and the base ring acting by multiplication."""
-    members = np.flatnonzero(ideal_generated(base, generators).bool_array())
-    lookup = np.full(base.size, -1, dtype=np.int32)
-    lookup[members] = np.arange(len(members), dtype=np.int32)
+    members, lookup = _numbering(ideal_generated(base, generators).bool_array(), base.size)
     v = NonUnitalRing(
         len(members),
         _relabelled(base, "add", members, members, lookup),
@@ -720,7 +706,7 @@ def ideal_action(base: FiniteRing, generators) -> BimoduleRingAction:
 
 
 def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom") -> FiniteRing:
-    """Extension of the base ring by a bimodule-ring V.
+    """Extension of the base ring by a bimodule-ring V, its tables unfilled.
 
     Elements are pairs (r, v), index r * |V| + v, with
 
@@ -728,10 +714,13 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         (r, v) * (s, w) = (r * s, r.w + v.s + v * w)
 
     and identity (1, 0).  The capacity is checked first, then all
-    action laws exhaustively, then the tables are compiled; V is never
-    assumed to have an identity of its own.  Tracemalloc peak: 5.5 bytes
-    per n^2 for the tables, and 6 to 10 bytes per cell of the largest
-    action law, |base| |V| max(|base|, |V|) cells, for the validation.
+    action laws exhaustively; V is never assumed to have an identity of
+    its own.  Every block is the base's block packed by |V| plus the
+    V-part, from rows keyed by the r and v that occur in its rows; the
+    product's V-sum is summed elementwise, in row blocks.
+    Tracemalloc peak: 5.5 bytes per n^2 for the tables, and 6 to 10
+    bytes per cell of the largest action law, |base| |V|
+    max(|base|, |V|) cells, for the validation.
     """
     v = action.v
     vn = v.size
@@ -741,33 +730,42 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     errs = validate_bimodule_action(base, action)
     if errs:
         raise ConstructionError(f"invalid bimodule action: {errs[0]}")
-    arange = np.arange(n)
-    rvec = (arange // vn).astype(np.int32)
-    vvec = (arange % vn).astype(np.int32)
-
-    add = _componentwise((base.add_table, v.add_table), (rvec, vvec), (vn, 1))
-    mul = _componentwise((base.mul_table,), (rvec,), (vn,))
-    # r.w, v.s and v*w are rows keyed by r or v, but their V-sum depends
-    # on all of x, so it is summed elementwise, one row block at a time,
-    # by flat gathers from V's addition table
-    lw = _columns(action.left, vvec)
-    vs = _columns(action.right, rvec)
-    vw = _columns(v.mul_table, vvec)
     vadd = v.add_table.reshape(-1)
     width = np.int32(vn)
-    for block in _row_blocks(n, n, _SWEEP_BLOCK_CELLS):
-        xr, xv = rvec[block], vvec[block]
-        part = mul[block]
-        part += np.take(vadd, np.take(vadd, lw[xr] * width + vs[xv]) * width + vw[xv])
+
+    def arithmetic(op, rows, cols):
+        rows = np.arange(n) if rows is None else rows
+        cols = np.arange(n) if cols is None else cols
+        # the rows' r and v that occur, and each row's place among them
+        used_r, key_r = np.unique(rows // vn, return_inverse=True)
+        used_v, key_v = np.unique(rows % vn, return_inverse=True)
+        yr, yw = np.divmod(cols, vn)
+
+        def terms():  # one at a time, as each term's rows take |keys| x |cols|
+            yield base.block(op, used_r, yr) * TABLE_DTYPE(vn), key_r
+            if op == "add":
+                yield _columns(np.take(v.add_table, used_v, axis=0), yw), key_v
+
+        out = _gather_rows(terms())
+        if op == "add":
+            return out
+        lw = _columns(np.take(action.left, used_r, axis=0), yw)
+        vs = _columns(np.take(action.right, used_v, axis=0), yr)
+        vw = _columns(np.take(v.mul_table, used_v, axis=0), yw)
+        for block in _row_blocks(len(rows), max(1, len(cols)), _SWEEP_BLOCK_CELLS):
+            kr, kv = key_r[block], key_v[block]
+            out[block] += np.take(vadd, np.take(vadd, lw[kr] * width + vs[kv]) * width + vw[kv])
+        return out
 
     return FiniteRing(
         n,
-        add,
-        mul,
+        None,
+        None,
         zero=base.zero * vn + v.zero,
         one=base.one * vn + v.zero,
         provenance=Provenance("dorroh", spelled, base=base, action=action),
         element_names=_pair_names(base, v),
+        arithmetic=arithmetic,
     )
 
 
@@ -796,9 +794,7 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     if e == base.zero:
         raise ConstructionError("corner at zero is the zero ring and has no identity")
     exe = base.block("mul", base.block("mul", [e])[0], [e])[:, 0]
-    members = _distinct(exe, base.size)
-    lookup = np.full(base.size, -1, dtype=np.int32)
-    lookup[members] = np.arange(len(members), dtype=np.int32)
+    members, lookup = _numbering(exe, base.size)
     add = _relabelled(base, "add", members, members, lookup)
     mul = _relabelled(base, "mul", members, members, lookup)
     if add is None or mul is None:
@@ -819,26 +815,29 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
 
     Saturates under addition of members and multiplication by arbitrary
     ring elements on both sides; negation is covered by multiplication
-    with -1.  Each round reads the base in row blocks
-    (``analysis.row_block_reads``), |I|^2 + 2 n |I| cells for the
-    current members I, so an unfilled base stays unfilled and no read
-    holds more than one block.
+    with -1.  A round reads F + I, O + F, F R and R F for the members I,
+    those F new in the round before and the older ones O, so each ordered
+    sum is read once (a table that is not a ring may not add
+    commutatively) and the fixpoint is closed on any table: |I|^2 +
+    2 n |I| cells in all, in row blocks (``analysis.row_block_reads``),
+    so an unfilled base stays unfilled.
     """
     mask = np.zeros(base.size, dtype=bool)
     mask[base.zero] = True
     for g in generators:
         base._check_index(int(g))
         mask[int(g)] = True
-    while True:
+    fresh, old = np.flatnonzero(mask), np.array([], dtype=np.intp)
+    while len(fresh):
         members = np.flatnonzero(mask)
-        new_mask = mask.copy()
-        reads = (("add", members, members), ("mul", None, members), ("mul", members, None))
-        for op, rows, cols in reads:
+        found = np.zeros(base.size, dtype=bool)
+        sums = [("add", fresh, members), ("add", old, fresh)]
+        for op, rows, cols in sums + [("mul", None, fresh), ("mul", fresh, None)]:
             for _, block in analysis.row_block_reads(base, op, rows, cols):
-                new_mask[block] = True
-        if (new_mask == mask).all():
-            return ElementSet(base, mask)
-        mask = new_mask
+                found[block] = True
+        old, fresh = members, np.flatnonzero(found & ~mask)
+        mask |= found
+    return ElementSet(base, mask)
 
 
 def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
@@ -858,6 +857,12 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
+    mask = ideal.bool_array()
+    if not mask[base.zero]:
+        raise ConstructionError("not an ideal: missing zero")
+    is_ideal, _, why = analysis.is_two_sided_ideal(base, mask)
+    if not is_ideal:
+        raise ConstructionError(f"not an ideal: {why}")
     return _quotient(base, ideal, [g for g in ideal.indices() if g != base.zero])
 
 
@@ -868,12 +873,8 @@ def quotient_by_generators(base: FiniteRing, generators) -> FiniteRing:
 
 
 def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
+    # ``ideal`` is closed under sums and products: generated, or checked
     mask = ideal.bool_array()
-    if not mask[base.zero]:
-        raise ConstructionError("not an ideal: missing zero")
-    is_ideal, _, why = analysis.is_two_sided_ideal(base, mask)
-    if not is_ideal:
-        raise ConstructionError(f"not an ideal: {why}")
     members = np.flatnonzero(mask)
     if not mask[base.neg_rows(members)].all():
         raise ConstructionError("not an ideal: not closed under negation")
@@ -883,9 +884,7 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
     rep_of = np.empty(base.size, dtype=np.int32)
     for start, block in analysis.row_block_reads(base, "add", None, members):
         rep_of[start : start + len(block)] = block.min(axis=1)
-    representatives = _distinct(rep_of, base.size)
-    lookup = np.full(base.size, -1, dtype=np.int32)
-    lookup[representatives] = np.arange(len(representatives), dtype=np.int32)
+    representatives, lookup = _numbering(rep_of, base.size)
     coset_of = lookup[rep_of]  # every element has a coset, so no entry is -1
     add = _relabelled(base, "add", representatives, representatives, coset_of)
     mul = _relabelled(base, "mul", representatives, representatives, coset_of)

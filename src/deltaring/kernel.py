@@ -523,17 +523,17 @@ class ValidationReport:
 FULL_SCAN_LIMIT = 256
 VALIDATION_SEED = 0x5EED
 
-# Keep chunked triple tensors around 16 MB of int32.
+# Keep chunked triple tensors around 8 MB of uint16.
 _CHUNK_CELLS = 4_000_000
 # A row-block pass of the triple-axiom prover keeps up to eight
-# block-sized arrays alive at once (intp ones counting twice), so its
-# blocks are an eighth of a scan chunk: about 16 MB in all.
+# block-sized arrays alive at once (intp ones counting four times), so its
+# blocks are an eighth of a scan chunk: validate_ring peaks near 8 MB.
 _CERT_BLOCK_CELLS = _CHUNK_CELLS // 8
 
 
 # Row blocks for one-pass sweeps over a table (the negation scan, and the
 # constructions' row gathers), and the commutativity check's tiles:
-# 256 KB of int32 stays in cache, and is small next to an n^2 table at
+# 128 KB of uint16 stays in cache, and is small next to an n^2 table at
 # every size.
 _SWEEP_BLOCK_CELLS = 1 << 16
 
@@ -836,7 +836,7 @@ def _prove_triple_axioms(
 def _scan_triple_axioms(
     add: np.ndarray, mul: np.ndarray, axioms: tuple[str, ...] = _TRIPLE_AXIOMS
 ) -> list[AxiomViolation]:
-    """All n^3 triples in x-chunks of about 16 MB: the first witness per
+    """All n^3 triples in x-chunks of about 8 MB: the first witness per
     axiom of ``axioms``.
 
     A witness is the lexicographically first violating (x, y, z) of its

@@ -316,6 +316,22 @@ def test_ideal_generated_saturates(z4, t2z2, m2z2):
         assert oracles.is_ideal_of(subset.ring, set(subset.indices()))
 
 
+@pytest.mark.parametrize("escape", [(2, 3), (3, 2)])
+def test_ideal_generated_reads_both_orders_of_a_new_members_sums(escape):
+    # not a ring: 0 is the additive identity, every other sum is 0 but
+    # ``escape``, a sum of the old member 2 and the new member 3 in one
+    # order only, and 2 * 2 = 3 is the only nonzero product; so 3 joins
+    # the ideal of 2 in the first round, and 4 joins it only through
+    # ``escape``, non-commutatively
+    n = 5
+    add = [[y if x == 0 else x if y == 0 else 0 for y in range(n)] for x in range(n)]
+    add[escape[0]][escape[1]] = 4
+    mul = [[0] * n for _ in range(n)]
+    mul[2][2] = 3
+    ring = FiniteRing(n, add, mul, zero=0, one=1)
+    assert set(con.ideal_generated(ring, [2]).indices()) == {0, 2, 3, 4}
+
+
 def test_quotient_is_a_ring_homomorphism_image(z4):
     ideal = con.ideal_generated(z4, [2])
     ring = con.quotient(z4, ideal)
@@ -334,13 +350,23 @@ def test_quotient_by_radical_of_triangular_ring(t2z2):
     assert all(ring.mul(x, x) == x for x in ring.elements())
 
 
-def test_quotient_rejects_non_ideals(z4):
+def test_quotient_rejects_non_ideals(z4, m2z2):
     from deltaring import ElementSet
 
     with pytest.raises(ConstructionError):
         con.quotient(z4, ElementSet.from_indices(z4, [0, 3]))
     with pytest.raises(ConstructionError):
         con.quotient(z4, ElementSet.from_indices(z4, [0, 1, 2, 3]))
+    # closed under negation, but not under sums or products
+    z8 = zn(8)
+    with pytest.raises(ConstructionError, match="not closed under addition"):
+        con.quotient(z8, ElementSet.from_indices(z8, [0, 2, 6]))
+    e11, e21 = (con.matrix_unit_index(m2z2, i, 0) for i in (0, 1))
+    # e21 e11 = e21, and the first column is a left ideal, but e11 e12 = e12
+    first_column = [0, e11, e21, m2z2.add(e11, e21)]
+    for members, side in (([0, e11], "left"), (first_column, "right")):
+        with pytest.raises(ConstructionError, match=f"not closed under {side} multiplication"):
+            con.quotient(m2z2, ElementSet.from_indices(m2z2, members))
 
 
 def test_quotient_by_generators_spells_its_generators(z4):
@@ -355,10 +381,11 @@ def test_quotient_by_generators_spells_its_generators(z4):
 TABLES = ("add_table", "mul_table", "neg_table")
 
 
-# the parents of the last two would fill 32 and 128 MB of tables
-@pytest.mark.parametrize(
-    "spec", ["corner(M(2, Z4), 1)", "quot(Z16, 4)", "quot(Z2048, 512)", "corner(M(2, Z8), 1)"]
-)
+# the parents of the last four would fill 32, 128, 64 and 64 MB of tables
+@pytest.mark.parametrize("spec", [
+    "corner(M(2, Z4), 1)", "quot(Z16, 4)", "quot(Z2048, 512)", "corner(M(2, Z8), 1)",
+    "corner(dorroh(Z64, self), 1)", "quot(dorroh(Z64, self), 1)",
+])
 def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
     ctx = BuildContext()
     gc.collect()
@@ -374,6 +401,17 @@ def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
     parent = ctx.cache[parse_ring_spec(spec).args[0].canonical()]
     assert [parent._filled(name) for name in TABLES] == [None] * 3
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("spec, filled", [
+    *((spec, False) for spec in ("Z8", "prod(Z2, Z3)", "M(2, Z2)", "T(2, Z2)", "H(1, 1, Z3)")),
+    ("dorroh(Z4, ideal(2))", False),
+    ("table:f4.json", True), ("corner(T(2, Z2), 1)", True), ("quot(Z8, 2)", True),
+])
+def test_only_table_leaves_corners_and_quotients_start_filled(spec, filled):
+    ctx = BuildContext(base_dir=harness.default_corpus_path().parent)
+    ring = ringspec._build(parse_ring_spec(spec), ctx)
+    assert [ring._filled(name) is not None for name in TABLES] == [filled] * 3
 
 
 def _sub_construction_peak(spec, filled):
@@ -406,10 +444,12 @@ def test_a_quotient_reads_the_n_by_ideal_blocks_in_row_blocks():
 # -- block reads ---------------------------------------------------------------------
 
 # the benchmark's ladder rings (conftest.LADDER_SPECS), then products,
-# grids and H over nested unfilled rings
+# grids and H over nested unfilled rings, then Dorroh extensions, the
+# first with a V-part of 16 row blocks
 BLOCK_SPECS = (
     "Z512", "T(2, Z8)", "H(1, 1, Z8)", "prod(M(2, Z2), T(2, Z4))", "quot(Z2048, 512)",
     "prod(Z6, M(2, Z2))", "H(5, 7, prod(Z2, Z4))", "T(2, prod(Z2, Z3))",
+    "dorroh(Z32, self)", "dorroh(T(2, Z2), ideal(2))",
 )
 
 
@@ -450,6 +490,35 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
         for rows in arrays[1:]:
             assert np.array_equal(ring.neg_rows(rows), filled.neg_table[rows]), spec
         assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+
+
+def _xor_extension(bits):
+    """Z2 extended by the ring (Z2)^bits with zero multiplication, whose
+    2^bits elements outnumber the base's two."""
+    arange = np.arange(2**bits)
+    zeros = np.zeros((len(arange), len(arange)), dtype=int)
+    v = con.NonUnitalRing(len(arange), arange[:, None] ^ arange, zeros, 0)
+    left = np.stack([np.zeros_like(arange), arange])  # 0.v = 0 and 1.v = v
+    return con.dorroh(zn(2), con.BimoduleRingAction(v=v, left=left, right=left.T))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ringspec._build(parse_ring_spec("dorroh(Z1024, zero)"), BuildContext()),
+    lambda: _xor_extension(10),
+], ids=["large base", "large V"])
+def test_a_dorroh_block_of_few_rows_reads_only_the_rows_it_needs(build):
+    ring = build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        blocks = [ring.block(op, [3, 5, 3]) for op in ("add", "mul")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all rows of the base's block, or of V's tables, would take 2 to 4 MB
+    assert peak < 2**19
+    for block, table in zip(blocks, (ring.add_table, ring.mul_table)):
+        assert np.array_equal(block, table[[3, 5, 3]])
 
 
 def _digits(x, radix, count):
