@@ -25,9 +25,10 @@ Two standard facts keep the sweeps one-sided and bounded:
   element at the first repeat it sees, and never needs more than n
   steps, on any table, ring or not.
 
-The n^2 sweeps run over row blocks of about ``_BLOCK_CELLS`` cells, each
-a flat ``np.take`` into an n-vector lookup composed once (for example
-``is_unit(1 - y)`` for every y), so no sweep holds an n^2 temporary.
+The n^2 sweeps run over row blocks of about ``kernel._BLOCK_CELLS``
+cells, each a flat ``np.take`` into an n-vector lookup composed once (for
+example ``is_unit(1 - y)`` for every y), so no sweep holds an n^2
+temporary.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles
-
-# Cells per row block of a sweep.  np.take turns uint16 indices into an
-# intp copy, so a block costs 9-11 bytes per cell (the copy, a bool
-# result, and the block unless it is a view), about 2.4-2.9 MB at every
-# ring size.  Blocks of 2^20 cells raised the peak RSS of small
-# workloads; blocks of 2^16 made each sweep 1.8x slower.
-_BLOCK_CELLS = 1 << 18
 
 
 def _cached(ring: FiniteRing, key, compute):
@@ -58,12 +52,6 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _blocks(count: int, width: int) -> list[slice]:
-    """Slices of ``range(count)`` whose rows of ``width`` cells hold about
-    ``_BLOCK_CELLS`` cells; an empty row counts as one cell."""
-    return _row_blocks(count, max(width, 1), _BLOCK_CELLS)
-
-
 def _all_along_rows(lookup, table, cols=None, where=None) -> np.ndarray:
     """Entry x is True when ``lookup[table[x, c]]`` holds for every column
     c of ``cols`` (every column when None) at which ``where[x]`` is True.
@@ -72,7 +60,7 @@ def _all_along_rows(lookup, table, cols=None, where=None) -> np.ndarray:
     """
     out = np.empty(table.shape[0], dtype=bool)
     width = table.shape[1] if cols is None else len(cols)
-    for rows in _blocks(table.shape[0], width):
+    for rows in _row_blocks(table.shape[0], width):
         part = table[rows] if cols is None else np.take(table[rows], cols, axis=1)
         out[rows] = np.take(lookup, part).all(axis=1, where=True if where is None else where[rows])
     return out
@@ -86,7 +74,7 @@ def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
     """
     out = np.ones(table.shape[1], dtype=bool)
     count = table.shape[0] if rows is None else len(rows)
-    for block in _blocks(count, table.shape[1]):
+    for block in _row_blocks(count, table.shape[1]):
         part = table[block] if rows is None else np.take(table, rows[block], axis=0)
         out &= np.take(lookup, part).all(axis=0)
     return out
@@ -94,11 +82,12 @@ def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
 
 def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None):
     """``ring.block(op, rows, cols)`` in row blocks of about
-    ``_BLOCK_CELLS`` cells, as (index of the block's first row, block)
-    pairs; ``rows`` or ``cols`` None means every index.  An unfilled
-    table stays unfilled, and no read holds more than one block."""
+    ``kernel._BLOCK_CELLS`` cells, as (index of the block's first row,
+    block) pairs; ``rows`` or ``cols`` None means every index.  An
+    unfilled table stays unfilled, and no read holds more than one
+    block."""
     count = ring.size if rows is None else len(rows)
-    for block in _blocks(count, ring.size if cols is None else len(cols)):
+    for block in _row_blocks(count, ring.size if cols is None else len(cols)):
         ids = np.arange(block.start, min(block.stop, count)) if rows is None else rows[block]
         yield block.start, ring.block(op, ids, cols)
 
@@ -213,7 +202,7 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
 
     The matrix is symmetric for any table, ring or not, so row x is both
     C(x) and the set of elements x commutes with.  Cost: n^2/2
-    comparisons over square tiles of about ``_BLOCK_CELLS`` cells, each
+    comparisons over the square tiles of ``kernel._upper_tiles``, each
     tile above the diagonal mirrored below it, so both operands of a
     comparison are read from cache.  Tracemalloc peak: 1.1 bytes
     per n^2, the kept matrix and numpy's buffers for the transposed
@@ -223,7 +212,7 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
     def compute():
         mul = ring.mul_table
         out = np.empty(mul.shape, dtype=bool)
-        for rows, cols in _upper_tiles(ring.size, _BLOCK_CELLS):
+        for rows, cols in _upper_tiles(ring.size):
             np.equal(mul[rows, cols], mul[cols, rows].T, out=out[rows, cols])
             if cols != rows:
                 out[cols, rows] = out[rows, cols].T
@@ -237,7 +226,7 @@ def packed_equal_rows(table: np.ndarray, value: int) -> np.ndarray:
     one block of booleans at a time, n*n/8 bytes kept for n x n."""
     count, width = table.shape
     out = np.empty((count, (width + 7) // 8), dtype=np.uint8)
-    for rows in _blocks(count, width):
+    for rows in _row_blocks(count, width):
         out[rows] = np.packbits(table[rows] == value, axis=1)
     return out
 

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, classify, constructions, ringspec
-from .kernel import FiniteRing, RingError, validate_ring
+from .kernel import FiniteRing, RingError, _row_blocks, validate_ring
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -461,7 +461,7 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     inv = ring.inverse_table()
     ul = analysis.unit_indices(ring)
     flat = ring.mul_table.reshape(-1)
-    for block in analysis._blocks(len(ul), ring.size):
+    for block in _row_blocks(len(ul), ring.size):
         units = ul[block]
         left = np.take(ring.mul_table, inv[units], axis=0)
         conj = np.take(flat, np.multiply(left, ring.size, dtype=np.intp) + units[:, None])

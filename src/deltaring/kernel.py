@@ -523,34 +523,36 @@ class ValidationReport:
 FULL_SCAN_LIMIT = 256
 VALIDATION_SEED = 0x5EED
 
-# Keep chunked triple tensors around 8 MB of uint16.
-_CHUNK_CELLS = 4_000_000
-# A row-block pass of the triple-axiom prover keeps up to eight
-# block-sized arrays alive at once (intp ones counting four times), so its
-# blocks are an eighth of a scan chunk: validate_ring peaks near 8 MB.
-_CERT_BLOCK_CELLS = _CHUNK_CELLS // 8
-
-
-# Row blocks for one-pass sweeps over a table (the negation scan, and the
-# constructions' row gathers), and the commutativity check's tiles:
-# 128 KB of uint16 stays in cache, and is small next to an n^2 table at
-# every size.
+# The two cell budgets of every blocked pass in the package, read when a
+# pass runs.  Row blocks that gather through index copies (the analysis
+# sweeps, row_block_reads, the prover, the pair-axiom inverse pass, the
+# n^3 scan's x-chunks, C17): np.take turns uint16 indices into an intp
+# copy, 9-13 bytes per cell in all, so 2^18 cells keep a pass near 3 MB;
+# 2^20 raised the peak RSS of small workloads, 2^16 made the analysis
+# sweeps 1.8x slower.
+_BLOCK_CELLS = 1 << 18
+# Square tiles of both commutativity walks, the builders' fills and the
+# negation and inverse scans, which hold no intp copy: 128 KB of uint16
+# stays in cache.  At 2^18 the tiles ran 2-3x slower, and the Zn and
+# Dorroh fills broke their stated peaks at 1024 elements.
 _SWEEP_BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(count: int, width: int, cells: int = _CERT_BLOCK_CELLS) -> list[slice]:
+def _row_blocks(count: int, width: int, cells: int | None = None) -> list[slice]:
     """Slices of ``range(count)`` whose rows of ``width`` cells hold about
-    ``cells`` cells."""
-    step = max(1, cells // width)
+    ``cells`` cells, ``_BLOCK_CELLS`` when None; an empty row counts as
+    one cell."""
+    step = max(1, (_BLOCK_CELLS if cells is None else cells) // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _upper_tiles(n: int, cells: int) -> list[tuple[slice, slice]]:
-    """Square tiles (rows, cols) of about ``cells`` cells that cover the
-    diagonal of an n x n table and the part above it, row band by row
-    band: comparing a tile with its mirror below the diagonal reads both
-    from cache, where a band of rows against its columns does not."""
-    side = math.isqrt(cells)
+def _upper_tiles(n: int) -> list[tuple[slice, slice]]:
+    """Square tiles (rows, cols) of about ``_SWEEP_BLOCK_CELLS`` cells
+    that cover the diagonal of an n x n table and the part above it, row
+    band by row band: comparing a tile with its mirror below the
+    diagonal reads both from cache, where a band of rows against its
+    columns does not."""
+    side = math.isqrt(_SWEEP_BLOCK_CELLS)
     return [
         (slice(lo, lo + side), slice(hi, hi + side))
         for lo in range(0, n, side)
@@ -761,7 +763,7 @@ def _prove_triple_axioms(
 
     Cost: the walk, k^2 n for gate 2, n sum_j log m_j for gate 5,
     n k^2 for gate 6 and k^3 for gate 7.  Gates 3 and 4 are one n^2
-    pass each, in row blocks of about ``_CERT_BLOCK_CELLS`` cells:
+    pass each, in row blocks of about ``_BLOCK_CELLS`` cells:
     gate 3 gathers, for the y of one pick, the rows of p(y) through
     the columns g_j + z, and gate 4 reads each x's row of ``mul`` and
     gathers from one row of ``add`` per pick.  Only a failing gate 1
@@ -836,46 +838,41 @@ def _prove_triple_axioms(
 def _scan_triple_axioms(
     add: np.ndarray, mul: np.ndarray, axioms: tuple[str, ...] = _TRIPLE_AXIOMS
 ) -> list[AxiomViolation]:
-    """All n^3 triples in x-chunks of about 8 MB: the first witness per
-    axiom of ``axioms``.
+    """All n^3 triples in x-chunks of about ``_BLOCK_CELLS`` cells: the
+    first witness per axiom of ``axioms``.  Tracemalloc peak: 1.5 MB at
+    256 elements.
 
     A witness is the lexicographically first violating (x, y, z) of its
-    axiom.  An axiom stops being scanned once violated, and the scan
-    stops once all of ``axioms`` are.
+    axiom.  Each axiom is scanned chunk by chunk up to its first
+    violation, in the order of ``_TRIPLE_AXIOMS``, so neither the
+    witnesses nor their order depend on the chunks.
     """
     n = add.shape[0]
-    violations: list[AxiomViolation] = []
-    pending = set(axioms)
-    chunk = max(1, _CHUNK_CELLS // (n * n))
 
     def distributes(rows):
         # rows[a, b] = a*b, or b*a for right distributivity:
         # rows[a, b + c] against rows[a, b] + rows[a, c]
         return rows[:, add], add[rows[:, :, None], rows[:, None, :]]
 
-    for x0 in range(0, n, chunk):
-        if not pending:
-            break
-        xs = np.arange(x0, min(n, x0 + chunk))
-        a_rows = add[xs]
-        m_rows = mul[xs]
-        # (axiom, sides, order): witness coordinate p is coordinate
-        # order[p] of the first mismatch of the two sides
-        laws = (
-            ("add-associativity", lambda: (add[a_rows], a_rows[:, add]), (0, 1, 2)),
-            ("mul-associativity", lambda: (mul[m_rows], m_rows[:, mul]), (0, 1, 2)),
-            ("left-distributivity", lambda: distributes(m_rows), (0, 1, 2)),
-            # indexed [z, x, y] for (x+y)z != xz+yz, so that z is scanned
-            # first; reported as (x, y, z) like the other laws
-            ("right-distributivity", lambda: distributes(mul[:, xs].T), (1, 2, 0)),
-        )
-        for axiom, sides, order in laws:
-            if axiom not in pending:
-                continue
-            at = _first_mismatch(*sides(), (x0,))
+    # (axiom, sides of the chunk xs, order): witness coordinate p is
+    # coordinate order[p] of the first mismatch of the two sides
+    laws = (
+        ("add-associativity", lambda xs: (add[add[xs]], add[xs][:, add]), (0, 1, 2)),
+        ("mul-associativity", lambda xs: (mul[mul[xs]], mul[xs][:, mul]), (0, 1, 2)),
+        ("left-distributivity", lambda xs: distributes(mul[xs]), (0, 1, 2)),
+        # indexed [z, x, y] for (x+y)z != xz+yz, so that z is scanned
+        # first; reported as (x, y, z) like the other laws
+        ("right-distributivity", lambda xs: distributes(mul[:, xs].T), (1, 2, 0)),
+    )
+    violations: list[AxiomViolation] = []
+    for axiom, sides, order in laws:
+        if axiom not in axioms:
+            continue
+        for xs in _row_blocks(n, n * n):
+            at = _first_mismatch(*sides(xs), (xs.start,))
             if at:
                 violations.append(AxiomViolation(axiom, tuple(at[i] for i in order)))
-                pending.discard(axiom)
+                break
     return violations
 
 
@@ -901,7 +898,7 @@ def _axiom_violations(
     ``_SWEEP_BLOCK_CELLS`` cells on and above the diagonal
     (:func:`_upper_tiles`), where the first asymmetric pair in
     row-major order always lies, and inverses in row blocks of about
-    ``_CERT_BLOCK_CELLS`` cells.  Once the three additive ones
+    ``_BLOCK_CELLS`` cells.  Once the three additive ones
     pass, :func:`_prove_triple_axioms` decides the triple-quantified
     ones (both associativities, both distributive laws) without using
     an identity, so ``one=None`` judges a ring that need not have one.
@@ -918,7 +915,7 @@ def _axiom_violations(
     violations: list[AxiomViolation] = []
     asymmetric = [
         at
-        for rows, cols in _upper_tiles(n, _SWEEP_BLOCK_CELLS)
+        for rows, cols in _upper_tiles(n)
         if (at := _first_mismatch(add[rows, cols], add[cols, rows].T, (rows.start, cols.start)))
     ]
     if asymmetric:
@@ -953,14 +950,15 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     :func:`_axiom_violations` judges them, exactly at every size.  A
     passing ring costs n^2 pair checks plus the two n^2 passes of
     :func:`_prove_triple_axioms`, whatever the number of additive
-    generators, all in blocks of at most ``_CERT_BLOCK_CELLS`` cells.
+    generators, all in blocks of at most ``_BLOCK_CELLS`` cells.
     A failing table of at most 256 elements pays n^3 for the first
     witness of each violated triple axiom; above that, the report
     carries the witness of the prover's failing gate and the triple
     axioms that gate leaves ``not_checked``.
 
-    Tracemalloc peak: 9 bytes per n^2 at about 1024 elements, where one
-    block is half the table; at every size the blocks hold it near 9 MB.
+    Tracemalloc peak: 4.5 bytes per n^2 at about 1024 elements, where
+    one block is a quarter of the table; at every size the blocks hold
+    it near 4.5 MB.
     Structural totality (square tables, in-range entries) is enforced
     at construction time and raises MalformedTableError there, so this
     scan only ever judges axioms.

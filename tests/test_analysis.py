@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deltaring import FiniteRing, analysis, build_ring, zn
+from deltaring import FiniteRing, analysis, build_ring, kernel, zn
 
 import oracles
 
@@ -153,7 +153,7 @@ def test_nilpotent_orbits_match_the_n_step_oracle_on_rings_and_non_rings(corpus)
 
 
 def test_sweeps_match_the_oracle_across_many_blocks(corpus, monkeypatch):
-    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
     for entry in corpus:
         ring = _fresh(entry.ring)
         delta = oracles.delta_of(ring)
@@ -167,7 +167,7 @@ def test_sweeps_match_the_oracle_across_many_blocks(corpus, monkeypatch):
 
 
 def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
-    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
     rng = np.random.default_rng(11)
     table = rng.integers(0, 30, (30, 30)).astype(np.int32)
     ring = FiniteRing(30, table, table, zero=0, one=1)

@@ -19,6 +19,7 @@ from deltaring import (
     build_ring,
     constructions as con,
     harness,
+    kernel,
     parse_ring_spec,
     ringspec,
     zn,
@@ -741,6 +742,25 @@ def test_broken_action_is_rejected_naming_its_law(law, mul, left, right):
     assert errors[0].startswith(f"{law} fails (")
     with pytest.raises(ConstructionError, match=re.escape(f"invalid bimodule action: {errors[0]}")):
         con.dorroh(base, action)
+
+
+def test_action_law_witnesses_do_not_depend_on_the_row_blocks(monkeypatch):
+    # blocks of two r of 16 cells each: some witnesses lie in the second
+    # block, and some laws fail in both blocks, in the other block order
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
+    base = con.product(zn(2), zn(2))
+    assert len(kernel._row_blocks(base.size, 16)) == 2
+    for _, mul, left, right in _ACTION_FAULTS:
+        action = _xor4_action(mul, left, right)
+        assert con.validate_bimodule_action(base, action) == _law_messages(base, action)
+
+
+def test_a_dorroh_extension_reads_its_base_only_by_blocks():
+    # the action laws read the base's rows of r + s and r * s, so the Z1024
+    # under a quotient of its extension never fills its tables
+    ctx = BuildContext()
+    ringspec.build(parse_ring_spec("quot(dorroh(Z1024, zero), 2)"), ctx)
+    assert [ctx.cache["Z1024"]._filled(name) for name in TABLES] == [None] * 3
 
 
 def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from deltaring import FiniteRing, analysis, build_ring, classify, cli, harness
+from deltaring import FiniteRing, build_ring, classify, cli, harness, kernel
 
 import oracles
 
@@ -141,12 +141,15 @@ def test_output_matches_golden(corpus, name):
     assert got == want, _first_difference(want, got)
 
 
-# Under row blocks of a few dozen cells, every analysis sweep, is_local,
-# C17 and first_escape (C02, C03, C04, C22) span many blocks on the
-# corpus and its corruptions; no verdict or first witness may move.
-@pytest.mark.parametrize("name", ["classify.json", "corruptions.json", "verify.json"])
+# Under blocks of a few dozen cells, every blocked pass (the analysis
+# sweeps, is_local, C17, first_escape in C02, C03, C04 and C22, the
+# axiom checks, the builders' fills and the sub-constructions' reads)
+# spans many blocks on the corpus, its corruptions and the table specs;
+# no table, verdict or first witness may move.
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
 def test_output_matches_golden_across_many_row_blocks(monkeypatch, name):
-    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(kernel, "_SWEEP_BLOCK_CELLS", 40)
     want = gzip.decompress((GOLDEN / f"{name}.gz").read_bytes())
     got = PAYLOADS[name](harness.build_corpus())
     assert got == want, _first_difference(want, got)

@@ -230,6 +230,23 @@ def test_no_module_draws_random_numbers():
             assert not drawn, f"{path.name}:{node.lineno} uses {drawn[0]}"
 
 
+def test_only_the_kernel_defines_a_block_budget():
+    # one owner for the cell budgets, read when a pass runs, so that one
+    # monkeypatch shrinks every pass: no other module assigns one, or
+    # imports one by value
+    for path in sorted(pathlib.Path(deltaring.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            else:
+                continue
+            assert not name.endswith("_CELLS"), f"{path.name}:{node.lineno} binds {name}"
+
+
 def _replay(ring, axiom, w):
     """Re-check a reported violation witness with direct table lookups."""
     if axiom == "mul-associativity":
@@ -799,13 +816,9 @@ def test_certificate_rejects_each_step_above_the_scan_limit(step):
 def test_certificate_witnesses_do_not_depend_on_the_row_blocks(step, monkeypatch):
     bad = _step_corruption(step)
     expected = validate_ring(bad).to_dict()
-    rows_of = kernel._row_blocks
     # one row per block, so a witness in row x comes from block x and
-    # needs that block's offset; the default cell count is bound when
-    # _row_blocks is defined, so the function itself is replaced
-    monkeypatch.setattr(
-        kernel, "_row_blocks", lambda count, width, cells=None: rows_of(count, width, width)
-    )
+    # needs that block's offset
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 1)
     assert len(kernel._row_blocks(bad.size, bad.size)) == bad.size
     assert validate_ring(bad).to_dict() == expected
 
