@@ -1,14 +1,16 @@
 """Distinguished subsets of a finite ring.
 
 Every function here is an exhaustive sweep over the compiled tables,
-vectorised with numpy.  The sweeps' results are cached on the ring
-object as read-only boolean masks, and only as arrays: the public
-functions build a fresh :class:`ElementSet` from a cached mask on every
-call, so no cache entry points back at its ring and each ring is freed
-by reference counting alone.  The caches are pure functions of the
-tables, so a populated cache always equals its from-scratch
-recomputation; concurrent callers may compute a value twice and publish
-the same answer, which is harmless.
+vectorised with numpy, that reads them only through the kernel's read
+seam: ``FiniteRing.block``, ``kernel.row_block_reads``,
+``FiniteRing.apply`` and ``FiniteRing.neg_rows``.  The sweeps' results
+are cached on the ring object as read-only boolean masks, and only as
+arrays: the public functions build a fresh :class:`ElementSet` from a
+cached mask on every call, so no cache entry points back at its ring and
+each ring is freed by reference counting alone.  The caches are pure
+functions of the tables, so a populated cache always equals its
+from-scratch recomputation; concurrent callers may compute a value twice
+and publish the same answer, which is harmless.
 
 Two standard facts keep the sweeps one-sided and bounded:
 
@@ -28,14 +30,14 @@ Two standard facts keep the sweeps one-sided and bounded:
 The n^2 sweeps run over row blocks of about ``kernel._BLOCK_CELLS``
 cells, each a flat ``np.take`` into an n-vector lookup composed once (for
 example ``is_unit(1 - y)`` for every y), so no sweep holds an n^2
-temporary.
+temporary and none fills an unfilled table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles
+from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles, row_block_reads
 
 
 def _cached(ring: FiniteRing, key, compute):
@@ -52,44 +54,29 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _all_along_rows(lookup, table, cols=None, where=None) -> np.ndarray:
+def _all_along_rows(lookup, ring: FiniteRing, op: str, cols=None, where=None) -> np.ndarray:
     """Entry x is True when ``lookup[table[x, c]]`` holds for every column
     c of ``cols`` (every column when None) at which ``where[x]`` is True.
 
     Cost: one flat gather per cell, in row blocks.
     """
-    out = np.empty(table.shape[0], dtype=bool)
-    width = table.shape[1] if cols is None else len(cols)
-    for rows in _row_blocks(table.shape[0], width):
-        part = table[rows] if cols is None else np.take(table[rows], cols, axis=1)
+    out = np.empty(ring.size, dtype=bool)
+    for start, part in row_block_reads(ring, op, cols=cols):
+        rows = slice(start, start + len(part))
         out[rows] = np.take(lookup, part).all(axis=1, where=True if where is None else where[rows])
     return out
 
 
-def _all_down_columns(lookup, table, rows=None) -> np.ndarray:
+def _all_down_columns(lookup, ring: FiniteRing, op: str, rows=None) -> np.ndarray:
     """Entry y is True when ``lookup[table[r, y]]`` holds for every row r
     of ``rows`` (every row when None).
 
     Cost: one flat gather per cell, in row blocks.
     """
-    out = np.ones(table.shape[1], dtype=bool)
-    count = table.shape[0] if rows is None else len(rows)
-    for block in _row_blocks(count, table.shape[1]):
-        part = table[block] if rows is None else np.take(table, rows[block], axis=0)
+    out = np.ones(ring.size, dtype=bool)
+    for _, part in row_block_reads(ring, op, rows):
         out &= np.take(lookup, part).all(axis=0)
     return out
-
-
-def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None):
-    """``ring.block(op, rows, cols)`` in row blocks of about
-    ``kernel._BLOCK_CELLS`` cells, as (index of the block's first row,
-    block) pairs; ``rows`` or ``cols`` None means every index.  An
-    unfilled table stays unfilled, and no read holds more than one
-    block."""
-    count = ring.size if rows is None else len(rows)
-    for block in _row_blocks(count, ring.size if cols is None else len(cols)):
-        ids = np.arange(block.start, min(block.stop, count)) if rows is None else rows[block]
-        yield block.start, ring.block(op, ids, cols)
 
 
 def first_escape(mask, ring: FiniteRing, op: str, rows=None, cols=None) -> tuple[int, int] | None:
@@ -97,7 +84,7 @@ def first_escape(mask, ring: FiniteRing, op: str, rows=None, cols=None) -> tuple
     of the op's table ("add" or "mul") outside ``mask``, or None; ``rows``
     or ``cols`` None means every index.
 
-    Cost: one flat gather per cell, over :func:`row_block_reads`,
+    Cost: one flat gather per cell, over :func:`kernel.row_block_reads`,
     stopping at the first block with an escape.  Tracemalloc peak on a
     filled table: one block, at most 11 bytes per cell.
     """
@@ -145,7 +132,7 @@ def unit_indices(ring: FiniteRing) -> np.ndarray:
 def idempotent_mask(ring: FiniteRing) -> np.ndarray:
     def compute():
         arange = np.arange(ring.size)
-        return _frozen(ring.mul_table[arange, arange] == arange)
+        return _frozen(ring.apply("mul", arange, arange) == arange)
 
     return _cached(ring, "idempotent_mask", compute)
 
@@ -174,7 +161,6 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     """
 
     def compute():
-        flat = ring.mul_table.reshape(-1)
         nilpotent = np.zeros(ring.size, dtype=bool)
         start = np.arange(ring.size)
         power = saved = start
@@ -191,7 +177,7 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
                 saved = power
             if not start.size or k > ring.size:
                 break
-            power = np.take(flat, np.multiply(power, ring.size, dtype=np.intp) + start)
+            power = ring.apply("mul", power, start)
         return _frozen(nilpotent)
 
     return _cached(ring, "nilpotent_mask", compute)
@@ -210,10 +196,10 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
     """
 
     def compute():
-        mul = ring.mul_table
-        out = np.empty(mul.shape, dtype=bool)
+        out = np.empty((ring.size, ring.size), dtype=bool)
         for rows, cols in _upper_tiles(ring.size):
-            np.equal(mul[rows, cols], mul[cols, rows].T, out=out[rows, cols])
+            tile, mirror = ring.block("mul", rows, cols), ring.block("mul", cols, rows)
+            np.equal(tile, mirror.T, out=out[rows, cols])
             if cols != rows:
                 out[cols, rows] = out[rows, cols].T
         return _frozen(out)
@@ -221,13 +207,13 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "comm_matrix", compute)
 
 
-def packed_equal_rows(table: np.ndarray, value: int) -> np.ndarray:
-    """``np.packbits(table == value, axis=1)``, compared in row blocks:
-    one block of booleans at a time, n*n/8 bytes kept for n x n."""
-    count, width = table.shape
-    out = np.empty((count, (width + 7) // 8), dtype=np.uint8)
-    for rows in _row_blocks(count, width):
-        out[rows] = np.packbits(table[rows] == value, axis=1)
+def packed_equal_rows(ring: FiniteRing, op: str, value: int, transposed=False) -> np.ndarray:
+    """``np.packbits(table == value, axis=1)``, or of ``table.T``, compared
+    in row blocks: one block of booleans at a time, n*n/8 bytes kept."""
+    out = np.empty((ring.size, (ring.size + 7) // 8), dtype=np.uint8)
+    for rows in _row_blocks(ring.size, ring.size):
+        part = ring.block(op, None, rows).T if transposed else ring.block(op, rows)
+        out[rows] = np.packbits(part == value, axis=1)
     return out
 
 
@@ -264,7 +250,7 @@ def center_mask(ring: FiniteRing) -> np.ndarray:
 
 def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
     """Entry y: whether 1 + (-y) is a unit."""
-    return unit_mask(ring)[ring.add_table[ring.one][ring.neg_table]]
+    return unit_mask(ring)[ring.apply("add", ring.one, ring.neg_rows())]
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
@@ -276,7 +262,7 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     1/n^2 above that.
     """
     def compute():
-        return _frozen(_all_down_columns(_one_minus_is_unit(ring), ring.mul_table))
+        return _frozen(_all_down_columns(_one_minus_is_unit(ring), ring, "mul"))
 
     return _cached(ring, "jacobson_mask", compute)
 
@@ -291,7 +277,7 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
 
     def compute():
         lookup = _one_minus_is_unit(ring)
-        return _frozen(_all_along_rows(lookup, ring.mul_table, unit_indices(ring)))
+        return _frozen(_all_along_rows(lookup, ring, "mul", unit_indices(ring)))
 
     return _cached(ring, "delta_mask", compute)
 
@@ -307,8 +293,8 @@ def qnil_mask(ring: FiniteRing) -> np.ndarray:
     """
 
     def compute():
-        one_plus_is_unit = unit_mask(ring)[ring.add_table[ring.one]]
-        return _frozen(_all_along_rows(one_plus_is_unit, ring.mul_table, where=comm_matrix(ring)))
+        one_plus_is_unit = unit_mask(ring)[ring.block("add", [ring.one])[0]]
+        return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", where=comm_matrix(ring)))
 
     return _cached(ring, "qnil_mask", compute)
 
@@ -380,10 +366,10 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
     def compute():
         is_unit = unit_mask(ring)
         ulist = unit_indices(ring)
-        plus_one_is_unit = is_unit[ring.add_table[:, ring.one]]
-        sum_form = _all_along_rows(is_unit, ring.add_table, ulist)
-        right = _all_along_rows(plus_one_is_unit, ring.mul_table, ulist)
-        left = _all_down_columns(plus_one_is_unit, ring.mul_table, ulist)
+        plus_one_is_unit = is_unit[ring.block("add", None, [ring.one])[:, 0]]
+        sum_form = _all_along_rows(is_unit, ring, "add", ulist)
+        right = _all_along_rows(plus_one_is_unit, ring, "mul", ulist)
+        left = _all_down_columns(plus_one_is_unit, ring, "mul", ulist)
         return _frozen(sum_form), _frozen(right), _frozen(left)
 
     return tuple(ElementSet(ring, mask) for mask in _cached(ring, "delta_forms", compute))
@@ -408,10 +394,10 @@ def comm2(ring: FiniteRing, a: Element) -> ElementSet:
 def ann_left(ring: FiniteRing, a: Element) -> ElementSet:
     """Left annihilator {x : x*a == 0}."""
     ring._check_index(a)
-    return ElementSet(ring, ring.mul_table[:, a] == ring.zero)
+    return ElementSet(ring, ring.block("mul", None, [a])[:, 0] == ring.zero)
 
 
 def ann_right(ring: FiniteRing, a: Element) -> ElementSet:
     """Right annihilator {x : a*x == 0}."""
     ring._check_index(a)
-    return ElementSet(ring, ring.mul_table[a] == ring.zero)
+    return ElementSet(ring, ring.block("mul", [a])[0] == ring.zero)

@@ -53,10 +53,10 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
 
     def compute():
         idl = analysis.idempotent_indices(ring)
-        grid = np.take(_target_mask(ring, flavor), np.take(ring.add_table, idl, axis=1))
+        grid = np.take(_target_mask(ring, flavor), ring.block("add", None, idl))
         grid &= analysis.comm2_grid(ring)
         if flavor == "quasipolar":
-            grid &= np.take(analysis.qnil_mask(ring), np.take(ring.mul_table, idl, axis=1))
+            grid &= np.take(analysis.qnil_mask(ring), ring.block("mul", None, idl))
         return analysis._frozen(grid)
 
     return analysis._cached(ring, ("spectral_grid", flavor), compute)
@@ -113,7 +113,7 @@ def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
 
     def compute():
         idl = analysis.idempotent_indices(ring)
-        residual = np.take(ring.add_table, ring.neg_table[idl], axis=1)
+        residual = ring.block("add", None, ring.neg_rows(idl))
         commutes = analysis.comm_matrix(ring)[:, idl]
         return analysis._frozen(residual), analysis._frozen(commutes)
 

@@ -21,23 +21,26 @@ tables are a sliding window and an outer product; the others are sums
 of row gathers (``_gather_rows``): row x is a sum of rows picked by
 small keys of x, so none of them runs an elementwise n x n gather but
 Dorroh's V-part product, which depends on all of x.  A block restricts
-the same terms to its columns and gathers them at its rows, or packs
-a product's components' blocks.  Only table leaves (checked at once),
-corners and quotients (which keep no parent) hold tables from the
-start.  A corner or a quotient reads its parent only by blocks, so a
-parent that nothing else reads never fills its tables.  Every builder
-writes its tables as uint16 (``kernel.TABLE_DTYPE``) with no wider
-n x n intermediate, and the FiniteRing keeps the fresh tables it is
-handed.  Every table builder's docstring gives its tracemalloc peak in
-bytes per cell of the n x n result, the ring's tables and negation scan
-included, as measured with numpy 2.4 at 512 to 4096 elements (the peak
-per cell falls with n, towards the 4 bytes of the two tables); corners
-and quotients give theirs per cell of their own m x m tables.  A memory
-pre-flight would multiply them by the square of the element count.
+the same terms to its columns and gathers them at its rows; a product
+or a Dorroh extension takes them from its components' blocks.  No
+module but this one and the kernel reads a ring's table.  Only table
+leaves (checked at once), corners and quotients (which keep no parent)
+hold tables from the start.  A corner or a quotient reads its parent
+only by blocks, so a parent that nothing else reads never fills its
+tables.  Every builder writes its tables as uint16
+(``kernel.TABLE_DTYPE``) with no wider n x n intermediate, and the
+FiniteRing keeps the fresh tables it is handed.  Every table builder's
+docstring gives its tracemalloc peak in bytes per cell of the n x n
+result, the ring's tables and negation scan included, as measured with
+numpy 2.4 at 512 to 4096 elements (the peak per cell falls with n,
+towards the 4 bytes of the two tables); corners and quotients give
+theirs per cell of their own m x m tables.  A memory pre-flight would
+multiply them by the square of the element count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +61,7 @@ from .kernel import (
     _is_int,
     _row_blocks,
     element_capacity,
+    row_block_reads,
 )
 
 
@@ -98,6 +102,15 @@ def _gather_rows(terms) -> np.ndarray:
     return out
 
 
+def _occurring(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys``, all in ``range(size)``, and each
+    key's place among them; every value of the range, with no sort, when
+    there are at least ``size`` keys, as reading them all costs no more."""
+    if len(keys) >= size:
+        return np.arange(size), keys
+    return np.unique(keys, return_inverse=True)
+
+
 def _numbering(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct elements of a parent of n that ``indices`` (an index
     array or a boolean mask) names, ascending, and the lookup that numbers
@@ -111,14 +124,14 @@ def _numbering(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray | None:
     """``lookup[base.block(op, rows, cols)]`` as a uint16 table, read by
-    ``analysis.row_block_reads``, so that no block of the parent is held
+    ``kernel.row_block_reads``, so that no block of the parent is held
     whole; None when ``lookup`` is -1 at some entry.  ``lookup`` numbers
     the parent elements that a sub-construction keeps, -1 elsewhere, and
     each block is checked before the uint16 store.  Cost: 2 bytes per
     cell of the result, and one row block."""
     count = base.size if rows is None else len(rows)
     out = np.empty((count, base.size if cols is None else len(cols)), dtype=TABLE_DTYPE)
-    for start, block in analysis.row_block_reads(base, op, rows, cols):
+    for start, block in row_block_reads(base, op, rows, cols):
         part = lookup[block]
         if (part < 0).any():
             return None
@@ -282,10 +295,10 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     """Direct product; index of (r, s) is r * |right| + s.  Its tables
     are unfilled, and its components stay as they are.
 
-    Both tables are componentwise.  Tracemalloc peak: 5 bytes per n^2
-    to fill the tables.  A block of an unfilled table is its components'
-    blocks at the coordinates of its rows and columns, packed: the
-    components' costs plus 4 bytes per cell of the block.
+    Both tables are componentwise: a block is two row gathers keyed by
+    its rows' coordinates, from the components' blocks at the
+    coordinates that occur.  Tracemalloc peak: 5 bytes per n^2 to fill
+    the tables; a block costs 2 bytes per cell, plus those blocks.
     """
     n = left.size * right.size
     spelled = spelling("prod", left.spell(), right.spell())
@@ -293,17 +306,16 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     sn = right.size
 
     def arithmetic(op, rows, cols):
-        if rows is None and cols is None:
-            xl, xr = np.divmod(np.arange(n), sn)
-            return _gather_rows(
-                (_columns(getattr(part, f"{op}_table"), x) * TABLE_DTYPE(pv), x)
-                for part, x, pv in ((left, xl, sn), (right, xr, 1))
-            )
         rows = np.arange(n) if rows is None else rows
         cols = np.arange(n) if cols is None else cols
-        out = left.block(op, rows // sn, cols // sn) * TABLE_DTYPE(sn)
-        out += right.block(op, rows % sn, cols % sn)
-        return out
+
+        def terms():  # one at a time, as each term's rows take |keys| x |cols|
+            for part, at, pv in ((left, np.floor_divide, sn), (right, np.remainder, 1)):
+                used, keys = _occurring(at(rows, sn), part.size)
+                occur, place = _occurring(at(cols, sn), part.size)
+                yield np.take(part.block(op, used, occur), place, axis=1) * TABLE_DTYPE(pv), keys
+
+        return _gather_rows(terms())
 
     names = _pair_names(left, right)
     return FiniteRing(
@@ -406,9 +418,7 @@ def _grid_ring(
             ls = np.flatnonzero(support[i] & support[:, j])
             shape = (bs,) * len(ls)
             keys = np.ravel_multi_index([at_rows[:, i, l] for l in ls], shape)
-            used = np.arange(bs ** len(ls))
-            if len(keys) < len(used):  # a block of few rows: only the keys that occur
-                used, keys = np.unique(keys, return_inverse=True)
+            used, keys = _occurring(keys, bs ** len(ls))
             acc = None
             for digit, l in zip(np.unravel_index(used, shape), ls):
                 term = _columns(np.take(base.mul_table, digit, axis=0), at_cols[:, l, j])
@@ -624,12 +634,14 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
     ring-compatibility laws (v w).r = v (w.r), (v.r) w = v (r.w),
     (r.v) w = r.(v w).  Each law is a broadcast comparison over its
     variables r, s in the base and v, w in V, at most
-    |base| |V| max(|base|, |V|) cells, in row blocks of r of about
-    ``kernel._BLOCK_CELLS`` cells, one r at least; a block reads the
+    |base| |V| max(|base|, |V|) cells, in blocks of r, or of v within
+    one r, of about ``kernel._BLOCK_CELLS`` cells; a block reads the
     base only as its rows of r + s and r * s (``FiniteRing.block``), so
     an unfilled base stays unfilled.  Returns human-readable violations,
     one per failing axiom or law with its first witness in (r, s, v, w)
-    row-major order, empty when all hold.
+    row-major order, empty when all hold.  Tracemalloc peak: 4.7 MB for
+    a V of 1024 or 2048 elements, nearly all of it V's own axiom check
+    (the laws take 1.9 MB), and 2.6 MB for ``zero_action(Z4096)``.
     """
     ring_v = action.v
     errs = [
@@ -646,12 +658,13 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
         return errs + [f"right action table must be {vn}x{n}"]
 
     vadd, vmul = ring_v.add_table, ring_v.mul_table
-    found = {}
-    for rows in _row_blocks(n, vn * max(n, vn)):
+    width = max(n, vn)
+    found = {}  # law -> its first witness (r, s, v, w) so far, and its message
+    for rows, vs in itertools.product(_row_blocks(n, vn * width), _row_blocks(vn, width)):
         # open grids, one axis per variable: the block's r, then s over
-        # the base and v, w over V; r + s and r * s by the same axes
+        # the base, the block's v and w over V; r + s and r * s by the same axes
         ids = np.arange(n)[rows]
-        r, s, v, w = np.ix_(ids, np.arange(n), np.arange(vn), np.arange(vn))
+        r, s, v, w = np.ix_(ids, np.arange(n), np.arange(vn)[vs], np.arange(vn))
         r_plus_s = base.block("add", ids)[:, :, None, None]
         r_times_s = base.block("mul", ids)[:, :, None, None]
         laws = (
@@ -669,15 +682,16 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
             ("(r.v)*w == r.(v*w)", lambda: (vmul[left[r, v], w], left[r, vmul[v, w]])),
         )
         for law, sides in laws:
-            # a law without r is the same in every block: read it once
-            if law in found or ("r" not in law and rows.start):
+            # a law without r is read in the first block; one failed at an earlier r is done
+            if found[law][0][0] < rows.start if law in found else "r" not in law and rows.start:
                 continue
             mismatch = np.not_equal(*sides())
             if mismatch.any():
-                at = dict(zip("rsvw", np.argwhere(mismatch)[0] + (rows.start, 0, 0, 0)))
-                witness = ", ".join(f"{name}={int(at[name])}" for name in "rsvw" if name in law)
-                found[law] = f"{law} fails ({witness})"
-    return errs + [found[law] for law, _ in laws if law in found]
+                at = tuple(np.argwhere(mismatch)[0] + (rows.start, 0, vs.start, 0))
+                witness = ", ".join(f"{k}={int(c)}" for k, c in zip("rsvw", at) if k in law)
+                new = (at, f"{law} fails ({witness})")
+                found[law] = min(found.get(law, new), new)
+    return errs + [found[law][1] for law, _ in laws if law in found]
 
 
 def self_action(base: FiniteRing) -> BimoduleRingAction:
@@ -729,9 +743,8 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     its own.  Every block is the base's block packed by |V| plus the
     V-part, from rows keyed by the r and v that occur in its rows; the
     product's V-sum is summed elementwise, in row blocks.
-    Tracemalloc peak: 5.5 bytes per n^2 for the tables, and one row
-    block of the action laws for the validation, 2.6 MB for
-    ``zero_action(Z4096)``.
+    Tracemalloc peak: 5.5 bytes per n^2 for the tables, and one block of
+    the action laws for the validation (:func:`validate_bimodule_action`).
     """
     v = action.v
     vn = v.size
@@ -748,8 +761,8 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         rows = np.arange(n) if rows is None else rows
         cols = np.arange(n) if cols is None else cols
         # the rows' r and v that occur, and each row's place among them
-        used_r, key_r = np.unique(rows // vn, return_inverse=True)
-        used_v, key_v = np.unique(rows % vn, return_inverse=True)
+        used_r, key_r = _occurring(rows // vn, base.size)
+        used_v, key_v = _occurring(rows % vn, vn)
         yr, yw = np.divmod(cols, vn)
 
         def terms():  # one at a time, as each term's rows take |keys| x |cols|
@@ -830,7 +843,7 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
     those F new in the round before and the older ones O, so each ordered
     sum is read once (a table that is not a ring may not add
     commutatively) and the fixpoint is closed on any table: |I|^2 +
-    2 n |I| cells in all, in row blocks (``analysis.row_block_reads``),
+    2 n |I| cells in all, in row blocks (``kernel.row_block_reads``),
     so an unfilled base stays unfilled.
     """
     mask = np.zeros(base.size, dtype=bool)
@@ -844,7 +857,7 @@ def ideal_generated(base: FiniteRing, generators) -> ElementSet:
         found = np.zeros(base.size, dtype=bool)
         sums = [("add", fresh, members), ("add", old, fresh)]
         for op, rows, cols in sums + [("mul", None, fresh), ("mul", fresh, None)]:
-            for _, block in analysis.row_block_reads(base, op, rows, cols):
+            for _, block in row_block_reads(base, op, rows, cols):
                 found[block] = True
         old, fresh = members, np.flatnonzero(found & ~mask)
         mask |= found
@@ -893,7 +906,7 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
         raise ConstructionError("quotient by the whole ring is the zero ring; rejected")
 
     rep_of = np.empty(base.size, dtype=np.int32)
-    for start, block in analysis.row_block_reads(base, "add", None, members):
+    for start, block in row_block_reads(base, "add", None, members):
         rep_of[start : start + len(block)] = block.min(axis=1)
     representatives, lookup = _numbering(rep_of, base.size)
     coset_of = lookup[rep_of]  # every element has a coset, so no entry is -1

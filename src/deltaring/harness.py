@@ -34,6 +34,7 @@ scheduling.  Timing is measured but only serialized on request.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, classify, constructions, ringspec
-from .kernel import FiniteRing, RingError, _row_blocks, validate_ring
+from .kernel import FiniteRing, RingError, row_block_reads, validate_ring
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -275,7 +276,7 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
     dl = np.flatnonzero(dmask)
-    at = analysis.first_escape(dmask, ring, "add", dl, ring.neg_table[dl])
+    at = analysis.first_escape(dmask, ring, "add", dl, ring.neg_rows(dl))
     if at is not None:
         return FAIL, _witness(ring, [dl[at[0]], dl[at[1]]], "difference escapes delta"), None
     at = analysis.first_escape(dmask, ring, "mul", dl, dl)
@@ -353,7 +354,7 @@ def _c09_j_spectral_subset(ring: FiniteRing, ctx: SuiteContext):
 @check("C10", "if a is delta-quasipolar then so is -1-a")
 def _c10_negated_shift(ring: FiniteRing, ctx: SuiteContext):
     flags = classify.element_flags(ring, "delta")
-    image = ring.neg_table[ring.add_table[ring.one]]
+    image = ring.neg_rows()[ring.block("add", [ring.one])[0]]
     bad = flags & ~flags[image]
     if bad.any():
         a = int(np.argmax(bad))
@@ -460,17 +461,13 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     flags = classify.element_flags(ring, "delta")
     inv = ring.inverse_table()
     ul = analysis.unit_indices(ring)
-    flat = ring.mul_table.reshape(-1)
-    for block in _row_blocks(len(ul), ring.size):
-        units = ul[block]
-        left = np.take(ring.mul_table, inv[units], axis=0)
-        conj = np.take(flat, np.multiply(left, ring.size, dtype=np.intp) + units[:, None])
-        bad = flags & ~np.take(flags, conj)
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            i = rows[0]
+    for start, left in row_block_reads(ring, "mul", inv[ul]):
+        units = ul[start : start + len(left)]
+        bad = flags & ~np.take(flags, ring.apply("mul", left, units[:, None]))
+        if bad.any():
+            i, x = np.argwhere(bad)[0]
             detail = "conjugate loses delta-quasipolarity"
-            return FAIL, _witness(ring, [np.argmax(bad[i]), units[i]], detail), None
+            return FAIL, _witness(ring, [x, units[i]], detail), None
     return PASS, None, None
 
 
@@ -553,21 +550,21 @@ def _c23_local_equivalences(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C24", "annihilators of an element embed in those of each of its spectral idempotents")
 def _c24_annihilators(ring: FiniteRing, ctx: SuiteContext):
-    mul, zero = ring.mul_table, ring.zero
+    zero = ring.zero
     idl = analysis.idempotent_indices(ring)
     # row a of mul.T == zero is ann_left(a), row a of mul == zero ann_right(a)
-    left_ok = analysis.row_subset_grid(analysis.packed_equal_rows(mul.T, zero), idl)
-    right_ok = analysis.row_subset_grid(analysis.packed_equal_rows(mul, zero), idl)
+    left_ok = analysis.row_subset_grid(analysis.packed_equal_rows(ring, "mul", zero, True), idl)
+    right_ok = analysis.row_subset_grid(analysis.packed_equal_rows(ring, "mul", zero), idl)
     bad = classify.spectral_grid(ring, "delta") & ~(left_ok & right_ok)
     if not bad.any():
         return PASS, None, None
     a, j = np.argwhere(bad)[0]
     p = idl[j]
-    if not left_ok[a, j]:
-        x = np.argmax((mul[:, a] == zero) & (mul[:, p] != zero))
-        return FAIL, _witness(ring, [a, p, x], "x*a = 0 but x*p != 0"), None
-    x = np.argmax((mul[a] == zero) & (mul[p] != zero))
-    return FAIL, _witness(ring, [a, p, x], "a*x = 0 but p*x != 0"), None
+    left = not left_ok[a, j]
+    # the first x in ann_left(a) or ann_right(a) but not in that of p
+    ann_a, ann_p = (ring.block("mul", None, [a, p]).T if left else ring.block("mul", [a, p])) == zero
+    detail = "x*a = 0 but x*p != 0" if left else "a*x = 0 but p*x != 0"
+    return FAIL, _witness(ring, [a, p, np.argmax(ann_a & ~ann_p)], detail), None
 
 
 _abelian_j_clean = _hypothesis(
@@ -695,50 +692,39 @@ def _c30_h_ring(ring: FiniteRing, ctx: SuiteContext):
     return FAIL, _witness(ring, [ring_witness], "base is delta-quasipolar but the subring is not"), None
 
 
-def _positions(row: np.ndarray, value: int):
-    """Indices of ``value`` in one table row, found by a C-level byte
-    search that keeps only matches aligned to the row's itemsize."""
-    raw = row.tobytes()
-    pattern = row.dtype.type(value).tobytes()
-    width = row.itemsize
-    at = raw.find(pattern)
-    while at >= 0:
-        if at % width:
-            at = raw.find(pattern, at + 1)
-        else:
-            yield at // width
-            at = raw.find(pattern, at + width)
-
-
 def reverify_not_dqp_witness(ring: FiniteRing, a: int) -> bool:
     """Scalar re-verification that element a has no spectral idempotent.
 
     Recomputes units, idempotents, the double commutant of a, and delta
-    membership of a+p with plain Python loops over table rows read one
-    at a time, avoiding the vectorized sweeps used everywhere else.  True
-    when no idempotent qualifies (the witness is genuine).
+    membership of a+p with plain Python loops over table entries,
+    avoiding the vectorized sweeps used everywhere else.  True when no
+    idempotent qualifies (the witness is genuine).
 
-    u is a unit when some v with u*v = 1 also has v*u = 1.  Every such v
-    in row u is tried, found by a byte search of the row, so a table
-    that is not a ring gets the same answer as a scan of every pair.
-    Cost: n row searches, |C(a)| Python steps per idempotent for the
-    double commutant, and |units| steps per candidate idempotent.
+    u is a unit when some v with u*v = 1 also has v*u = 1.  Every such
+    pair (u, v) is tried, found by comparing each row block of the table
+    with 1, so a table that is not a ring gets the same answer as a scan
+    of every pair.  Cost: one n^2 comparison in row blocks, |C(a)|
+    Python steps per idempotent for the double commutant, and |units|
+    steps per candidate idempotent.
     """
-    n = ring.size
-    mul = ring.mul_table
-    one = ring.one
-    units = [u for u in range(n) if any(mul[v, u] == one for v in _positions(mul[u], one))]
-    unit_set = set(units)
-    row_a, col_a = mul[a].tolist(), mul[:, a].tolist()
+    n, one = ring.size, ring.one
+    mul = functools.partial(ring.block, "mul")
+    units = {
+        start + int(u)
+        for start, block in row_block_reads(ring, "mul")
+        for u, v in np.argwhere(block == one)
+        if ring.mul(int(v), start + int(u)) == one
+    }
+    row_a, col_a = mul([a])[0].tolist(), mul(None, [a])[:, 0].tolist()
     comm_a = [x for x in range(n) if col_a[x] == row_a[x]]
-    squares = mul.diagonal().tolist()
+    squares = ring.apply("mul", np.arange(n), np.arange(n)).tolist()
     idempotents = [p for p in range(n) if squares[p] == p]
-    candidates = [p for p in idempotents if mul[p, comm_a].tolist() == mul[comm_a, p].tolist()]
-    one_plus = ring.add_table[one].tolist()
-    neg = ring.neg_table.tolist()
+    candidates = [p for p in idempotents if (mul([p], comm_a) == mul(comm_a, [p]).T).all()]
+    one_plus = ring.block("add", [one])[0].tolist()
+    neg = ring.neg_rows().tolist()
     for p in candidates:
-        products = mul[ring.add(a, p)].tolist()
-        if all(one_plus[neg[products[u]]] in unit_set for u in units):
+        products = mul([ring.add(a, p)])[0].tolist()
+        if all(one_plus[neg[products[u]]] in units for u in units):
             return False
     return True
 

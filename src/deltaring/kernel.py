@@ -125,9 +125,10 @@ class FiniteRing:
     ``arithmetic(op, None, None)`` is the whole table.  Such a ring fills
     ``add_table``, ``mul_table`` and ``neg_table`` on their first read,
     through the same range check and negation scan; after that a read is
-    a plain attribute read.  :meth:`block` serves a block of an unfilled
-    table from the arithmetic and leaves it unfilled, so a corner or a
-    quotient reads its parent by blocks and never fills it.  Tables are
+    a plain attribute read.  Other modules read the tables only by
+    :meth:`block`, :func:`row_block_reads` and :meth:`neg_rows`, which
+    leave an unfilled table unfilled, so a corner or a quotient never
+    fills its parent, and by :meth:`apply`, which fills it.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
     recomputation.  Both tables are ``TABLE_DTYPE`` (uint16), 4 bytes
@@ -218,46 +219,54 @@ class FiniteRing:
 
     def block(self, op: str, rows=None, cols=None) -> np.ndarray:
         """``table[np.ix_(rows, cols)]`` of the "add" or "mul" table, as
-        uint16; rows or cols None means every index.  The result may be a
-        read-only view of the table.
+        uint16; rows or cols is an index array, a slice, or None for
+        every index.  Without an index array it is a view of a filled table.
 
         Cost on a filled table: one gather of |rows| |cols| cells, whole
-        rows or columns by one ``np.take`` when the other index is None.
-        An unfilled table stays unfilled, and the block costs what the
-        builder's arithmetic states.
+        rows or columns by one ``np.take`` when the other index is a
+        slice.  An unfilled table stays unfilled, and the block costs
+        what the builder's arithmetic states.
         """
         if op not in ("add", "mul"):
             raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
-        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-        cols = None if cols is None else np.asarray(cols, dtype=np.intp)
         table = self._filled(f"{op}_table")
         if table is None:
-            return self._arithmetic(op, rows, cols)
-        if rows is None:
-            return table if cols is None else np.take(table, cols, axis=1)
-        if cols is None:
-            return np.take(table, rows, axis=0)
+            every = np.arange(self.size)
+            return self._arithmetic(op, *(None if i is None else every[i] for i in (rows, cols)))
+        if rows is None or isinstance(rows, slice):
+            view = table if rows is None else table[rows]
+            if cols is None or isinstance(cols, slice):
+                return view if cols is None else view[:, cols]
+            return view.take(cols, axis=1)
+        rows = np.asarray(rows, dtype=np.intp)
+        if cols is None or isinstance(cols, slice):
+            return (table if cols is None else table[:, cols]).take(rows, axis=0)
         return table[rows[:, None], cols]
+
+    def apply(self, op: str, x, y) -> np.ndarray:
+        """``table[x, y]`` elementwise over index arrays that broadcast
+        together, by one flat ``np.take``; an unfilled table fills first."""
+        if op not in ("add", "mul"):
+            raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
+        table = getattr(self, f"{op}_table")
+        return table.ravel().take(np.multiply(x, self.size, dtype=np.intp) + y)
 
     def neg_rows(self, rows=None) -> np.ndarray:
         """``neg_table[rows]`` (every row when None), read from the table
         once it is filled.  Until then it is the lenient negation scan:
         the first position of ``zero`` in each row of the addition table,
         or 0 when a row has none.  A missing additive inverse is an axiom
-        failure and is reported by validate_ring, not here.  Given rows,
-        the scan reads |rows| x n blocks and fills nothing; without, it
-        reads the filled addition table.  Row blocks keep the boolean
-        scan from adding 1 byte per n^2 to every build.
+        failure and is reported by validate_ring, not here.  The scan
+        reads the rows by :func:`row_block_reads` in blocks of
+        ``_SWEEP_BLOCK_CELLS`` cells, so it fills nothing and adds
+        nothing per n^2 to a build.
         """
         table = self._filled("neg_table")
         if table is not None:
             return table if rows is None else table[rows]
-        rows = None if rows is None else np.asarray(rows, dtype=np.intp)
-        count = self.size if rows is None else len(rows)
-        neg = np.zeros(count, dtype=np.int32)
-        for block in _row_blocks(count, self.size, _SWEEP_BLOCK_CELLS):
-            part = self.add_table[block] if rows is None else self.block("add", rows[block])
-            neg[block] = np.argmax(part == self.zero, axis=1)
+        neg = np.empty(self.size if rows is None else len(rows), dtype=np.int32)
+        for start, part in row_block_reads(self, "add", rows, cells=_SWEEP_BLOCK_CELLS):
+            neg[start : start + len(part)] = np.argmax(part == self.zero, axis=1)
         neg.flags.writeable = False
         return neg
 
@@ -310,15 +319,11 @@ class FiniteRing:
         if table is None:
             # the first right inverse in each row, scanned in row blocks as
             # the negation scan is, kept where it is also a left inverse
-            right = np.concatenate(
-                [
-                    np.argmax(self.mul_table[rows] == self.one, axis=1)
-                    for rows in _row_blocks(self.size, self.size, _SWEEP_BLOCK_CELLS)
-                ]
-            )
+            blocks = row_block_reads(self, "mul", cells=_SWEEP_BLOCK_CELLS)
+            right = np.concatenate([np.argmax(part == self.one, axis=1) for _, part in blocks])
             arange = np.arange(self.size)
-            has_right = self.mul_table[arange, right] == self.one
-            two_sided = self.mul_table[right, arange] == self.one
+            has_right = self.apply("mul", arange, right) == self.one
+            two_sided = self.apply("mul", right, arange) == self.one
             table = np.where(has_right & two_sided, right, -1).astype(np.int32)
             table.flags.writeable = False
             self._cache["inverse_table"] = table
@@ -544,6 +549,15 @@ def _row_blocks(count: int, width: int, cells: int | None = None) -> list[slice]
     one cell."""
     step = max(1, (_BLOCK_CELLS if cells is None else cells) // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None, cells: int | None = None):
+    """``ring.block(op, rows, cols)`` in row blocks of about ``cells``
+    cells (``_BLOCK_CELLS`` when None), as (first row, block) pairs:
+    views of a filled table when ``rows`` is None, and never a fill."""
+    count = ring.size if rows is None else len(rows)
+    for block in _row_blocks(count, ring.size if cols is None else len(cols), cells):
+        yield block.start, ring.block(op, block if rows is None else rows[block], cols)
 
 
 def _upper_tiles(n: int) -> list[tuple[slice, slice]]:

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from deltaring import build_ring, harness
+
+# ``python -m deltaring`` in a subprocess imports the checkout's src, as
+# pytest's ``pythonpath`` makes this process do, installed copy or not
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile("det", derandomize=True, max_examples=60)
 settings.load_profile("det")

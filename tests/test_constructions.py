@@ -493,6 +493,72 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
         assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
 
 
+# an unfilled ring of each builder that fills from its arithmetic, and a
+# corner and a quotient, which start filled
+READ_SPECS = (
+    "Z37", "prod(Z3, T(2, Z2))", "M(2, Z2)", "T(2, Z3)", "H(1, 1, Z3)",
+    "dorroh(Z4, ideal(2))", "corner(M(2, Z2), 3)", "quot(T(2, Z4), 2)",
+)
+
+
+def _every(ids, n):
+    """The indices that None (every index), a slice or an index array names."""
+    return np.arange(n) if ids is None else np.arange(n)[ids]
+
+
+@pytest.mark.parametrize("spec", READ_SPECS)
+def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
+    # blocks of 40 cells, so that the blocked reader splits every read
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
+    rng = np.random.default_rng(len(spec))
+    filled = build_ring(spec)
+    ring = ringspec._build(parse_ring_spec(spec), BuildContext())
+    lazy = ring._arithmetic is not None
+    n = ring.size
+    arrays = _index_arrays(rng, n)
+    slices = [slice(None), slice(3, None), slice(2, n - 3), slice(5, 5), slice(n - 4, None)]
+    for op in ("add", "mul"):
+        table = getattr(filled, f"{op}_table")
+        for rows in arrays + slices:
+            for cols in arrays + slices:
+                want = table[np.ix_(_every(rows, n), _every(cols, n))]
+                for source in (ring, filled):
+                    got = source.block(op, rows, cols)
+                    assert got.dtype == np.uint16, spec
+                    assert np.array_equal(got, want), (spec, op, rows, cols)
+                if not any(isinstance(ids, np.ndarray) for ids in (rows, cols)):
+                    view = filled.block(op, rows, cols)
+                    assert not view.size or np.shares_memory(view, table), (spec, rows, cols)
+        for rows in arrays:
+            for cols in arrays:
+                want = table[np.ix_(_every(rows, n), _every(cols, n))]
+                width = want.shape[1]
+                for source in (ring, filled):
+                    reads = list(kernel.row_block_reads(source, op, rows, cols))
+                    blocks = [block for _, block in reads]
+                    starts = [start for start, _ in reads]
+                    assert starts == np.cumsum([0] + [len(b) for b in blocks])[:-1].tolist()
+                    assert all(b.size <= max(40, width) for b in blocks), (spec, op)
+                    got = np.concatenate(blocks) if blocks else np.empty((0, width), np.uint16)
+                    assert np.array_equal(got, want), (spec, op, rows, cols)
+                    if source is filled and rows is None:
+                        assert all(np.shares_memory(b, table) for b in blocks) == (cols is None)
+    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+    for op in ("add", "mul"):
+        table = getattr(filled, f"{op}_table")
+        x, y = rng.integers(0, n, (6, 1)), rng.permutation(n)[:9]
+        repeats = np.repeat(y, 3), np.repeat(y[::-1], 3)
+        for left, right in ((x, y), (x, x.T), (int(y[0]), y), repeats):
+            for source in (ring, filled):
+                assert np.array_equal(source.apply(op, left, right), table[left, right]), spec
+        # an elementwise gather fills the table it reads
+        assert ring._filled(f"{op}_table") is not None
+    with pytest.raises(ValueError):
+        ring.block("neg")
+    with pytest.raises(ValueError):
+        ring.apply("neg", 0, 0)
+
+
 def _xor_extension(bits):
     """Z2 extended by the ring (Z2)^bits with zero multiplication, whose
     2^bits elements outnumber the base's two."""
@@ -745,14 +811,36 @@ def test_broken_action_is_rejected_naming_its_law(law, mul, left, right):
 
 
 def test_action_law_witnesses_do_not_depend_on_the_row_blocks(monkeypatch):
-    # blocks of two r of 16 cells each: some witnesses lie in the second
-    # block, and some laws fail in both blocks, in the other block order
-    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
+    # each r takes 16 cells: blocks of two r, then of one r with its v
+    # split in two or four; some witnesses lie in a later block, and some
+    # laws fail in several blocks, in another order than (r, s, v, w)
     base = con.product(zn(2), zn(2))
-    assert len(kernel._row_blocks(base.size, 16)) == 2
-    for _, mul, left, right in _ACTION_FAULTS:
-        action = _xor4_action(mul, left, right)
-        assert con.validate_bimodule_action(base, action) == _law_messages(base, action)
+    for cells, r_blocks, v_blocks in ((40, 2, 1), (8, 4, 2), (4, 4, 4)):
+        monkeypatch.setattr(kernel, "_BLOCK_CELLS", cells)
+        assert len(kernel._row_blocks(base.size, 16)) == r_blocks
+        assert len(kernel._row_blocks(4, 4)) == v_blocks
+        for _, mul, left, right in _ACTION_FAULTS:
+            action = _xor4_action(mul, left, right)
+            assert con.validate_bimodule_action(base, action) == _law_messages(base, action)
+        for action in _random_actions(100):
+            assert con.validate_bimodule_action(base, action) == _law_messages(base, action)
+
+
+@pytest.mark.parametrize("bits", [10, 11])
+def test_action_law_peak_stays_within_the_docstring_figure(bits):
+    # a V of 1024 or 2048 elements over Z2: one r of the laws alone
+    # would take 7.1 or 28.1 MB
+    stated = re.search(r"Tracemalloc peak: ([\d.]+) MB", con.validate_bimodule_action.__doc__)
+    assert stated, "validate_bimodule_action states no peak"
+    prov = _xor_extension(bits).provenance
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert con.validate_bimodule_action(prov.base, prov.action) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= float(stated.group(1)) * 2**20
 
 
 def test_a_dorroh_extension_reads_its_base_only_by_blocks():
@@ -763,8 +851,10 @@ def test_a_dorroh_extension_reads_its_base_only_by_blocks():
     assert [ctx.cache["Z1024"]._filled(name) for name in TABLES] == [None] * 3
 
 
-def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):
-    base = con.product(zn(2), zn(2))
+def _random_actions(count):
+    """Seeded actions of prod(Z2, Z2) on V = Z2^2 under XOR.  The maps of
+    r = 0, 1, 2, 3 are mostly zero, a projection, its complement and the
+    identity, so that many actions hold."""
     rng = random.Random(7)
     muls = sorted({case[1] for case in _ACTION_FAULTS})
     additive = [[0, a, b, a ^ b] for a in range(4) for b in range(4)]
@@ -774,19 +864,22 @@ def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):
             return usual
         return rng.choice(additive) if rng.random() < 0.8 else [rng.randrange(4) for _ in range(4)]
 
-    failing = 0
-    for _ in range(300):
-        # the maps of r = 0, 1, 2, 3: mostly zero, a projection, its
-        # complement and the identity, so that many actions hold
+    for _ in range(count):
         maps = [
             [some_map(usual) for usual in ([0] * 4, [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3])]
             for _side in range(2)
         ]
         mul = rng.choice(muls) if rng.random() < 0.5 else "0000 0000 0000 0000"
         v = con.NonUnitalRing(4, _rows(_XOR4), _rows(mul), 0)
-        action = con.BimoduleRingAction(v=v, left=maps[0], right=np.array(maps[1]).T)
+        yield con.BimoduleRingAction(v=v, left=maps[0], right=np.array(maps[1]).T)
+
+
+def test_action_laws_match_the_scalar_oracle(corpus_rings, z4):
+    base = con.product(zn(2), zn(2))
+    failing = 0
+    for action in _random_actions(300):
         errors = con.validate_bimodule_action(base, action)
-        assert errors == _law_messages(base, action), (maps, v.mul_table.tolist())
+        assert errors == _law_messages(base, action), (action.left, action.v.mul_table.tolist())
         failing += bool(errors)
     assert 50 < failing < 250
     for ring in (*(corpus_rings[spec] for spec in ("Z4", "T(2, Z2)", "M(2, Z2)")), base):

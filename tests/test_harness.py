@@ -3,7 +3,6 @@ import json
 import random
 import weakref
 
-import numpy as np
 import pytest
 
 from deltaring import (
@@ -244,15 +243,6 @@ def test_c31_reverifier_matches_scalar_oracle_on_non_rings(m2z2):
         for table in tables:
             accepted = {a for a in range(table.size) if reverify_not_dqp_witness(table, a)}
             assert accepted == oracles.not_dqp_witnesses_of(table), table.spell()
-
-
-def test_row_search_skips_matches_across_entries():
-    # 256 = bytes 00 01 and 0 = 00 00, so [256, 0] holds a 1 = 01 00 at
-    # byte 1, across the two entries, as does [256, 256]
-    row = np.array([256, 0, 1, 7, 256, 256, 1], dtype=np.uint16)
-    assert row.tobytes()[1:3] == row.tobytes()[9:11] == np.uint16(1).tobytes()
-    assert list(harness._positions(row, 1)) == [2, 6]
-    assert list(harness._positions(row, 3)) == []
 
 
 @pytest.mark.parametrize("jobs", [0, -4])

@@ -247,6 +247,39 @@ def test_only_the_kernel_defines_a_block_budget():
             assert not name.endswith("_CELLS"), f"{path.name}:{node.lineno} binds {name}"
 
 
+# C29 reads the tables of a Dorroh extension's V, a NonUnitalRing and
+# not a FiniteRing
+TABLE_READ_EXEMPTIONS = {("harness.py", "_dorroh_conditions")}
+
+
+def test_only_the_kernel_and_the_constructions_read_a_table():
+    # every other module reads a ring by FiniteRing.block,
+    # kernel.row_block_reads and FiniteRing.apply, so that only these two
+    # know how a ring's tables are stored
+    tables = ("add_table", "mul_table", "neg_table")
+    exempted = set()
+    for path in sorted(pathlib.Path(deltaring.__file__).parent.glob("*.py")):
+        if path.name in ("kernel.py", "constructions.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        skipped = set()
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "name", None))
+            if isinstance(node, ast.FunctionDef) and where in TABLE_READ_EXEMPTIONS:
+                exempted.add(where)
+                skipped.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):  # getattr(ring, "add_table")
+                name = node.value
+            else:
+                continue
+            read = name in tables and id(node) not in skipped
+            assert not read, f"{path.name}:{node.lineno} reads {name}"
+    assert exempted == TABLE_READ_EXEMPTIONS
+
+
 def _replay(ring, axiom, w):
     """Re-check a reported violation witness with direct table lookups."""
     if axiom == "mul-associativity":
