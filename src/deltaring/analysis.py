@@ -28,9 +28,15 @@ Two standard facts keep the sweeps one-sided and bounded:
   steps, on any table, ring or not.
 
 The n^2 sweeps run over row blocks of about ``kernel._BLOCK_CELLS``
-cells, each a flat ``np.take`` into an n-vector lookup composed once (for
+cells, each a flat ``take`` into an n-vector lookup composed once (for
 example ``is_unit(1 - y)`` for every y), so no sweep holds an n^2
 temporary and none fills an unfilled table.
+
+On a ring that carries the ``certified`` mark, :func:`delta_mask` and
+:func:`qnil_mask` answer from theorems about finite rings, each proved
+in its docstring, and the sweeps they replace keep their own names,
+:func:`delta_sweep_mask` and :func:`qnil_sweep_mask`, for the checks
+that state those theorems.  Other tables get the sweeps.
 """
 
 from __future__ import annotations
@@ -63,19 +69,19 @@ def _all_along_rows(lookup, ring: FiniteRing, op: str, cols=None, where=None) ->
     out = np.empty(ring.size, dtype=bool)
     for start, part in row_block_reads(ring, op, cols=cols):
         rows = slice(start, start + len(part))
-        out[rows] = np.take(lookup, part).all(axis=1, where=True if where is None else where[rows])
+        out[rows] = lookup.take(part).all(axis=1, where=True if where is None else where[rows])
     return out
 
 
-def _all_down_columns(lookup, ring: FiniteRing, op: str, rows=None) -> np.ndarray:
-    """Entry y is True when ``lookup[table[r, y]]`` holds for every row r
-    of ``rows`` (every row when None).
+def _all_down_columns(lookup, ring: FiniteRing, op: str, rows=None, cols=None) -> np.ndarray:
+    """Entry j is True when ``lookup[table[r, cols[j]]]`` holds for every
+    row r of ``rows``; None means every row, or every column.
 
     Cost: one flat gather per cell, in row blocks.
     """
-    out = np.ones(ring.size, dtype=bool)
-    for _, part in row_block_reads(ring, op, rows):
-        out &= np.take(lookup, part).all(axis=0)
+    out = np.ones(ring.size if cols is None else len(cols), dtype=bool)
+    for _, part in row_block_reads(ring, op, rows, cols):
+        out &= lookup.take(part).all(axis=0)
     return out
 
 
@@ -90,7 +96,7 @@ def first_escape(mask, ring: FiniteRing, op: str, rows=None, cols=None) -> tuple
     """
     outside = ~mask
     for start, block in row_block_reads(ring, op, rows, cols):
-        escaped = np.take(outside, block)
+        escaped = outside.take(block)
         if escaped.any():
             i, j = np.argwhere(escaped)[0]
             return start + int(i), int(j)
@@ -250,7 +256,7 @@ def center_mask(ring: FiniteRing) -> np.ndarray:
 
 def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
     """Entry y: whether 1 + (-y) is a unit."""
-    return unit_mask(ring)[ring.apply("add", ring.one, ring.neg_rows())]
+    return unit_mask(ring).take(ring.apply("add", ring.one, ring.neg_rows()))
 
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
@@ -267,8 +273,15 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     return _cached(ring, "jacobson_mask", compute)
 
 
-def delta_mask(ring: FiniteRing) -> np.ndarray:
-    """x with 1 - x*u a unit for every unit u.
+def in_radical(ring: FiniteRing, xs) -> np.ndarray:
+    """Whether each element of ``xs`` lies in J, as :func:`jacobson_mask`
+    decides it, from its own column of the multiplication table: n flat
+    gathers per element, in row blocks."""
+    return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
+
+
+def delta_sweep_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - x*u a unit for every unit u, swept on any table.
 
     Cost: n*|U| flat gathers in row blocks.  Tracemalloc peak: 3.5 bytes
     per n^2 at n = 1024, one block at 13 bytes per cell (the unit
@@ -279,13 +292,37 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
         lookup = _one_minus_is_unit(ring)
         return _frozen(_all_along_rows(lookup, ring, "mul", unit_indices(ring)))
 
-    return _cached(ring, "delta_mask", compute)
+    return _cached(ring, "delta_sweep_mask", compute)
 
 
-def qnil_mask(ring: FiniteRing) -> np.ndarray:
-    """a with 1 + a*x a unit for every x in C(a): row a of the
-    multiplication table read through ``is_unit(1 + y)``, where row a of
-    the commutation matrix is True.
+def delta_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - x*u a unit for every unit u: :func:`jacobson_mask` on a
+    certified ring, by T1, and :func:`delta_sweep_mask` on any other.
+
+    T1: delta(R) = J(R) for a finite ring R.  For x in J and a unit u,
+    x*u is in J, so 1 - x*u is a unit: J lies in delta.  Conversely, an
+    element that is a unit modulo J is a unit (if u*v and v*u lie in
+    1 + J, whose members are units, u has inverses on both sides), so
+    every unit of R/J lifts to a unit of R and x in delta(R) gives
+    x + J in delta(R/J).  R/J is a finite semisimple ring, a product of
+    matrix rings M(k, F) over finite fields (Wedderburn; finite division
+    rings are fields), and delta of a product is the product of the
+    deltas, as its units are.  delta(M(k, F)) = 0: for x != 0 pick a
+    vector v with w = x*v != 0, and an invertible u with u*w = v; then
+    (1 - x*u)*w = w - x*v = 0, so 1 - x*u is not a unit.  Hence
+    x + J = 0.  (delta(R) is the set of Leroy and Matczuk, "Remarks on
+    the Jacobson radical", 2019.)
+
+    Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 on a certified ring,
+    jacobson_mask's, and delta_sweep_mask's on any other.
+    """
+    return jacobson_mask(ring) if ring.certified else delta_sweep_mask(ring)
+
+
+def qnil_sweep_mask(ring: FiniteRing) -> np.ndarray:
+    """a with 1 + a*x a unit for every x in C(a), swept on any table: row
+    a of the multiplication table read through ``is_unit(1 + y)``, where
+    row a of the commutation matrix is True.
 
     Cost: n^2 flat gathers in row blocks, plus the commutation matrix.
     Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 above that matrix,
@@ -293,10 +330,30 @@ def qnil_mask(ring: FiniteRing) -> np.ndarray:
     """
 
     def compute():
-        one_plus_is_unit = unit_mask(ring)[ring.block("add", [ring.one])[0]]
+        one_plus_is_unit = unit_mask(ring).take(ring.block("add", [ring.one])[0])
         return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", where=comm_matrix(ring)))
 
-    return _cached(ring, "qnil_mask", compute)
+    return _cached(ring, "qnil_sweep_mask", compute)
+
+
+def qnil_mask(ring: FiniteRing) -> np.ndarray:
+    """a with 1 + a*x a unit for every x in C(a): :func:`nilpotent_mask`
+    on a certified ring, by T4, and :func:`qnil_sweep_mask` on any other.
+
+    T4: qnil(R) = nil(R) for a finite ring R (Fitting's lemma).  If a
+    is nilpotent and x commutes with a, then (a*x)^k = a^k * x^k, so a*x
+    is nilpotent and 1 + a*x is a unit.  Conversely, the powers of any a
+    close a cycle, and the cycle is a group under the product whose
+    identity is an idempotent power e = a^k, k >= 1 (``classify`` uses
+    this as T8).  a*e = a^(k+1) lies in that group, so it has an
+    inverse w there, a power of a, and a*w = (a*e)*w = e.  x = -w
+    commutes with a, and 1 + a*x = 1 - e is an idempotent, a unit only
+    when e = 0.  So a quasinilpotent a has a^k = e = 0.
+
+    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024 on a certified ring,
+    nilpotent_mask's few n-vectors, and qnil_sweep_mask's on any other.
+    """
+    return nilpotent_mask(ring) if ring.certified else qnil_sweep_mask(ring)
 
 
 def comm_mask(ring: FiniteRing, a: Element) -> np.ndarray:
@@ -343,7 +400,8 @@ def delta(ring: FiniteRing) -> ElementSet:
     This set contains the Jacobson radical, is closed under subtraction
     and multiplication, and absorbs multiplication by units, but it need
     not be an ideal; it is the largest subring of that shape sitting
-    over the radical.
+    over the radical.  In a finite ring it is the radical itself (T1 of
+    :func:`delta_mask`), so a certified ring answers with the radical.
     """
     return ElementSet(ring, delta_mask(ring))
 
@@ -366,7 +424,7 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
     def compute():
         is_unit = unit_mask(ring)
         ulist = unit_indices(ring)
-        plus_one_is_unit = is_unit[ring.block("add", None, [ring.one])[:, 0]]
+        plus_one_is_unit = is_unit.take(ring.block("add", None, [ring.one])[:, 0])
         sum_form = _all_along_rows(is_unit, ring, "add", ulist)
         right = _all_along_rows(plus_one_is_unit, ring, "mul", ulist)
         left = _all_down_columns(plus_one_is_unit, ring, "mul", ulist)

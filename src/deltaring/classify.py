@@ -1,10 +1,11 @@
 """Per-element and per-ring taxonomy predicates with certificates.
 
-Every ring-level verdict here reduces to an exhaustive per-element scan,
-and every False verdict carries a witness that re-verifies by direct
-recomputation.  The central notion is a spectral idempotent for an
-element a: an idempotent p in the double commutant of a such that a + p
-lands in a designated target set.  Four targets are supported:
+Every ring-level verdict here reduces to a per-element test, and every
+False verdict carries a witness, the first element whose test fails,
+that re-verifies by direct recomputation.  The central notion is a
+spectral idempotent for an element a: an idempotent p in the double
+commutant of a such that a + p lands in a designated target set.  Four
+targets are supported:
 
     delta       a + p in delta(R)
     jacobson    a + p in J(R)
@@ -13,6 +14,15 @@ lands in a designated target set.  Four targets are supported:
 
 A ring is delta-quasipolar (resp. j-quasipolar, quasipolar) when every
 element has at least one spectral idempotent for the matching target.
+
+On a ring that carries the ``certified`` mark, the predicates answer
+from theorems about finite rings, T2 and T5-T8, each proved in the
+docstring of the code that uses it (T1, delta = J, and T4, qnil = nil,
+are in ``analysis``).  They need no commutation matrix and no n x |Id|
+grid.  The all-element sweeps they replace keep their own names,
+:func:`spectral_grid`, :func:`spectral_sweep_flags` and
+:func:`clean_sweep_flags`, answer on every other table, and serve the
+checks that state those theorems.
 """
 
 from __future__ import annotations
@@ -25,47 +35,207 @@ from . import analysis
 from .kernel import Element, ElementSet, FiniteRing
 
 # The set a + p must land in for each spectral flavor, and the residual w
-# of a clean decomposition for each target; the quasipolar flavor also
-# asks a*p to be quasinilpotent (spectral_grid).
-_TARGET_MASKS = {
-    "delta": analysis.delta_mask,
+# of a clean decomposition for each target, as the sweeps read them; the
+# quasipolar flavor also asks a*p to be quasinilpotent (spectral_grid).
+_SWEEP_TARGETS = {
+    "delta": analysis.delta_sweep_mask,
     "jacobson": analysis.jacobson_mask,
     "unit": analysis.unit_mask,
     "quasipolar": analysis.unit_mask,
 }
-FLAVORS = tuple(_TARGET_MASKS)
+FLAVORS = tuple(_SWEEP_TARGETS)
+# the flavors a certified ring answers by theorem; "unit" is swept
+_THEOREM_FLAVORS = ("delta", "jacobson", "quasipolar")
 
 
 def _target_mask(ring: FiniteRing, flavor: str) -> np.ndarray:
-    if flavor not in _TARGET_MASKS:
+    if flavor not in _SWEEP_TARGETS:
         raise ValueError(f"unknown spectral flavor {flavor!r}")
-    return _TARGET_MASKS[flavor](ring)
+    return _SWEEP_TARGETS[flavor](ring)
+
+
+# -- theorem paths on certified rings ------------------------------------------------
+
+
+def _square_plus(ring: FiniteRing, a: np.ndarray, sign: int) -> np.ndarray:
+    """a*a + a for sign 1, a*a - a for sign -1, elementwise."""
+    return ring.apply("add", ring.apply("mul", a, a), a if sign > 0 else ring.neg_rows(a))
+
+
+def _lift_step(ring: FiniteRing, p: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """3p^2 - 2p^3, elementwise, given ``square`` = p^2."""
+    cube = ring.apply("mul", square, p)
+    three = ring.apply("add", ring.apply("add", square, square), square)
+    return ring.apply("add", three, ring.neg_rows(ring.apply("add", cube, cube)))
+
+
+def _radical_lift(ring: FiniteRing, x: np.ndarray) -> np.ndarray:
+    """For elements x of a certified ring with x^2 - x in J, the
+    idempotent p = x (mod J), an integer polynomial in x.
+
+    Iterates p <- 3p^2 - 2p^3 on the elements whose p is not yet
+    idempotent.  With d = p^2 - p, one step gives d^2 (4d - 3) as the
+    new defect and moves p by d (1 - 2p), so p stays in x + J and d
+    goes from J^m into J^(2m).  J is nilpotent, J^L = 0 for some
+    L <= log2 n, so about log2 log2 n steps reach p^2 = p.
+    """
+    p = np.array(x, dtype=np.intp)
+    for _ in range(ring.size.bit_length() + 1):
+        square = ring.apply("mul", p, p)
+        live = square != p
+        if not live.any():
+            return p
+        p[live] = _lift_step(ring, p[live], square[live])
+    raise AssertionError("the idempotent lift did not settle: the ring axioms fail")
+
+
+def _power_idempotents(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
+    """For each element a of a certified ring, the one idempotent among
+    its powers a, a^2, ... (T8), found within n powers.  Cost: two
+    gathers per power over the elements still unresolved."""
+    a = np.asarray(a, dtype=np.intp)
+    found = np.empty_like(a)
+    todo, power = np.arange(len(a)), a
+    for _ in range(ring.size):
+        idempotent = ring.apply("mul", power, power) == power
+        found[todo[idempotent]] = power[idempotent]
+        todo, power = todo[~idempotent], power[~idempotent]
+        if not todo.size:
+            return found
+        power = ring.apply("mul", power, a[todo])
+    raise AssertionError("no idempotent power within n powers: the ring axioms fail")
+
+
+def _theorem_spectral(ring: FiniteRing, a: np.ndarray, flavor: str) -> np.ndarray:
+    """The spectral idempotent of each element of ``a`` on a certified
+    ring, or -1 where there is none; ``flavor`` is one of
+    ``_THEOREM_FLAVORS``.
+
+    Delta and jacobson (T2, with T1 for delta): a has a spectral
+    idempotent exactly when a^2 + a lies in J, and it is then the lift
+    p of -a (:func:`_radical_lift`).  If a + p is in J, then a = -p
+    modulo J, so a^2 = p = -a there.  Conversely the lift p of -a is an
+    idempotent with a + p in J, and as a polynomial in a it lies in
+    comm2(a).  It is the only one: two spectral idempotents p and q of
+    a commute (q is in comm2(a) and p commutes with a), and p - q =
+    (a + p) - (a + q) is in J; commuting idempotents have
+    (p - q)^3 = p - q, and a nilpotent x with x^3 = x is x^(2k+1) = 0.
+    Membership of a^2 + a in J is read from its column of the
+    multiplication table (:func:`analysis.in_radical`).
+
+    Quasipolar (T8): the set is {1 - e} for the one idempotent e among
+    the powers of a.  The powers close a cycle a^s, ..., a^(s+c-1),
+    which is a group under the product: a cyclic group whose identity
+    is e = a^k for the k in that range that c divides.  An idempotent
+    power repeats, so it lies in the cycle, and a group has one
+    idempotent.  a and e commute, so (a(1 - e))^j = a^j - a^j e = 0
+    for j >= s: a(1 - e) is nilpotent, hence quasinilpotent (T4).  And
+    a + 1 - e = ae + (1 - e)(1 + a), where ae is a unit of eRe (an
+    element of the group) and (1 - e)(1 + a) = (1 - e) + a(1 - e) is a
+    unit of (1 - e)R(1 - e), its identity plus a commuting nilpotent;
+    so a + 1 - e is a unit.  1 - e is a polynomial in a, so it lies in
+    comm2(a), and spectral idempotents are unique (Koliha and Patricio,
+    "Elements of rings with equal spectral idempotents", 2002).
+    """
+    a = np.asarray(a, dtype=np.intp)
+    if flavor == "quasipolar":
+        return ring.apply("add", ring.one, ring.neg_rows(_power_idempotents(ring, a)))
+    out = np.full(len(a), -1, dtype=np.intp)
+    has = analysis.in_radical(ring, _square_plus(ring, a, 1))
+    out[has] = _radical_lift(ring, ring.neg_rows(a[has]))
+    return out
+
+
+def _theorem_flags(ring: FiniteRing, flavor: str) -> np.ndarray:
+    """Whether each element has a spectral idempotent, on a certified
+    ring: one gather J[a*a + a] for delta and jacobson (T2), and every
+    element for quasipolar (T8, or T5: a finite ring is strongly
+    pi-regular, hence quasipolar)."""
+    if flavor == "quasipolar":
+        return np.ones(ring.size, dtype=bool)
+    return analysis.jacobson_mask(ring).take(_square_plus(ring, np.arange(ring.size), 1))
+
+
+def _theorem_clean_flags(ring: FiniteRing, target: str, commuting: bool, unique: bool):
+    """Per-element clean flags on a certified ring, or None where no
+    theorem settles them (the unit target with ``unique``).
+
+    T5 and T8: every element of a finite ring is strongly clean.  By T8
+    for -a, -a + 1 - e is a unit u for an idempotent e that is a power
+    of -a, so a = (1 - e) + (-u) with 1 - e commuting with a.
+
+    T6: a is J-clean, and strongly J-clean, exactly when a^2 - a is in
+    J.  If a = e + j, then a = e modulo J, an idempotent there.
+    Conversely the lift p of a (:func:`_radical_lift`) commutes with a
+    and has a - p in J.  By T1 the delta targets read the same.
+
+    T7: a has exactly one decomposition a = e + d, e idempotent and d
+    in J, exactly when a^2 - a is in J and the lift p commutes with
+    every element of J.  For idempotents e = f modulo J, the element
+    u = ef + (1 - e)(1 - f) lies in 1 + J, so it is a unit, and
+    uf = ef = eu, so e = u f u^-1.  So the idempotents in a + J are
+    the u p u^-1 for u in 1 + J, and they all equal p exactly when p
+    commutes with 1 + J, that is with J.  Asking e to commute with a
+    leaves a^2 - a in J alone: two commuting idempotents in a + J
+    differ by a nilpotent x with x^3 = x, which is 0 (see T2).
+    Cost: two gathers, and the rows and columns of each distinct lift
+    (at most |Id| of them) at the members of J.
+    """
+    if target == "unit":
+        return None if unique else np.ones(ring.size, dtype=bool)
+    radical = analysis.jacobson_mask(ring)
+    flags = radical.take(_square_plus(ring, np.arange(ring.size), -1))
+    if unique and not commuting:
+        members = np.flatnonzero(flags)
+        lifts, place = np.unique(_radical_lift(ring, members), return_inverse=True)
+        flags[members] = _commute_with_radical(ring, lifts)[place]
+    return flags
+
+
+def _commute_with_radical(ring: FiniteRing, elements: np.ndarray) -> np.ndarray:
+    """Whether each of ``elements`` commutes with every member of J: its
+    row and its column of the multiplication table at the members."""
+    radical = np.flatnonzero(analysis.jacobson_mask(ring))
+    rows, cols = ring.block("mul", elements, radical), ring.block("mul", radical, elements)
+    return (rows == cols.T).all(axis=1)
+
+
+# -- spectral idempotents ----------------------------------------------------------------
 
 
 def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
-    spectral idempotent of a for the target; cached and frozen.
+    spectral idempotent of a for the target, swept on any table; cached
+    and frozen.
 
     The double-commutant test is the shared :func:`analysis.comm2_grid`,
     filled once for every flavor; each flavor adds an n x |Id| gather of
-    a + p (and of a*p for the quasipolar flavor).
+    a + p (and of a*p for the quasipolar flavor) through the swept
+    target sets.
     """
 
     def compute():
         idl = analysis.idempotent_indices(ring)
-        grid = np.take(_target_mask(ring, flavor), ring.block("add", None, idl))
+        grid = _target_mask(ring, flavor).take(ring.block("add", None, idl))
         grid &= analysis.comm2_grid(ring)
         if flavor == "quasipolar":
-            grid &= np.take(analysis.qnil_mask(ring), ring.block("mul", None, idl))
+            grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
         return analysis._frozen(grid)
 
     return analysis._cached(ring, ("spectral_grid", flavor), compute)
 
 
 def spectral_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray:
-    """Boolean mask of all spectral idempotents of a for the given target."""
+    """Boolean mask of all spectral idempotents of a for the given target:
+    from :func:`_theorem_spectral` on a certified ring, for every flavor
+    but "unit", and from a row of :func:`spectral_grid` otherwise."""
     ring._check_index(a)
     mask = np.zeros(ring.size, dtype=bool)
+    if ring.certified and flavor in _THEOREM_FLAVORS:
+        p = int(_theorem_spectral(ring, [a], flavor)[0])
+        if p >= 0:
+            mask[p] = True
+        return mask
     mask[analysis.idempotent_indices(ring)] = spectral_grid(ring, flavor)[a]
     return mask
 
@@ -78,18 +248,30 @@ def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") ->
     return ElementSet(ring, spectral_mask(ring, a, flavor))
 
 
-def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
-    """Per-element quasipolarity flags for the target, cached and frozen."""
+def spectral_sweep_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
+    """Per-element quasipolarity flags read from :func:`spectral_grid`,
+    on any table; cached and frozen."""
     return analysis._cached(
         ring,
-        ("qp_elements", flavor),
+        ("spectral_sweep_flags", flavor),
         lambda: analysis._frozen(spectral_grid(ring, flavor).any(axis=1)),
+    )
+
+
+def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
+    """Per-element quasipolarity flags for the target, cached and frozen:
+    :func:`_theorem_flags` on a certified ring, for every flavor but
+    "unit", and :func:`spectral_sweep_flags` otherwise."""
+    if not (ring.certified and flavor in _THEOREM_FLAVORS):
+        return spectral_sweep_flags(ring, flavor)
+    return analysis._cached(
+        ring, ("qp_elements", flavor), lambda: analysis._frozen(_theorem_flags(ring, flavor))
     )
 
 
 def ring_quasipolar(ring: FiniteRing, flavor: str = "delta") -> tuple[bool, int | None]:
     """Ring-level verdict plus the lowest-index failing element, if any."""
-    return _ring_verdict(element_flags(ring, flavor))
+    return verdict(element_flags(ring, flavor))
 
 
 def is_delta_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
@@ -120,14 +302,14 @@ def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     return analysis._cached(ring, "decomposition_grid", compute)
 
 
-def clean_flags(
+def clean_sweep_flags(
     ring: FiniteRing,
     target: str = "unit",
     *,
     commuting: bool = False,
     unique: bool = False,
 ) -> np.ndarray:
-    """Per-element flags for a = e + w decompositions.
+    """Per-element flags for a = e + w decompositions, swept on any table.
 
     ``target`` picks where the residual w must lie (unit, jacobson, or
     delta); ``commuting`` additionally requires ew = we, which for
@@ -142,30 +324,68 @@ def clean_flags(
     return counts == 1 if unique else counts >= 1
 
 
-def _ring_verdict(flags: np.ndarray) -> tuple[bool, int | None]:
+def clean_flags(
+    ring: FiniteRing,
+    target: str = "unit",
+    *,
+    commuting: bool = False,
+    unique: bool = False,
+) -> np.ndarray:
+    """The flags of :func:`clean_sweep_flags`, from
+    :func:`_theorem_clean_flags` on a certified ring where a theorem
+    settles them."""
+    if ring.certified and target in ("unit", "jacobson", "delta"):
+        flags = _theorem_clean_flags(ring, target, commuting, unique)
+        if flags is not None:
+            return flags
+    return clean_sweep_flags(ring, target, commuting=commuting, unique=unique)
+
+
+def verdict(flags: np.ndarray) -> tuple[bool, int | None]:
+    """(whether every flag holds, the first element whose flag fails)."""
     if flags.all():
         return True, None
     return False, int(np.argmax(~flags))
 
 
 def is_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    return _ring_verdict(clean_flags(ring, "unit"))
+    return verdict(clean_flags(ring, "unit"))
 
 
 def is_strongly_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    return _ring_verdict(clean_flags(ring, "unit", commuting=True))
+    return verdict(clean_flags(ring, "unit", commuting=True))
 
 
 def is_uniquely_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    return _ring_verdict(clean_flags(ring, "unit", unique=True))
+    """Every element is e + u for exactly one idempotent e and unit u.
+
+    On a certified ring, T5: R is uniquely clean exactly when
+    |U| = |J| and every idempotent is central (Nicholson and Zhou, "Rings
+    in which elements are uniquely the sum of an idempotent and a unit",
+    2004: R/J Boolean, idempotents central, and idempotents lifting
+    modulo J, which a nil J always allows).  |U| = |J| says R/J is
+    Boolean (T3): U maps onto the units of R/J with fibres u(1 + J), so
+    |U| = |U(R/J)| |J|, and a product of matrix rings over finite fields
+    has one unit only when every factor is the field of two elements.
+    (So |U| >= |J| in every finite ring.)  A False answer takes its
+    witness from the residual grid a - e alone, with no commutation
+    test.
+    """
+    if not ring.certified:
+        return verdict(clean_sweep_flags(ring, "unit", unique=True))
+    units, radical = analysis.unit_mask(ring), analysis.jacobson_mask(ring)
+    if np.count_nonzero(units) == np.count_nonzero(radical) and is_abelian(ring)[0]:
+        return True, None
+    residual = ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
+    return verdict(units.take(residual).sum(axis=1) == 1)
 
 
 def is_j_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    return _ring_verdict(clean_flags(ring, "jacobson"))
+    return verdict(clean_flags(ring, "jacobson"))
 
 
 def is_strongly_delta_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    return _ring_verdict(clean_flags(ring, "delta", commuting=True))
+    return verdict(clean_flags(ring, "delta", commuting=True))
 
 
 def is_uniquely_delta_clean(ring: FiniteRing, strict_commuting: bool = False) -> tuple[bool, int | None]:
@@ -176,7 +396,7 @@ def is_uniquely_delta_clean(ring: FiniteRing, strict_commuting: bool = False) ->
     available because external usage varies; the default is documented
     in the CLI.
     """
-    return _ring_verdict(clean_flags(ring, "delta", commuting=strict_commuting, unique=True))
+    return verdict(clean_flags(ring, "delta", commuting=strict_commuting, unique=True))
 
 
 def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
@@ -200,11 +420,15 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
 
 
 def is_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
-    """Every idempotent central; witness is a non-central idempotent."""
-    bad = analysis.idempotent_mask(ring) & ~analysis.center_mask(ring)
-    if bad.any():
-        return False, int(np.argmax(bad))
-    return True, None
+    """Every idempotent central; witness is the first non-central
+    idempotent.  Idempotent e is central when row e of the
+    multiplication table equals column e: 2 |Id| n cells, on any table.
+    """
+    idl = analysis.idempotent_indices(ring)
+    central = (ring.block("mul", idl) == ring.block("mul", None, idl).T).all(axis=1)
+    if central.all():
+        return True, None
+    return False, int(idl[np.argmax(~central)])
 
 
 def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
@@ -218,7 +442,18 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     witness is the first pair of non-units, in row-major order, whose
     sum is a unit.  Cost: one blocked sweep of the non-unit square of
     the addition table (:func:`analysis.first_escape`).
+
+    A certified ring is local exactly when |U| + |J| = n (T5), and only
+    a ring that is not gets the sweep, for its witness.  U and J are
+    disjoint, so |U| + |J| = n says the non-units are J, an ideal.
+    Conversely, if the non-units form an ideal M, then for m in M and
+    any r, rm is in M and 1 - rm is not (else 1 would be), so 1 - rm
+    is a unit and M lies in J.
     """
+    if ring.certified:
+        units, radical = analysis.unit_mask(ring), analysis.jacobson_mask(ring)
+        if np.count_nonzero(units) + np.count_nonzero(radical) == ring.size:
+            return True, None
     nonunit = ~analysis.unit_mask(ring)
     nonunits = np.flatnonzero(nonunit)
     at = analysis.first_escape(nonunit, ring, "add", nonunits, nonunits)

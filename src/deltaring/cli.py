@@ -15,13 +15,17 @@ table of a ring so element indices in other commands can be chosen.
 Exit codes: 0 success / all checks pass; 1 FAIL verdicts or axiom
 violations; 2 usage, parse, or malformed-input errors; 3 capacity
 exceeded or out of memory.  Every error path prints a single line
-`error: <category>: <message>` to stderr.  JSON output is byte-stable
-for identical inputs; timing figures appear only under --timing.
+`error: <category>: <message>` to stderr.  `classify`, `delta` and
+`spectral` answer only about rings: on tables that fail the axioms
+they print the first violation as `error: axioms: ...` and exit 1.
+JSON output is byte-stable for identical inputs; timing figures appear
+only under --timing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,7 +37,7 @@ from .kernel import (
     FiniteRing,
     MalformedTableError,
     RingError,
-    validate_ring,
+    validation_report,
 )
 from .ringspec import RingSpecError
 
@@ -42,12 +46,18 @@ class _UsageError(Exception):
     pass
 
 
+class _NotARingError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line errors instead of usage dumps
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="deltaring", add_help=True)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
@@ -104,6 +114,18 @@ def _build_parser() -> _Parser:
 
 def _build_ring(spec_text: str) -> FiniteRing:
     return ringspec.build_ring(spec_text, ringspec.BuildContext(base_dir=Path.cwd()))
+
+
+def _ring_for_answers(spec_text: str) -> FiniteRing:
+    """The ring a verb that answers about rings reads.  A certified ring
+    passes at no cost; any other, one with a table leaf, gets the cached
+    axiom scan, and a table that fails it ends the verb."""
+    ring = _build_ring(spec_text)
+    if not ring.certified:
+        report = validation_report(ring)
+        if not report.ok:
+            raise _NotARingError(f"{ring.spell()} fails {report.violations[0].describe(ring)}")
+    return ring
 
 
 def _print(text: str) -> None:
@@ -226,14 +248,14 @@ def _cmd_describe(spec_text: str) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ring = _build_ring(args.spec)
+    ring = _ring_for_answers(args.spec)
     report = classify.classification_report(ring, strict_commuting=args.strict_commuting)
     _emit(report.to_dict(), args.format, _md_classify)
     return 0
 
 
 def _cmd_delta(args) -> int:
-    ring = _build_ring(args.spec)
+    ring = _ring_for_answers(args.spec)
     delta = analysis.delta(ring)
     radical = analysis.jacobson_radical(ring)
     obj = {
@@ -248,7 +270,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    ring = _build_ring(args.spec)
+    ring = _ring_for_answers(args.spec)
     if not (0 <= args.element < ring.size):
         raise _UsageError(
             f"--element {args.element} out of range for a ring of size {ring.size}"
@@ -316,7 +338,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_validate(args) -> int:
     ring = _build_ring(args.spec)
-    report = validate_ring(ring)
+    report = validation_report(ring)
     _emit(report.to_dict(), args.format, _md_validate)
     return 0 if report.ok else 1
 
@@ -352,6 +374,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _error_line("usage", exc)
         return 2
+    except _NotARingError as exc:
+        _error_line("axioms", exc)
+        return 1
     except RingSpecError as exc:
         _error_line("spec", exc)
         return 2

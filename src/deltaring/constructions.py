@@ -78,6 +78,14 @@ def _provenance(ring: FiniteRing, builder: str, *kinds: str) -> Provenance:
     return ring.provenance
 
 
+def _certify(ring: FiniteRing, *inputs: FiniteRing) -> FiniteRing:
+    """Mark the ring ``certified`` when every input ring carries the mark
+    (Zn has none), and return it.  The builder's docstring names the
+    theorem that makes its result a ring whenever its inputs are."""
+    ring.certified = all(part.certified for part in inputs)
+    return ring
+
+
 def _gather_rows(terms) -> np.ndarray:
     """The uint16 table sum_p rows_p[keys_p], one row gather per term.
 
@@ -202,7 +210,8 @@ def zn(n: int) -> FiniteRing:
     ``kernel._SWEEP_BLOCK_CELLS`` cells stored into the uint16 result:
     exact while (n-1)^2 < 2^32, that is up to the hard cap of 65536.
     Tracemalloc peak: 5 bytes per n^2 to fill the tables; a block
-    costs 2 bytes per cell of the block, and one row block.
+    costs 2 bytes per cell of the block, and one row block.  Certified:
+    the integers modulo n are a ring.
     """
     spelled = spelling("Z", n)
     if n < 2:
@@ -227,7 +236,7 @@ def zn(n: int) -> FiniteRing:
             out[block] = part
         return out
 
-    return FiniteRing(
+    ring = FiniteRing(
         n,
         None,
         None,
@@ -237,6 +246,7 @@ def zn(n: int) -> FiniteRing:
         element_names=[str(i) for i in range(n)],
         arithmetic=arithmetic,
     )
+    return _certify(ring)
 
 
 def table_ring(source, label: str | None = None) -> FiniteRing:
@@ -246,7 +256,9 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
     keys size, add, mul, zero, one (tables are 0-based, row-major).
     Structural defects raise MalformedTableError; whether the tables
     satisfy the ring axioms is validate_ring's question, so defective
-    axioms load fine and are reported there.
+    axioms load fine and are reported there.  The ring is certified when
+    they pass, and the report stays in its cache
+    (``kernel.validation_report``) for C00 and the verbs' gate.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -275,7 +287,7 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
     one = data["one"]
     if not (_is_int(zero) and _is_int(one)):
         raise MalformedTableError("zero and one must be element indices")
-    return FiniteRing(
+    ring = FiniteRing(
         size,
         data["add"],
         data["mul"],
@@ -283,6 +295,8 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
         one=one,
         provenance=Provenance("table", spelling("table:", label)),
     )
+    ring.certified = kernel.validation_report(ring).ok
+    return ring
 
 
 def _pair_names(first, second) -> list[str]:
@@ -299,6 +313,8 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     its rows' coordinates, from the components' blocks at the
     coordinates that occur.  Tracemalloc peak: 5 bytes per n^2 to fill
     the tables; a block costs 2 bytes per cell, plus those blocks.
+    Certified when both factors are: a product of rings, with the
+    operations componentwise, is a ring.
     """
     n = left.size * right.size
     spelled = spelling("prod", left.spell(), right.spell())
@@ -318,7 +334,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         return _gather_rows(terms())
 
     names = _pair_names(left, right)
-    return FiniteRing(
+    ring = FiniteRing(
         n,
         None,
         None,
@@ -328,6 +344,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         element_names=names,
         arithmetic=arithmetic,
     )
+    return _certify(ring, left, right)
 
 
 def product_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
@@ -453,7 +470,8 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
 
     Tracemalloc peak: 5 bytes per n^2: both tables, one row block, and
     the keyed product rows of _grid_ring, which are n x n for k = 1 and
-    take it to 11.
+    take it to 11.  Certified when the base is: the k x k matrices over
+    a ring are a ring under the matrix sum and product.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -462,13 +480,16 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     positions = [(i, j) for i in range(k) for j in range(k)]
     grid = _stored_grid(base, k, positions)
     prov = Provenance("matrix", spelled, base=base, k=k, positions=positions, grid=grid)
-    return _grid_ring(base, grid, positions, prov)
+    return _certify(_grid_ring(base, grid, positions, prov), base)
 
 
 def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     """Upper-triangular k x k matrices over the base ring.
 
-    Tracemalloc peak: 5 bytes per n^2, as for matrix_ring.
+    Tracemalloc peak: 5 bytes per n^2, as for matrix_ring.  Certified
+    when the base is: the upper-triangular matrices hold 1 and are
+    closed under the sum and product of M(k, base), so they are a
+    subring of that ring.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -477,7 +498,7 @@ def upper_triangular(k: int, base: FiniteRing) -> FiniteRing:
     positions = [(i, j) for i in range(k) for j in range(k) if i <= j]
     grid = _stored_grid(base, k, positions)
     prov = Provenance("upper_triangular", spelled, base=base, k=k, positions=positions, grid=grid)
-    return _grid_ring(base, grid, positions, prov)
+    return _certify(_grid_ring(base, grid, positions, prov), base)
 
 
 def matrix_entries(ring: FiniteRing, x: Element) -> tuple[tuple[int, ...], ...]:
@@ -536,7 +557,11 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     d = f + t*e and a = d + s*c.  Size is |base|^3, not |base|^9.
     Tracemalloc peak: 5.5 bytes per n^2: the product is keyed on two
     entries, so its keyed rows take |base|^2 x n cells, one in |base|
-    of n^2.
+    of n^2.  Certified when the base is: the set is a subring of
+    M(3, base).  It holds 1 (c = e = 0) and is closed under sums.  The
+    product of two of its matrices has diagonal aa', dd', ff' and free
+    entries ca' + dc' and de' + ef', and since s and t are central,
+    aa' - dd' = s(ca' + dc') and dd' - ff' = t(de' + ef').
     """
     base._check_index(s)
     base._check_index(t)
@@ -552,7 +577,8 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     c, e, f = (grid[:, i, j] for i, j in _H_POSITIONS)
     grid[:, 1, 1] = base.add_table[f, base.mul_table[t, e]]
     grid[:, 0, 0] = base.add_table[grid[:, 1, 1], base.mul_table[s, c]]
-    return _grid_ring(base, grid, _H_POSITIONS, Provenance("h", spelled, base=base, grid=grid))
+    ring = _grid_ring(base, grid, _H_POSITIONS, Provenance("h", spelled, base=base, grid=grid))
+    return _certify(ring, base)
 
 
 def h_components(ring: FiniteRing, x: Element) -> tuple[int, int, int, int, int]:
@@ -745,6 +771,9 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     product's V-sum is summed elementwise, in row blocks.
     Tracemalloc peak: 5.5 bytes per n^2 for the tables, and one block of
     the action laws for the validation (:func:`validate_bimodule_action`).
+    Certified when the base is: the Dorroh extension of a ring by a ring
+    V under a bimodule action that satisfies those laws, all checked
+    here, is a ring with identity (1, 0).
     """
     v = action.v
     vn = v.size
@@ -781,7 +810,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
             out[block] += np.take(vadd, np.take(vadd, lw[kr] * width + vs[kv]) * width + vw[kv])
         return out
 
-    return FiniteRing(
+    ring = FiniteRing(
         n,
         None,
         None,
@@ -791,6 +820,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         element_names=_pair_names(base, v),
         arithmetic=arithmetic,
     )
+    return _certify(ring, base)
 
 
 def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
@@ -810,7 +840,8 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     of m elements in row blocks, so an unfilled base stays unfilled.
     Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
     m = 256 to 2048 with n = 4096), plus one row block, under 1 MB, and
-    the n-vectors ex, exe and the lookup.
+    the n-vectors ex, exe and the lookup.  Certified when the base is:
+    for an idempotent e of a ring, eRe is a ring with identity e.
     """
     base._check_index(e)
     if int(base.block("mul", [e], [e])[0, 0]) != e:
@@ -823,7 +854,7 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     mul = _relabelled(base, "mul", members, members, lookup)
     if add is None or mul is None:
         raise ConstructionError("corner set is not closed; the base tables are defective")
-    return FiniteRing(
+    ring = FiniteRing(
         len(members),
         add,
         mul,
@@ -832,6 +863,7 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
         provenance=Provenance("corner", spelling("corner", base.spell(), e), members=members),
         element_names=[base.element_name(int(m)) for m in members],
     )
+    return _certify(ring, base)
 
 
 def ideal_generated(base: FiniteRing, generators) -> ElementSet:
@@ -877,7 +909,9 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     elements, all in row blocks, so an unfilled base stays unfilled.
     Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
     m = 256 to 2048 with n = 4096), plus one row block of the ideal
-    check or the coset table, about 3 MB, and n-vectors.
+    check or the coset table, about 3 MB, and n-vectors.  Certified
+    when the base is: the quotient of a ring by a two-sided ideal is a
+    ring.
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
@@ -891,7 +925,8 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
 
 
 def quotient_by_generators(base: FiniteRing, generators) -> FiniteRing:
-    """The quotient by the two-sided ideal the generators generate."""
+    """The quotient by the two-sided ideal the generators generate;
+    certified when the base is, as for :func:`quotient`."""
     generators = [int(g) for g in generators]
     return _quotient(base, ideal_generated(base, generators), generators)
 
@@ -914,7 +949,7 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
     mul = _relabelled(base, "mul", representatives, representatives, coset_of)
     rep_of.flags.writeable = False
     spelled = spelling("quot", base.spell(), *generators)
-    return FiniteRing(
+    ring = FiniteRing(
         len(representatives),
         add,
         mul,
@@ -925,6 +960,7 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
         ),
         element_names=[f"[{base.element_name(int(r))}]" for r in representatives],
     )
+    return _certify(ring, base)
 
 
 def quotient_project(ring: FiniteRing, parent_x: Element) -> int:

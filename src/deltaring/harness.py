@@ -21,6 +21,12 @@ evaluates the hypothesis first, inside the timed window, and runs the
 body only on qualifying rings.  Checks register in definition order,
 which is id order.
 
+A check that states one of the theorems ``analysis`` and ``classify``
+answer from on a certified ring (C01, C04, C06, C09, C11, C12, C14,
+C16, C25 and C26) reads the sweeps those theorems replace, the
+``*_sweep_*`` functions and ``classify.spectral_grid``, so that it
+compares a sweep with a theorem and never a theorem path with itself.
+
 C00 is the axiom gate: when it fails on a ring, every other check on
 that ring is reported NOT-APPLICABLE (and the C00 failure row is always
 included, even under a --check filter, so a corrupted ring can never
@@ -45,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, classify, constructions, ringspec
-from .kernel import FiniteRing, RingError, row_block_reads, validate_ring
+from .kernel import FiniteRing, RingError, row_block_reads, validation_report
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -233,7 +239,7 @@ t2z2_ring = _hypothesis("applies to the ring T(2, Z2)", lambda ring: ring.spell(
 
 @check("C00", "the compiled tables satisfy the unital-ring axioms")
 def _c00_axioms(ring: FiniteRing, ctx: SuiteContext):
-    report = validate_ring(ring)
+    report = validation_report(ring)
     if report.ok:
         return PASS, None, f"{report.mode} scan"
     violation = report.violations[0]
@@ -246,7 +252,7 @@ def _c00_axioms(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C01", "the four sweeps defining delta agree (1-xu, x+u, xu+1, ux+1 forms)")
 def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
-    primary = analysis.delta_mask(ring)
+    primary = analysis.delta_sweep_mask(ring)
     labels = ("x+u form", "xu+1 form", "ux+1 form")
     for label, variant in zip(labels, analysis.delta_alternative_forms(ring)):
         detail = f"{label} disagrees with the 1-xu form"
@@ -287,9 +293,9 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C04", "delta is a two-sided ideal exactly when it equals the jacobson radical")
 def _c04_ideal_iff_radical(ring: FiniteRing, ctx: SuiteContext):
-    dmask = analysis.delta_mask(ring)
+    dmask = analysis.delta_sweep_mask(ring)
     is_ideal, pair, why = analysis.is_two_sided_ideal(ring, dmask)
-    equals_radical = analysis.delta(ring) == analysis.jacobson_radical(ring)
+    equals_radical = bool((dmask == analysis.jacobson_mask(ring)).all())
     if is_ideal == equals_radical:
         return PASS, None, f"ideal={is_ideal}, delta==radical={equals_radical}"
     if is_ideal:
@@ -317,7 +323,7 @@ def _units_central(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C06", "when all units are central, quasinilpotents lie in delta", requires=_units_central)
 def _c06_central_units_qnil(ring: FiniteRing, ctx: SuiteContext):
-    escaped = analysis.qnil_mask(ring) & ~analysis.delta_mask(ring)
+    escaped = analysis.qnil_sweep_mask(ring) & ~analysis.delta_sweep_mask(ring)
     if escaped.any():
         return FAIL, _witness(ring, [np.argmax(escaped)], "quasinilpotent outside delta"), None
     return PASS, None, None
@@ -362,18 +368,26 @@ def _c10_negated_shift(ring: FiniteRing, ctx: SuiteContext):
     return PASS, None, None
 
 
+def _swept_dqp(ring: FiniteRing) -> tuple[bool, int | None]:
+    return classify.verdict(classify.spectral_sweep_flags(ring, "delta"))
+
+
+def _swept_clean(ring: FiniteRing, target: str, **kind) -> tuple[bool, int | None]:
+    return classify.verdict(classify.clean_sweep_flags(ring, target, **kind))
+
+
 _dqp_or_abelian_sdc = _hypothesis(
     "neither delta-quasipolar nor abelian strongly delta-clean",
-    lambda ring: classify.is_delta_quasipolar(ring)[0]
-    or (classify.is_abelian(ring)[0] and classify.is_strongly_delta_clean(ring)[0]),
+    lambda ring: _swept_dqp(ring)[0]
+    or (classify.is_abelian(ring)[0] and _swept_clean(ring, "delta", commuting=True)[0]),
 )
 
 
 @check("C11", "delta-quasipolar implies strongly delta-clean; abelian strongly delta-clean implies back",
        requires=_dqp_or_abelian_sdc)
 def _c11_strongly_delta_clean(ring: FiniteRing, ctx: SuiteContext):
-    dqp, dqp_witness = classify.is_delta_quasipolar(ring)
-    sdc, sdc_witness = classify.is_strongly_delta_clean(ring)
+    dqp, dqp_witness = _swept_dqp(ring)
+    sdc, sdc_witness = _swept_clean(ring, "delta", commuting=True)
     if dqp and not sdc:
         return FAIL, _witness(ring, [sdc_witness], "delta-quasipolar but not strongly delta-clean"), None
     if not dqp:  # so the hypothesis holds through the abelian leg
@@ -385,9 +399,9 @@ def _c11_strongly_delta_clean(ring: FiniteRing, ctx: SuiteContext):
 @check("C12", "on abelian rings: delta-quasipolar, strongly delta-clean, uniquely clean coincide",
        requires=abelian_ring)
 def _c12_abelian_equivalences(ring: FiniteRing, ctx: SuiteContext):
-    dqp, a = classify.is_delta_quasipolar(ring)
-    sdc, b = classify.is_strongly_delta_clean(ring)
-    uc, c = classify.is_uniquely_clean(ring)
+    dqp, a = _swept_dqp(ring)
+    sdc, b = _swept_clean(ring, "delta", commuting=True)
+    uc, c = _swept_clean(ring, "unit", unique=True)
     if dqp == sdc == uc:
         return PASS, None, f"all three {'hold' if dqp else 'fail'}"
     pieces = f"delta-quasipolar={dqp}, strongly delta-clean={sdc}, uniquely clean={uc}"
@@ -408,8 +422,8 @@ def _c13_t2z2_profile(ring: FiniteRing, ctx: SuiteContext):
 
 
 def _uniquely_clean_premises(ring: FiniteRing, ctx: SuiteContext) -> list[str]:
-    uc = classify.is_uniquely_clean(ring)[0]
-    udc = classify.is_uniquely_delta_clean(ring, ctx.strict_commuting)[0]
+    uc = _swept_clean(ring, "unit", unique=True)[0]
+    udc = _swept_clean(ring, "delta", commuting=ctx.strict_commuting, unique=True)[0]
     return [name for name, held in (("uniquely clean", uc), ("uniquely delta-clean", udc)) if held]
 
 
@@ -423,7 +437,7 @@ def _some_uniquely_clean_premise(ring: FiniteRing, ctx: SuiteContext):
        requires=_some_uniquely_clean_premise)
 def _c14_uniquely_clean_implications(ring: FiniteRing, ctx: SuiteContext):
     premises = _uniquely_clean_premises(ring, ctx)
-    dqp, witness = classify.is_delta_quasipolar(ring)
+    dqp, witness = _swept_dqp(ring)
     if dqp:
         return PASS, None, f"premises: {', '.join(premises)}"
     return FAIL, _witness(ring, [witness], f"{premises[0]} ring fails delta-quasipolarity"), None
@@ -441,13 +455,14 @@ def _c15_two_in_delta(ring: FiniteRing, ctx: SuiteContext):
        requires=full_matrix_ring)
 def _c16_matrix_qnil_gap(ring: FiniteRing, ctx: SuiteContext):
     detail = "delta differs from the radical"
-    failed = _first_mismatch(ring, analysis.jacobson_mask(ring), analysis.delta_mask(ring), detail)
+    swept = analysis.delta_sweep_mask(ring)
+    failed = _first_mismatch(ring, analysis.jacobson_mask(ring), swept, detail)
     if failed:
         return failed
     e12 = constructions.matrix_unit_index(ring, 0, 1)
-    if not analysis.qnil_mask(ring)[e12]:
+    if not analysis.qnil_sweep_mask(ring)[e12]:
         return FAIL, _witness(ring, [e12], "expected quasinilpotent is not"), None
-    if analysis.delta_mask(ring)[e12]:
+    if swept[e12]:
         return FAIL, _witness(ring, [e12], "expected escapee lies in delta"), None
     return PASS, None, "delta = radical; a quasinilpotent stays outside"
 
@@ -463,7 +478,7 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     ul = analysis.unit_indices(ring)
     for start, left in row_block_reads(ring, "mul", inv[ul]):
         units = ul[start : start + len(left)]
-        bad = flags & ~np.take(flags, ring.apply("mul", left, units[:, None]))
+        bad = flags & ~flags.take(ring.apply("mul", left, units[:, None]))
         if bad.any():
             i, x = np.argwhere(bad)[0]
             detail = "conjugate loses delta-quasipolarity"
@@ -569,14 +584,14 @@ def _c24_annihilators(ring: FiniteRing, ctx: SuiteContext):
 
 _abelian_j_clean = _hypothesis(
     "applies to abelian rings with idempotent + radical decompositions",
-    lambda ring: classify.is_abelian(ring)[0] and classify.is_j_clean(ring)[0],
+    lambda ring: classify.is_abelian(ring)[0] and _swept_clean(ring, "jacobson")[0],
 )
 
 
 @check("C25", "abelian rings with idempotent+radical decompositions are delta-quasipolar",
        requires=_abelian_j_clean)
 def _c25_abelian_j_clean(ring: FiniteRing, ctx: SuiteContext):
-    dqp, witness = classify.is_delta_quasipolar(ring)
+    dqp, witness = _swept_dqp(ring)
     if dqp:
         return PASS, None, None
     return FAIL, _witness(ring, [witness], "abelian j-clean ring fails delta-quasipolarity"), None
@@ -584,8 +599,8 @@ def _c25_abelian_j_clean(ring: FiniteRing, ctx: SuiteContext):
 
 _dqp_delta_is_radical = _hypothesis(
     "applies to delta-quasipolar rings with delta equal to the radical",
-    lambda ring: classify.is_delta_quasipolar(ring)[0]
-    and analysis.delta(ring) == analysis.jacobson_radical(ring),
+    lambda ring: _swept_dqp(ring)[0]
+    and bool((analysis.delta_sweep_mask(ring) == analysis.jacobson_mask(ring)).all()),
 )
 
 
@@ -596,7 +611,7 @@ def _c26_pi_regular_equivalence(ring: FiniteRing, ctx: SuiteContext):
     `classify.is_strongly_pi_regular`), so the equivalence asserts that
     the radical (here equal to delta) is both qnil and nil."""
     radical = analysis.jacobson_mask(ring)
-    for other in (analysis.qnil_mask(ring), analysis.nilpotent_mask(ring)):
+    for other in (analysis.qnil_sweep_mask(ring), analysis.nilpotent_mask(ring)):
         failed = _first_mismatch(ring, radical, other, "strongly pi-regular yet the four sets differ")
         if failed:
             return failed

@@ -135,6 +135,13 @@ class FiniteRing:
     per n^2 together.  Constructions are rejected above
     :func:`element_capacity` elements and zero rings (``one == zero``)
     are rejected outright.
+
+    ``certified`` says the tables are known to satisfy the ring axioms,
+    so that analysis and classify may answer from theorems about finite
+    rings instead of sweeping.  It is False on every ring built here;
+    ``constructions`` sets it on Zn, on a table that passes
+    :func:`validate_ring`, and on a construction whose inputs all carry
+    it, each by a theorem its builder names.
     """
 
     __slots__ = (
@@ -146,6 +153,7 @@ class FiniteRing:
         "neg_table",
         "provenance",
         "element_names",
+        "certified",
         "_arithmetic",
         "_cache",
     )
@@ -187,6 +195,7 @@ class FiniteRing:
         if element_names is not None and len(element_names) != size:
             raise MalformedTableError("element_names length does not match ring size")
         self.element_names = element_names
+        self.certified = False
         self._cache: dict = {}
 
     # -- tables and blocks --------------------------------------------------
@@ -979,3 +988,13 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     """
     violations, not_checked = _axiom_violations(ring.add_table, ring.mul_table, ring.zero, ring.one)
     return ValidationReport(ring.spell(), ring.size, violations, not_checked)
+
+
+def validation_report(ring: FiniteRing) -> ValidationReport:
+    """:func:`validate_ring`'s report, computed once per ring and kept in
+    its cache, so that a table leaf's build, C00 and a verb's gate share
+    one run of the prover."""
+    report = ring._cache.get("validation_report")
+    if report is None:
+        report = ring._cache["validation_report"] = validate_ring(ring)
+    return report

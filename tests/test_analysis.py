@@ -191,11 +191,15 @@ def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
 
 # -- stated peaks ----------------------------------------------------------------------
 
+# delta_mask and qnil_mask measure their theorem paths, as Z1024 is
+# certified, and the two sweeps their own
 PEAK_LAYERS = {
     "comm_matrix": analysis.comm_matrix,
     "jacobson_mask": analysis.jacobson_mask,
     "delta_mask": analysis.delta_mask,
+    "delta_sweep_mask": analysis.delta_sweep_mask,
     "qnil_mask": analysis.qnil_mask,
+    "qnil_sweep_mask": analysis.qnil_sweep_mask,
     "delta_alternative_forms": analysis.delta_alternative_forms,
 }
 

@@ -60,8 +60,9 @@ def test_spectral_idempotents_are_unique_when_they_exist(corpus):
             for a in ring.elements():
                 assert len(oracles.spectral_of(ring, a, "delta")) <= 1, (entry.spec_text, a)
         else:
-            for a in ring.elements():
-                assert int(classify.spectral_mask(ring, a, "delta").sum()) <= 1
+            # the sweep, as a certified ring's spectral_mask holds one
+            # idempotent at most by construction
+            assert classify.spectral_grid(ring, "delta").sum(axis=1).max() <= 1
 
 
 # -- ring-level quasipolarity ------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltaring import cli, constructions, harness
+from deltaring import cli, constructions, harness, kernel
 
 from test_ringspec import _spec_texts
 
@@ -233,6 +233,57 @@ def test_validate_markdown(capsys):
     assert "ok: True" in out
 
 
+# -- the gate of the verbs that answer about rings ---------------------------------
+
+
+def _corrupted_f4(tmp_path):
+    """A copy of the packaged f4.json with mul[1][2] changed: 1 stops
+    being the identity."""
+    data = json.loads((harness.default_corpus_path().parent / "f4.json").read_text())
+    data["mul"][1][2] = 3
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("spec", ["table:bad.json", "prod(table:bad.json, Z2)"])
+@pytest.mark.parametrize("verb", [["classify"], ["delta"], ["spectral", "--element", "1"]])
+def test_verbs_that_answer_about_rings_refuse_a_table_that_is_not_one(
+    capsys, tmp_path, monkeypatch, verb, spec
+):
+    _corrupted_f4(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, verb[0], spec, *verb[1:])
+    assert code == 1 and out == ""
+    # the first violation, as validate lists it
+    assert re.fullmatch(rf"error: axioms: {re.escape(spec)} fails one-identity at \([^\n]*\)\n", err)
+
+
+def test_validate_and_verify_still_report_a_table_that_is_not_a_ring(capsys, tmp_path, monkeypatch):
+    _corrupted_f4(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("table:bad.json\n")
+    code, data = run_json(capsys, "validate", "table:bad.json")
+    assert code == 1 and data["violations"][0]["axiom"] == "one-identity"
+    code, data = run_json(capsys, "verify", "--manifest", "bad.txt")
+    assert code == 1 and data["summary"]["fail"] == 1
+
+
+def test_the_gate_scans_a_ring_without_the_mark_once(capsys, tmp_path, monkeypatch):
+    # the corrupted leaf is scanned when it is built, and its product once
+    # more, by the gate; a certified ring is never scanned
+    _corrupted_f4(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    scanned = []
+    real = kernel.validate_ring
+    monkeypatch.setattr(
+        kernel, "validate_ring", lambda ring: scanned.append(ring.spell()) or real(ring)
+    )
+    assert run_cli(capsys, "classify", "prod(table:bad.json, Z2)")[0] == 1
+    assert scanned == ["table:bad.json", "prod(table:bad.json, Z2)"]
+    scanned.clear()
+    assert run_cli(capsys, "classify", "prod(Z2, Z3)")[0] == 0
+    assert scanned == []
+
+
 # -- describe and version ----------------------------------------------------------
 
 
@@ -253,6 +304,16 @@ def test_version(capsys):
     code, out, err = run_cli(capsys, "--version")
     assert code == 0
     assert out.strip().startswith("deltaring ")
+
+
+def test_the_parser_built_once_still_reports_usage_errors_and_the_version(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert run_cli(capsys, "classify", "Z4")[0] == 0
+    code, out, err = run_cli(capsys, "classify")
+    assert code == 2 and err.startswith("error: usage:")
+    code, out, err = run_cli(capsys, "--version")
+    assert code == 0 and out.startswith("deltaring ")
+    assert run_cli(capsys, "delta", "Z4")[0] == 0
 
 
 # -- error mapping ------------------------------------------------------------------

@@ -280,6 +280,45 @@ def test_only_the_kernel_and_the_constructions_read_a_table():
     assert exempted == TABLE_READ_EXEMPTIONS
 
 
+# the checks that state a theorem that analysis or classify answers from
+# on a certified ring, and the theorem paths they must not read
+THEOREM_CHECKS = ("C01", "C04", "C06", "C09", "C11", "C12", "C14", "C16", "C25", "C26")
+THEOREM_PATHS = {
+    "delta_mask", "qnil_mask", "delta", "qnil", "element_flags", "clean_flags",
+    "spectral_mask", "spectral_idempotents", "ring_quasipolar", "is_delta_quasipolar",
+    "is_j_quasipolar", "is_quasipolar", "is_clean", "is_strongly_clean", "is_uniquely_clean",
+    "is_j_clean", "is_strongly_delta_clean", "is_uniquely_delta_clean",
+}
+
+
+def test_theorem_stating_checks_read_only_the_sweeps():
+    # a check that states T1-T8 compares a sweep with a theorem path, so
+    # neither its body nor its hypothesis, nor a harness helper either
+    # calls, may name a theorem path
+    tree = ast.parse(pathlib.Path(deltaring.harness.__file__).read_text())
+    defs, roots = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            defs[node.targets[0].id] = node
+        for deco in getattr(node, "decorator_list", ()):
+            if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "check":
+                roots[deco.args[0].value] = [node] + [k.value for k in deco.keywords]
+    reached = set()
+    for check_id in THEOREM_CHECKS:
+        todo, seen = list(roots[check_id]), set()
+        while todo:
+            for node in ast.walk(todo.pop()):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                assert name not in THEOREM_PATHS, f"{check_id} reads {name}"
+                if name in defs and name not in seen:
+                    seen.add(name)
+                    todo.append(defs[name])
+        reached |= seen
+    assert {"_swept_dqp", "_swept_clean", "_uniquely_clean_premises"} <= reached
+
+
 def _replay(ring, axiom, w):
     """Re-check a reported violation witness with direct table lookups."""
     if axiom == "mul-associativity":
