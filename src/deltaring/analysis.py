@@ -30,7 +30,10 @@ Two standard facts keep the sweeps one-sided and bounded:
 The n^2 sweeps run over row blocks of about ``kernel._BLOCK_CELLS``
 cells, each a flat ``take`` into an n-vector lookup composed once (for
 example ``is_unit(1 - y)`` for every y), so no sweep holds an n^2
-temporary and none fills an unfilled table.
+temporary.  A sweep reads the whole ring, so each cached layer fills
+the ring's tables once, on its cache miss (``_cached``), and every
+later read is a gather from them; :func:`in_radical`, the one
+one-element question here, fills nothing on a certified ring.
 
 On a ring that carries the ``certified`` mark, :func:`delta_mask` and
 :func:`qnil_mask` answer from theorems about finite rings, each proved
@@ -47,8 +50,11 @@ from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles, 
 
 
 def _cached(ring: FiniteRing, key, compute):
+    """The cached value at ``key``, computed on a miss after the ring's
+    tables are filled, as every cached layer sweeps the whole ring."""
     value = ring._cache.get(key)
     if value is None:
+        ring.fill()
         value = compute()
         ring._cache[key] = value
     return value
@@ -275,9 +281,34 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
 
 def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     """Whether each element of ``xs`` lies in J, as :func:`jacobson_mask`
-    decides it, from its own column of the multiplication table: n flat
-    gathers per element, in row blocks."""
-    return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
+    decides it, from its own column of the multiplication table.
+
+    On a certified ring (T9): x is in J exactly when r*x is nilpotent
+    for every r.  A finite ring is Artinian, so J is nilpotent (Lam, "A
+    First Course in Noncommutative Rings", Thm 4.12), and x in J gives
+    r*x in J, a nilpotent element.  Conversely, if every r*x is
+    nilpotent, 1 - r*x has the inverse sum_i (r*x)^i for every r, which
+    is jacobson_mask's definition of J.  A nilpotent z in a ring of n
+    elements has z^n = 0, as its nonzero powers are distinct, so
+    ceil(log2 n) squarings of the column reach zero exactly at
+    nilpotent entries.  Cost: n cells of the column per element, from
+    the builder's arithmetic on an unfilled ring, and ceil(log2 n)
+    elementwise squarings of them, in blocks of ``kernel._BLOCK_CELLS``
+    cells; nothing is filled.
+
+    On any other table: the column read through ``is_unit(1 - y)``, n
+    flat gathers per element in row blocks.
+    """
+    if not ring.certified:
+        return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
+    xs = np.asarray(xs, dtype=np.intp)
+    out = np.empty(len(xs), dtype=bool)
+    for cols in _row_blocks(len(xs), ring.size):
+        powers = ring.block("mul", None, xs[cols])
+        for _ in range((ring.size - 1).bit_length()):
+            powers = ring.apply("mul", powers, powers)
+        out[cols] = (powers == ring.zero).all(axis=0)
+    return out
 
 
 def delta_sweep_mask(ring: FiniteRing) -> np.ndarray:

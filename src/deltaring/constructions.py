@@ -15,8 +15,14 @@ reports are reproducible.
 
 Zn, products, the matrix-shaped rings M, T and H, and Dorroh extensions
 are built from their arithmetic, without tables: the FiniteRing fills
-each table on its first read, and serves any block of a table it has
-not filled from the same arithmetic (``FiniteRing.block``).  Zn's
+each table when a pass that reads the whole ring asks for it
+(``FiniteRing.fill``), and serves any block of a table it has not
+filled from the same arithmetic (``FiniteRing.block``), and any
+elementwise read from the builder's pointwise form
+(``FiniteRing.apply``): Zn on the indices, a product from its
+components, a grid ring from the grids of its two operands, and a
+Dorroh extension from its base and V, each at O(1) base reads per
+element.  Zn's
 tables are a sliding window and an outer product; the others are sums
 of row gathers (``_gather_rows``): row x is a sum of rows picked by
 small keys of x, so none of them runs an elementwise n x n gather but
@@ -208,7 +214,8 @@ def zn(n: int) -> FiniteRing:
     The product, and any block of an unfilled table, is the uint32 outer
     sum or product of the index arrays reduced mod n, in row blocks of
     ``kernel._SWEEP_BLOCK_CELLS`` cells stored into the uint16 result:
-    exact while (n-1)^2 < 2^32, that is up to the hard cap of 65536.
+    exact while (n-1)^2 < 2^32, that is up to the hard cap of 65536;
+    an elementwise read is the same sum or product of its two indices.
     Tracemalloc peak: 5 bytes per n^2 to fill the tables; a block
     costs 2 bytes per cell of the block, and one row block.  Certified:
     the integers modulo n are a ring.
@@ -236,6 +243,10 @@ def zn(n: int) -> FiniteRing:
             out[block] = part
         return out
 
+    def pointwise(op, x, y):
+        x = np.asarray(x, dtype=np.int64)
+        return ((x + y if op == "add" else x * y) % n).astype(TABLE_DTYPE)
+
     ring = FiniteRing(
         n,
         None,
@@ -245,6 +256,7 @@ def zn(n: int) -> FiniteRing:
         provenance=Provenance("zn", spelled),
         element_names=[str(i) for i in range(n)],
         arithmetic=arithmetic,
+        pointwise=pointwise,
     )
     return _certify(ring)
 
@@ -311,8 +323,9 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
 
     Both tables are componentwise: a block is two row gathers keyed by
     its rows' coordinates, from the components' blocks at the
-    coordinates that occur.  Tracemalloc peak: 5 bytes per n^2 to fill
-    the tables; a block costs 2 bytes per cell, plus those blocks.
+    coordinates that occur; an elementwise read is the components'
+    elementwise reads.  Tracemalloc peak: 5 bytes per n^2 to fill the
+    tables; a block costs 2 bytes per cell, plus those blocks.
     Certified when both factors are: a product of rings, with the
     operations componentwise, is a ring.
     """
@@ -333,6 +346,10 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
 
         return _gather_rows(terms())
 
+    def pointwise(op, x, y):
+        (xl, xr), (yl, yr) = np.divmod(x, sn), np.divmod(y, sn)
+        return left.apply(op, xl, yl) * TABLE_DTYPE(sn) + right.apply(op, xr, yr)
+
     names = _pair_names(left, right)
     ring = FiniteRing(
         n,
@@ -343,6 +360,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         provenance=Provenance("product", spelled, left=left, right=right),
         element_names=names,
         arithmetic=arithmetic,
+        pointwise=pointwise,
     )
     return _certify(ring, left, right)
 
@@ -417,22 +435,27 @@ def _grid_ring(
     unfilled table is the same terms restricted to the block's columns
     and gathered at its rows: one |rows| x |cols| row gather per
     position, plus min(|S|^|L|, |rows|) * |cols| cells per position for
-    the product's keyed rows.
+    the product's keyed rows.  An elementwise read sums the same terms
+    at the two operands' grids, |L| base products per stored position,
+    with no keyed rows: a whole fill that way would pay k^3 base
+    products per cell.  It reads the base elementwise once for the sum,
+    and for the product once per rank of the terms, the t-th terms of
+    all positions together, in the fill's order.
     """
     m = len(positions)
     n, k, _ = grid.shape
     bs = base.size
     place_values = [bs ** (m - 1 - p) for p in range(m)]
     support = (grid != base.zero).any(axis=0)
+    ells = [np.flatnonzero(support[i] & support[:, j]) for i, j in positions]
 
     def terms(op, rows, cols):
         at_rows = grid if rows is None else grid[rows]
         at_cols = grid if cols is None else grid[cols]
-        for (i, j), pv in zip(positions, place_values):
+        for (i, j), pv, ls in zip(positions, place_values, ells):
             if op == "add":
                 yield _columns(base.add_table, at_cols[:, i, j]) * TABLE_DTYPE(pv), at_rows[:, i, j]
                 continue
-            ls = np.flatnonzero(support[i] & support[:, j])
             shape = (bs,) * len(ls)
             keys = np.ravel_multi_index([at_rows[:, i, l] for l in ls], shape)
             used, keys = _occurring(keys, bs ** len(ls))
@@ -442,6 +465,28 @@ def _grid_ring(
                 acc = term if acc is None else base.add_table[acc, term]
             acc *= pv
             yield acc, keys
+
+    # the product's terms x[i, l] * y[l, j] by rank: rank t pairs the
+    # positions that have a t-th l in L with that l, so that one base
+    # read per rank serves every position.  Every position has a first l.
+    pi, pj = np.array(positions).T
+    first = np.array([ls[0] for ls in ells])
+    later = []
+    for t in range(1, max(map(len, ells))):
+        at = np.array([p for p in range(m) if len(ells[p]) > t])
+        later.append((at, np.array([ells[p][t] for p in at])))
+    place = np.array(place_values, dtype=TABLE_DTYPE)
+
+    def pointwise(op, x, y):
+        gx, gy = grid[x], grid[y]
+        if op == "add":
+            entries = base.apply("add", gx[..., pi, pj], gy[..., pi, pj])
+        else:
+            entries = base.apply("mul", gx[..., pi, first], gy[..., first, pj])
+            for at, ls in later:
+                term = base.apply("mul", gx[..., pi[at], ls], gy[..., ls, pj[at]])
+                entries[..., at] = base.apply("add", entries[..., at], term)
+        return (entries * place).sum(axis=-1, dtype=TABLE_DTYPE)
 
     zero = sum(base.zero * pv for pv in place_values)
     one = sum(
@@ -462,6 +507,7 @@ def _grid_ring(
         provenance=provenance,
         element_names=names,
         arithmetic=lambda op, rows, cols: _gather_rows(terms(op, rows, cols)),
+        pointwise=pointwise,
     )
 
 
@@ -768,7 +814,9 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     action laws exhaustively; V is never assumed to have an identity of
     its own.  Every block is the base's block packed by |V| plus the
     V-part, from rows keyed by the r and v that occur in its rows; the
-    product's V-sum is summed elementwise, in row blocks.
+    product's V-sum is summed elementwise, in row blocks.  An elementwise
+    read is the base's elementwise read and V's tables and the actions
+    at its two pairs.
     Tracemalloc peak: 5.5 bytes per n^2 for the tables, and one block of
     the action laws for the validation (:func:`validate_bimodule_action`).
     Certified when the base is: the Dorroh extension of a ring by a ring
@@ -810,6 +858,14 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
             out[block] += np.take(vadd, np.take(vadd, lw[kr] * width + vs[kv]) * width + vw[kv])
         return out
 
+    def pointwise(op, x, y):
+        (r, rv), (s, sw) = np.divmod(x, vn), np.divmod(y, vn)
+        head = base.apply(op, r, s) * TABLE_DTYPE(vn)
+        if op == "add":
+            return head + v.add_table[rv, sw]
+        acted = v.add_table[action.left[r, sw], action.right[rv, s]]
+        return head + v.add_table[acted, v.mul_table[rv, sw]]
+
     ring = FiniteRing(
         n,
         None,
@@ -819,6 +875,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
         provenance=Provenance("dorroh", spelled, base=base, action=action),
         element_names=_pair_names(base, v),
         arithmetic=arithmetic,
+        pointwise=pointwise,
     )
     return _certify(ring, base)
 

@@ -119,16 +119,21 @@ class FiniteRing:
     """A finite unital ring with operation tables.
 
     A ring is given either its tables, which are checked at construction,
-    or its builder's ``arithmetic``: ``arithmetic(op, rows, cols)`` returns
-    the uint16 block ``table[np.ix_(rows, cols)]`` of the "add" or "mul"
-    table, rows or cols None meaning every index, so that
-    ``arithmetic(op, None, None)`` is the whole table.  Such a ring fills
-    ``add_table``, ``mul_table`` and ``neg_table`` on their first read,
-    through the same range check and negation scan; after that a read is
-    a plain attribute read.  Other modules read the tables only by
-    :meth:`block`, :func:`row_block_reads` and :meth:`neg_rows`, which
+    or its builder's ``arithmetic`` and ``pointwise`` forms.
+    ``arithmetic(op, rows, cols)`` returns the uint16 block
+    ``table[np.ix_(rows, cols)]`` of the "add" or "mul" table, rows or
+    cols None meaning every index, so that ``arithmetic(op, None, None)``
+    is the whole table.  ``pointwise(op, x, y)`` returns ``table[x, y]``
+    elementwise over index arrays that broadcast together, in the shape
+    and dtype of the filled gather.  Such a ring fills ``add_table``,
+    ``mul_table`` and ``neg_table`` on their first read, through the same
+    range check and negation scan; after that a read is a plain attribute
+    read.  Other modules read the tables only by :meth:`block`,
+    :func:`row_block_reads`, :meth:`neg_rows` and :meth:`apply`, which
     leave an unfilled table unfilled, so a corner or a quotient never
-    fills its parent, and by :meth:`apply`, which fills it.  Tables are
+    fills its parent and a one-element answer reads O(n) cells, not n^2.
+    Only a pass that reads the whole ring calls :meth:`fill`: the cached
+    analysis layers on a miss, and :func:`validate_ring`.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
     recomputation.  Both tables are ``TABLE_DTYPE`` (uint16), 4 bytes
@@ -155,6 +160,7 @@ class FiniteRing:
         "element_names",
         "certified",
         "_arithmetic",
+        "_pointwise",
         "_cache",
     )
 
@@ -168,6 +174,7 @@ class FiniteRing:
         provenance=None,
         element_names: list[str] | None = None,
         arithmetic=None,
+        pointwise=None,
     ):
         if not _is_int(size) or size < 1:
             raise MalformedTableError(f"ring size must be a positive integer, got {size!r}")
@@ -178,6 +185,7 @@ class FiniteRing:
                 f"(override via {CAPACITY_ENV_VAR}, at most {MAX_CAPACITY})"
             )
         self._arithmetic = arithmetic
+        self._pointwise = pointwise
         if arithmetic is None:
             self.add_table = _as_table("add", add, (size, size), size)
             self.mul_table = _as_table("mul", mul, (size, size), size)
@@ -254,10 +262,15 @@ class FiniteRing:
 
     def apply(self, op: str, x, y) -> np.ndarray:
         """``table[x, y]`` elementwise over index arrays that broadcast
-        together, by one flat ``np.take``; an unfilled table fills first."""
+        together: one flat ``np.take`` of a filled table, and the
+        builder's ``pointwise`` form on an unfilled one, which stays
+        unfilled."""
         if op not in ("add", "mul"):
             raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
-        table = getattr(self, f"{op}_table")
+        try:
+            table = object.__getattribute__(self, f"{op}_table")
+        except AttributeError:
+            return self._pointwise(op, x, y)
         return table.ravel().take(np.multiply(x, self.size, dtype=np.intp) + y)
 
     def neg_rows(self, rows=None) -> np.ndarray:
@@ -984,8 +997,10 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     it near 4.5 MB.
     Structural totality (square tables, in-range entries) is enforced
     at construction time and raises MalformedTableError there, so this
-    scan only ever judges axioms.
+    scan only ever judges axioms.  It reads the whole ring, so it fills
+    the ring's tables first (:meth:`FiniteRing.fill`).
     """
+    ring.fill()
     violations, not_checked = _axiom_violations(ring.add_table, ring.mul_table, ring.zero, ring.one)
     return ValidationReport(ring.spell(), ring.size, violations, not_checked)
 

@@ -497,7 +497,8 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
 # corner and a quotient, which start filled
 READ_SPECS = (
     "Z37", "prod(Z3, T(2, Z2))", "M(2, Z2)", "T(2, Z3)", "H(1, 1, Z3)",
-    "dorroh(Z4, ideal(2))", "corner(M(2, Z2), 3)", "quot(T(2, Z4), 2)",
+    "dorroh(Z4, ideal(2))", "dorroh(Z4, self)", "dorroh(T(2, Z2), ideal(1))",
+    "corner(M(2, Z2), 3)", "quot(T(2, Z4), 2)",
 )
 
 
@@ -511,7 +512,7 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
     # blocks of 40 cells, so that the blocked reader splits every read
     monkeypatch.setattr(kernel, "_BLOCK_CELLS", 40)
     rng = np.random.default_rng(len(spec))
-    filled = build_ring(spec)
+    filled = build_ring(spec).fill()
     ring = ringspec._build(parse_ring_spec(spec), BuildContext())
     lazy = ring._arithmetic is not None
     n = ring.size
@@ -548,11 +549,15 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
         table = getattr(filled, f"{op}_table")
         x, y = rng.integers(0, n, (6, 1)), rng.permutation(n)[:9]
         repeats = np.repeat(y, 3), np.repeat(y[::-1], 3)
-        for left, right in ((x, y), (x, x.T), (int(y[0]), y), repeats):
+        for left, right in ((x, y), (x, x.T), (int(y[0]), y), (int(x[0, 0]), int(y[1])), repeats):
+            want = table.ravel().take(np.multiply(left, n, dtype=np.intp) + right)
+            assert np.array_equal(want, table[left, right]), spec
             for source in (ring, filled):
-                assert np.array_equal(source.apply(op, left, right), table[left, right]), spec
-        # an elementwise gather fills the table it reads
-        assert ring._filled(f"{op}_table") is not None
+                got = source.apply(op, left, right)
+                assert type(got) is type(want) and got.dtype == want.dtype, (spec, op)
+                assert got.shape == want.shape and np.array_equal(got, want), (spec, op)
+    # an elementwise read leaves an unfilled table unfilled
+    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
     with pytest.raises(ValueError):
         ring.block("neg")
     with pytest.raises(ValueError):

@@ -254,9 +254,11 @@ TABLE_READ_EXEMPTIONS = {("harness.py", "_dorroh_conditions")}
 
 def test_only_the_kernel_and_the_constructions_read_a_table():
     # every other module reads a ring by FiniteRing.block,
-    # kernel.row_block_reads and FiniteRing.apply, so that only these two
-    # know how a ring's tables are stored
+    # kernel.row_block_reads and FiniteRing.apply, and fills it by
+    # FiniteRing.fill, so that only these two know how a ring's tables
+    # are stored, when they are filled and what serves them until then
     tables = ("add_table", "mul_table", "neg_table")
+    private = ("_pointwise", "_arithmetic", "_filled")
     exempted = set()
     for path in sorted(pathlib.Path(deltaring.__file__).parent.glob("*.py")):
         if path.name in ("kernel.py", "constructions.py"):
@@ -277,6 +279,7 @@ def test_only_the_kernel_and_the_constructions_read_a_table():
                 continue
             read = name in tables and id(node) not in skipped
             assert not read, f"{path.name}:{node.lineno} reads {name}"
+            assert name not in private, f"{path.name}:{node.lineno} names {name}"
     assert exempted == TABLE_READ_EXEMPTIONS
 
 
@@ -897,7 +900,8 @@ def test_certificate_witnesses_do_not_depend_on_the_row_blocks(step, monkeypatch
 
 @pytest.mark.parametrize("spec", ["Z1024", "T(4, Z2)", "H(1, 1, Z10)"])
 def test_validate_ring_peak_stays_within_the_docstring_figure(spec):
-    ring = build_ring(spec)
+    # filled first, so that the window holds the prover's own peak
+    ring = build_ring(spec).fill()
     stated = re.search(r"Tracemalloc peak: ([\d.]+) bytes\s+per n\^2", validate_ring.__doc__)
     assert stated, "validate_ring states no peak per n^2"
     gc.collect()

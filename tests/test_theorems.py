@@ -1,12 +1,13 @@
 """The theorem paths of certified rings against the sweeps they replace.
 
 On a ring that carries the ``certified`` mark, ``analysis`` and
-``classify`` answer from theorems about finite rings (T1-T8, proved in
+``classify`` answer from theorems about finite rings (T1-T9, proved in
 their docstrings).  Here every theorem path is compared with its named
 sweep on every element of the corpus, the benchmark's ladder rings and
 its point rings; mutations of the theorem paths must be caught by that
-comparison; unmarked rings must keep the sweeps; and the verbs that
-answer from theorems must leave no sweep in a certified ring's cache.
+comparison; unmarked rings must keep the sweeps; the verbs that answer
+from theorems must leave no sweep in a certified ring's cache; and the
+one-element answers must fill no table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import deltaring
-from deltaring import FiniteRing, analysis, build_ring, classify, cli
+from deltaring import FiniteRing, analysis, build_ring, classify, cli, harness
 from deltaring import constructions as con
 
 import oracles
@@ -66,6 +67,7 @@ def _mismatches(ring: FiniteRing) -> list[str]:
     compare("qnil", analysis.qnil_mask(ring), analysis.qnil_sweep_mask(ring))
     idl = analysis.idempotent_indices(ring)
     every = np.arange(ring.size)
+    compare("J by nil test", analysis.in_radical(ring, every), analysis.jacobson_mask(ring))
     for flavor in SPECTRAL_FLAVORS:
         compare(f"{flavor} flags", classify.element_flags(ring, flavor),
                 classify.spectral_sweep_flags(ring, flavor))
@@ -162,6 +164,20 @@ def test_t8_with_an_idempotent_outside_the_cycle_is_caught(monkeypatch):
     assert _caught(MUTATION_SPECS)
 
 
+def test_t9_on_the_element_alone_is_caught(monkeypatch):
+    # x's own nilpotency in place of that of its column R x
+    monkeypatch.setattr(
+        analysis, "in_radical", lambda ring, xs: analysis.nilpotent_mask(ring)[np.asarray(xs)]
+    )
+    assert _caught(MUTATION_SPECS)
+
+
+def test_the_nil_test_reads_the_column_not_the_element(m2z2):
+    e12 = con.matrix_unit_index(m2z2, 0, 1)
+    assert analysis.nilpotent_mask(m2z2)[e12] and not analysis.jacobson_mask(m2z2)[e12]
+    assert not analysis.in_radical(m2z2, [e12])[0]
+
+
 def test_t5_without_its_abelian_leg_is_caught(monkeypatch):
     # T(2, Z2) has |U| = |J| = 2 and a non-central idempotent
     monkeypatch.setattr(classify, "is_abelian", lambda ring: (True, None))
@@ -180,8 +196,14 @@ def test_unmarked_rings_take_the_sweeps(z4, t2z2):
         assert report.booleans == classify.classification_report(ring).booleans
         assert analysis.delta_mask(copy) is analysis.delta_sweep_mask(copy)
         assert analysis.qnil_mask(copy) is analysis.qnil_sweep_mask(copy)
+        every = np.arange(copy.size)
+        assert np.array_equal(analysis.in_radical(copy, every), analysis.jacobson_mask(ring))
+        for flavor in SPECTRAL_FLAVORS:
+            for a in every:
+                got = classify.spectral_idempotents(copy, int(a), flavor)
+                assert got.indices() == classify.spectral_idempotents(ring, int(a), flavor).indices()
         for key in ("comm_matrix", ("spectral_grid", "delta"), ("spectral_grid", "quasipolar"),
-                    "decomposition_grid"):
+                    ("spectral_grid", "jacobson"), "decomposition_grid", "unit_mask"):
             assert key in copy._cache, key
 
 
@@ -222,3 +244,70 @@ def test_verbs_on_certified_rings_fill_no_sweep(monkeypatch, spec):
         swept = [k for k in ring._cache if k in SWEEP_KEYS or (
             isinstance(k, tuple) and k[0] in ("spectral_grid", "spectral_sweep_flags"))]
         assert not swept, (argv, swept)
+
+
+# -- one-element answers fill no table -------------------------------------------------
+
+TABLES = ("add_table", "mul_table", "neg_table")
+
+
+def _cli(monkeypatch, argv, fill=False):
+    """The output of one CLI call and the ring it built, filled before the
+    call when ``fill`` is set."""
+    built = []
+
+    def build(text):
+        ring = cli.ringspec.build_ring(text, cli.ringspec.BuildContext())
+        built.append(ring.fill() if fill else ring)
+        return ring
+
+    monkeypatch.setattr(cli, "_build_ring", build)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue(), built[-1]
+
+
+def _one_element_calls(spec, flavors):
+    return [["--describe", spec]] + [
+        ["spectral", spec, "--element", str(a), "--flavor", f] for f in flavors for a in (0, 5, 13)
+    ]
+
+
+@pytest.mark.parametrize("spec", POINT_SPECS + ("Z4096",))
+def test_one_element_answers_fill_no_table(monkeypatch, spec):
+    for argv in _one_element_calls(spec, SPECTRAL_FLAVORS):
+        out, ring = _cli(monkeypatch, argv)
+        assert [ring._filled(name) for name in TABLES] == [None] * 3, argv
+        assert not ring._cache, (argv, list(ring._cache))
+        assert out == _cli(monkeypatch, argv, fill=True)[0], argv
+
+
+@pytest.mark.parametrize("spec", ["T(3, Z2)", "M(2, Z3)", "dorroh(Z4, self)"])
+def test_whole_ring_answers_fill_every_table(monkeypatch, spec):
+    calls = [["delta", spec], ["classify", spec], ["validate", spec]]
+    calls += _one_element_calls(spec, ["unit"])[1:]
+    for argv in calls:
+        out, ring = _cli(monkeypatch, argv)
+        assert all(ring._filled(name) is not None for name in TABLES), argv
+        assert out == _cli(monkeypatch, argv, fill=True)[0], argv
+        if argv[0] == "spectral":
+            assert ("spectral_grid", "unit") in ring._cache, argv
+    ring = build_ring(spec)
+    assert harness.run_check("C00", ring, harness.SuiteContext()).verdict == harness.PASS
+    assert all(ring._filled(name) is not None for name in TABLES)
+
+
+def test_the_nil_test_reads_an_unfilled_ring_pointwise(ladder_rings):
+    # every element up to 512, and on larger rings a seeded sample that
+    # holds the first members of J
+    for spec in dict.fromkeys(POINT_SPECS + tuple(ladder_rings)):
+        ring, filled = build_ring(spec), build_ring(spec).fill()
+        radical = analysis.jacobson_mask(filled)
+        xs = np.arange(ring.size)
+        if ring.size > 512:
+            sample = np.random.default_rng(ring.size).choice(ring.size, 48, replace=False)
+            xs = np.union1d(sample, np.flatnonzero(radical)[:16])
+        lazy = ring._filled("mul_table") is None
+        assert np.array_equal(analysis.in_radical(ring, xs), radical[xs]), spec
+        assert (ring._filled("mul_table") is None) == lazy, spec
