@@ -265,10 +265,12 @@ class FiniteRing:
         together: one flat ``np.take`` of a filled table, and the
         builder's ``pointwise`` form on an unfilled one, which stays
         unfilled."""
-        if op not in ("add", "mul"):
-            raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
         try:
-            table = object.__getattribute__(self, f"{op}_table")
+            # the slot's own descriptor: an empty slot raises here, where
+            # an attribute read would reach __getattr__ and fill it
+            table = _TABLE_SLOTS[op].__get__(self)
+        except KeyError:
+            raise ValueError(f"op must be 'add' or 'mul', got {op!r}") from None
         except AttributeError:
             return self._pointwise(op, x, y)
         return table.ravel().take(np.multiply(x, self.size, dtype=np.intp) + y)
@@ -372,6 +374,9 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.spell()}, size={self.size})"
+
+
+_TABLE_SLOTS = {"add": FiniteRing.add_table, "mul": FiniteRing.mul_table}
 
 
 class ElementSet:
