@@ -289,12 +289,15 @@ def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     r*x in J, a nilpotent element.  Conversely, if every r*x is
     nilpotent, 1 - r*x has the inverse sum_i (r*x)^i for every r, which
     is jacobson_mask's definition of J.  A nilpotent z in a ring of n
-    elements has z^n = 0, as its nonzero powers are distinct, so
-    ceil(log2 n) squarings of the column reach zero exactly at
-    nilpotent entries.  Cost: n cells of the column per element, from
-    the builder's arithmetic on an unfilled ring, and ceil(log2 n)
-    elementwise squarings of them, in blocks of ``kernel._BLOCK_CELLS``
-    cells; nothing is filled.
+    elements has z^m = 0 for m = floor(log2 n).  The additive subgroups
+    z^i R shrink as i grows, and if z^i R = z^(i+1) R, then
+    z^(i+1) R = z (z^i R) = z^(i+2) R and so on, down to 0.  So while
+    z^i != 0, each z^i R is a proper subgroup of z^(i-1) R, at most half
+    its size, and n >= 2^(i+1).  So ceil(log2 m) squarings of the
+    column reach zero exactly at its nilpotent entries.  Cost: n
+    cells of the column per element, from the builder's arithmetic on an
+    unfilled ring, and ceil(log2 log2 n) elementwise squarings of them,
+    in blocks of ``kernel._BLOCK_CELLS`` cells; nothing is filled.
 
     On any other table: the column read through ``is_unit(1 - y)``, n
     flat gathers per element in row blocks.
@@ -305,7 +308,7 @@ def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     out = np.empty(len(xs), dtype=bool)
     for cols in _row_blocks(len(xs), ring.size):
         powers = ring.block("mul", None, xs[cols])
-        for _ in range((ring.size - 1).bit_length()):
+        for _ in range((ring.size.bit_length() - 2).bit_length()):
             powers = ring.apply("mul", powers, powers)
         out[cols] = (powers == ring.zero).all(axis=0)
     return out
