@@ -21,8 +21,8 @@ filled from the same arithmetic (``FiniteRing.block``), and any
 elementwise read from the builder's pointwise form
 (``FiniteRing.apply``): Zn on the indices, a product from its
 components, a grid ring from the grids of its two operands, and a
-Dorroh extension from its base and V, each at O(1) base reads per
-element.  Zn's
+Dorroh extension from its base and V, none of them through a block.
+Zn's
 tables are a sliding window and an outer product; the others are sums
 of row gathers (``_gather_rows``): row x is a sum of rows picked by
 small keys of x, so none of them runs an elementwise n x n gather but
