@@ -30,14 +30,17 @@ Two standard facts keep the sweeps one-sided and bounded:
 The n^2 sweeps run over row blocks of about ``kernel._BLOCK_CELLS``
 cells, each a flat ``take`` into an n-vector lookup composed once (for
 example ``is_unit(1 - y)`` for every y), so no sweep holds an n^2
-temporary.  A sweep reads the whole ring, so each cached layer fills
-the ring's tables once, on its cache miss (``_cached``), and every
-later read is a gather from them; :func:`in_radical`, the one
-one-element question here, fills nothing on a certified ring.
+temporary.  A sweep reads the whole ring, so it fills the ring's tables
+once, on its cache miss (``_swept``), and every later read is a gather
+from them.  Only the sweeps fill: every other cached layer (``_cached``)
+reads what it needs by ``apply`` and ``block``.
 
-On a ring that carries the ``certified`` mark, :func:`delta_mask` and
-:func:`qnil_mask` answer from theorems about finite rings, each proved
-in its docstring, and the sweeps they replace keep their own names,
+On a ring that carries the ``certified`` mark, :func:`nilpotent_mask`,
+:func:`jacobson_mask`, :func:`delta_mask` and :func:`qnil_mask` answer
+from theorems about finite rings, each proved in its docstring: a
+bounded nil test and T9's columns, which fill nothing, and T1 and T4
+on top of them.  The sweeps they replace keep their own names,
+:func:`nilpotent_sweep_mask`, :func:`jacobson_sweep_mask`,
 :func:`delta_sweep_mask` and :func:`qnil_sweep_mask`, for the checks
 that state those theorems.  Other tables get the sweeps.
 """
@@ -50,14 +53,23 @@ from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles, 
 
 
 def _cached(ring: FiniteRing, key, compute):
-    """The cached value at ``key``, computed on a miss after the ring's
-    tables are filled, as every cached layer sweeps the whole ring."""
+    """The cached value at ``key``, computed on a miss."""
     value = ring._cache.get(key)
     if value is None:
-        ring.fill()
         value = compute()
         ring._cache[key] = value
     return value
+
+
+def _swept(ring: FiniteRing, key, compute):
+    """:func:`_cached` for a sweep: the ring's tables are filled on a
+    miss, before ``compute`` reads the whole ring from them."""
+
+    def fill_then_compute():
+        ring.fill()
+        return compute()
+
+    return _cached(ring, key, fill_then_compute)
 
 
 def _frozen(mask: np.ndarray) -> np.ndarray:
@@ -134,7 +146,7 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
 
 
 def unit_mask(ring: FiniteRing) -> np.ndarray:
-    return _cached(ring, "unit_mask", lambda: _frozen(ring.inverse_table() >= 0))
+    return _swept(ring, "unit_mask", lambda: _frozen(ring.inverse_table() >= 0))
 
 
 def unit_indices(ring: FiniteRing) -> np.ndarray:
@@ -157,8 +169,46 @@ def idempotent_indices(ring: FiniteRing) -> np.ndarray:
     )
 
 
+def _nil_squarings(n: int) -> int:
+    """ceil(log2 m) for m = floor(log2 n): the squarings that take a
+    nilpotent element of a ring of n elements to zero (:func:`nilpotent_mask`)."""
+    return (n.bit_length() - 2).bit_length()
+
+
 def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    """a with a^k = 0 for some k <= n + 1, powers taken as x_(k+1) = x_k * a.
+    """a with a^k = 0 for some k: on a certified ring, ceil(log2 m)
+    elementwise squarings of every element for m = floor(log2 n), and
+    :func:`nilpotent_sweep_mask` on any other table.
+
+    The index bound: a nilpotent z in a ring of n elements has z^m = 0.
+    The additive subgroups z^i R shrink as i grows, and if
+    z^i R = z^(i+1) R, then z^(i+1) R = z (z^i R) = z^(i+2) R and so
+    on, down to 0.  So while z^i != 0, each z^i R is a proper subgroup
+    of z^(i-1) R, at most half its size, and n >= 2^(i+1).  So
+    ceil(log2 m) squarings reach zero exactly at the nilpotent elements.
+    The bound is tight on Z(2^k), where 2 has index k.  (The plain bound
+    z^n = 0, from distinct nonzero powers, would need ceil(log2 n)
+    squarings: 10 in place of 4 at n = 1024.)
+
+    Cost: n*ceil(log2 floor(log2 n)) products through ``apply``,
+    pointwise on an unfilled ring, which stays unfilled.
+    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, a few n-vectors.
+    """
+    if not ring.certified:
+        return nilpotent_sweep_mask(ring)
+
+    def compute():
+        powers = np.arange(ring.size)
+        for _ in range(_nil_squarings(ring.size)):
+            powers = ring.apply("mul", powers, powers)
+        return _frozen(powers == ring.zero)
+
+    return _cached(ring, "nilpotent_mask", compute)
+
+
+def nilpotent_sweep_mask(ring: FiniteRing) -> np.ndarray:
+    """a with a^k = 0 for some k <= n + 1, powers taken as x_(k+1) = x_k * a,
+    walked on any table.
 
     Every a iterates its powers from x_1 = a while it is unresolved.  It
     leaves as nilpotent at x_k = 0, and as not nilpotent when x_k repeats
@@ -168,8 +218,8 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
     powers, on any table.  Cost: one gather over the unresolved elements
     per step, at most n steps.  A pure cycle, such as a unit's powers,
     leaves after its length; an orbit with a tail of t powers and a
-    cycle of c leaves within 2*max(t, c) + c steps.  Peak: a few
-    n-vectors.
+    cycle of c leaves within 2*max(t, c) + c steps.
+    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, a few n-vectors.
     """
 
     def compute():
@@ -192,7 +242,7 @@ def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
             power = ring.apply("mul", power, start)
         return _frozen(nilpotent)
 
-    return _cached(ring, "nilpotent_mask", compute)
+    return _swept(ring, "nilpotent_sweep_mask", compute)
 
 
 def comm_matrix(ring: FiniteRing) -> np.ndarray:
@@ -216,7 +266,7 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
                 out[cols, rows] = out[rows, cols].T
         return _frozen(out)
 
-    return _cached(ring, "comm_matrix", compute)
+    return _swept(ring, "comm_matrix", compute)
 
 
 def packed_equal_rows(ring: FiniteRing, op: str, value: int, transposed=False) -> np.ndarray:
@@ -265,16 +315,48 @@ def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
     return unit_mask(ring).take(ring.apply("add", ring.one, ring.neg_rows()))
 
 
-def jacobson_mask(ring: FiniteRing) -> np.ndarray:
-    """x with 1 - r*x a unit for every r: column x of the multiplication
-    table read through ``is_unit(1 - y)``.
+def jacobson_sweep_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - r*x a unit for every r, swept on any table: column x of
+    the multiplication table read through ``is_unit(1 - y)``.
 
     Cost: n^2 flat gathers in row blocks.  Tracemalloc peak: 2.5 bytes
     per n^2 at n = 1024, one block at 9 bytes per cell, so it falls as
     1/n^2 above that.
     """
+
     def compute():
         return _frozen(_all_down_columns(_one_minus_is_unit(ring), ring, "mul"))
+
+    return _swept(ring, "jacobson_sweep_mask", compute)
+
+
+def jacobson_mask(ring: FiniteRing) -> np.ndarray:
+    """x with 1 - r*x a unit for every r: on a certified ring, the x whose
+    column of the multiplication table lies in :func:`nilpotent_mask`
+    (T9), and :func:`jacobson_sweep_mask` on any other table.
+
+    T9: x is in J exactly when r*x is nilpotent for every r.  A finite
+    ring is Artinian, so J is nilpotent (Lam, "A First Course in
+    Noncommutative Rings", Thm 4.12), and x in J gives r*x in J, a
+    nilpotent element.  Conversely, if every r*x is nilpotent, 1 - r*x
+    has the inverse sum_i (r*x)^i for every r, which is the sweep's
+    definition of J.  Only nilpotent x need their columns read (r = 1).
+
+    Cost: the nil mask's n*ceil(log2 floor(log2 n)) products, plus
+    n*|nil| cells of the nilpotent columns (:func:`in_radical`), from
+    the builder's arithmetic on an unfilled ring, which stays unfilled.
+    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024 on a certified
+    ring, one column block at 11 bytes per cell, and
+    jacobson_sweep_mask's on any other.
+    """
+    if not ring.certified:
+        return jacobson_sweep_mask(ring)
+
+    def compute():
+        members = np.flatnonzero(nilpotent_mask(ring))
+        radical = np.zeros(ring.size, dtype=bool)
+        radical[members] = in_radical(ring, members)
+        return _frozen(radical)
 
     return _cached(ring, "jacobson_mask", compute)
 
@@ -283,34 +365,23 @@ def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     """Whether each element of ``xs`` lies in J, as :func:`jacobson_mask`
     decides it, from its own column of the multiplication table.
 
-    On a certified ring (T9): x is in J exactly when r*x is nilpotent
-    for every r.  A finite ring is Artinian, so J is nilpotent (Lam, "A
-    First Course in Noncommutative Rings", Thm 4.12), and x in J gives
-    r*x in J, a nilpotent element.  Conversely, if every r*x is
-    nilpotent, 1 - r*x has the inverse sum_i (r*x)^i for every r, which
-    is jacobson_mask's definition of J.  A nilpotent z in a ring of n
-    elements has z^m = 0 for m = floor(log2 n).  The additive subgroups
-    z^i R shrink as i grows, and if z^i R = z^(i+1) R, then
-    z^(i+1) R = z (z^i R) = z^(i+2) R and so on, down to 0.  So while
-    z^i != 0, each z^i R is a proper subgroup of z^(i-1) R, at most half
-    its size, and n >= 2^(i+1).  So ceil(log2 m) squarings of the
-    column reach zero exactly at its nilpotent entries.  Cost: n
-    cells of the column per element, from the builder's arithmetic on an
-    unfilled ring, and ceil(log2 log2 n) elementwise squarings of them,
-    in blocks of ``kernel._BLOCK_CELLS`` cells; nothing is filled.
+    On a certified ring (T9, proved in :func:`jacobson_mask`): whether
+    the column lies in the one cached :func:`nilpotent_mask`.  Cost: n
+    cells per element, read in column blocks of ``kernel._BLOCK_CELLS``
+    cells by ``block``, from the builder's arithmetic on an unfilled
+    ring, which stays unfilled; plus, once per ring, the nil mask's
+    n*ceil(log2 floor(log2 n)) products.
 
     On any other table: the column read through ``is_unit(1 - y)``, n
     flat gathers per element in row blocks.
     """
     if not ring.certified:
         return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
+    nilpotent = nilpotent_mask(ring)
     xs = np.asarray(xs, dtype=np.intp)
     out = np.empty(len(xs), dtype=bool)
     for cols in _row_blocks(len(xs), ring.size):
-        powers = ring.block("mul", None, xs[cols])
-        for _ in range((ring.size.bit_length() - 2).bit_length()):
-            powers = ring.apply("mul", powers, powers)
-        out[cols] = (powers == ring.zero).all(axis=0)
+        out[cols] = nilpotent.take(ring.block("mul", None, xs[cols])).all(axis=0)
     return out
 
 
@@ -326,7 +397,7 @@ def delta_sweep_mask(ring: FiniteRing) -> np.ndarray:
         lookup = _one_minus_is_unit(ring)
         return _frozen(_all_along_rows(lookup, ring, "mul", unit_indices(ring)))
 
-    return _cached(ring, "delta_sweep_mask", compute)
+    return _swept(ring, "delta_sweep_mask", compute)
 
 
 def delta_mask(ring: FiniteRing) -> np.ndarray:
@@ -347,7 +418,7 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
     x + J = 0.  (delta(R) is the set of Leroy and Matczuk, "Remarks on
     the Jacobson radical", 2019.)
 
-    Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 on a certified ring,
+    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024 on a certified ring,
     jacobson_mask's, and delta_sweep_mask's on any other.
     """
     return jacobson_mask(ring) if ring.certified else delta_sweep_mask(ring)
@@ -367,7 +438,7 @@ def qnil_sweep_mask(ring: FiniteRing) -> np.ndarray:
         one_plus_is_unit = unit_mask(ring).take(ring.block("add", [ring.one])[0])
         return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", where=comm_matrix(ring)))
 
-    return _cached(ring, "qnil_sweep_mask", compute)
+    return _swept(ring, "qnil_sweep_mask", compute)
 
 
 def qnil_mask(ring: FiniteRing) -> np.ndarray:
@@ -464,7 +535,7 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
         left = _all_down_columns(plus_one_is_unit, ring, "mul", ulist)
         return _frozen(sum_form), _frozen(right), _frozen(left)
 
-    return tuple(ElementSet(ring, mask) for mask in _cached(ring, "delta_forms", compute))
+    return tuple(ElementSet(ring, mask) for mask in _swept(ring, "delta_forms", compute))
 
 
 def qnil(ring: FiniteRing) -> ElementSet:

@@ -222,7 +222,7 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
             grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
         return analysis._frozen(grid)
 
-    return analysis._cached(ring, ("spectral_grid", flavor), compute)
+    return analysis._swept(ring, ("spectral_grid", flavor), compute)
 
 
 def spectral_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray:
@@ -299,7 +299,7 @@ def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
         commutes = analysis.comm_matrix(ring)[:, idl]
         return analysis._frozen(residual), analysis._frozen(commutes)
 
-    return analysis._cached(ring, "decomposition_grid", compute)
+    return analysis._swept(ring, "decomposition_grid", compute)
 
 
 def clean_sweep_flags(
@@ -513,7 +513,13 @@ _WITNESS_REASONS = {
 
 
 def classification_report(ring: FiniteRing, strict_commuting: bool = False) -> ClassificationReport:
-    """Evaluate every predicate; field order is fixed for stable output."""
+    """Evaluate every predicate; field order is fixed for stable output.
+
+    The units are an n^2 sweep, so the ring is filled first, and the
+    theorem paths before them gather from the tables instead of reading
+    the builder's pointwise arithmetic.
+    """
+    ring.fill()
     results: dict[str, tuple[bool, object]] = {
         "delta_quasipolar": is_delta_quasipolar(ring),
         "j_quasipolar": is_j_quasipolar(ring),

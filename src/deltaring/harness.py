@@ -611,7 +611,7 @@ def _c26_pi_regular_equivalence(ring: FiniteRing, ctx: SuiteContext):
     `classify.is_strongly_pi_regular`), so the equivalence asserts that
     the radical (here equal to delta) is both qnil and nil."""
     radical = analysis.jacobson_mask(ring)
-    for other in (analysis.qnil_sweep_mask(ring), analysis.nilpotent_mask(ring)):
+    for other in (analysis.qnil_sweep_mask(ring), analysis.nilpotent_sweep_mask(ring)):
         failed = _first_mismatch(ring, radical, other, "strongly pi-regular yet the four sets differ")
         if failed:
             return failed

@@ -132,8 +132,9 @@ class FiniteRing:
     :func:`row_block_reads`, :meth:`neg_rows` and :meth:`apply`, which
     leave an unfilled table unfilled, so a corner or a quotient never
     fills its parent and a one-element answer reads O(n) cells, not n^2.
-    Only a pass that reads the whole ring calls :meth:`fill`: the cached
-    analysis layers on a miss, and :func:`validate_ring`.  Tables are
+    Only a pass that reads the whole ring calls :meth:`fill`: the
+    analysis sweeps on a miss, ``classify.classification_report``, and
+    :func:`validate_ring`.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
     recomputation.  Both tables are ``TABLE_DTYPE`` (uint16), 4 bytes
@@ -159,6 +160,7 @@ class FiniteRing:
         "provenance",
         "element_names",
         "certified",
+        "_minus_one",
         "_arithmetic",
         "_pointwise",
         "_cache",
@@ -186,6 +188,8 @@ class FiniteRing:
             )
         self._arithmetic = arithmetic
         self._pointwise = pointwise
+        self.certified = False
+        self._minus_one = None
         if arithmetic is None:
             self.add_table = _as_table("add", add, (size, size), size)
             self.mul_table = _as_table("mul", mul, (size, size), size)
@@ -203,7 +207,6 @@ class FiniteRing:
         if element_names is not None and len(element_names) != size:
             raise MalformedTableError("element_names length does not match ring size")
         self.element_names = element_names
-        self.certified = False
         self._cache: dict = {}
 
     # -- tables and blocks --------------------------------------------------
@@ -277,17 +280,35 @@ class FiniteRing:
 
     def neg_rows(self, rows=None) -> np.ndarray:
         """``neg_table[rows]`` (every row when None), read from the table
-        once it is filled.  Until then it is the lenient negation scan:
-        the first position of ``zero`` in each row of the addition table,
-        or 0 when a row has none.  A missing additive inverse is an axiom
-        failure and is reported by validate_ring, not here.  The scan
-        reads the rows by :func:`row_block_reads` in blocks of
-        ``_SWEEP_BLOCK_CELLS`` cells, so it fills nothing and adds
-        nothing per n^2 to a build.
+        once it is filled.  Until then, on a certified ring, -x = (-1)*x:
+        one :meth:`apply` product, once -1 is known.  -1 is found once
+        per ring, by the negation scan of the row of ``one``, in the same
+        block as the first rows asked for.  On any other table it is the
+        lenient negation scan: the first position of ``zero`` in each row
+        of the addition table, or 0 when a row has none.  A missing
+        additive inverse is an axiom failure and is reported by
+        validate_ring, not here.  The scan reads the rows by
+        :func:`row_block_reads` in blocks of ``_SWEEP_BLOCK_CELLS`` cells,
+        so it fills nothing and adds nothing per n^2 to a build.
         """
         table = self._filled("neg_table")
         if table is not None:
             return table if rows is None else table[rows]
+        if not self.certified:
+            return self._negation_scan(rows)
+        if self._minus_one is None:
+            asked = () if rows is None else rows
+            scanned = self._negation_scan(np.concatenate(([self.one], asked)).astype(np.intp))
+            self._minus_one = int(scanned[0])
+            if rows is not None:
+                return scanned[1:]
+        every = np.arange(self.size) if rows is None else rows
+        neg = self.apply("mul", self._minus_one, every).astype(np.int32)
+        neg.flags.writeable = False
+        return neg
+
+    def _negation_scan(self, rows) -> np.ndarray:
+        """The lenient negation scan of :meth:`neg_rows` over ``rows``."""
         neg = np.empty(self.size if rows is None else len(rows), dtype=np.int32)
         for start, part in row_block_reads(self, "add", rows, cells=_SWEEP_BLOCK_CELLS):
             neg[start : start + len(part)] = np.argmax(part == self.zero, axis=1)

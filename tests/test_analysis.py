@@ -191,11 +191,14 @@ def test_first_escape_is_the_first_cell_in_row_major_order(monkeypatch):
 
 # -- stated peaks ----------------------------------------------------------------------
 
-# delta_mask and qnil_mask measure their theorem paths, as Z1024 is
-# certified, and the two sweeps their own
+# jacobson_mask, nilpotent_mask, delta_mask and qnil_mask measure their
+# theorem paths, as Z1024 is certified, and the four sweeps their own
 PEAK_LAYERS = {
     "comm_matrix": analysis.comm_matrix,
     "jacobson_mask": analysis.jacobson_mask,
+    "jacobson_sweep_mask": analysis.jacobson_sweep_mask,
+    "nilpotent_mask": analysis.nilpotent_mask,
+    "nilpotent_sweep_mask": analysis.nilpotent_sweep_mask,
     "delta_mask": analysis.delta_mask,
     "delta_sweep_mask": analysis.delta_sweep_mask,
     "qnil_mask": analysis.qnil_mask,

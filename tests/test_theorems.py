@@ -65,6 +65,10 @@ def _mismatches(ring: FiniteRing) -> list[str]:
 
     compare("delta", analysis.delta_mask(ring), analysis.delta_sweep_mask(ring))
     compare("qnil", analysis.qnil_mask(ring), analysis.qnil_sweep_mask(ring))
+    compare("jacobson", analysis.jacobson_mask(ring), analysis.jacobson_sweep_mask(ring))
+    compare("nilpotent", analysis.nilpotent_mask(ring), analysis.nilpotent_sweep_mask(ring))
+    twin = _twin(ring)
+    compare("negation", ring.neg_rows(), twin.neg_rows())  # (-1)*x against the scan
     idl = analysis.idempotent_indices(ring)
     every = np.arange(ring.size)
     for flavor in SPECTRAL_FLAVORS:
@@ -77,7 +81,6 @@ def _mismatches(ring: FiniteRing) -> list[str]:
         kind = dict(commuting=commuting, unique=unique)
         compare(f"clean {target} {kind}", classify.clean_flags(ring, target, **kind),
                 classify.clean_sweep_flags(ring, target, **kind))
-    twin = _twin(ring)
     for strict in (False, True):
         got = classify.classification_report(ring, strict_commuting=strict).to_dict()
         want = classify.classification_report(twin, strict_commuting=strict).to_dict()
@@ -124,7 +127,7 @@ def test_the_radical_divides_the_units(corpus, ladder_rings):
     # mutation |U| <= |J| of T5's |U| = |J| changes no answer
     for ring in [e.ring for e in corpus] + list(ladder_rings.values()):
         units = np.count_nonzero(analysis.unit_mask(ring))
-        assert units % np.count_nonzero(analysis.jacobson_mask(ring)) == 0, ring.spell()
+        assert units % np.count_nonzero(analysis.jacobson_sweep_mask(ring)) == 0, ring.spell()
 
 
 # -- mutations of the theorem paths are caught ----------------------------------------
@@ -169,8 +172,9 @@ def test_the_nil_test_matches_the_radical_sweep(corpus, ladder_rings):
     rings += [build_ring(spec) for spec in POINT_SPECS if spec not in ladder_rings]
     assert len(rings) == 34 and all(ring.certified for ring in rings)
     for ring in rings:
-        want = analysis.jacobson_mask(ring)
+        want = analysis.jacobson_sweep_mask(ring)
         assert np.array_equal(analysis.in_radical(ring, np.arange(ring.size)), want), ring.spell()
+        assert np.array_equal(analysis.jacobson_mask(ring), want), ring.spell()
 
 
 def test_t9_on_the_element_alone_is_caught(monkeypatch):
@@ -183,8 +187,23 @@ def test_t9_on_the_element_alone_is_caught(monkeypatch):
 
 def test_the_nil_test_reads_the_column_not_the_element(m2z2):
     e12 = con.matrix_unit_index(m2z2, 0, 1)
-    assert analysis.nilpotent_mask(m2z2)[e12] and not analysis.jacobson_mask(m2z2)[e12]
-    assert not analysis.in_radical(m2z2, [e12])[0]
+    assert analysis.nilpotent_mask(m2z2)[e12] and not analysis.jacobson_sweep_mask(m2z2)[e12]
+    assert not analysis.in_radical(m2z2, [e12])[0] and not analysis.jacobson_mask(m2z2)[e12]
+
+
+def test_j_as_the_nil_mask_alone_is_caught(monkeypatch):
+    # e12 of M(2, Z2) is nilpotent, but e21 * e12 is a nonzero idempotent
+    monkeypatch.setattr(analysis, "jacobson_mask", analysis.nilpotent_mask)
+    assert _caught(["M(2, Z2)"])
+
+
+def test_one_squaring_fewer_is_caught(monkeypatch):
+    # 2 has index 3 in Z8, the largest floor(log2 8) allows, so it needs
+    # both of the bound's two squarings
+    bound = analysis._nil_squarings
+    assert bound(8) == 2
+    monkeypatch.setattr(analysis, "_nil_squarings", lambda n: bound(n) - 1)
+    assert _caught(["Z8"])
 
 
 def test_t5_without_its_abelian_leg_is_caught(monkeypatch):
@@ -205,6 +224,8 @@ def test_unmarked_rings_take_the_sweeps(z4, t2z2):
         assert report.booleans == classify.classification_report(ring).booleans
         assert analysis.delta_mask(copy) is analysis.delta_sweep_mask(copy)
         assert analysis.qnil_mask(copy) is analysis.qnil_sweep_mask(copy)
+        assert analysis.jacobson_mask(copy) is analysis.jacobson_sweep_mask(copy)
+        assert analysis.nilpotent_mask(copy) is analysis.nilpotent_sweep_mask(copy)
         for key in ("comm_matrix", ("spectral_grid", "delta"), ("spectral_grid", "quasipolar"),
                     "decomposition_grid"):
             assert key in copy._cache, key
@@ -236,7 +257,7 @@ def test_constructions_carry_the_mark_from_their_inputs(f4):
 # -- verbs that answer from theorems fill no sweep --------------------------------------
 
 SWEEP_KEYS = ("comm_matrix", "comm2_grid", "decomposition_grid", "delta_sweep_mask",
-              "qnil_sweep_mask")
+              "qnil_sweep_mask", "jacobson_sweep_mask", "nilpotent_sweep_mask")
 F4 = Path(deltaring.__file__).parent / "data" / "f4.json"
 
 
@@ -262,7 +283,7 @@ def test_verbs_on_certified_rings_fill_no_sweep(monkeypatch, spec):
         assert not swept, (argv, swept)
 
 
-# -- one-element answers fill no table -------------------------------------------------
+# -- one-element answers, and delta, fill no table ------------------------------------
 
 TABLES = ("add_table", "mul_table", "neg_table")
 
@@ -295,13 +316,23 @@ def test_one_element_answers_fill_no_table(monkeypatch, spec):
     for argv in _one_element_calls(spec, SPECTRAL_FLAVORS):
         out, ring = _cli(monkeypatch, argv)
         assert [ring._filled(name) for name in TABLES] == [None] * 3, argv
-        assert not ring._cache, (argv, list(ring._cache))
+        # the nil mask that the nil test reads, n*ceil(log2 floor(log2 n)) products
+        assert set(ring._cache) <= {"nilpotent_mask"}, (argv, list(ring._cache))
         assert out == _cli(monkeypatch, argv, fill=True)[0], argv
+
+
+@pytest.mark.parametrize("spec", POINT_SPECS + ("Z4096",))
+def test_delta_on_a_certified_ring_fills_no_table(monkeypatch, spec):
+    argv = ["delta", spec]
+    out, ring = _cli(monkeypatch, argv)
+    assert [ring._filled(name) for name in TABLES] == [None] * 3
+    assert set(ring._cache) == {"nilpotent_mask", "jacobson_mask"}
+    assert out == _cli(monkeypatch, argv, fill=True)[0]
 
 
 @pytest.mark.parametrize("spec", ["T(3, Z2)", "M(2, Z3)", "dorroh(Z4, self)"])
 def test_whole_ring_answers_fill_every_table(monkeypatch, spec):
-    calls = [["delta", spec], ["classify", spec], ["validate", spec]]
+    calls = [["classify", spec], ["validate", spec]]
     calls += _one_element_calls(spec, ["unit"])[1:]
     for argv in calls:
         out, ring = _cli(monkeypatch, argv)
@@ -319,7 +350,7 @@ def test_the_nil_test_reads_an_unfilled_ring_pointwise(ladder_rings):
     # holds the first members of J
     for spec in dict.fromkeys(POINT_SPECS + tuple(ladder_rings)):
         ring, filled = build_ring(spec), build_ring(spec).fill()
-        radical = analysis.jacobson_mask(filled)
+        radical = analysis.jacobson_sweep_mask(filled)
         xs = np.arange(ring.size)
         if ring.size > 512:
             sample = np.random.default_rng(ring.size).choice(ring.size, 48, replace=False)
