@@ -440,21 +440,32 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     be a unit, else that factor would have a one-sided inverse, which is
     two-sided here), so additive closure is the whole question.  The
     witness is the first pair of non-units, in row-major order, whose
-    sum is a unit.  Cost: one blocked sweep of the non-unit square of
-    the addition table (:func:`analysis.first_escape`).
+    sum is a unit.  On a table without the certified mark it costs one
+    blocked sweep of the non-unit square of the addition table
+    (:func:`analysis.first_escape`).
 
-    A certified ring is local exactly when |U| + |J| = n (T5), and only
-    a ring that is not gets the sweep, for its witness.  U and J are
-    disjoint, so |U| + |J| = n says the non-units are J, an ideal.
-    Conversely, if the non-units form an ideal M, then for m in M and
-    any r, rm is in M and 1 - rm is not (else 1 would be), so 1 - rm
-    is a unit and M lies in J.
+    A certified ring is local exactly when |U| + |J| = n (T5), and a
+    ring that is not gets its witness from U and J, with no sweep.  U
+    and J are disjoint, so |U| + |J| = n says the non-units are J, an
+    ideal.  Conversely, if the non-units form an ideal M, then for m in
+    M and any r, rm is in M and 1 - rm is not (else 1 would be), so
+    1 - rm is a unit and M lies in J.  The witness row is the first
+    non-unit x outside J.  Such an x is not in Delta = J (T1), the r
+    with 1 - ru a unit for every unit u, so some unit u has 1 - xu a
+    non-unit, and y = u^-1 - x = (1 - xu)u^-1 is a non-unit with
+    x + y = u^-1 a unit.  A row x in J has no such y: a unit x + y
+    makes y = (x + y) - x a unit.  So x's row is the first row of the
+    sweep with an escape, and y, the first non-unit with x + y a unit,
+    is read from that one row of ``add``: n cells.
     """
-    if ring.certified:
-        units, radical = analysis.unit_mask(ring), analysis.jacobson_mask(ring)
-        if np.count_nonzero(units) + np.count_nonzero(radical) == ring.size:
-            return True, None
     nonunit = ~analysis.unit_mask(ring)
+    if ring.certified:
+        outside = nonunit & ~analysis.jacobson_mask(ring)
+        if not outside.any():  # the non-units are J
+            return True, None
+        x = int(np.argmax(outside))
+        row = ring.block("add", [x])[0]
+        return False, (x, int(np.argmax(nonunit & ~nonunit[row])))
     nonunits = np.flatnonzero(nonunit)
     at = analysis.first_escape(nonunit, ring, "add", nonunits, nonunits)
     if at is not None:

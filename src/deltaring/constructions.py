@@ -13,34 +13,33 @@ indices follow a canonical mixed-radix encoding per construction, most
 significant component first, so encode/decode round-trips are exact and
 reports are reproducible.
 
-Zn, products, the matrix-shaped rings M, T and H, and Dorroh extensions
-are built from their arithmetic, without tables: the FiniteRing fills
-each table when a pass that reads the whole ring asks for it
-(``FiniteRing.fill``), and serves any block of a table it has not
-filled from the same arithmetic (``FiniteRing.block``), and any
+Every construction is built from its arithmetic, without tables: the
+FiniteRing fills each table when a pass that reads the whole ring asks
+for it (``FiniteRing.fill``), and serves any block of a table it has
+not filled from the same arithmetic (``FiniteRing.block``), and any
 elementwise read from the builder's pointwise form
 (``FiniteRing.apply``): Zn on the indices, a product from its
-components, a grid ring from the grids of its two operands, and a
-Dorroh extension from its base and V, none of them through a block.
-Zn's
-tables are a sliding window and an outer product; the others are sums
-of row gathers (``_gather_rows``): row x is a sum of rows picked by
-small keys of x, so none of them runs an elementwise n x n gather but
-Dorroh's V-part product, which depends on all of x.  A block restricts
-the same terms to its columns and gathers them at its rows; a product
-or a Dorroh extension takes them from its components' blocks.  No
-module but this one and the kernel reads a ring's table.  Only table
-leaves (checked at once), corners and quotients (which keep no parent)
-hold tables from the start.  A corner or a quotient reads its parent
-only by blocks, so a parent that nothing else reads never fills its
-tables.  Every builder writes its tables as uint16
+components, a grid ring from the grids of its two operands, a Dorroh
+extension from its base and V, and a corner or a quotient from its
+parent, none of them through a block.  Zn's
+tables are a sliding window and an outer product; products, M, T, H
+and Dorroh are sums of row gathers (``_gather_rows``): row x is a sum
+of rows picked by small keys of x, so none of them runs an elementwise
+n x n gather but Dorroh's V-part product, which depends on all of x.
+A block restricts the same terms to its columns and gathers them at
+its rows; a product or a Dorroh extension takes them from its
+components' blocks.  A corner or a quotient is a view of its parent
+(``_view``): its blocks are the parent's blocks at the elements it
+keeps, relabelled by one lookup, so a parent that nothing else reads
+never fills its tables.  Only table leaves, checked at once, hold
+tables from the start.  No module but this one and the kernel reads a
+ring's table.  Every builder writes its tables as uint16
 (``kernel.TABLE_DTYPE``) with no wider n x n intermediate, and the
 FiniteRing keeps the fresh tables it is handed.  Every table builder's
 docstring gives its tracemalloc peak in bytes per cell of the n x n
-result, the ring's tables and negation scan included, as measured with
+result, the ring's tables and negation included, as measured with
 numpy 2.4 at 512 to 4096 elements (the peak per cell falls with n,
-towards the 4 bytes of the two tables); corners and quotients give
-theirs per cell of their own m x m tables.  A memory pre-flight would
+towards the 4 bytes of the two tables).  A memory pre-flight would
 multiply them by the square of the element count.
 """
 
@@ -136,21 +135,40 @@ def _numbering(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, lookup
 
 
-def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray | None:
+def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray:
     """``lookup[base.block(op, rows, cols)]`` as a uint16 table, read by
     ``kernel.row_block_reads``, so that no block of the parent is held
-    whole; None when ``lookup`` is -1 at some entry.  ``lookup`` numbers
-    the parent elements that a sub-construction keeps, -1 elsewhere, and
-    each block is checked before the uint16 store.  Cost: 2 bytes per
-    cell of the result, and one row block."""
+    whole.  ``lookup`` maps a parent element to the element of a
+    sub-construction that it stands for, and the caller has made sure
+    that every entry of the block has one.  This is the blocked gather
+    of a corner's or a quotient's arithmetic (:func:`_view`) and of an
+    ideal's V.  Cost: 2 bytes per cell of the result, and one row
+    block."""
     count = base.size if rows is None else len(rows)
     out = np.empty((count, base.size if cols is None else len(cols)), dtype=TABLE_DTYPE)
     for start, block in row_block_reads(base, op, rows, cols):
-        part = lookup[block]
-        if (part < 0).any():
-            return None
-        out[start : start + len(part)] = part
+        out[start : start + len(block)] = lookup[block]
     return out
+
+
+def _view(parent: FiniteRing, kept: np.ndarray, lookup: np.ndarray, **fields) -> FiniteRing:
+    """The ring on the parent elements ``kept``, element i standing for
+    ``kept[i]``, with its tables unfilled: a block is the parent's block
+    at the kept rows and columns, and an elementwise read the parent's
+    elementwise read at the kept elements, each mapped back by
+    ``lookup`` (a parent index to the element it stands for).  So the
+    ring reads its parent through its own reads, fills nothing of it,
+    and keeps it alive.  ``fields`` are FiniteRing's zero, one,
+    provenance and element_names."""
+
+    def arithmetic(op, rows, cols):
+        at = [kept if ids is None else kept[ids] for ids in (rows, cols)]
+        return _relabelled(parent, op, *at, lookup)
+
+    def pointwise(op, x, y):
+        return lookup[parent.apply(op, kept[x], kept[y])].astype(TABLE_DTYPE)
+
+    return FiniteRing(len(kept), None, None, arithmetic=arithmetic, pointwise=pointwise, **fields)
 
 
 def _columns(table: np.ndarray, coord: np.ndarray) -> np.ndarray:
@@ -183,8 +201,9 @@ class Provenance:
     A product keeps ``left`` and ``right``; M, T, H and Dorroh keep
     ``base``; M and T keep ``k``, ``positions`` and ``grid``, H keeps
     ``grid``; Dorroh keeps ``action``.  A corner keeps its ``members``
-    and a quotient its ``representatives`` and ``rep_of``, parent
-    indices both, so neither keeps its parent ring alive.
+    (parent indices) and a quotient its ``coset_of`` (a parent index to
+    its quotient element), and neither record holds a ring; the corner
+    or quotient itself reads its parent (``_view``).
     """
 
     kind: str
@@ -197,8 +216,7 @@ class Provenance:
     grid: np.ndarray | None = None  # (size, k, k) base indices, fixed and dependent entries included
     action: BimoduleRingAction | None = None
     members: np.ndarray | None = None  # a corner's ascending parent indices
-    representatives: np.ndarray | None = None  # ascending parent indices, one per coset
-    rep_of: np.ndarray | None = None  # parent index -> minimal representative of its coset
+    coset_of: np.ndarray | None = None  # parent index -> the quotient element of its coset
 
     def spell(self) -> str:
         return self.spelling
@@ -890,16 +908,21 @@ def dorroh_components(ring: FiniteRing, x: Element) -> tuple[int, int]:
 
 
 def corner(base: FiniteRing, e: Element) -> FiniteRing:
-    """The corner ring e*R*e with identity e, for a nonzero idempotent e.
+    """The corner ring e*R*e with identity e, for a nonzero idempotent e,
+    its tables unfilled.
 
-    The base is read elementwise (``FiniteRing.apply``) at e*e, the n
-    elements ex and their products exe, and by blocks
-    (``FiniteRing.block``) at the m x m tables of the corner of m
-    elements, in row blocks, so an unfilled base stays unfilled.
-    Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
-    m = 256 to 2048 with n = 4096), plus one row block, under 1 MB, and
-    the n-vectors ex, exe and the lookup.  Certified when the base is:
-    for an idempotent e of a ring, eRe is a ring with identity e.
+    The base is read elementwise (``FiniteRing.apply``) at e*e, at every
+    ex and at their products exe.  The corner is a view of the base at
+    its members (:func:`_view`), so its blocks and elementwise reads are
+    the base's and an unfilled base stays unfilled.  eRe is closed under
+    + and * in any ring, so only an uncertified base has its closure
+    checked, by ``analysis.first_escape`` over the members' sums and
+    products.  The build holds vectors the length of the base and, on
+    an uncertified base, one row block.  Tracemalloc peak: 6 bytes
+    per n^2 to fill the tables of a corner of n elements from an
+    unfilled base (5.7 measured at 1024): the two tables, one block of
+    the base and its relabelled copy.  Certified when the base is: for
+    an idempotent e of a ring, eRe is a ring with identity e.
     """
     base._check_index(e)
     if base.apply("mul", e, e) != e:
@@ -908,14 +931,14 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
         raise ConstructionError("corner at zero is the zero ring and has no identity")
     exe = base.apply("mul", base.apply("mul", e, np.arange(base.size)), e)
     members, lookup = _numbering(exe, base.size)
-    add = _relabelled(base, "add", members, members, lookup)
-    mul = _relabelled(base, "mul", members, members, lookup)
-    if add is None or mul is None:
-        raise ConstructionError("corner set is not closed; the base tables are defective")
-    ring = FiniteRing(
-        len(members),
-        add,
-        mul,
+    if not base.certified:
+        for op in ("add", "mul"):
+            if analysis.first_escape(lookup >= 0, base, op, members, members) is not None:
+                raise ConstructionError("corner set is not closed; the base tables are defective")
+    ring = _view(
+        base,
+        members,
+        lookup,
         zero=int(lookup[base.zero]),
         one=int(lookup[e]),
         provenance=Provenance("corner", spelling("corner", base.spell(), e), members=members),
@@ -961,15 +984,18 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     Cosets are represented by their minimum element index.  Quotients
     that would collapse one onto zero (ideal containing one) are
     rejected, keeping every constructed ring unital and nonzero.
-    The base is read only by blocks (``FiniteRing.block``): the ideal
-    check's |I|^2 + 2 n |I| cells, the |I| x n negation rows, the
-    n x |I| coset table and the m x m tables of the quotient of m
-    elements, all in row blocks, so an unfilled base stays unfilled.
-    Tracemalloc peak, filled base or not: 5 bytes per m^2 (measured at
-    m = 256 to 2048 with n = 4096), plus one row block of the ideal
-    check or the coset table, about 3 MB, and n-vectors.  Certified
-    when the base is: the quotient of a ring by a two-sided ideal is a
-    ring.
+    The build reads the base R only by blocks and elementwise: the
+    ideal check's |I|^2 + 2 |R| |I| cells, the negation of the members
+    (``FiniteRing.neg_rows``) and the |R| x |I| coset table, in row
+    blocks, so an unfilled base stays unfilled.  It keeps ``coset_of``,
+    the vector from a base element to its coset, and the quotient is a
+    view of the base at the representatives (:func:`_view`), its tables
+    unfilled.  The build holds one row block of the ideal check or the
+    coset table, about 3 MB, and vectors the length of the base.
+    Tracemalloc peak: 6 bytes per n^2 to fill the tables of a quotient
+    of n elements from an unfilled base, as for :func:`corner` (5.7
+    measured at 1024).  Certified when the base is: the quotient of a
+    ring by a two-sided ideal is a ring.
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
@@ -1003,19 +1029,15 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
         rep_of[start : start + len(block)] = block.min(axis=1)
     representatives, lookup = _numbering(rep_of, base.size)
     coset_of = lookup[rep_of]  # every element has a coset, so no entry is -1
-    add = _relabelled(base, "add", representatives, representatives, coset_of)
-    mul = _relabelled(base, "mul", representatives, representatives, coset_of)
-    rep_of.flags.writeable = False
+    coset_of.flags.writeable = False
     spelled = spelling("quot", base.spell(), *generators)
-    ring = FiniteRing(
-        len(representatives),
-        add,
-        mul,
+    ring = _view(
+        base,
+        representatives,
+        coset_of,
         zero=int(coset_of[base.zero]),
         one=int(coset_of[base.one]),
-        provenance=Provenance(
-            "quotient", spelled, representatives=representatives, rep_of=rep_of
-        ),
+        provenance=Provenance("quotient", spelled, coset_of=coset_of),
         element_names=[f"[{base.element_name(int(r))}]" for r in representatives],
     )
     return _certify(ring, base)
@@ -1024,9 +1046,8 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
 def quotient_project(ring: FiniteRing, parent_x: Element) -> int:
     """Image of a parent element under the quotient projection."""
     prov = _provenance(ring, "quotient()", "quotient")
-    if not (0 <= parent_x < len(prov.rep_of)):
+    if not (0 <= parent_x < len(prov.coset_of)):
         raise IndexError(
-            f"element index {parent_x} out of range for ring of size {len(prov.rep_of)}"
+            f"element index {parent_x} out of range for ring of size {len(prov.coset_of)}"
         )
-    rep = int(prov.rep_of[parent_x])
-    return int(np.searchsorted(prov.representatives, rep))
+    return int(prov.coset_of[parent_x])

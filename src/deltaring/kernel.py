@@ -118,22 +118,26 @@ def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.
 class FiniteRing:
     """A finite unital ring with operation tables.
 
-    A ring is given either its tables, which are checked at construction,
-    or its builder's ``arithmetic`` and ``pointwise`` forms.
-    ``arithmetic(op, rows, cols)`` returns the uint16 block
+    A ring is given either its add and mul tables, which are checked at
+    construction, or its builder's ``arithmetic`` and ``pointwise``
+    forms.  ``arithmetic(op, rows, cols)`` returns the uint16 block
     ``table[np.ix_(rows, cols)]`` of the "add" or "mul" table, rows or
     cols None meaning every index, so that ``arithmetic(op, None, None)``
     is the whole table.  ``pointwise(op, x, y)`` returns ``table[x, y]``
     elementwise over index arrays that broadcast together, in the shape
-    and dtype of the filled gather.  Such a ring fills ``add_table``,
-    ``mul_table`` and ``neg_table`` on their first read, through the same
-    range check and negation scan; after that a read is a plain attribute
-    read.  Other modules read the tables only by :meth:`block`,
-    :func:`row_block_reads`, :meth:`neg_rows` and :meth:`apply`, which
-    leave an unfilled table unfilled, so a corner or a quotient never
-    fills its parent and a one-element answer reads O(n) cells, not n^2.
-    Only a pass that reads the whole ring calls :meth:`fill`: the
-    analysis sweeps on a miss, ``classify.classification_report``, and
+    and dtype of the filled gather.  Such a ring fills ``add_table`` and
+    ``mul_table`` on their first read, through the same range check, and
+    every ring fills ``neg_table`` on its first read, by
+    :meth:`neg_rows`; after that a read is a plain attribute read.  So
+    only a table leaf or a direct ``FiniteRing(...)`` call holds tables
+    from construction; every construction, corners and quotients
+    included, holds none until :meth:`fill`.  Other modules read the
+    tables only by :meth:`block`, :func:`row_block_reads`,
+    :meth:`neg_rows` and :meth:`apply`, which leave an unfilled table
+    unfilled, so a corner or a quotient never fills its parent and a
+    one-element answer reads O(n) cells, not n^2.  Only a pass that
+    reads the whole ring calls :meth:`fill`: the analysis sweeps on a
+    miss, ``classify.classification_report``, and
     :func:`validate_ring`.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
@@ -201,8 +205,6 @@ class FiniteRing:
         self.size = size
         self.zero = zero
         self.one = one
-        if arithmetic is None:
-            self.neg_table = self.neg_rows()
         self.provenance = provenance
         if element_names is not None and len(element_names) != size:
             raise MalformedTableError("element_names length does not match ring size")

@@ -20,11 +20,12 @@ keep the recursive parse and build, and the printing of INTs in
 messages, within Python's limits.  Parse errors carry 1-based column
 positions.  Building is cached per canonical spelling, so a corpus
 that mentions Z4 five times constructs it once.  A build fills no
-table: every ring is returned as its builder left it, and a table is
-filled only by a pass that reads the whole ring (``FiniteRing.fill``).
-So ``--describe`` and a one-element answer read a few cells of the
-builder's arithmetic, and the Z2048 inside ``quot(Z2048, 512)`` is
-read by blocks and keeps no table.
+table: every ring but a table leaf is returned with its tables
+unfilled, and a table is filled only by a pass that reads the whole
+ring (``FiniteRing.fill``).  So ``--describe`` and a one-element
+answer read a few cells of the builder's arithmetic, on a corner or a
+quotient through its parent's.  ``quot(Z2048, 512)`` keeps no table
+until such a pass, and the Z2048 inside it none at all.
 """
 
 from __future__ import annotations
@@ -251,9 +252,9 @@ def _construct(spec: Spec, ctx: BuildContext) -> FiniteRing:
 
 def build(spec: Spec, ctx: BuildContext | None = None) -> FiniteRing:
     """Construct the ring a Spec names, caching every node by canonical
-    spelling, and return it as its builder left it: a table leaf, a
-    corner or a quotient with its tables, any other ring with none
-    filled until a pass that reads the whole ring fills them.
+    spelling, and return it as its builder left it: a table leaf with
+    its tables, any other ring with none filled until a pass that
+    reads the whole ring fills them.
     """
     return _build(spec, BuildContext() if ctx is None else ctx)
 

@@ -112,6 +112,24 @@ def test_theorem_paths_match_the_sweeps_on_the_benchmark_rings(ladder_rings):
     assert not found, found
 
 
+# rings at the 4096-element cap
+CAP_SPECS = ("Z4096", "M(2, Z8)", "T(3, Z4)", "dorroh(Z64, self)")
+
+
+def test_is_local_takes_the_sweeps_witness_from_u_and_j(corpus_rings, ladder_rings):
+    # the first non-unit outside J and the first non-unit that it adds to
+    # a unit, against the first escape of the non-unit square
+    rings = [*corpus_rings.values(), *ladder_rings.values()]
+    rings += [build_ring(spec) for spec in dict.fromkeys(POINT_SPECS + CAP_SPECS)]
+    non_local = 0
+    for ring in rings:
+        assert ring.certified, ring.spell()
+        got = classify.is_local(ring)
+        assert got == classify.is_local(_twin(ring)), ring.spell()
+        non_local += not got[0]
+    assert non_local == 25
+
+
 def test_one_element_spectral_answers_match_the_grid(corpus_rings, ladder_rings):
     rings = list(corpus_rings.values()) + [ladder_rings["T(2, Z8)"], build_ring("M(2, Z3)")]
     for ring in rings:
@@ -289,20 +307,28 @@ TABLES = ("add_table", "mul_table", "neg_table")
 
 
 def _cli(monkeypatch, argv, fill=False):
-    """The output of one CLI call and the ring it built, filled before the
-    call when ``fill`` is set."""
+    """The output of one CLI call, the ring it built, filled before the
+    call when ``fill`` is set, and that ring with the parent of a corner
+    or a quotient."""
     built = []
 
     def build(text):
-        ring = cli.ringspec.build_ring(text, cli.ringspec.BuildContext())
-        built.append(ring.fill() if fill else ring)
+        ctx = cli.ringspec.BuildContext()
+        spec = cli.ringspec.parse_ring_spec(text)
+        ring = cli.ringspec.build(spec, ctx)
+        parents = [ctx.cache[spec.args[0].canonical()]] if spec.head in ("corner", "quot") else []
+        built.append((ring.fill() if fill else ring, [ring, *parents]))
         return ring
 
     monkeypatch.setattr(cli, "_build_ring", build)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0, argv
-    return out.getvalue(), built[-1]
+    return out.getvalue(), *built[-1]
+
+
+def _unfilled(rings) -> bool:
+    return all(ring._filled(name) is None for ring in rings for name in TABLES)
 
 
 def _one_element_calls(spec, flavors):
@@ -311,21 +337,26 @@ def _one_element_calls(spec, flavors):
     ]
 
 
-@pytest.mark.parametrize("spec", POINT_SPECS + ("Z4096",))
+# the point rings, the cap, and a quotient and a corner, which read
+# their unfilled parents through their own reads
+NO_FILL_SPECS = POINT_SPECS + ("Z4096", "quot(Z2048, 512)", "corner(prod(Z1024, Z4), 4)")
+
+
+@pytest.mark.parametrize("spec", NO_FILL_SPECS)
 def test_one_element_answers_fill_no_table(monkeypatch, spec):
     for argv in _one_element_calls(spec, SPECTRAL_FLAVORS):
-        out, ring = _cli(monkeypatch, argv)
-        assert [ring._filled(name) for name in TABLES] == [None] * 3, argv
+        out, ring, rings = _cli(monkeypatch, argv)
+        assert _unfilled(rings), argv
         # the nil mask that the nil test reads, n*ceil(log2 floor(log2 n)) products
         assert set(ring._cache) <= {"nilpotent_mask"}, (argv, list(ring._cache))
         assert out == _cli(monkeypatch, argv, fill=True)[0], argv
 
 
-@pytest.mark.parametrize("spec", POINT_SPECS + ("Z4096",))
+@pytest.mark.parametrize("spec", NO_FILL_SPECS)
 def test_delta_on_a_certified_ring_fills_no_table(monkeypatch, spec):
     argv = ["delta", spec]
-    out, ring = _cli(monkeypatch, argv)
-    assert [ring._filled(name) for name in TABLES] == [None] * 3
+    out, ring, rings = _cli(monkeypatch, argv)
+    assert _unfilled(rings)
     assert set(ring._cache) == {"nilpotent_mask", "jacobson_mask"}
     assert out == _cli(monkeypatch, argv, fill=True)[0]
 
@@ -335,7 +366,7 @@ def test_whole_ring_answers_fill_every_table(monkeypatch, spec):
     calls = [["classify", spec], ["validate", spec]]
     calls += _one_element_calls(spec, ["unit"])[1:]
     for argv in calls:
-        out, ring = _cli(monkeypatch, argv)
+        out, ring, _ = _cli(monkeypatch, argv)
         assert all(ring._filled(name) is not None for name in TABLES), argv
         assert out == _cli(monkeypatch, argv, fill=True)[0], argv
         if argv[0] == "spectral":
