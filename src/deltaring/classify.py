@@ -208,18 +208,25 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     spectral idempotent of a for the target, swept on any table; cached
     and frozen.
 
-    The double-commutant test is the shared :func:`analysis.comm2_grid`,
-    filled once for every flavor; each flavor adds an n x |Id| gather of
-    a + p (and of a*p for the quasipolar flavor) through the swept
-    target sets.
+    The target comes first: an n x |Id| gather of a + p (and of a*p for
+    the quasipolar flavor) through the swept target sets.  The test
+    C(a) subset of C(p) then runs only at the candidates, the cells
+    where the target holds and p is not central (else C(p) = R), on the
+    commutation rows packed once per ring, n*n/8 bytes kept.  Cost:
+    n*|Id| gathers plus |candidates|*n/8 byte operations.
     """
 
     def compute():
         idl = analysis.idempotent_indices(ring)
         grid = _target_mask(ring, flavor).take(ring.block("add", None, idl))
-        grid &= analysis.comm2_grid(ring)
         if flavor == "quasipolar":
             grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
+        comm = analysis.comm_matrix(ring)
+        a, j = np.nonzero(grid & ~comm[idl].all(axis=1))
+        packed = analysis._cached(
+            ring, "packed_comm_matrix", lambda: analysis._frozen(np.packbits(comm, axis=1))
+        )
+        grid[a, j] = analysis.row_subset_pairs(packed, a, idl[j])
         return analysis._frozen(grid)
 
     return analysis._swept(ring, ("spectral_grid", flavor), compute)

@@ -1,4 +1,8 @@
-from deltaring import analysis, classify, zn
+import random
+
+import numpy as np
+
+from deltaring import analysis, build_ring, classify, zn
 
 import oracles
 
@@ -18,6 +22,42 @@ def test_spectral_sets_match_oracle_on_probe_rings(corpus_rings):
             for flavor in FLAVORS:
                 got = set(classify.spectral_idempotents(ring, a, flavor).indices())
                 assert got == oracles.spectral_of(ring, a, flavor), (spell, a, flavor)
+
+
+def _dense_spectral_grid(ring, flavor):
+    """The target alone, and the target with C(a) a subset of C(p), at
+    every cell (a, p), read from whole tables."""
+    idl = analysis.idempotent_indices(ring)
+    add, mul = ring.add_table, ring.mul_table
+    comm = mul == mul.T
+    target = classify._target_mask(ring, flavor)[add[:, idl]]
+    if flavor == "quasipolar":
+        target &= analysis.qnil_sweep_mask(ring)[mul[:, idl]]
+    comm2 = np.stack([~(comm & ~comm[p]).any(axis=1) for p in idl], axis=1)
+    return target, target & comm2
+
+
+def test_spectral_grid_equals_the_dense_reference(corpus_rings):
+    # unmarked copies, so the sweeps answer, and seeded single-entry
+    # corruptions; M(2, Z2) and the ladder's product have cells where the
+    # target holds and comm2 fails, so the comm2 test must prune there
+    probes = ("Z4", "T(2, Z2)", "table:f4.json", "M(2, Z2)", "H(1, 1, Z2)", "corner(M(2, Z2), 8)")
+    rings = [corpus_rings[spell] for spell in probes] + [build_ring("prod(M(2, Z2), T(2, Z4))")]
+    rng = random.Random(26)
+    cases, pruned = [], 0
+    for ring in rings:
+        cases.append(oracles.mutate_mul_entry(ring, 1, 1, ring.mul(1, 1)))
+        if ring.size <= 16:
+            for _ in range(3):
+                x, y, value = (rng.randrange(ring.size) for _ in range(3))
+                cases.append(oracles.mutate_mul_entry(ring, x, y, value))
+    for case in cases:
+        assert not case.certified
+        for flavor in FLAVORS:
+            target, want = _dense_spectral_grid(case, flavor)
+            assert np.array_equal(classify.spectral_grid(case, flavor), want), (case.spell(), flavor)
+            pruned += int((target & ~want).sum())
+    assert pruned
 
 
 def test_idempotent_with_idempotent_residual_in_triangular_ring(t2z2):

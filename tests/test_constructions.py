@@ -569,6 +569,25 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
         ring.apply("neg", 0, 0)
 
 
+@pytest.mark.parametrize("spec", READ_SPECS)
+def test_scalar_ops_leave_an_unfilled_ring_unfilled(spec):
+    # each op reads one cell through apply or neg_rows, never a whole table
+    rng = random.Random(spec)
+    filled = build_ring(spec).fill()
+    ring = ringspec._build(parse_ring_spec(spec), BuildContext())
+    lazy = ring._arithmetic is not None
+    add, mul, neg = filled.add_table, filled.mul_table, filled.neg_table
+    for _ in range(12):
+        x, y, k = rng.randrange(ring.size), rng.randrange(ring.size), rng.randrange(6)
+        power = ring.one
+        for _ in range(k):
+            power = int(mul[power, x])
+        assert ring.add(x, y) == add[x, y] and ring.mul(x, y) == mul[x, y], (spec, x, y)
+        assert ring.neg(x) == neg[x] and ring.sub(x, y) == add[x, neg[y]], (spec, x, y)
+        assert ring.pow(x, k) == power, (spec, x, k)
+    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+
+
 def _xor_extension(bits):
     """Z2 extended by the ring (Z2)^bits with zero multiplication, whose
     2^bits elements outnumber the base's two."""

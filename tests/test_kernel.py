@@ -250,6 +250,7 @@ def test_only_the_kernel_defines_a_block_budget():
 # C29 reads the tables of a Dorroh extension's V, a NonUnitalRing and
 # not a FiniteRing
 TABLE_READ_EXEMPTIONS = {("harness.py", "_dorroh_conditions")}
+SCALAR_OPS = ("add", "mul", "neg", "sub", "pow", "inverse", "is_unit")
 
 
 def test_only_the_kernel_and_the_constructions_read_a_table():
@@ -281,6 +282,41 @@ def test_only_the_kernel_and_the_constructions_read_a_table():
             assert not read, f"{path.name}:{node.lineno} reads {name}"
             assert name not in private, f"{path.name}:{node.lineno} names {name}"
     assert exempted == TABLE_READ_EXEMPTIONS
+    # inside the kernel, the scalar ops read through apply and neg_rows,
+    # so that one ring.mul(x, y) fills no table
+    kernel_tree = ast.parse(pathlib.Path(kernel.__file__).read_text())
+    ring_class = next(
+        node for node in kernel_tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "FiniteRing"
+    )
+    methods = {node.name: node for node in ring_class.body if isinstance(node, ast.FunctionDef)}
+    for method in SCALAR_OPS:
+        nodes = list(ast.walk(methods[method]))
+        names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {node.value for node in nodes if isinstance(node, ast.Constant)}
+        assert not names & set(tables), f"FiniteRing.{method} reads {names & set(tables)}"
+
+
+def test_negation_on_a_certified_ring_scans_only_the_row_of_one(monkeypatch):
+    # -1 comes from the row of one alone, and every -x is then (-1)*x,
+    # however many rows the first call asks for
+    specs = ("M(2, Z4)", "T(2, Z8)", "quot(Z2048, 512)")
+    wants = [build_ring(spec).fill().neg_table for spec in specs]
+    rings = [build_ring(spec) for spec in specs]
+    scanned = []
+    scan = FiniteRing._negation_scan
+
+    def counted(ring, rows):
+        scanned.append(len(rows))
+        return scan(ring, rows)
+
+    monkeypatch.setattr(FiniteRing, "_negation_scan", counted)
+    for ring, want in zip(rings, wants):
+        assert ring.certified and ring._filled("neg_table") is None
+        assert np.array_equal(ring.neg_rows(np.arange(ring.size)), want), ring.spell()
+        assert np.array_equal(ring.neg_rows(), want), ring.spell()
+        assert ring._filled("neg_table") is None
+    assert scanned == [1] * len(rings)
 
 
 # the checks that state a theorem that analysis or classify answers from
