@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the check suite over a corpus")
     p.add_argument("--manifest", help="corpus manifest path (default: packaged corpus)")
     p.add_argument("--check", help="comma-separated check ids, e.g. C07 or C01,C02")
-    p.add_argument("--jobs", type=int, help="worker threads (default: cpu count)")
+    p.add_argument("--jobs", type=int, help="worker threads (default 1: the calling thread)")
     p.add_argument("--timing", action="store_true", help="include millisecond timings")
     p.add_argument(
         "--strict-commuting",

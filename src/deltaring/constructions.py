@@ -332,7 +332,8 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
 def _pair_names(first, second) -> list[str]:
     """The name "(a, b)" of every pair, indexed first * |second| + second."""
     names = [second.element_name(w) for w in range(second.size)]
-    return [f"({first.element_name(r)}, {w})" for r in range(first.size) for w in names]
+    firsts = [first.element_name(r) for r in range(first.size)]
+    return [f"({r}, {w})" for r in firsts for w in names]
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:

@@ -33,17 +33,16 @@ included, even under a --check filter, so a corrupted ring can never
 yield a clean filtered report).  Checks never claim more than
 non-falsification over the corpus at hand.
 
-Results are deterministic: checks run per ring, possibly across worker
-threads, and the report is assembled in corpus order regardless of
-scheduling.  Timing is measured but only serialized on request.
+Results are deterministic: checks run per ring, on the calling thread
+or, when asked, across worker threads, and the report is assembled in
+corpus order regardless of scheduling.  Timing is measured but only
+serialized on request.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -878,11 +877,12 @@ def run_suite(
 ) -> SuiteReport:
     """Run the selected checks (all by default) over every corpus entry.
 
-    Worker threads split by ring; each ring's caches are touched by one
-    worker only, and the report is assembled in corpus order, so output
-    is identical whatever the parallelism.  ``jobs`` is the number of
-    worker threads, ``os.cpu_count()`` when None; below 1 it raises
-    ValueError, as ``verify --jobs`` rejects it.
+    The rings run one after another on the calling thread unless
+    ``jobs`` >= 2 asks for that many worker threads (one ring per task,
+    at most one worker per ring).  Workers split by ring, so each ring's
+    caches are touched by one worker only, and the report is assembled
+    in corpus order: output is identical whatever ``jobs`` is.  ``jobs``
+    below 1 raises ValueError, as ``verify --jobs`` rejects it.
     """
     if check_ids is None:
         selected = CHECK_IDS
@@ -897,11 +897,13 @@ def run_suite(
     report = SuiteReport(corpus=[(e.spec_text, e.ring.size) for e in entries])
     if not entries:
         return report
-    workers = jobs or os.cpu_count() or 1
-    workers = min(workers, len(entries))
+    workers = min(jobs or 1, len(entries))
     if workers <= 1:
         batches = [_ring_results(entry, selected, ctx) for entry in entries]
     else:
+        # imported here, so that the serial default loads no pool machinery
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(lambda e: _ring_results(e, selected, ctx), entries))
     for batch in batches:

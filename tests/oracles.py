@@ -2,18 +2,60 @@
 
 Everything here is written with plain Python loops, sets, and tuples,
 deliberately independent of the vectorized implementations under test.
-The only shared input is the ring's add/mul tables themselves (read one
-entry at a time through the scalar accessors).  `mutate_mul_entry` is
-the one table builder here: it makes the corrupted rings that the
-mutation tests feed to both sides.
+The only shared input is the ring's add/mul tables themselves, read as
+nested lists by `read_tables`, which fills no table of the ring and
+leaves its caches as they were.  Every oracle takes a ring or its
+`read_tables`, so one oracle call reads each table once, and a caller
+that asks many questions of one ring can read it once for all of them.  `mutate_mul_entry` is the one
+table builder here: it makes the corrupted rings that the mutation
+tests feed to both sides.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from deltaring.constructions import Provenance, spelling
 from deltaring.kernel import FiniteRing
+
+
+class Tables:
+    """A ring's add and mul tables as nested lists, each read on first
+    use by one `FiniteRing.block` call, with the scalar accessors the
+    oracles use.  -x is the first y in the row of x with x + y = 0."""
+
+    def __init__(self, ring):
+        self.ring, self.size, self.zero, self.one = ring, ring.size, ring.zero, ring.one
+
+    @functools.cached_property
+    def add_rows(self):
+        return self.ring.block("add").tolist()
+
+    @functools.cached_property
+    def mul_rows(self):
+        return self.ring.block("mul").tolist()
+
+    @functools.cached_property
+    def neg_list(self):
+        return [row.index(self.zero) for row in self.add_rows]
+
+    def add(self, x, y):
+        return self.add_rows[x][y]
+
+    def mul(self, x, y):
+        return self.mul_rows[x][y]
+
+    def neg(self, x):
+        return self.neg_list[x]
+
+    def sub(self, x, y):
+        return self.add_rows[x][self.neg_list[y]]
+
+
+def read_tables(ring):
+    """The ring's `Tables`; a `Tables` is returned as it is."""
+    return ring if isinstance(ring, Tables) else Tables(ring)
 
 
 def mutate_mul_entry(ring, x, y, value):
@@ -41,6 +83,7 @@ def mutate_mul_entry(ring, x, y, value):
 
 def axioms_hold(ring):
     """Every unital-ring axiom, checked on every pair and triple in turn."""
+    ring = read_tables(ring)
     add, mul, zero, one = ring.add, ring.mul, ring.zero, ring.one
     elements = range(ring.size)
     for x in elements:
@@ -67,6 +110,7 @@ def axioms_hold(ring):
 
 def inverse_of(ring, x):
     """Two-sided inverse of x found by scanning, or None."""
+    ring = read_tables(ring)
     for y in range(ring.size):
         if ring.mul(x, y) == ring.one and ring.mul(y, x) == ring.one:
             return y
@@ -74,14 +118,17 @@ def inverse_of(ring, x):
 
 
 def units_of(ring):
+    ring = read_tables(ring)
     return {x for x in range(ring.size) if inverse_of(ring, x) is not None}
 
 
 def idempotents_of(ring):
+    ring = read_tables(ring)
     return {x for x in range(ring.size) if ring.mul(x, x) == x}
 
 
 def nilpotents_of(ring):
+    ring = read_tables(ring)
     out = set()
     for x in range(ring.size):
         power = x
@@ -101,7 +148,7 @@ def strongly_pi_regular_of(ring):
     exhaustive.  Rows of the multiplication table are compared whole
     (numpy) so that the search stays fast on rings of 1024 elements.
     """
-    mul = ring.mul_table
+    mul = ring.block("mul")
     for a in range(ring.size):
         commuters = (mul[a] == mul[:, a]).nonzero()[0]
         power = a
@@ -116,6 +163,7 @@ def strongly_pi_regular_of(ring):
 
 
 def center_of(ring):
+    ring = read_tables(ring)
     return {
         x
         for x in range(ring.size)
@@ -125,6 +173,7 @@ def center_of(ring):
 
 def delta_sum_form(ring, units=None):
     """{x : x + u is a unit for every unit u}."""
+    ring = read_tables(ring)
     units = units_of(ring) if units is None else units
     return {
         x for x in range(ring.size) if all(ring.add(x, u) in units for u in units)
@@ -133,6 +182,7 @@ def delta_sum_form(ring, units=None):
 
 def delta_one_minus_form(ring, units=None):
     """{x : 1 - xu is a unit for every unit u}."""
+    ring = read_tables(ring)
     units = units_of(ring) if units is None else units
     return {
         x
@@ -143,6 +193,7 @@ def delta_one_minus_form(ring, units=None):
 
 def delta_right_form(ring, units=None):
     """{x : xu + 1 is a unit for every unit u}."""
+    ring = read_tables(ring)
     units = units_of(ring) if units is None else units
     return {
         x
@@ -153,6 +204,7 @@ def delta_right_form(ring, units=None):
 
 def delta_left_form(ring, units=None):
     """{x : ux + 1 is a unit for every unit u}."""
+    ring = read_tables(ring)
     units = units_of(ring) if units is None else units
     return {
         x
@@ -163,6 +215,7 @@ def delta_left_form(ring, units=None):
 
 def delta_of(ring):
     """All four characterizations, asserted to agree."""
+    ring = read_tables(ring)
     units = units_of(ring)
     forms = [
         delta_sum_form(ring, units),
@@ -176,6 +229,7 @@ def delta_of(ring):
 
 def jacobson_of(ring):
     """{x : 1 - rx is a unit for every r}, cross-checked left/right."""
+    ring = read_tables(ring)
     units = units_of(ring)
     left = {
         x
@@ -193,6 +247,7 @@ def jacobson_of(ring):
 
 def qnil_of(ring):
     """{a : 1 + ax is a unit for every x commuting with a}."""
+    ring = read_tables(ring)
     units = units_of(ring)
     out = set()
     for a in range(ring.size):
@@ -209,10 +264,12 @@ def qnil_of(ring):
 
 
 def comm_of(ring, a):
+    ring = read_tables(ring)
     return {x for x in range(ring.size) if ring.mul(a, x) == ring.mul(x, a)}
 
 
 def comm2_of(ring, a):
+    ring = read_tables(ring)
     inner = comm_of(ring, a)
     return {
         x
@@ -222,15 +279,18 @@ def comm2_of(ring, a):
 
 
 def ann_left_of(ring, a):
+    ring = read_tables(ring)
     return {x for x in range(ring.size) if ring.mul(x, a) == ring.zero}
 
 
 def ann_right_of(ring, a):
+    ring = read_tables(ring)
     return {x for x in range(ring.size) if ring.mul(a, x) == ring.zero}
 
 
 def spectral_of(ring, a, flavor="delta"):
     """Idempotents p in the double commutant of a with a + p in the target set."""
+    ring = read_tables(ring)
     units = units_of(ring)
     if flavor == "delta":
         target = delta_sum_form(ring, units)
@@ -255,6 +315,7 @@ def spectral_of(ring, a, flavor="delta"):
 
 def first_non_quasipolar(ring, flavor="delta"):
     """(verdict, lowest element with empty spectral set or None)."""
+    ring = read_tables(ring)
     for a in range(ring.size):
         if not spectral_of(ring, a, flavor):
             return False, a
@@ -263,6 +324,7 @@ def first_non_quasipolar(ring, flavor="delta"):
 
 def clean_decomps_of(ring, a, target, commuting=False):
     """All (e, w) with e idempotent, w = a - e in target, optionally ew == we."""
+    ring = read_tables(ring)
     out = []
     for e in sorted(idempotents_of(ring)):
         w = ring.sub(a, e)
@@ -276,6 +338,7 @@ def clean_decomps_of(ring, a, target, commuting=False):
 
 def is_ideal_of(ring, subset):
     """Two-sided ideal test: additive subgroup absorbing products."""
+    ring = read_tables(ring)
     if ring.zero not in subset:
         return False
     for x in subset:
@@ -292,6 +355,7 @@ def is_ideal_of(ring, subset):
 
 def matmul_of(base, a_grid, b_grid):
     """Plain k x k matrix product over the base ring, grids of base indices."""
+    base = read_tables(base)
     k = len(a_grid)
     out = []
     for i in range(k):
@@ -306,6 +370,7 @@ def matmul_of(base, a_grid, b_grid):
 
 
 def matadd_of(base, a_grid, b_grid):
+    base = read_tables(base)
     k = len(a_grid)
     return tuple(
         tuple(base.add(a_grid[i][j], b_grid[i][j]) for j in range(k)) for i in range(k)
@@ -315,6 +380,7 @@ def matadd_of(base, a_grid, b_grid):
 def not_dqp_witnesses_of(ring):
     """{a : no idempotent p of comm2(a) puts a + p in the 1 - xu form of
     delta}: the elements that C31's re-verifier accepts, on any table."""
+    ring = read_tables(ring)
     units = units_of(ring)
     delta = delta_one_minus_form(ring, units)
     idempotents = idempotents_of(ring)
@@ -333,13 +399,15 @@ def action_law_failures(base, action):
     ring_v = action.v
     left = [[int(e) for e in row] for row in action.left]
     right = [[int(e) for e in row] for row in action.right]
+    v_add, v_mul = ring_v.add_table.tolist(), ring_v.mul_table.tolist()
 
     def vadd(a, b):
-        return int(ring_v.add_table[a][b])
+        return v_add[a][b]
 
     def vmul(a, b):
-        return int(ring_v.mul_table[a][b])
+        return v_mul[a][b]
 
+    base = read_tables(base)
     badd, bmul, one = base.add, base.mul, base.one
     laws = {
         "1.v == v": lambda r, s, v, w: left[one][v] == v,

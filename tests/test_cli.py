@@ -458,8 +458,18 @@ def test_module_invocation_byte_identical_verify():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stderr == b"" and second.stderr == b""
-    jobs1 = _run_module("verify", "--jobs", "1")
-    assert jobs1.stdout == first.stdout
+    pooled = _run_module("verify", "--jobs", "2")
+    assert pooled.stdout == first.stdout
+
+
+def test_importing_the_cli_starts_no_thread_pool_machinery():
+    code = (
+        "import sys, deltaring.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
 
 
 def test_module_invocation_capacity_exit():

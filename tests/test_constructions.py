@@ -227,10 +227,15 @@ def test_matrix_shaped_rings_over_a_base_whose_zero_is_not_index_0(build, y_step
         tuple(0 if i == j else 2 for j in range(k)) for i in range(k)
     )
     grids = [con.matrix_entries(ring, x) for x in ring.elements()]
+    tables, base = oracles.read_tables(ring), oracles.read_tables(base)
     for x in ring.elements():
         for y in range(0, ring.size, y_step):
-            assert grids[ring.mul(x, y)] == oracles.matmul_of(base, grids[x], grids[y])
-            assert grids[ring.add(x, y)] == oracles.matadd_of(base, grids[x], grids[y])
+            assert grids[tables.mul(x, y)] == oracles.matmul_of(base, grids[x], grids[y])
+            assert grids[tables.add(x, y)] == oracles.matadd_of(base, grids[x], grids[y])
+    # the scalar ops' pointwise form reads the same cells as the blocks
+    xs, ys = np.arange(ring.size)[:, None], np.arange(0, ring.size, y_step)
+    for op in ("add", "mul"):
+        assert np.array_equal(ring.apply(op, xs, ys), ring.block(op, None, ys))
 
 
 def test_matrix_ring_respects_capacity():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import random
@@ -119,13 +120,27 @@ def test_gate_row_survives_check_filtering(z4):
 def test_suite_output_is_deterministic_and_parallelism_independent(corpus):
     first = run_suite(corpus).to_dict()
     second = run_suite(corpus).to_dict()
-    serial = run_suite(corpus, jobs=1).to_dict()
+    pooled = run_suite(corpus, jobs=2).to_dict()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    assert json.dumps(first, sort_keys=True) == json.dumps(serial, sort_keys=True)
+    assert json.dumps(first, sort_keys=True) == json.dumps(pooled, sort_keys=True)
     assert "millis" not in json.dumps(first)
     timed = run_suite(corpus).to_dict(timing=True)
     assert "total_millis" in timed["summary"]
     assert all("millis" in row for row in timed["results"])
+
+
+def test_suite_runs_on_the_calling_thread_unless_jobs_asks_for_a_pool(corpus, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    for jobs in (None, 1):
+        report = run_suite(corpus, jobs=jobs)
+        assert len(report.results) == len(corpus) * len(CHECK_IDS)
+        assert not report.failures()
+    assert run_suite(corpus[:1], jobs=2).results  # one ring needs no pool
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_suite(corpus[:2], jobs=2)
 
 
 def test_markdown_rendering(corpus):
