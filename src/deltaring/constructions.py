@@ -27,13 +27,14 @@ and Dorroh are sums of row gathers (``_gather_rows``): row x is a sum
 of rows picked by small keys of x, so none of them runs an elementwise
 n x n gather but Dorroh's V-part product, which depends on all of x.
 A block restricts the same terms to its columns and gathers them at
-its rows; a product or a Dorroh extension takes them from its
-components' blocks.  A corner or a quotient is a view of its parent
+its rows; a product, a grid ring or a Dorroh extension takes them from
+its components' blocks.  A corner or a quotient is a view of its parent
 (``_view``): its blocks are the parent's blocks at the elements it
 keeps, relabelled by one lookup, so a parent that nothing else reads
-never fills its tables.  Only table leaves, checked at once, hold
-tables from the start.  No module but this one and the kernel reads a
-ring's table.  Every builder writes its tables as uint16
+never fills its tables, and no build or block read fills a base.  Only
+table leaves, checked at once, hold tables from the start.  No module
+but the kernel reads a ring's table; this one reads a Dorroh V's
+tables alone.  Every builder writes its tables as uint16
 (``kernel.TABLE_DTYPE``) with no wider n x n intermediate, and the
 FiniteRing keeps the fresh tables it is handed.  Every table builder's
 docstring gives its tracemalloc peak in bytes per cell of the n x n
@@ -446,15 +447,19 @@ def _grid_ring(
     x[i, l] for l in L, so it is a row gather keyed by them in mixed
     radix, from a table with one row per key that occurs: at most
     |S|^|L|, which is n^(1/k) for M(k, S), at most n^(2/3) for T(k, S)
-    and H, and n only for k = 1.
-    Dependent entries, such as h_ring's a and d, are keys like any other.
-    Cost of the fill: one n^2 row gather per stored position for the sum
-    and one for the product, plus |S|^|L| * n cells of elementwise work
-    per position to build the product's keyed rows.  A block of an
-    unfilled table is the same terms restricted to the block's columns
-    and gathered at its rows: one |rows| x |cols| row gather per
-    position, plus min(|S|^|L|, |rows|) * |cols| cells per position for
-    the product's keyed rows.  An elementwise read sums the same terms
+    and H, and n only for k = 1; its columns are keyed by the y[l, j]
+    alike, and one column gather spreads them.  Dependent entries, such
+    as h_ring's a and d, are keys like any other.  The base is read by
+    blocks and elementwise only.  Cost: a fill is one n^2 row gather per
+    stored position for the sum and one for the product, plus per
+    position |S| * n base cells for the sum's rows, and |S|^(2|L|) (n for
+    M(k, S)) and an |S|^|L| x n column gather for the product's.  A
+    block of an unfilled table restricts the same terms to its columns
+    and gathers them at its rows: one |rows| x |cols| row gather per
+    position, plus |S| * |cols| base cells for the sum, and
+    min(|S|^|L|, |rows|) * min(|S|^|L|, |cols|) and their column gather
+    for the product; so 1 x 1 blocks of both tables of M(1, Z4096) read
+    4097 cells of Z4096 and fill none.  An elementwise read sums the same terms
     at the two operands' grids, |L| base products per stored position,
     with no keyed rows: a whole fill that way would pay k^3 base
     products per cell.  It reads the base elementwise once for the sum,
@@ -473,15 +478,18 @@ def _grid_ring(
         at_cols = grid if cols is None else grid[cols]
         for (i, j), pv, ls in zip(positions, place_values, ells):
             if op == "add":
-                yield _columns(base.add_table, at_cols[:, i, j]) * TABLE_DTYPE(pv), at_rows[:, i, j]
+                yield base.block("add", None, at_cols[:, i, j]) * TABLE_DTYPE(pv), at_rows[:, i, j]
                 continue
             shape = (bs,) * len(ls)
             keys = np.ravel_multi_index([at_rows[:, i, l] for l in ls], shape)
             used, keys = _occurring(keys, bs ** len(ls))
+            place = np.ravel_multi_index([at_cols[:, l, j] for l in ls], shape)
+            occur, place = _occurring(place, bs ** len(ls))
             acc = None
-            for digit, l in zip(np.unravel_index(used, shape), ls):
-                term = _columns(np.take(base.mul_table, digit, axis=0), at_cols[:, l, j])
-                acc = term if acc is None else base.add_table[acc, term]
+            for left, right in zip(np.unravel_index(used, shape), np.unravel_index(occur, shape)):
+                term = base.block("mul", left, right)
+                acc = term if acc is None else base.apply("add", acc, term)
+            acc = np.take(acc, place, axis=1)
             acc *= pv
             yield acc, keys
 
@@ -534,9 +542,10 @@ def matrix_ring(k: int, base: FiniteRing) -> FiniteRing:
     """Full k x k matrices over the base ring, row-major mixed radix.
 
     Tracemalloc peak: 5 bytes per n^2: both tables, one row block, and
-    the keyed product rows of _grid_ring, which are n x n for k = 1 and
-    take it to 11.  Certified when the base is: the k x k matrices over
-    a ring are a ring under the matrix sum and product.
+    the keyed product rows of _grid_ring, which are n x n for k = 1, the
+    base's block and its column gather, and take it to 8.5.  Certified
+    when the base is: the k x k matrices over a ring are a ring under
+    the matrix sum and product.
     """
     if k < 1:
         raise ConstructionError("matrix dimension must be at least 1")
@@ -640,8 +649,8 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     _check_digits_capacity(base, len(_H_POSITIONS), spelled)
     grid = _stored_grid(base, 3, _H_POSITIONS)
     c, e, f = (grid[:, i, j] for i, j in _H_POSITIONS)
-    grid[:, 1, 1] = base.add_table[f, base.mul_table[t, e]]
-    grid[:, 0, 0] = base.add_table[grid[:, 1, 1], base.mul_table[s, c]]
+    grid[:, 1, 1] = base.apply("add", f, base.apply("mul", t, e))
+    grid[:, 0, 0] = base.apply("add", grid[:, 1, 1], base.apply("mul", s, c))
     ring = _grid_ring(base, grid, _H_POSITIONS, Provenance("h", spelled, base=base, grid=grid))
     return _certify(ring, base)
 
@@ -787,14 +796,10 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
 
 def self_action(base: FiniteRing) -> BimoduleRingAction:
     """V is the base ring itself (identity forgotten), acting by ring product."""
-    v = NonUnitalRing(
-        base.size,
-        base.add_table,
-        base.mul_table,
-        base.zero,
-        names=[base.element_name(i) for i in range(base.size)],
-    )
-    return BimoduleRingAction(v=v, left=base.mul_table, right=base.mul_table)
+    mul = base.block("mul")
+    names = [base.element_name(i) for i in range(base.size)]
+    v = NonUnitalRing(base.size, base.block("add"), mul, base.zero, names=names)
+    return BimoduleRingAction(v=v, left=mul, right=mul)
 
 
 def zero_action(base: FiniteRing) -> BimoduleRingAction:

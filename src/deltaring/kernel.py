@@ -125,19 +125,18 @@ class FiniteRing:
     cols None meaning every index, so that ``arithmetic(op, None, None)``
     is the whole table.  ``pointwise(op, x, y)`` returns ``table[x, y]``
     elementwise over index arrays that broadcast together, in the shape
-    and dtype of the filled gather.  Such a ring fills ``add_table`` and
-    ``mul_table`` on their first read, through the same range check, and
-    every ring fills ``neg_table`` on its first read, by
-    :meth:`neg_rows`; after that a read is a plain attribute read.  So
-    only a table leaf or a direct ``FiniteRing(...)`` call holds tables
-    from construction; every construction, corners and quotients
-    included, holds none until :meth:`fill`.  Other modules read the
-    tables only by :meth:`block`, :func:`row_block_reads`,
-    :meth:`neg_rows` and :meth:`apply`, which leave an unfilled table
-    unfilled, so a corner or a quotient never fills its parent and a
-    one-element answer reads O(n) cells, not n^2.  Only a pass that
-    reads the whole ring calls :meth:`fill`: the analysis sweeps on a
-    miss, ``classify.classification_report``, and
+    and dtype of the filled gather.  A table slot reads None until
+    :meth:`fill`, the one code that fills it: add and mul from the
+    arithmetic, through the same range check, and ``neg_table`` by
+    :meth:`neg_rows`.  So only a table leaf or a direct
+    ``FiniteRing(...)`` call holds tables from construction; every
+    construction, corners and quotients included, holds none until
+    :meth:`fill`.  Other modules, and the builders, read a ring only by
+    :meth:`block`, :func:`row_block_reads`, :meth:`neg_rows` and
+    :meth:`apply`, which never fill a table, so no construction fills
+    its base or parent, and a one-element answer reads O(n) cells, not
+    n^2.  Only a pass that reads the whole ring calls :meth:`fill`: the
+    analysis sweeps on a miss, ``classify.classification_report``, and
     :func:`validate_ring`.  Tables are
     never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
@@ -197,6 +196,9 @@ class FiniteRing:
         if arithmetic is None:
             self.add_table = _as_table("add", add, (size, size), size)
             self.mul_table = _as_table("mul", mul, (size, size), size)
+        else:
+            self.add_table = self.mul_table = None
+        self.neg_table = None
         for label, idx in (("zero", zero), ("one", one)):
             if not _is_int(idx) or not (0 <= idx < size):
                 raise MalformedTableError(f"{label} index {idx!r} is outside 0..{size - 1}")
@@ -213,30 +215,15 @@ class FiniteRing:
 
     # -- tables and blocks --------------------------------------------------
 
-    def __getattr__(self, name: str):
-        # reached only for a slot not yet set: an unfilled table
-        if name == "neg_table":
-            table = self.neg_rows()
-        elif name in ("add_table", "mul_table") and self._arithmetic is not None:
-            op = name[:3]
-            data = self._arithmetic(op, None, None)
-            table = _as_table(op, data, (self.size, self.size), self.size)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, table)
-        return table
-
-    def _filled(self, name: str) -> np.ndarray | None:
-        """The table in slot ``name``, or None while it is unfilled."""
-        try:
-            return object.__getattribute__(self, name)
-        except AttributeError:
-            return None
-
     def fill(self) -> "FiniteRing":
         """Fill every table not yet filled, and return the ring."""
-        for name in ("add_table", "mul_table", "neg_table"):
-            getattr(self, name)
+        n = self.size
+        if self.add_table is None:
+            self.add_table = _as_table("add", self._arithmetic("add", None, None), (n, n), n)
+        if self.mul_table is None:
+            self.mul_table = _as_table("mul", self._arithmetic("mul", None, None), (n, n), n)
+        if self.neg_table is None:
+            self.neg_table = self.neg_rows()
         return self
 
     def block(self, op: str, rows=None, cols=None) -> np.ndarray:
@@ -251,7 +238,7 @@ class FiniteRing:
         """
         if op not in ("add", "mul"):
             raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
-        table = self._filled(f"{op}_table")
+        table = getattr(self, f"{op}_table")
         if table is None:
             every = np.arange(self.size)
             return self._arithmetic(op, *(None if i is None else every[i] for i in (rows, cols)))
@@ -270,13 +257,10 @@ class FiniteRing:
         together: one flat ``np.take`` of a filled table, or one index
         when x and y are Python ints, and the builder's ``pointwise``
         form on an unfilled one, which stays unfilled."""
-        try:
-            # the slot's own descriptor: an empty slot raises here, where
-            # an attribute read would reach __getattr__ and fill it
-            table = _TABLE_SLOTS[op].__get__(self)
-        except KeyError:
-            raise ValueError(f"op must be 'add' or 'mul', got {op!r}") from None
-        except AttributeError:
+        if op not in ("add", "mul"):
+            raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
+        table = getattr(self, f"{op}_table")
+        if table is None:
             return self._pointwise(op, x, y)
         if type(x) is int and type(y) is int:  # a scalar op: 5x faster than take
             return table[x, y]
@@ -295,7 +279,7 @@ class FiniteRing:
         ``_SWEEP_BLOCK_CELLS`` cells, so it fills nothing and adds
         nothing per n^2 to a build.
         """
-        table = self._filled("neg_table")
+        table = self.neg_table
         if table is not None:
             return table if rows is None else table[rows]
         if not self.certified:
@@ -395,9 +379,6 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.spell()}, size={self.size})"
-
-
-_TABLE_SLOTS = {"add": FiniteRing.add_table, "mul": FiniteRing.mul_table}
 
 
 class ElementSet:

@@ -20,12 +20,13 @@ keep the recursive parse and build, and the printing of INTs in
 messages, within Python's limits.  Parse errors carry 1-based column
 positions.  Building is cached per canonical spelling, so a corpus
 that mentions Z4 five times constructs it once.  A build fills no
-table: every ring but a table leaf is returned with its tables
-unfilled, and a table is filled only by a pass that reads the whole
-ring (``FiniteRing.fill``).  So ``--describe`` and a one-element
-answer read a few cells of the builder's arithmetic, on a corner or a
-quotient through its parent's.  ``quot(Z2048, 512)`` keeps no table
-until such a pass, and the Z2048 inside it none at all.
+table, of the ring or of what it is built from: every ring but a table
+leaf is returned with its tables unfilled, and a table is filled only
+by a pass that reads the whole ring (``FiniteRing.fill``).  So
+``--describe`` and a one-element answer read a few cells of the
+builder's arithmetic, through a base's or parent's reads.
+``quot(Z2048, 512)`` keeps no table until such a pass, and the Z2048
+inside it none at all.
 """
 
 from __future__ import annotations

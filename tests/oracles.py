@@ -67,7 +67,7 @@ def mutate_mul_entry(ring, x, y, value):
     ring._check_index(x)
     ring._check_index(y)
     ring._check_index(value)
-    mul = ring.mul_table.copy()
+    mul = ring.fill().mul_table.copy()
     mul[x, y] = value
     names = list(ring.element_names) if ring.element_names is not None else None
     return FiniteRing(

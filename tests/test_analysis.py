@@ -122,6 +122,7 @@ def test_results_are_cached_and_masks_frozen(z4):
 
 def _fresh(ring):
     """The same tables as a new ring object, so no cached sweep carries over."""
+    ring.fill()
     return FiniteRing(
         ring.size, ring.add_table, ring.mul_table, zero=ring.zero, one=ring.one,
         provenance=ring.provenance, element_names=ring.element_names,

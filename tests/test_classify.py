@@ -28,7 +28,7 @@ def _dense_spectral_grid(ring, flavor):
     """The target alone, and the target with C(a) a subset of C(p), at
     every cell (a, p), read from whole tables."""
     idl = analysis.idempotent_indices(ring)
-    add, mul = ring.add_table, ring.mul_table
+    add, mul = ring.fill().add_table, ring.mul_table
     comm = mul == mul.T
     target = classify._target_mask(ring, flavor)[add[:, idl]]
     if flavor == "quasipolar":

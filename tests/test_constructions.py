@@ -42,12 +42,12 @@ def test_zn_rejects_degenerate_sizes():
 
 def test_zn_tables_match_python_arithmetic():
     for n in [*range(2, 41), 97, 255, 1000]:
-        ring = zn(n)
+        ring = zn(n).fill()
         assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
         assert ring.add_table.tolist() == [[(x + y) % n for y in range(n)] for x in range(n)]
         assert ring.mul_table.tolist() == [[(x * y) % n for y in range(n)] for x in range(n)]
     n = 4096
-    ring = zn(n)
+    ring = zn(n).fill()
     assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
     for x in (0, 1, 2047, 4095):  # 4095 * 4095 is the largest product
         assert ring.add_table[x].tolist() == [(x + y) % n for y in range(n)]
@@ -191,8 +191,8 @@ def test_three_by_three_triangular_against_oracle(corpus_rings):
 
 
 def test_one_by_one_matrix_ring_is_the_base():
-    base = zn(6)
-    ring = con.matrix_ring(1, base)
+    base = zn(6).fill()
+    ring = con.matrix_ring(1, base).fill()
     assert ring.size == 6
     assert np.array_equal(ring.add_table, base.add_table)
     assert np.array_equal(ring.mul_table, base.mul_table)
@@ -296,9 +296,9 @@ def test_corner_at_matrix_unit_is_a_copy_of_the_base(t2z2, m2z2):
 
 
 def test_corner_at_one_is_the_whole_ring(z4):
-    ring = con.corner(z4, z4.one)
+    ring = con.corner(z4, z4.one).fill()
     assert ring.size == 4
-    assert np.array_equal(ring.mul_table, z4.mul_table)
+    assert np.array_equal(ring.mul_table, z4.fill().mul_table)
 
 
 def test_corner_rejects_non_idempotents_and_zero(z4, t2z2):
@@ -409,7 +409,7 @@ def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
         assert not isinstance(value, (FiniteRing, ElementSet)), field.name
     parent = ctx.cache[parse_ring_spec(spec).args[0].canonical()]
     for built in (parent, ring):
-        assert [built._filled(name) for name in TABLES] == [None] * 3
+        assert [getattr(built, name) for name in TABLES] == [None] * 3
     assert peak < 10 * 2**20
 
 
@@ -421,7 +421,7 @@ def test_corners_and_quotients_keep_no_ring_of_their_parent(spec):
 def test_only_table_leaves_start_filled(spec, filled):
     ctx = BuildContext(base_dir=harness.default_corpus_path().parent)
     ring = ringspec._build(parse_ring_spec(spec), ctx)
-    assert [ring._filled(name) is not None for name in TABLES] == [filled] * 3
+    assert [getattr(ring, name) is not None for name in TABLES] == [filled] * 3
 
 
 def _sub_construction_peak(spec, filled):
@@ -481,7 +481,7 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
     rng = np.random.default_rng(23)
     base_dir = harness.default_corpus_path().parent
     for spec in [e.spec_text for e in corpus] + list(BLOCK_SPECS):
-        filled = build_ring(spec, BuildContext(base_dir=base_dir))
+        filled = build_ring(spec, BuildContext(base_dir=base_dir)).fill()
         # the node as a parent sees it, its tables filled only if it is
         # a table leaf
         ring = ringspec._build(parse_ring_spec(spec), BuildContext(base_dir=base_dir))
@@ -500,7 +500,7 @@ def test_blocks_of_an_unfilled_ring_equal_the_filled_tables(corpus):
                         assert np.array_equal(got, want), (spec, op, rows, cols)
         for rows in arrays[1:]:
             assert np.array_equal(ring.neg_rows(rows), filled.neg_table[rows]), spec
-        assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+        assert [getattr(ring, name) is None for name in TABLES] == [lazy] * 3, spec
 
 
 # an unfilled ring of each builder that fills from its arithmetic, a
@@ -554,7 +554,7 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
                     assert np.array_equal(got, want), (spec, op, rows, cols)
                     if source is filled and rows is None:
                         assert all(np.shares_memory(b, table) for b in blocks) == (cols is None)
-    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+    assert [getattr(ring, name) is None for name in TABLES] == [lazy] * 3, spec
     for op in ("add", "mul"):
         table = getattr(filled, f"{op}_table")
         x, y = rng.integers(0, n, (6, 1)), rng.permutation(n)[:9]
@@ -567,7 +567,7 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
                 assert type(got) is type(want) and got.dtype == want.dtype, (spec, op)
                 assert got.shape == want.shape and np.array_equal(got, want), (spec, op)
     # an elementwise read leaves an unfilled table unfilled
-    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+    assert [getattr(ring, name) is None for name in TABLES] == [lazy] * 3, spec
     with pytest.raises(ValueError):
         ring.block("neg")
     with pytest.raises(ValueError):
@@ -590,7 +590,7 @@ def test_scalar_ops_leave_an_unfilled_ring_unfilled(spec):
         assert ring.add(x, y) == add[x, y] and ring.mul(x, y) == mul[x, y], (spec, x, y)
         assert ring.neg(x) == neg[x] and ring.sub(x, y) == add[x, neg[y]], (spec, x, y)
         assert ring.pow(x, k) == power, (spec, x, k)
-    assert [ring._filled(name) is None for name in TABLES] == [lazy] * 3, spec
+    assert [getattr(ring, name) is None for name in TABLES] == [lazy] * 3, spec
 
 
 def _xor_extension(bits):
@@ -618,8 +618,33 @@ def test_a_dorroh_block_of_few_rows_reads_only_the_rows_it_needs(build):
         tracemalloc.stop()
     # all rows of the base's block, or of V's tables, would take 2 to 4 MB
     assert peak < 2**19
-    for block, table in zip(blocks, (ring.add_table, ring.mul_table)):
+    for block, table in zip(blocks, (ring.fill().add_table, ring.mul_table)):
         assert np.array_equal(block, table[[3, 5, 3]])
+
+
+# a construction over an unfilled base of 4096, 8, 8 and 64 elements,
+# Z4096's tables alone 32 MB
+@pytest.mark.parametrize("spec", ["M(1, Z4096)", "M(2, Z8)", "T(2, Z8)", "dorroh(Z64, self)"])
+def test_a_construction_reads_its_base_without_filling_it(spec):
+    ctx = BuildContext()
+    ring = ringspec.build(parse_ring_spec(spec), ctx)
+    # a table slot reads None until fill, and reading it fills nothing
+    assert ring.add_table is None
+    rows, cols = np.array([3, ring.size - 1]), np.array([5])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        block = ring.block("mul", rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    sums = ring.apply("add", rows, rows[::-1])
+    for built in ctx.cache.values():
+        assert [getattr(built, name) for name in TABLES] == [None] * 3, (spec, built.spell())
+    filled = build_ring(spec).fill()
+    assert np.array_equal(block, filled.block("mul", rows, cols)), spec
+    assert np.array_equal(sums, filled.apply("add", rows, rows[::-1])), spec
 
 
 def _digits(x, radix, count):
@@ -675,7 +700,7 @@ def test_blocks_at_the_hard_cap_match_python_arithmetic(spec, monkeypatch):
         assert got.dtype == np.uint16
         assert got.tolist() == [[python(int(x), int(y)) for y in ids] for x in ids], op
     # no table of 65536^2 cells was built
-    assert [ring._filled(name) for name in TABLES] == [None] * 3
+    assert [getattr(ring, name) for name in TABLES] == [None] * 3
 
 
 @pytest.mark.parametrize("spec", [
@@ -730,9 +755,9 @@ def test_ideal_extension_multiplication_formula(z4):
 
 
 def test_zero_extension_is_a_copy_of_the_base(z4):
-    ring = con.dorroh(z4, con.zero_action(z4), v_spell="zero")
+    ring = con.dorroh(z4, con.zero_action(z4), v_spell="zero").fill()
     assert ring.size == 4
-    assert np.array_equal(ring.add_table, z4.add_table)
+    assert np.array_equal(ring.add_table, z4.fill().add_table)
     assert np.array_equal(ring.mul_table, z4.mul_table)
 
 
@@ -785,7 +810,7 @@ def test_broken_v_is_rejected_naming_its_axiom(z2, axiom, add, mul):
 def test_broken_v_above_the_scan_limit_gets_every_triple(z2):
     # the triple axioms are decided by the prover, whose failing gate
     # names one genuine witness
-    ring = zn(260)
+    ring = zn(260).fill()
     n = ring.size
     mul = ring.mul_table.copy()
     mul[3, 5] = 16  # 3 * 5 is 15
@@ -882,7 +907,7 @@ def test_a_dorroh_extension_reads_its_base_only_by_blocks():
     # under a quotient of its extension never fills its tables
     ctx = BuildContext()
     ringspec.build(parse_ring_spec("quot(dorroh(Z1024, zero), 2)"), ctx)
-    assert [ctx.cache["Z1024"]._filled(name) for name in TABLES] == [None] * 3
+    assert [getattr(ctx.cache["Z1024"], name) for name in TABLES] == [None] * 3
 
 
 def _random_actions(count):
@@ -977,7 +1002,7 @@ def test_build_peaks_stay_within_the_docstring_figures(name):
     gc.collect()
     tracemalloc.start()
     try:
-        # a ring built from its arithmetic fills its tables on first read
+        # a ring built from its arithmetic fills its tables only by fill()
         ring = builder(*args).fill()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -103,6 +103,7 @@ def _digest(table) -> str:
 def _table_digests(corpus) -> bytes:
     rings = [(e.spec_text, e.ring) for e in corpus]
     rings += [(spec, build_ring(spec)) for spec in TABLE_SPECS]
+    rings = [(spec, ring.fill()) for spec, ring in rings]
     out = [
         {
             "ring": spec,

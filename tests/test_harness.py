@@ -215,7 +215,7 @@ def test_rings_are_freed_without_the_cyclic_collector(spec):
     gc.disable()
     try:
         ring = build_ring(spec)
-        tables = weakref.ref(ring.add_table)
+        tables = weakref.ref(ring.fill().add_table)
         classify.classification_report(ring)
         for check_id in CHECK_IDS:
             run_check(check_id, ring)
@@ -345,7 +345,7 @@ def test_c00_fail_witnesses(corpus_rings, table, spell, entry, elements, detail,
     if table == "mul":
         bad = oracles.mutate_mul_entry(ring, x, y, value)
     else:
-        add = ring.add_table.copy()
+        add = ring.fill().add_table.copy()
         add[x, y] = value
         bad = FiniteRing(ring.size, add, ring.mul_table, zero=ring.zero, one=ring.one)
     result = run_check("C00", bad)

@@ -135,6 +135,7 @@ def test_capacity_has_a_hard_ceiling(monkeypatch):
 
 
 def test_ring_keeps_a_fresh_uint16_table_and_freezes_it(z4):
+    z4.fill()
     add = z4.add_table.copy()
     mul = z4.mul_table.copy()
     ring = FiniteRing(4, add, mul, zero=0, one=1)
@@ -150,6 +151,7 @@ def test_ring_keeps_a_fresh_uint16_table_and_freezes_it(z4):
 
 
 def test_ring_converts_and_range_checks_other_table_data(z4):
+    z4.fill()
     lists = FiniteRing(4, z4.add_table.tolist(), z4.mul_table.tolist(), zero=0, one=1)
     wide = FiniteRing(
         4, z4.add_table.astype(np.int64), z4.mul_table.astype(np.uint8), zero=0, one=1
@@ -248,28 +250,35 @@ def test_only_the_kernel_defines_a_block_budget():
             assert not name.endswith("_CELLS"), f"{path.name}:{node.lineno} binds {name}"
 
 
-# C29 reads the tables of a Dorroh extension's V, a NonUnitalRing and
-# not a FiniteRing
-TABLE_READ_EXEMPTIONS = {("harness.py", "_dorroh_conditions")}
+# the tables of a Dorroh extension's V, a NonUnitalRing and not a
+# FiniteRing: C29 reads them, and the constructions build, check and
+# extend by them
+TABLE_READ_EXEMPTIONS = {
+    ("harness.py", "_dorroh_conditions"),
+    ("constructions.py", "NonUnitalRing"),
+    ("constructions.py", "validate_bimodule_action"),
+    ("constructions.py", "dorroh"),
+}
 SCALAR_OPS = ("add", "mul", "neg", "sub", "pow", "inverse", "is_unit")
 
 
 def test_only_the_kernel_and_the_constructions_read_a_table():
-    # every other module reads a ring by FiniteRing.block,
-    # kernel.row_block_reads and FiniteRing.apply, and fills it by
-    # FiniteRing.fill, so that only these two know how a ring's tables
-    # are stored, when they are filled and what serves them until then
+    # every other module, and every builder over a base, reads a ring by
+    # FiniteRing.block, kernel.row_block_reads, FiniteRing.neg_rows and
+    # FiniteRing.apply, and fills it by FiniteRing.fill, so that only the
+    # kernel knows how a ring's tables are stored, when they are filled
+    # and what serves them until then
     tables = ("add_table", "mul_table", "neg_table")
-    private = ("_pointwise", "_arithmetic", "_filled")
+    private = ("_pointwise", "_arithmetic")
     exempted = set()
     for path in sorted(pathlib.Path(deltaring.__file__).parent.glob("*.py")):
-        if path.name in ("kernel.py", "constructions.py"):
+        if path.name == "kernel.py":
             continue
         tree = ast.parse(path.read_text())
         skipped = set()
         for node in ast.walk(tree):
             where = (path.name, getattr(node, "name", None))
-            if isinstance(node, ast.FunctionDef) and where in TABLE_READ_EXEMPTIONS:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and where in TABLE_READ_EXEMPTIONS:
                 exempted.add(where)
                 skipped.update(id(inner) for inner in ast.walk(node))
         for node in ast.walk(tree):
@@ -313,10 +322,10 @@ def test_negation_on_a_certified_ring_scans_only_the_row_of_one(monkeypatch):
 
     monkeypatch.setattr(FiniteRing, "_negation_scan", counted)
     for ring, want in zip(rings, wants):
-        assert ring.certified and ring._filled("neg_table") is None
+        assert ring.certified and ring.neg_table is None
         assert np.array_equal(ring.neg_rows(np.arange(ring.size)), want), ring.spell()
         assert np.array_equal(ring.neg_rows(), want), ring.spell()
-        assert ring._filled("neg_table") is None
+        assert ring.neg_table is None
     assert scanned == [1] * len(rings)
 
 
@@ -422,6 +431,7 @@ def test_mutation_leaves_original_untouched(z4):
 
 
 def test_tables_are_read_only(z4):
+    z4.fill()
     with pytest.raises(ValueError):
         z4.mul_table[0, 0] = 1
     with pytest.raises(ValueError):
@@ -429,7 +439,7 @@ def test_tables_are_read_only(z4):
 
 
 def _mutate_add_entry(ring, x, y, value):
-    add = ring.add_table.copy()
+    add = ring.fill().add_table.copy()
     add[x, y] = value
     return FiniteRing(ring.size, add, ring.mul_table, zero=ring.zero, one=ring.one)
 
@@ -477,7 +487,7 @@ def test_validate_ring_agrees_with_scalar_oracle_on_corruptions(corpus):
 def test_certificate_covers_the_most_generators_under_the_limit():
     ring = build_ring("prod(M(2, Z2), M(2, Z2))")
     assert ring.size == kernel.FULL_SCAN_LIMIT
-    picks, tree = kernel._additive_tree(ring.add_table, ring.zero)
+    picks, tree = kernel._additive_tree(ring.fill().add_table, ring.zero)
     assert tree is not None and len(picks) == 8
     report = validate_ring(ring)
     assert report.ok and report.mode == "exhaustive"
@@ -728,11 +738,12 @@ def _prover_agrees_with_the_scan(add, mul, zero):
 def test_prover_never_passes_what_the_scan_rejects(corpus, ladder_rings):
     prove = kernel._prove_triple_axioms
     for ring in [*ladder_rings.values(), *map(build_ring, POINT_SPECS)]:
+        ring.fill()
         assert prove(ring.add_table, ring.mul_table, ring.zero) is None, ring.spell()
     rng = random.Random(13)
     rejected = 0
     for entry in corpus:
-        ring = entry.ring
+        ring = entry.ring.fill()
         add, mul, zero = ring.add_table, ring.mul_table, ring.zero
         assert prove(add, mul, zero) is None, entry.spec_text
         tables = []
@@ -841,6 +852,7 @@ def _with_factor(ring, add, mul):
     """The table of ring x T for a 4- or 8-element table T with zero 0 and
     one 1, its pairs (r, t) numbered r * |T| + t."""
     t = len(add)
+    ring.fill()
 
     def combine(big, small):
         return (big[:, None, :, None] * t + np.array(small)[None, :, None, :]).reshape(
@@ -860,7 +872,7 @@ def _stranded_z512():
     """Z512 with every sum of two nonzero elements that lands in 1..11
     replaced by 0: the pair axioms hold, but each of 1..11 is reached
     only by picking it, one pick more than a group of 512 needs."""
-    ring = zn(512)
+    ring = zn(512).fill()
     add = ring.add_table.copy()
     stranded = (add >= 1) & (add <= 11)
     stranded[0, :] = stranded[:, 0] = False

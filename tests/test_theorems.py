@@ -48,6 +48,7 @@ MUTATION_SPECS = (
 
 def _twin(ring: FiniteRing) -> FiniteRing:
     """The same tables without the certified mark, so every verdict sweeps."""
+    ring.fill()
     return FiniteRing(
         ring.size, ring.add_table, ring.mul_table, zero=ring.zero, one=ring.one,
         provenance=ring.provenance, element_names=ring.element_names,
@@ -328,7 +329,7 @@ def _cli(monkeypatch, argv, fill=False):
 
 
 def _unfilled(rings) -> bool:
-    return all(ring._filled(name) is None for ring in rings for name in TABLES)
+    return all(getattr(ring, name) is None for ring in rings for name in TABLES)
 
 
 def _one_element_calls(spec, flavors):
@@ -367,13 +368,13 @@ def test_whole_ring_answers_fill_every_table(monkeypatch, spec):
     calls += _one_element_calls(spec, ["unit"])[1:]
     for argv in calls:
         out, ring, _ = _cli(monkeypatch, argv)
-        assert all(ring._filled(name) is not None for name in TABLES), argv
+        assert all(getattr(ring, name) is not None for name in TABLES), argv
         assert out == _cli(monkeypatch, argv, fill=True)[0], argv
         if argv[0] == "spectral":
             assert ("spectral_grid", "unit") in ring._cache, argv
     ring = build_ring(spec)
     assert harness.run_check("C00", ring, harness.SuiteContext()).verdict == harness.PASS
-    assert all(ring._filled(name) is not None for name in TABLES)
+    assert all(getattr(ring, name) is not None for name in TABLES)
 
 
 def test_the_nil_test_reads_an_unfilled_ring_pointwise(ladder_rings):
@@ -386,6 +387,6 @@ def test_the_nil_test_reads_an_unfilled_ring_pointwise(ladder_rings):
         if ring.size > 512:
             sample = np.random.default_rng(ring.size).choice(ring.size, 48, replace=False)
             xs = np.union1d(sample, np.flatnonzero(radical)[:16])
-        lazy = ring._filled("mul_table") is None
+        lazy = ring.mul_table is None
         assert np.array_equal(analysis.in_radical(ring, xs), radical[xs]), spec
-        assert (ring._filled("mul_table") is None) == lazy, spec
+        assert (ring.mul_table is None) == lazy, spec
