@@ -454,8 +454,10 @@ def qnil_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def comm_mask(ring: FiniteRing, a: Element) -> np.ndarray:
+    """Row a of :func:`comm_matrix`, from row a and column a of the
+    multiplication table: 2n cells, which fill nothing."""
     ring._check_index(a)
-    return comm_matrix(ring)[a]
+    return ring.block("mul", [a])[0] == ring.block("mul", None, [a])[:, 0]
 
 
 def comm2_mask(ring: FiniteRing, a: Element) -> np.ndarray:

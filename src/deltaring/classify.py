@@ -16,13 +16,15 @@ A ring is delta-quasipolar (resp. j-quasipolar, quasipolar) when every
 element has at least one spectral idempotent for the matching target.
 
 On a ring that carries the ``certified`` mark, the predicates answer
-from theorems about finite rings, T2 and T5-T8, each proved in the
+from theorems about finite rings, T2, T5, T6 and T8, each proved in the
 docstring of the code that uses it (T1, delta = J, and T4, qnil = nil,
-are in ``analysis``).  They need no commutation matrix and no n x |Id|
-grid.  The all-element sweeps they replace keep their own names,
-:func:`spectral_grid`, :func:`spectral_sweep_flags` and
-:func:`clean_sweep_flags`, answer on every other table, and serve the
-checks that state those theorems.
+are in ``analysis``).  They need no commutation matrix.  The uniquely
+clean and uniquely delta-clean flags count the decompositions a = e + w
+by their definition, over the residuals a - e of one n x |Id| block
+(:func:`_residual_grid`), which fills nothing.  The all-element sweeps
+the theorems replace keep their own names, :func:`spectral_grid`,
+:func:`spectral_sweep_flags` and :func:`clean_sweep_flags`, answer on
+every other table, and serve the checks that state those theorems.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def _theorem_flags(ring: FiniteRing, flavor: str) -> np.ndarray:
 
 
 def _theorem_clean_flags(ring: FiniteRing, target: str, commuting: bool, unique: bool):
-    """Per-element clean flags on a certified ring, or None where no
-    theorem settles them (the unit target with ``unique``).
+    """Per-element clean flags on a certified ring, or None for the unit
+    target with ``unique``, which :func:`clean_sweep_flags` counts.
 
     T5 and T8: every element of a finite ring is strongly clean.  By T8
     for -a, -a + 1 - e is a unit u for an idempotent e that is a power
@@ -167,37 +169,19 @@ def _theorem_clean_flags(ring: FiniteRing, target: str, commuting: bool, unique:
     T6: a is J-clean, and strongly J-clean, exactly when a^2 - a is in
     J.  If a = e + j, then a = e modulo J, an idempotent there.
     Conversely the lift p of a (:func:`_radical_lift`) commutes with a
-    and has a - p in J.  By T1 the delta targets read the same.
-
-    T7: a has exactly one decomposition a = e + d, e idempotent and d
-    in J, exactly when a^2 - a is in J and the lift p commutes with
-    every element of J.  For idempotents e = f modulo J, the element
-    u = ef + (1 - e)(1 - f) lies in 1 + J, so it is a unit, and
-    uf = ef = eu, so e = u f u^-1.  So the idempotents in a + J are
-    the u p u^-1 for u in 1 + J, and they all equal p exactly when p
-    commutes with 1 + J, that is with J.  Asking e to commute with a
-    leaves a^2 - a in J alone: two commuting idempotents in a + J
-    differ by a nilpotent x with x^3 = x, which is 0 (see T2).
-    Cost: two gathers, and the rows and columns of each distinct lift
-    (at most |Id| of them) at the members of J.
+    and has a - p in J.  By T1 the delta targets read the same.  Asking
+    for exactly one commuting decomposition leaves a^2 - a in J alone:
+    two commuting idempotents in a + J differ by a nilpotent x with
+    x^3 = x, which is 0 (see T2).  Without the commutation, the
+    decompositions a = e + d are counted by their definition, the
+    members of J among the residuals a - e (:func:`_residual_grid`).
     """
     if target == "unit":
         return None if unique else np.ones(ring.size, dtype=bool)
     radical = analysis.jacobson_mask(ring)
-    flags = radical.take(_square_plus(ring, np.arange(ring.size), -1))
     if unique and not commuting:
-        members = np.flatnonzero(flags)
-        lifts, place = np.unique(_radical_lift(ring, members), return_inverse=True)
-        flags[members] = _commute_with_radical(ring, lifts)[place]
-    return flags
-
-
-def _commute_with_radical(ring: FiniteRing, elements: np.ndarray) -> np.ndarray:
-    """Whether each of ``elements`` commutes with every member of J: its
-    row and its column of the multiplication table at the members."""
-    radical = np.flatnonzero(analysis.jacobson_mask(ring))
-    rows, cols = ring.block("mul", elements, radical), ring.block("mul", radical, elements)
-    return (rows == cols.T).all(axis=1)
+        return radical.take(_residual_grid(ring)).sum(axis=1) == 1
+    return radical.take(_square_plus(ring, np.arange(ring.size), -1))
 
 
 # -- spectral idempotents ----------------------------------------------------------------
@@ -296,17 +280,13 @@ def is_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
 # -- clean-style decompositions a = e + w ------------------------------------------
 
 
-def _decomposition_grid(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """For every element a and idempotent e_j: the residual a - e_j and
-    whether a commutes with e_j."""
-
-    def compute():
-        idl = analysis.idempotent_indices(ring)
-        residual = ring.block("add", None, ring.neg_rows(idl))
-        commutes = analysis.comm_matrix(ring)[:, idl]
-        return analysis._frozen(residual), analysis._frozen(commutes)
-
-    return analysis._swept(ring, "decomposition_grid", compute)
+def _residual_grid(ring: FiniteRing) -> np.ndarray:
+    """Entry (a, j) is the residual a - e_j of a and idempotent
+    ``idempotent_indices[j]``: one n x |Id| block of the addition table,
+    which fills nothing; cached and frozen."""
+    return analysis._cached(ring, "residual_grid", lambda: analysis._frozen(
+        ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
+    ))
 
 
 def clean_sweep_flags(
@@ -321,12 +301,13 @@ def clean_sweep_flags(
     ``target`` picks where the residual w must lie (unit, jacobson, or
     delta); ``commuting`` additionally requires ew = we, which for
     w = a - e is equivalent to ea = ae; ``unique`` asks for exactly one
-    qualifying decomposition instead of at least one.
+    qualifying decomposition instead of at least one.  Cost: an
+    n x |Id| gather of the target at the residuals, and the commutation
+    matrix only for ``commuting``.
     """
-    residual, commutes = _decomposition_grid(ring)
-    good = _target_mask(ring, target)[residual]
+    good = _target_mask(ring, target).take(_residual_grid(ring))
     if commuting:
-        good = good & commutes
+        good &= analysis.comm_matrix(ring)[:, analysis.idempotent_indices(ring)]
     counts = good.sum(axis=1)
     return counts == 1 if unique else counts >= 1
 
@@ -364,27 +345,8 @@ def is_strongly_clean(ring: FiniteRing) -> tuple[bool, int | None]:
 
 
 def is_uniquely_clean(ring: FiniteRing) -> tuple[bool, int | None]:
-    """Every element is e + u for exactly one idempotent e and unit u.
-
-    On a certified ring, T5: R is uniquely clean exactly when
-    |U| = |J| and every idempotent is central (Nicholson and Zhou, "Rings
-    in which elements are uniquely the sum of an idempotent and a unit",
-    2004: R/J Boolean, idempotents central, and idempotents lifting
-    modulo J, which a nil J always allows).  |U| = |J| says R/J is
-    Boolean (T3): U maps onto the units of R/J with fibres u(1 + J), so
-    |U| = |U(R/J)| |J|, and a product of matrix rings over finite fields
-    has one unit only when every factor is the field of two elements.
-    (So |U| >= |J| in every finite ring.)  A False answer takes its
-    witness from the residual grid a - e alone, with no commutation
-    test.
-    """
-    if not ring.certified:
-        return verdict(clean_sweep_flags(ring, "unit", unique=True))
-    units, radical = analysis.unit_mask(ring), analysis.jacobson_mask(ring)
-    if np.count_nonzero(units) == np.count_nonzero(radical) and is_abelian(ring)[0]:
-        return True, None
-    residual = ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
-    return verdict(units.take(residual).sum(axis=1) == 1)
+    """Every element is e + u for exactly one idempotent e and unit u."""
+    return verdict(clean_flags(ring, "unit", unique=True))
 
 
 def is_j_clean(ring: FiniteRing) -> tuple[bool, int | None]:
@@ -413,14 +375,10 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     """
     ring._check_index(a)
     idl = analysis.idempotent_indices(ring)
-    residual, commutes = _decomposition_grid(ring)
-    good = _target_mask(ring, target)[residual[a]]
-    out = []
-    for j in np.flatnonzero(good):
-        e = int(idl[j])
-        w = int(residual[a, j])
-        out.append((e, w, bool(commutes[a, j])))
-    return out
+    residual = _residual_grid(ring)[a]
+    commutes = analysis.comm_mask(ring, a)[idl]
+    good = _target_mask(ring, target)[residual]
+    return [(int(idl[j]), int(residual[j]), bool(commutes[j])) for j in np.flatnonzero(good)]
 
 
 # -- structural ring predicates ------------------------------------------------------

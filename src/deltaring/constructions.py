@@ -456,10 +456,11 @@ def _grid_ring(
     M(k, S)) and an |S|^|L| x n column gather for the product's.  A
     block of an unfilled table restricts the same terms to its columns
     and gathers them at its rows: one |rows| x |cols| row gather per
-    position, plus |S| * |cols| base cells for the sum, and
+    position, plus min(|S|, |rows|) * |cols| base cells for the sum,
+    its rows keyed by the digits that occur, and
     min(|S|^|L|, |rows|) * min(|S|^|L|, |cols|) and their column gather
     for the product; so 1 x 1 blocks of both tables of M(1, Z4096) read
-    4097 cells of Z4096 and fill none.  An elementwise read sums the same terms
+    2 cells of Z4096 and fill none.  An elementwise read sums the same terms
     at the two operands' grids, |L| base products per stored position,
     with no keyed rows: a whole fill that way would pay k^3 base
     products per cell.  It reads the base elementwise once for the sum,
@@ -478,7 +479,8 @@ def _grid_ring(
         at_cols = grid if cols is None else grid[cols]
         for (i, j), pv, ls in zip(positions, place_values, ells):
             if op == "add":
-                yield base.block("add", None, at_cols[:, i, j]) * TABLE_DTYPE(pv), at_rows[:, i, j]
+                used, keys = _occurring(at_rows[:, i, j], bs)
+                yield base.block("add", used, at_cols[:, i, j]) * TABLE_DTYPE(pv), keys
                 continue
             shape = (bs,) * len(ls)
             keys = np.ravel_multi_index([at_rows[:, i, l] for l in ls], shape)
@@ -639,8 +641,9 @@ def h_ring(s: Element, t: Element, base: FiniteRing) -> FiniteRing:
     """
     base._check_index(s)
     base._check_index(t)
-    s_central = bool(analysis.center_mask(base)[s])
-    t_central = bool(analysis.center_mask(base)[t])
+    # s and t are central when their rows of the multiplication table equal their columns
+    rows, cols = base.block("mul", [s, t]), base.block("mul", None, [s, t])
+    s_central, t_central = (rows == cols.T).all(axis=1)
     if not (s_central and base.is_unit(s)):
         raise ConstructionError(f"s (index {s}) must be a central unit of the base ring")
     if not (t_central and base.is_unit(t)):

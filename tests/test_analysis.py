@@ -226,3 +226,14 @@ def test_sweep_peaks_stay_within_the_docstring_figures(name):
     finally:
         tracemalloc.stop()
     assert peak / ring.size**2 <= float(stated.group(1))
+
+
+@pytest.mark.parametrize("spec", ["Z4096", "M(2, Z8)"])
+def test_one_commutant_fills_no_table(spec):
+    # row a and column a of the multiplication table, not the matrix
+    ring, filled = build_ring(spec), build_ring(spec).fill()
+    matrix = analysis.comm_matrix(filled)
+    for a in (0, 5, ring.size - 1):
+        assert np.array_equal(analysis.comm(ring, a).bool_array(), matrix[a]), (spec, a)
+    assert all(getattr(ring, name) is None for name in ("add_table", "mul_table", "neg_table"))
+    assert "comm_matrix" not in ring._cache

@@ -622,9 +622,11 @@ def test_a_dorroh_block_of_few_rows_reads_only_the_rows_it_needs(build):
         assert np.array_equal(block, table[[3, 5, 3]])
 
 
-# a construction over an unfilled base of 4096, 8, 8 and 64 elements,
-# Z4096's tables alone 32 MB
-@pytest.mark.parametrize("spec", ["M(1, Z4096)", "M(2, Z8)", "T(2, Z8)", "dorroh(Z64, self)"])
+# a construction over an unfilled base of 4096, 8, 8, 8 and 64 elements,
+# Z4096's tables alone 32 MB; H also tests s and t for centrality
+@pytest.mark.parametrize(
+    "spec", ["M(1, Z4096)", "M(2, Z8)", "T(2, Z8)", "H(1, 1, Z8)", "dorroh(Z64, self)"]
+)
 def test_a_construction_reads_its_base_without_filling_it(spec):
     ctx = BuildContext()
     ring = ringspec.build(parse_ring_spec(spec), ctx)
@@ -645,6 +647,28 @@ def test_a_construction_reads_its_base_without_filling_it(spec):
     filled = build_ring(spec).fill()
     assert np.array_equal(block, filled.block("mul", rows, cols)), spec
     assert np.array_equal(sums, filled.apply("add", rows, rows[::-1])), spec
+
+
+def test_a_small_block_of_m1_reads_only_its_cells_of_the_base():
+    # element x of M(1, Z4096) is the matrix [[x]], so an r x c block
+    # needs r x c cells of Z4096, not whole columns of it
+    ctx = BuildContext()
+    ring = ringspec.build(parse_ring_spec("M(1, Z4096)"), ctx)
+    base, cells = ctx.cache["Z4096"], []
+    arithmetic = base._arithmetic
+
+    def counted(op, rows, cols):
+        out = arithmetic(op, rows, cols)
+        cells.append(out.size)
+        return out
+
+    base._arithmetic = counted
+    assert ring.block("add", [3, 4095], [5]).tolist() == [[8], [4]]
+    assert sum(cells) == 2
+    cells.clear()
+    assert [ring.block(op, [7], [9]).tolist() for op in ("add", "mul")] == [[[16]], [[63]]]
+    assert sum(cells) == 2
+    assert [getattr(base, name) for name in TABLES] == [None] * 3
 
 
 def _digits(x, radix, count):

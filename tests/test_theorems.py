@@ -142,8 +142,7 @@ def test_one_element_spectral_answers_match_the_grid(corpus_rings, ladder_rings)
 
 
 def test_the_radical_divides_the_units(corpus, ladder_rings):
-    # |U| = |U(R/J)| |J| (T3), so |U| >= |J| on every ring, and the
-    # mutation |U| <= |J| of T5's |U| = |J| changes no answer
+    # |U| = |U(R/J)| |J| (T3), so |U| >= |J| on every ring
     for ring in [e.ring for e in corpus] + list(ladder_rings.values()):
         units = np.count_nonzero(analysis.unit_mask(ring))
         assert units % np.count_nonzero(analysis.jacobson_sweep_mask(ring)) == 0, ring.spell()
@@ -170,9 +169,17 @@ def test_a_wrong_lift_polynomial_is_caught(monkeypatch, step):
     assert _caught(MUTATION_SPECS)
 
 
-def test_t7_without_its_commutation_test_is_caught(monkeypatch):
+@pytest.mark.parametrize("targets", [("unit",), ("jacobson", "delta")], ids=["unit", "radical"])
+def test_a_unique_kind_answered_by_existence_is_caught(monkeypatch, targets):
+    # the unique kinds of these targets take the flags of their
+    # non-unique twins: T(2, Z2) is not uniquely clean, and has an
+    # element with two decompositions a = e + j
+    theorem = classify._theorem_clean_flags
     monkeypatch.setattr(
-        classify, "_commute_with_radical", lambda ring, lifts: np.ones(len(lifts), dtype=bool)
+        classify, "_theorem_clean_flags",
+        lambda ring, target, commuting, unique: theorem(
+            ring, target, commuting, unique and target not in targets
+        ),
     )
     assert _caught(MUTATION_SPECS)
 
@@ -225,12 +232,6 @@ def test_one_squaring_fewer_is_caught(monkeypatch):
     assert _caught(["Z8"])
 
 
-def test_t5_without_its_abelian_leg_is_caught(monkeypatch):
-    # T(2, Z2) has |U| = |J| = 2 and a non-central idempotent
-    monkeypatch.setattr(classify, "is_abelian", lambda ring: (True, None))
-    assert _caught(MUTATION_SPECS)
-
-
 # -- unmarked rings sweep ------------------------------------------------------------------
 
 
@@ -246,7 +247,7 @@ def test_unmarked_rings_take_the_sweeps(z4, t2z2):
         assert analysis.jacobson_mask(copy) is analysis.jacobson_sweep_mask(copy)
         assert analysis.nilpotent_mask(copy) is analysis.nilpotent_sweep_mask(copy)
         for key in ("comm_matrix", ("spectral_grid", "delta"), ("spectral_grid", "quasipolar"),
-                    "decomposition_grid"):
+                    "residual_grid"):
             assert key in copy._cache, key
 
 
@@ -275,8 +276,8 @@ def test_constructions_carry_the_mark_from_their_inputs(f4):
 
 # -- verbs that answer from theorems fill no sweep --------------------------------------
 
-SWEEP_KEYS = ("comm_matrix", "packed_comm_matrix", "decomposition_grid", "delta_sweep_mask",
-              "qnil_sweep_mask", "jacobson_sweep_mask", "nilpotent_sweep_mask")
+SWEEP_KEYS = ("comm_matrix", "packed_comm_matrix", "delta_sweep_mask", "qnil_sweep_mask",
+              "jacobson_sweep_mask", "nilpotent_sweep_mask")
 F4 = Path(deltaring.__file__).parent / "data" / "f4.json"
 
 
