@@ -78,16 +78,17 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _all_along_rows(lookup, ring: FiniteRing, op: str, cols=None, where=None) -> np.ndarray:
+def _all_along_rows(lookup, ring: FiniteRing, op: str, cols=None, commuting=False) -> np.ndarray:
     """Entry x is True when ``lookup[table[x, c]]`` holds for every column
-    c of ``cols`` (every column when None) at which ``where[x]`` is True.
+    c of ``cols`` (every column when None), or of C(x) with ``commuting``.
 
     Cost: one flat gather per cell, in row blocks.
     """
     out = np.empty(ring.size, dtype=bool)
     for start, part in row_block_reads(ring, op, cols=cols):
         rows = slice(start, start + len(part))
-        out[rows] = lookup.take(part).all(axis=1, where=True if where is None else where[rows])
+        out[rows] = lookup.take(part).all(  # C(x) unpacked only after the gather's copy is freed
+            axis=1, where=comm_rows(ring, rows) if commuting else True)
     return out
 
 
@@ -246,27 +247,33 @@ def nilpotent_sweep_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def comm_matrix(ring: FiniteRing) -> np.ndarray:
-    """Boolean matrix with entry (x, y) true when x*y == y*x.
+    """The commutation relation x*y == y*x, packed and known to this
+    module alone: uint8 (n, ceil(n/8)), row x ``np.packbits`` of C(x).
 
-    The matrix is symmetric for any table, ring or not, so row x is both
+    The relation is symmetric for any table, ring or not, so row x is both
     C(x) and the set of elements x commutes with.  Cost: n^2/2
     comparisons over the square tiles of ``kernel._upper_tiles``, each
-    tile above the diagonal mirrored below it, so both operands of a
-    comparison are read from cache.  Tracemalloc peak: 1.1 bytes
-    per n^2, the kept matrix and numpy's buffers for the transposed
-    tiles.
+    tile above the diagonal mirrored below it from a contiguous copy, so
+    both operands of a comparison are read from cache; n*ceil(n/8) bytes
+    kept.  Tracemalloc peak: 0.3 bytes per n^2 at n = 1024 and 0.14 at
+    4096, the kept eighth and one tile's comparison and its transpose.
     """
 
     def compute():
-        out = np.empty((ring.size, ring.size), dtype=bool)
+        out = np.empty((ring.size, -(-ring.size // 8)), dtype=np.uint8)
         for rows, cols in _upper_tiles(ring.size):
-            tile, mirror = ring.block("mul", rows, cols), ring.block("mul", cols, rows)
-            np.equal(tile, mirror.T, out=out[rows, cols])
+            same = ring.block("mul", rows, cols) == ring.block("mul", cols, rows).T
+            out[rows, cols.start // 8 : -(-cols.stop // 8)] = np.packbits(same, axis=1)
             if cols != rows:
-                out[cols, rows] = out[rows, cols].T
+                out[cols, rows.start // 8 : rows.stop // 8] = np.packbits(same.T.copy(), axis=1)
         return _frozen(out)
 
     return _swept(ring, "comm_matrix", compute)
+
+
+def comm_rows(ring: FiniteRing, xs) -> np.ndarray:
+    """Rows ``xs`` of :func:`comm_matrix` unpacked, boolean, n/8 bytes each."""
+    return np.unpackbits(comm_matrix(ring)[xs], axis=1, count=ring.size).view(bool)
 
 
 def packed_equal_rows(ring: FiniteRing, op: str, value: int, transposed=False) -> np.ndarray:
@@ -299,7 +306,9 @@ def row_subset_pairs(packed: np.ndarray, rows: np.ndarray, targets: np.ndarray) 
 
 
 def center_mask(ring: FiniteRing) -> np.ndarray:
-    return _cached(ring, "center_mask", lambda: _frozen(comm_matrix(ring).all(axis=1)))
+    """Rows of :func:`comm_matrix` equal to the packed all-ones row (0 padding in both)."""
+    return _cached(ring, "center_mask", lambda: _frozen(
+        (comm_matrix(ring) == np.packbits(np.ones(ring.size, dtype=bool))).all(axis=1)))
 
 
 def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
@@ -418,17 +427,16 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
 
 def qnil_sweep_mask(ring: FiniteRing) -> np.ndarray:
     """a with 1 + a*x a unit for every x in C(a), swept on any table: row
-    a of the multiplication table read through ``is_unit(1 + y)``, where
-    row a of the commutation matrix is True.
+    a of the multiplication table read through ``is_unit(1 + y)``, on C(a).
 
-    Cost: n^2 flat gathers in row blocks, plus the commutation matrix.
-    Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 above that matrix,
+    Cost: n^2 flat gathers in row blocks, plus the commutation relation.
+    Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 above the relation,
     one block at 9 bytes per cell.
     """
 
     def compute():
         one_plus_is_unit = unit_mask(ring).take(ring.block("add", [ring.one])[0])
-        return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", where=comm_matrix(ring)))
+        return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", commuting=True))
 
     return _swept(ring, "qnil_sweep_mask", compute)
 
@@ -454,15 +462,10 @@ def qnil_mask(ring: FiniteRing) -> np.ndarray:
 
 
 def comm_mask(ring: FiniteRing, a: Element) -> np.ndarray:
-    """Row a of :func:`comm_matrix`, from row a and column a of the
-    multiplication table: 2n cells, which fill nothing."""
+    """C(a), from row a and column a of the multiplication table: 2n
+    cells, which fill nothing."""
     ring._check_index(a)
     return ring.block("mul", [a])[0] == ring.block("mul", None, [a])[:, 0]
-
-
-def comm2_mask(ring: FiniteRing, a: Element) -> np.ndarray:
-    comm = comm_matrix(ring)
-    return comm[comm[a]].all(axis=0)
 
 
 # -- public ElementSet layer ---------------------------------------------------
@@ -543,9 +546,11 @@ def comm(ring: FiniteRing, a: Element) -> ElementSet:
 
 
 def comm2(ring: FiniteRing, a: Element) -> ElementSet:
-    """The double commutant of a: elements commuting with every member of comm(a)."""
+    """The double commutant of a: elements commuting with every member of
+    comm(a), the AND of their rows of :func:`comm_matrix`, |C(a)|*n/8 bytes."""
     ring._check_index(a)
-    return ElementSet(ring, comm2_mask(ring, a))
+    meet = np.bitwise_and.reduce(comm_matrix(ring)[comm_mask(ring, a)])
+    return ElementSet(ring, np.unpackbits(meet, count=ring.size).view(bool))
 
 
 def ann_left(ring: FiniteRing, a: Element) -> ElementSet:

@@ -18,7 +18,7 @@ element has at least one spectral idempotent for the matching target.
 On a ring that carries the ``certified`` mark, the predicates answer
 from theorems about finite rings, T2, T5, T6 and T8, each proved in the
 docstring of the code that uses it (T1, delta = J, and T4, qnil = nil,
-are in ``analysis``).  They need no commutation matrix.  The uniquely
+are in ``analysis``).  They need no commutation relation.  The uniquely
 clean and uniquely delta-clean flags count the decompositions a = e + w
 by their definition, over the residuals a - e of one n x |Id| block
 (:func:`_residual_grid`), which fills nothing.  The all-element sweeps
@@ -196,8 +196,8 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     the quasipolar flavor) through the swept target sets.  The test
     C(a) subset of C(p) then runs only at the candidates, the cells
     where the target holds and p is not central (else C(p) = R), on the
-    commutation rows packed once per ring, n*n/8 bytes kept.  Cost:
-    n*|Id| gathers plus |candidates|*n/8 byte operations.
+    packed rows of :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers
+    plus |candidates|*n/8 byte operations.
     """
 
     def compute():
@@ -205,12 +205,8 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
         grid = _target_mask(ring, flavor).take(ring.block("add", None, idl))
         if flavor == "quasipolar":
             grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
-        comm = analysis.comm_matrix(ring)
-        a, j = np.nonzero(grid & ~comm[idl].all(axis=1))
-        packed = analysis._cached(
-            ring, "packed_comm_matrix", lambda: analysis._frozen(np.packbits(comm, axis=1))
-        )
-        grid[a, j] = analysis.row_subset_pairs(packed, a, idl[j])
+        a, j = np.nonzero(grid & ~analysis.center_mask(ring)[idl])
+        grid[a, j] = analysis.row_subset_pairs(analysis.comm_matrix(ring), a, idl[j])
         return analysis._frozen(grid)
 
     return analysis._swept(ring, ("spectral_grid", flavor), compute)
@@ -302,12 +298,12 @@ def clean_sweep_flags(
     delta); ``commuting`` additionally requires ew = we, which for
     w = a - e is equivalent to ea = ae; ``unique`` asks for exactly one
     qualifying decomposition instead of at least one.  Cost: an
-    n x |Id| gather of the target at the residuals, and the commutation
-    matrix only for ``commuting``.
+    n x |Id| gather of the target at the residuals, and only for
+    ``commuting`` the relation's |Id| rows, unpacked and transposed.
     """
     good = _target_mask(ring, target).take(_residual_grid(ring))
     if commuting:
-        good &= analysis.comm_matrix(ring)[:, analysis.idempotent_indices(ring)]
+        good &= analysis.comm_rows(ring, analysis.idempotent_indices(ring)).T
     counts = good.sum(axis=1)
     return counts == 1 if unique else counts >= 1
 

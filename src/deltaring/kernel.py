@@ -590,12 +590,11 @@ def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None, cells: int 
 
 
 def _upper_tiles(n: int) -> list[tuple[slice, slice]]:
-    """Square tiles (rows, cols) of about ``_SWEEP_BLOCK_CELLS`` cells
-    that cover the diagonal of an n x n table and the part above it, row
-    band by row band: comparing a tile with its mirror below the
-    diagonal reads both from cache, where a band of rows against its
-    columns does not."""
-    side = math.isqrt(_SWEEP_BLOCK_CELLS)
+    """Square tiles (rows, cols) of about ``_SWEEP_BLOCK_CELLS`` cells, a
+    multiple of 8 wide so that ``analysis.comm_matrix`` packs whole bytes,
+    over the diagonal of an n x n table and above it, band by band: a tile
+    and its mirror both read from cache, where a band of rows does not."""
+    side = max(8, math.isqrt(_SWEEP_BLOCK_CELLS) // 8 * 8)
     return [
         (slice(lo, lo + side), slice(hi, hi + side))
         for lo in range(0, n, side)

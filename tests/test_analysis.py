@@ -1,7 +1,9 @@
+import ast
 import gc
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,65 @@ def test_jacobson_and_qnil_match_oracle(corpus):
         ring = entry.ring
         assert _indices(analysis.jacobson_radical(ring)) == oracles.jacobson_of(ring)
         assert _indices(analysis.qnil(ring)) == oracles.qnil_of(ring), entry.spec_text
+
+
+# -- the packed commutation relation -------------------------------------------------
+
+# sizes that are not a multiple of 8, so the last byte of each row is padded
+ODD_SIZE_SPECS = ("Z3", "Z5", "Z6", "Z9", "Z12", "H(1, 1, Z3)")
+
+
+def _relation_rings(corpus):
+    """Uncached copies of the corpus rings, the odd-sized rings, and one
+    single-entry corruption of each, where x*y moves off y*x."""
+    rings = [oracles.mutate_mul_entry(e.ring, 0, 0, e.ring.mul(0, 0)) for e in corpus]
+    rings += [build_ring(spec) for spec in ODD_SIZE_SPECS]
+    return rings + [oracles.mutate_mul_entry(r, 1, r.size - 1, (r.mul(1, r.size - 1) + 1) % r.size)
+                    for r in rings]
+
+
+@pytest.mark.parametrize("cells", [None, 40])
+def test_the_packed_relation_matches_its_definition(monkeypatch, corpus, cells):
+    # at 40 cells the tiles are 8 wide, so rings of 9 or more elements
+    # pack their rows from several tiles and mirrors
+    if cells is not None:
+        monkeypatch.setattr(kernel, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(kernel, "_SWEEP_BLOCK_CELLS", cells)
+    for ring in _relation_rings(corpus):
+        tables, n = oracles.read_tables(ring), ring.size
+        every = range(n)
+        want = np.array([[tables.mul(x, y) == tables.mul(y, x) for y in every] for x in every])
+        packed = analysis.comm_matrix(ring)
+        assert packed.dtype == np.uint8 and packed.shape == (n, -(-n // 8)), ring.spell()
+        assert np.array_equal(packed, np.packbits(want, axis=1)), ring.spell()
+        assert _indices(analysis.center(ring)) == oracles.center_of(tables), ring.spell()
+        assert set(np.flatnonzero(analysis.qnil_sweep_mask(ring))) == oracles.qnil_of(tables)
+        for a in every if n <= 16 else (0, 1, n // 3, n // 2, n - 1):
+            assert _indices(analysis.comm2(ring, a)) == oracles.comm2_of(tables, a), (ring, a)
+
+
+def test_the_packed_relation_keeps_an_eighth_at_the_cap():
+    ring = build_ring("M(2, Z8)").fill()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        packed = analysis.comm_matrix(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed.nbytes == 4096 * 512
+    assert peak / ring.size**2 < 0.15
+
+
+def test_only_analysis_reads_the_bit_format():
+    # the packed relation's layout is known to analysis alone
+    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+        if path.name == "analysis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            names = [name] + [alias.name for alias in getattr(node, "names", ())]
+            assert not {"packbits", "unpackbits"} & set(names), path.name
 
 
 def test_radical_of_zn_is_generated_by_squarefree_kernel(corpus_rings):
@@ -230,10 +291,10 @@ def test_sweep_peaks_stay_within_the_docstring_figures(name):
 
 @pytest.mark.parametrize("spec", ["Z4096", "M(2, Z8)"])
 def test_one_commutant_fills_no_table(spec):
-    # row a and column a of the multiplication table, not the matrix
+    # row a and column a of the multiplication table, not the relation
     ring, filled = build_ring(spec), build_ring(spec).fill()
-    matrix = analysis.comm_matrix(filled)
+    relation = np.unpackbits(analysis.comm_matrix(filled), axis=1, count=ring.size).view(bool)
     for a in (0, 5, ring.size - 1):
-        assert np.array_equal(analysis.comm(ring, a).bool_array(), matrix[a]), (spec, a)
+        assert np.array_equal(analysis.comm(ring, a).bool_array(), relation[a]), (spec, a)
     assert all(getattr(ring, name) is None for name in ("add_table", "mul_table", "neg_table"))
     assert "comm_matrix" not in ring._cache

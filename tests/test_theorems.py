@@ -276,8 +276,8 @@ def test_constructions_carry_the_mark_from_their_inputs(f4):
 
 # -- verbs that answer from theorems fill no sweep --------------------------------------
 
-SWEEP_KEYS = ("comm_matrix", "packed_comm_matrix", "delta_sweep_mask", "qnil_sweep_mask",
-              "jacobson_sweep_mask", "nilpotent_sweep_mask")
+SWEEP_KEYS = ("comm_matrix", "delta_sweep_mask", "qnil_sweep_mask", "jacobson_sweep_mask",
+              "nilpotent_sweep_mask")
 F4 = Path(deltaring.__file__).parent / "data" / "f4.json"
 
 
