@@ -513,7 +513,7 @@ def classification_report(ring: FiniteRing, strict_commuting: bool = False) -> C
             elements = list(witness) if isinstance(witness, tuple) else [witness]
             report.witnesses[name] = {
                 "elements": [int(x) for x in elements],
-                "names": [ring.element_name(int(x)) for x in elements],
+                "names": ring.names_of(elements),
                 "reason": _WITNESS_REASONS[name],
             }
     report.sizes = {

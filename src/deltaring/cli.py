@@ -128,6 +128,100 @@ def _ring_for_answers(spec_text: str) -> FiniteRing:
     return ring
 
 
+# -- JSON output -----------------------------------------------------------------
+# With ``indent``, ``json.dumps`` runs json's pure-Python encoder.  The
+# writer lays out the same text itself and encodes the values with
+# json's C encoder, many values to a call.  It makes the C encoder once
+# per separator: ``JSONEncoder.encode`` would make one per call, which
+# costs more than encoding a small value.
+
+
+@functools.cache
+def _encoder(separator: str):
+    """value -> its JSON text, as ``json.dumps`` writes it without
+    ``indent``, with ``separator`` between items and ": " after keys."""
+    plain = json.JSONEncoder(separators=(separator, ": "))
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without json's C accelerator
+        return plain.encode
+    encode = make(None, plain.default, json.encoder.encode_basestring_ascii, None,
+                  ": ", separator, False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _key(key) -> str:
+    """A dict key's JSON text, converted as json converts it (1, 1.0,
+    True and None are keys too), read off a one-item dict."""
+    return _encoder(",")({key: 0})[1:-4]
+
+
+def _flat(values) -> bool:
+    """True when no value is a list, tuple or dict."""
+    return not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, values)))
+
+
+def _dumps(value, nl: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, for every value it
+    accepts, laid out at the depth whose line break and indent is ``nl``.
+
+    A scalar is one encoder call, and so is a list or dict of scalars:
+    its item separator is "," and the next depth's line break, and the
+    line breaks after the opening bracket and before the closing one are
+    added.  A list's items go through :func:`_list_items`; anything else
+    recurses.
+    """
+    if isinstance(value, dict):
+        brackets, values = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, values = "[]", value
+    else:
+        return _encoder(",")(value)
+    if not value:
+        return brackets
+    inner = nl + "  "
+    if _flat(values):
+        body = _encoder("," + inner)(value)[1:-1]
+    elif brackets == "{}":
+        body = ("," + inner).join(f"{_key(k)}: {_dumps(v, inner)}" for k, v in value.items())
+    else:
+        body = ("," + inner).join(_list_items(value, inner))
+    return brackets[0] + inner + body + nl + brackets[1]
+
+
+def _list_items(items, nl: str) -> list[str]:
+    """The text of each item of a list, at the depth of ``nl``.
+
+    The non-empty dicts are grouped by key tuple.  A group whose keys
+    are strings and whose values are all scalars (``--describe``'s rows,
+    ``verify``'s results) is encoded by columns, one call per key with a
+    line break between values: with ``ensure_ascii`` no encoded scalar
+    holds a raw line break, so splitting on it recovers each value.  Each
+    row is then one template filled in.  Other items go through
+    :func:`_dumps`.
+    """
+    texts = [None] * len(items)
+    rows: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        if isinstance(item, dict) and item:
+            rows.setdefault(tuple(item), []).append(i)
+        else:
+            texts[i] = _dumps(item, nl)
+    inner = nl + "  "
+    for keys, at in rows.items():
+        columns = [[items[i][k] for i in at] for k in keys]
+        # 1, 1.0 and True are one key of a tuple, but not one JSON key
+        if not (all(isinstance(k, str) for k in keys) and all(map(_flat, columns))):
+            for i in at:
+                texts[i] = _dumps(items[i], nl)
+            continue
+        fields = ",".join(inner + _key(k).replace("%", "%%") + ": %s" for k in keys)
+        template = "{" + fields + nl + "}"
+        cells = [_encoder("\n")(column)[1:-1].split("\n") for column in columns]
+        for i, row in zip(at, zip(*cells)):
+            texts[i] = template % row
+    return texts
+
+
 def _print(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -136,7 +230,7 @@ def _print(text: str) -> None:
 
 def _emit(obj: dict, fmt: str, renderer) -> None:
     if fmt == "json":
-        _print(json.dumps(obj, indent=2))
+        _print(_dumps(obj))
     else:
         _print(renderer(obj))
 
@@ -146,7 +240,7 @@ def _set_view(ring: FiniteRing, elements) -> dict:
     return {
         "size": len(indices),
         "indices": indices,
-        "names": [ring.element_name(x) for x in indices],
+        "names": ring.names_of(indices),
     }
 
 
@@ -240,10 +334,10 @@ def _cmd_describe(spec_text: str) -> int:
         "zero": ring.zero,
         "one": ring.one,
         "elements": [
-            {"index": x, "name": ring.element_name(x)} for x in ring.elements()
+            {"index": x, "name": name} for x, name in enumerate(ring.names_of(ring.elements()))
         ],
     }
-    _print(json.dumps(obj, indent=2))
+    _print(_dumps(obj))
     return 0
 
 
@@ -280,7 +374,7 @@ def _cmd_spectral(args) -> int:
         "ring": ring.spell(),
         "size": ring.size,
         "element": args.element,
-        "name": ring.element_name(args.element),
+        "name": ring.names_of([args.element])[0],
         "flavor": args.flavor,
         "spectral_idempotents": _set_view(ring, idempotents.indices()),
         "element_quasipolar": bool(idempotents),
@@ -316,7 +410,7 @@ def _cmd_verify(args) -> int:
         strict_commuting=args.strict_commuting,
     )
     if args.format == "json":
-        _print(json.dumps(report.to_dict(timing=args.timing), indent=2))
+        _print(_dumps(report.to_dict(timing=args.timing)))
     else:
         _print(report.to_markdown(timing=args.timing))
     return 1 if report.summary()["fail"] > 0 else 0

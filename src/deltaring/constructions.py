@@ -2,7 +2,12 @@
 
 Each constructor checks the element count against the kernel's cap,
 attaches a ``Provenance`` record describing how the ring was built,
-and assigns each element a structural display name.
+and gives each element a structural display name.  Names are built
+when first read: a builder hands ``FiniteRing`` a recipe that names the
+elements of an index array from its inputs' names at the indices they
+take, so naming a few elements (``FiniteRing.names_of``) names a few of
+its inputs', and the whole list is built only when ``element_names``
+is read.
 There is one record for every construction: its ``kind`` names the
 builder, its ``spelling`` is the canonical spec that ``spell()``
 returns, and it keeps only the parts that checks and decoding helpers
@@ -236,8 +241,9 @@ def zn(n: int) -> FiniteRing:
     exact while (n-1)^2 < 2^32, that is up to the hard cap of 65536;
     an elementwise read is the same sum or product of its two indices.
     Tracemalloc peak: 5 bytes per n^2 to fill the tables; a block
-    costs 2 bytes per cell of the block, and one row block.  Certified:
-    the integers modulo n are a ring.
+    costs 2 bytes per cell of the block, and one row block.  Its names
+    are the indices, built when first read.  Certified: the integers
+    modulo n are a ring.
     """
     spelled = spelling("Z", n)
     if n < 2:
@@ -273,7 +279,7 @@ def zn(n: int) -> FiniteRing:
         zero=0,
         one=1,
         provenance=Provenance("zn", spelled),
-        element_names=[str(i) for i in range(n)],
+        element_names=lambda at: [str(x) for x in at.tolist()],
         arithmetic=arithmetic,
         pointwise=pointwise,
     )
@@ -330,11 +336,21 @@ def table_ring(source, label: str | None = None) -> FiniteRing:
     return ring
 
 
-def _pair_names(first, second) -> list[str]:
-    """The name "(a, b)" of every pair, indexed first * |second| + second."""
-    names = [second.element_name(w) for w in range(second.size)]
-    firsts = [first.element_name(r) for r in range(first.size)]
-    return [f"({r}, {w})" for r in firsts for w in names]
+def _names_at(ring, at: np.ndarray) -> np.ndarray:
+    """The names of the elements ``at``, repeats included, as an object
+    array; each distinct element is named once, by ``names_of``."""
+    used, keys = _occurring(at, ring.size)
+    return np.array(ring.names_of(used), dtype=object)[keys]
+
+
+def _pair_names(first, second):
+    """The name recipe of pairs: "(a, b)" at index a * |second| + b."""
+
+    def names(at):
+        a, b = np.divmod(at, second.size)
+        return [f"({x}, {y})" for x, y in zip(_names_at(first, a), _names_at(second, b))]
+
+    return names
 
 
 def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
@@ -345,7 +361,8 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
     its rows' coordinates, from the components' blocks at the
     coordinates that occur; an elementwise read is the components'
     elementwise reads.  Tracemalloc peak: 5 bytes per n^2 to fill the
-    tables; a block costs 2 bytes per cell, plus those blocks.
+    tables; a block costs 2 bytes per cell, plus those blocks.  Its
+    names "(a, b)" are built when first read, from the factors' names.
     Certified when both factors are: a product of rings, with the
     operations componentwise, is a ring.
     """
@@ -370,7 +387,6 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         (xl, xr), (yl, yr) = np.divmod(x, sn), np.divmod(y, sn)
         return left.apply(op, xl, yl) * TABLE_DTYPE(sn) + right.apply(op, xr, yr)
 
-    names = _pair_names(left, right)
     ring = FiniteRing(
         n,
         None,
@@ -378,7 +394,7 @@ def product(left: FiniteRing, right: FiniteRing) -> FiniteRing:
         zero=left.zero * sn + right.zero,
         one=left.one * sn + right.one,
         provenance=Provenance("product", spelled, left=left, right=right),
-        element_names=names,
+        element_names=_pair_names(left, right),
         arithmetic=arithmetic,
         pointwise=pointwise,
     )
@@ -435,7 +451,8 @@ def _grid_ring(
 ) -> FiniteRing:
     """The ring of the matrices ``grid[x]``, indexed by their entries at
     ``positions`` (most significant first), with the matrix sum and
-    product, its tables unfilled.
+    product, its tables unfilled.  Its names, the grids written with the
+    base's names, are built when first read.
 
     Both tables are sums of row gathers, one term per stored position.
     The sum is componentwise.  Product entry (i, j) of xy sums
@@ -523,9 +540,11 @@ def _grid_ring(
         for (i, j), pv in zip(positions, place_values)
     )
     fmt = "[" + ",".join(["[" + ",".join(["{}"] * k) + "]"] * k) + "]"
-    base_names = np.array([base.element_name(v) for v in range(base.size)], dtype=object)
-    columns = base_names[grid.reshape(n, k * k)].T.tolist()
-    names = [fmt.format(*cells) for cells in zip(*columns)]
+
+    def names(at):
+        cells = _names_at(base, grid[at].reshape(-1)).reshape(len(at), k * k)
+        return [fmt.format(*row) for row in cells.tolist()]
+
     grid.flags.writeable = False
     return FiniteRing(
         n,
@@ -685,7 +704,7 @@ class NonUnitalRing:
 
     __slots__ = ("size", "add_table", "mul_table", "zero", "names")
 
-    def __init__(self, size: int, add, mul, zero: int, names: list[str] | None = None):
+    def __init__(self, size: int, add, mul, zero: int, names=None):
         if not _is_int(size) or size < 1:
             raise MalformedTableError("V must have at least one element")
         self.add_table = _as_table("V add", add, (size, size), size)
@@ -694,14 +713,17 @@ class NonUnitalRing:
             raise MalformedTableError(f"V zero index {zero!r} out of range")
         self.size = size
         self.zero = zero
-        if names is not None and len(names) != size:
+        if names is not None and not callable(names) and len(names) != size:
             raise MalformedTableError("V names length does not match size")
         self.names = names
 
-    def element_name(self, v: int) -> str:
-        if self.names is None:
-            return str(v)
-        return self.names[v]
+    def names_of(self, at) -> list[str]:
+        """The names of the elements ``at``, from ``names``: a list, a
+        recipe as for ``FiniteRing``, or None to name each by its index."""
+        at = np.asarray(at, dtype=np.intp)
+        if callable(self.names):
+            return self.names(at)
+        return [str(v) if self.names is None else self.names[v] for v in at.tolist()]
 
 
 @dataclass(eq=False)
@@ -800,8 +822,7 @@ def validate_bimodule_action(base: FiniteRing, action: BimoduleRingAction) -> li
 def self_action(base: FiniteRing) -> BimoduleRingAction:
     """V is the base ring itself (identity forgotten), acting by ring product."""
     mul = base.block("mul")
-    names = [base.element_name(i) for i in range(base.size)]
-    v = NonUnitalRing(base.size, base.block("add"), mul, base.zero, names=names)
+    v = NonUnitalRing(base.size, base.block("add"), mul, base.zero, names=base.names_of)
     return BimoduleRingAction(v=v, left=mul, right=mul)
 
 
@@ -822,7 +843,7 @@ def ideal_action(base: FiniteRing, generators) -> BimoduleRingAction:
         _relabelled(base, "add", members, members, lookup),
         _relabelled(base, "mul", members, members, lookup),
         int(lookup[base.zero]),
-        names=[base.element_name(int(m)) for m in members],
+        names=lambda at: base.names_of(members[at]),
     )
     left = _relabelled(base, "mul", None, members, lookup)
     right = _relabelled(base, "mul", members, None, lookup)
@@ -846,6 +867,7 @@ def dorroh(base: FiniteRing, action: BimoduleRingAction, v_spell: str = "custom"
     at its two pairs.
     Tracemalloc peak: 5.5 bytes per n^2 for the tables, and one block of
     the action laws for the validation (:func:`validate_bimodule_action`).
+    Its names "(r, v)" are built when first read, from the base's and V's.
     Certified when the base is: the Dorroh extension of a ring by a ring
     V under a bimodule action that satisfies those laws, all checked
     here, is a ring with identity (1, 0).
@@ -930,7 +952,8 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
     an uncertified base, one row block.  Tracemalloc peak: 6 bytes
     per n^2 to fill the tables of a corner of n elements from an
     unfilled base (5.7 measured at 1024): the two tables, one block of
-    the base and its relabelled copy.  Certified when the base is: for
+    the base and its relabelled copy.  Its names are its members' names
+    in the base, built when first read.  Certified when the base is: for
     an idempotent e of a ring, eRe is a ring with identity e.
     """
     base._check_index(e)
@@ -951,7 +974,7 @@ def corner(base: FiniteRing, e: Element) -> FiniteRing:
         zero=int(lookup[base.zero]),
         one=int(lookup[e]),
         provenance=Provenance("corner", spelling("corner", base.spell(), e), members=members),
-        element_names=[base.element_name(int(m)) for m in members],
+        element_names=lambda at: base.names_of(members[at]),
     )
     return _certify(ring, base)
 
@@ -1003,8 +1026,9 @@ def quotient(base: FiniteRing, ideal: ElementSet) -> FiniteRing:
     coset table, about 3 MB, and vectors the length of the base.
     Tracemalloc peak: 6 bytes per n^2 to fill the tables of a quotient
     of n elements from an unfilled base, as for :func:`corner` (5.7
-    measured at 1024).  Certified when the base is: the quotient of a
-    ring by a two-sided ideal is a ring.
+    measured at 1024).  Its names "[r]", for each coset's representative
+    r, are built when first read.  Certified when the base is: the
+    quotient of a ring by a two-sided ideal is a ring.
     """
     if ideal.ring is not base:
         raise ConstructionError("ideal belongs to a different ring")
@@ -1047,7 +1071,7 @@ def _quotient(base: FiniteRing, ideal: ElementSet, generators) -> FiniteRing:
         zero=int(coset_of[base.zero]),
         one=int(coset_of[base.one]),
         provenance=Provenance("quotient", spelled, coset_of=coset_of),
-        element_names=[f"[{base.element_name(int(r))}]" for r in representatives],
+        element_names=lambda at: [f"[{x}]" for x in base.names_of(representatives[at])],
     )
     return _certify(ring, base)
 

@@ -161,7 +161,7 @@ def _witness(ring: FiniteRing, elements, detail: str) -> dict:
     elements = [int(x) for x in elements]
     return {
         "elements": elements,
-        "names": [ring.element_name(x) for x in elements],
+        "names": ring.names_of(elements),
         "detail": detail,
     }
 
@@ -651,7 +651,7 @@ def _c28_corners(ring: FiniteRing, ctx: SuiteContext):
         if not ok:
             corner_witness = {
                 "elements": [int(e), int(witness)],
-                "names": [ring.element_name(int(e)), sub.element_name(int(witness))],
+                "names": ring.names_of([e]) + sub.names_of([witness]),
                 "detail": f"corner at idempotent {e} is not delta-quasipolar",
             }
             return FAIL, corner_witness, None

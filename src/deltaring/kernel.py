@@ -161,8 +161,9 @@ class FiniteRing:
         "mul_table",
         "neg_table",
         "provenance",
-        "element_names",
         "certified",
+        "_names",
+        "_name_recipe",
         "_minus_one",
         "_arithmetic",
         "_pointwise",
@@ -177,7 +178,7 @@ class FiniteRing:
         zero: int,
         one: int,
         provenance=None,
-        element_names: list[str] | None = None,
+        element_names=None,
         arithmetic=None,
         pointwise=None,
     ):
@@ -208,9 +209,13 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.provenance = provenance
-        if element_names is not None and len(element_names) != size:
+        self._names = self._name_recipe = None
+        if callable(element_names):
+            self._name_recipe = element_names
+        elif element_names is not None and len(element_names) != size:
             raise MalformedTableError("element_names length does not match ring size")
-        self.element_names = element_names
+        else:
+            self._names = element_names
         self._cache: dict = {}
 
     # -- tables and blocks --------------------------------------------------
@@ -366,11 +371,31 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.size)
 
+    @property
+    def element_names(self) -> list[str] | None:
+        """Every element's name, by index, or None when elements are named
+        by their index.  A builder gives a list or a recipe, a function
+        from an index array to those elements' names; a recipe builds the
+        list the first time this is read, and the list is kept."""
+        if self._names is None and self._name_recipe is not None:
+            self._names = self._name_recipe(np.arange(self.size))
+        return self._names
+
     def element_name(self, x: Element) -> str:
         self._check_index(x)
-        if self.element_names is None:
-            return str(x)
-        return self.element_names[x]
+        names = self.element_names
+        return str(x) if names is None else names[x]
+
+    def names_of(self, xs) -> list[str]:
+        """The names of the elements xs, in order: read from the list once
+        it is built, else from the recipe at xs alone, so that naming a
+        few elements builds no list."""
+        at = np.asarray(xs, dtype=np.intp)
+        if self._names is not None:
+            return [self._names[x] for x in at.tolist()]
+        if self._name_recipe is None:
+            return [str(x) for x in at.tolist()]
+        return self._name_recipe(at) if len(at) else []
 
     def spell(self) -> str:
         if self.provenance is not None:
@@ -503,7 +528,7 @@ class AxiomViolation:
     witness: tuple[int, ...]
 
     def describe(self, ring: FiniteRing) -> str:
-        names = ", ".join(ring.element_name(i) for i in self.witness)
+        names = ", ".join(ring.names_of(self.witness))
         return f"{self.axiom} at ({names})"
 
 

@@ -1,9 +1,11 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -439,6 +441,140 @@ def test_missing_verb_is_usage_error(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2
     assert err.startswith("error: usage:")
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+_awkward_text = st.text(
+    st.sampled_from('"\\\n\r\t\x00\x1f\x7f%s é€😀\u2028\ud800\udfff')
+    | st.characters(exclude_categories=()),
+    max_size=6,
+)
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _awkward_text
+)
+_json_keys = _awkward_text | st.integers() | st.floats() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_json_keys, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+_rows = st.lists(
+    st.fixed_dictionaries({"index": st.integers(), "name": _awkward_text})
+    | st.fixed_dictionaries({"name": _awkward_text, "index": st.integers()}),
+    max_size=6,
+)
+_mixed_rows = st.lists(
+    st.dictionaries(_awkward_text, _json_scalars, max_size=3)
+    | st.dictionaries(_awkward_text, _json_values, max_size=3),
+    max_size=6,
+)
+
+
+@given(value=_json_values | _rows | _mixed_rows)
+@example(value=[])
+@example(value={})
+@example(value=[[], {}])
+@example(value={"a": [], "b": {}})
+@example(value=[[[]], {"b": [{}], "c": {"d": {}}}])
+@example(value=[{"index": 0, "name": "0"}, {"name": "1", "index": 1}, {"index": 2, "name": "2"}])
+@example(value=[{"a": 1}, {"a": [1]}, {"a": {}}, {}, 3, {"a": "x"}])
+@example(value=[{1: "a"}, {True: "b"}, {1.0: "c"}, {None: 0}])
+@example(value=[{"%s": "%d", "a%": 1}, {"%s": "%%", "a%": 2}])
+@example(value={"nan": float("nan"), "inf": [float("inf"), float("-inf")], "t": (1, (2,))})
+def test_the_writer_emits_exactly_what_json_dumps_with_indent_emits(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_the_writer_emits_the_same_text_without_the_c_encoder(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    cli._encoder.cache_clear()
+    try:
+        for value in (
+            [{"index": 0, "name": "a"}, {"index": 1, "name": "\u00e9"}],
+            {"a": [1, 2.5, None], "b": {"c": True}, "d": [], "e": [[{}]]},
+            "x\n",
+        ):
+            assert cli._dumps(value) == json.dumps(value, indent=2)
+    finally:
+        cli._encoder.cache_clear()
+
+
+def _ringbench_module(name, monkeypatch):
+    """A module of the benchmark, loaded from its source file without
+    writing bytecode next to it."""
+    path = Path(__file__).resolve().parent.parent / "ringbench" / f"{name}.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_ringbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_call_prints_its_reference_bytes(tmp_path, monkeypatch):
+    common = _ringbench_module("common", monkeypatch)
+    workloads = _ringbench_module("workloads", monkeypatch)
+    workloads.write_manifests(tmp_path)
+    for workload in workloads.WORKLOADS:
+        refs = common.load_refs(workload)
+        calls = {
+            call.key: call
+            for seed in (1, 2, 3)
+            for call in workloads.job_calls(workload, seed, tmp_path)
+        }
+        for key, call in calls.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(call.argv))
+            assert common.diff_output(key, refs.get(key), code, out.getvalue()) is None
+
+
+# -- element names are built when first read ---------------------------------------
+
+
+def _name_list_reads(monkeypatch) -> list[str]:
+    """The spelling of each ring whose whole name list is read from now on."""
+    reads = []
+    names = kernel.FiniteRing.element_names
+    spy = property(lambda ring: reads.append(ring.spell()) or names.fget(ring))
+    monkeypatch.setattr(kernel.FiniteRing, "element_names", spy)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "spec", ["T(2, Z8)", "H(1, 1, Z8)", "Z1024", "prod(M(2, Z2), T(2, Z4))"]
+)
+def test_answers_about_a_few_elements_build_no_name_list(spec, capsys, monkeypatch):
+    reads = _name_list_reads(monkeypatch)
+    named = {}
+    for element, flavor in ((5, "delta"), (6, "quasipolar")):
+        code, data = run_json(capsys, "spectral", spec, "--element", str(element), "--flavor", flavor)
+        assert code == 0
+        named[element] = data["name"]
+        found = data["spectral_idempotents"]
+        named.update(zip(found["indices"], found["names"]))
+    assert run_json(capsys, "validate", spec)[0] == 0
+    assert reads == []
+    # the names read one by one are the names of the whole list
+    elements = run_json(capsys, "--describe", spec)[1]["elements"]
+    assert named == {x: elements[x]["name"] for x in named}
+
+
+@pytest.mark.parametrize("spec", ["T(2, Z8)", "H(1, 1, Z8)", "prod(T(2, Z2), Z4)"])
+def test_corners_that_pass_build_no_name_list(spec, capsys, monkeypatch, tmp_path):
+    reads = _name_list_reads(monkeypatch)
+    manifest = tmp_path / "ring.txt"
+    manifest.write_text(spec + "\n")
+    code, data = run_json(capsys, "verify", "--manifest", str(manifest), "--check", "C28")
+    assert code == 0
+    [result] = data["results"]
+    assert result["verdict"] == "PASS" and result["note"].endswith("corners checked")
+    assert reads == []
 
 
 # -- end-to-end through the console entry point ------------------------------------
