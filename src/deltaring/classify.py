@@ -46,6 +46,8 @@ _SWEEP_TARGETS = {
     "quasipolar": analysis.unit_mask,
 }
 FLAVORS = tuple(_SWEEP_TARGETS)
+# the flavors whose grid spectral_grid may take from the other's
+_RADICAL_TWIN = {"delta": "jacobson", "jacobson": "delta"}
 # the flavors a certified ring answers by theorem; "unit" is swept
 _THEOREM_FLAVORS = ("delta", "jacobson", "quasipolar")
 
@@ -198,11 +200,21 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     where the target holds and p is not central (else C(p) = R), on the
     packed rows of :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers
     plus |candidates|*n/8 byte operations.
+
+    The delta and jacobson grids are the same function of their target
+    masks, so the second of them to be asked for is the first one's
+    grid when ``np.array_equal`` finds the two masks equal, as on every
+    ring; a table whose masks differ pays both sweeps.
     """
 
     def compute():
+        target = _target_mask(ring, flavor)
+        other = _RADICAL_TWIN.get(flavor)
+        twin = None if other is None else ring._cache.get(("spectral_grid", other))
+        if twin is not None and np.array_equal(target, _target_mask(ring, other)):
+            return twin
         idl = analysis.idempotent_indices(ring)
-        grid = _target_mask(ring, flavor).take(ring.block("add", None, idl))
+        grid = target.take(ring.block("add", None, idl))
         if flavor == "quasipolar":
             grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
         a, j = np.nonzero(grid & ~analysis.center_mask(ring)[idl])

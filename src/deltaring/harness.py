@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, classify, constructions, ringspec
+from . import analysis, classify, constructions, kernel, ringspec
 from .kernel import FiniteRing, RingError, row_block_reads, validation_report
 
 PASS = "PASS"
@@ -469,13 +469,14 @@ def _c16_matrix_qnil_gap(ring: FiniteRing, ctx: SuiteContext):
 @check("C17", "delta-quasipolarity of elements survives conjugation by units")
 def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     """Conjugates u^-1 * x * u for a block of units at a time: the rows
-    u^-1 * x, then one flat gather of (u^-1 * x) * u.  The witness is the
-    first element that the first offending unit moves out of the flagged
-    set, then that unit."""
+    u^-1 * x, then one flat gather of (u^-1 * x) * u, whose intp index
+    sizes the blocks at ``kernel._SWEEP_BLOCK_CELLS`` cells.  The witness
+    is the first element that the first offending unit moves out of the
+    flagged set, then that unit."""
     flags = classify.element_flags(ring, "delta")
     inv = ring.inverse_table()
     ul = analysis.unit_indices(ring)
-    for start, left in row_block_reads(ring, "mul", inv[ul]):
+    for start, left in row_block_reads(ring, "mul", inv[ul], cells=kernel._SWEEP_BLOCK_CELLS):
         units = ul[start : start + len(left)]
         bad = flags & ~flags.take(ring.apply("mul", left, units[:, None]))
         if bad.any():

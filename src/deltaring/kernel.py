@@ -261,7 +261,9 @@ class FiniteRing:
         """``table[x, y]`` elementwise over index arrays that broadcast
         together: one flat ``np.take`` of a filled table, or one index
         when x and y are Python ints, and the builder's ``pointwise``
-        form on an unfilled one, which stays unfilled."""
+        form on an unfilled one, which stays unfilled.  The flat index
+        is one intp temporary, added to in place, unless x is smaller
+        than the broadcast shape."""
         if op not in ("add", "mul"):
             raise ValueError(f"op must be 'add' or 'mul', got {op!r}")
         table = getattr(self, f"{op}_table")
@@ -269,7 +271,12 @@ class FiniteRing:
             return self._pointwise(op, x, y)
         if type(x) is int and type(y) is int:  # a scalar op: 5x faster than take
             return table[x, y]
-        return table.ravel().take(np.multiply(x, self.size, dtype=np.intp) + y)
+        index = np.multiply(x, self.size, dtype=np.intp)
+        try:
+            index += y
+        except ValueError:  # an x smaller than the broadcast shape
+            index = index + y
+        return table.ravel().take(index)
 
     def neg_rows(self, rows=None) -> np.ndarray:
         """``neg_table[rows]`` (every row when None), read from the table
@@ -536,9 +543,11 @@ class AxiomViolation:
 class ValidationReport:
     """Outcome of a ring-axiom scan.
 
-    Pair-quantified axioms are checked on every pair, triple-quantified
-    ones by the prover or, on a failing table of at most 256 elements,
-    by the n^3 scan of those the prover did not prove.  One witness is
+    Pair-quantified axioms are decided on every pair (additive
+    commutativity by the prover's proof on a table that passes it),
+    triple-quantified ones by the prover or, on a failing table of at
+    most 256 elements, by the n^3 scan of those the prover did not
+    prove.  One witness is
     reported per violated axiom, but above 256 elements a failing table
     gets only the witness of the prover's gate that fails, and
     ``not_checked`` (written only when non-empty) lists the triple
@@ -583,26 +592,29 @@ FULL_SCAN_LIMIT = 256
 VALIDATION_SEED = 0x5EED
 
 # The two cell budgets of every blocked pass in the package, read when a
-# pass runs.  Row blocks that gather through index copies (the analysis
-# sweeps, row_block_reads, the prover, the pair-axiom inverse pass, the
-# n^3 scan's x-chunks, C17): np.take turns uint16 indices into an intp
-# copy, 9-13 bytes per cell in all, so 2^18 cells keep a pass near 3 MB;
-# 2^20 raised the peak RSS of small workloads, 2^16 made the analysis
-# sweeps 1.8x slower.
+# pass runs.  This one: row blocks that gather through index copies and
+# pay per numpy call (the analysis sweeps, row_block_reads by default,
+# the pair-axiom inverse pass, the n^3 scan's x-chunks): np.take turns
+# uint16 indices into an intp copy, 9-13 bytes per cell in all, so 2^18
+# cells keep a pass near 3 MB; 2^20 raised the peak RSS of small
+# workloads, 2^16 made the analysis sweeps 1.8x slower.
 _BLOCK_CELLS = 1 << 18
 # Square tiles of both commutativity walks, the builders' fills and the
 # negation and inverse scans, which hold no intp copy: 128 KB of uint16
 # stays in cache.  At 2^18 the tiles ran 2-3x slower, and the Zn and
-# Dorroh fills broke their stated peaks at 1024 elements.
+# Dorroh fills broke their stated peaks at 1024 elements.  The prover's
+# passes and C17 read it as well, although they hold an intp index: a
+# block of theirs is then 0.75 MB, where at _BLOCK_CELLS it was 3 MB and
+# set the peak of a verify at 1024 elements, and they ran no slower.
 _SWEEP_BLOCK_CELLS = 1 << 16
 
 
 def _row_blocks(count: int, width: int, cells: int | None = None) -> list[slice]:
     """Slices of ``range(count)`` whose rows of ``width`` cells hold about
     ``cells`` cells, ``_BLOCK_CELLS`` when None; an empty row counts as
-    one cell."""
+    one cell, and the last slice stops at ``count``."""
     step = max(1, (_BLOCK_CELLS if cells is None else cells) // max(width, 1))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None, cells: int | None = None):
@@ -648,13 +660,15 @@ _TRIPLE_AXIOMS = (
 
 def _additive_tree(add: np.ndarray, zero: int):
     """The enumeration of :func:`_prove_triple_axioms`: the picks, and
-    (orders, relations, parent, pick), or None in their place when the
-    walk breaks down (two layers meet, or an orbit closes outside
-    H_{j-1}), the picks then ending with the one whose stage broke down.
+    (orders, relations, order), or None in their place when the walk
+    breaks down (two layers meet, or an orbit closes outside H_{j-1}),
+    the picks then ending with the one whose stage broke down.
 
     ``picks[j]`` is g_j, ``orders[j]`` m_j and ``relations[j]`` r_j.
-    ``parent`` and ``pick`` hold p(y) and j(y) for every element y, so
-    that y = g_j(y) + p(y); zero is its own parent, with pick k.  The
+    ``order`` lists the elements as the walk reaches them, zero first.
+    With b_0 = 1 and b_{j+1} = m_j b_j, stage j's elements fill the
+    positions [b_j, b_{j+1}), g_j sits at b_j, and the parent p(y) of
+    the element y at position q sits at q - b_j, so y = g_j + p(y).  The
     walk is O(n) list steps plus one row per pick, and it ends after at
     most n layers even on a table that is not a group.
     """
@@ -662,8 +676,6 @@ def _additive_tree(add: np.ndarray, zero: int):
     index = [-1] * n  # position in the enumeration, -1 while unreached
     index[zero] = 0
     order = [zero]
-    parent = [zero] * n
-    pick = [-1] * n
     picks, orders, relations = [], [], []
     while len(order) < n:
         g = index.index(-1)
@@ -679,21 +691,13 @@ def _additive_tree(add: np.ndarray, zero: int):
                     return np.array(picks, dtype=np.intp), None
                 index[y] = len(order)
                 order.append(y)
-                parent[y] = p
-                pick[y] = len(picks) - 1
             layer, m = order[-base:], m + 1
         relation = row[layer[0]]
         if index[relation] >= base:  # the orbit closed outside H_{j-1}
             return np.array(picks, dtype=np.intp), None
         orders.append(m)
         relations.append(relation)
-    pick[zero] = len(picks)
-    return np.array(picks, dtype=np.intp), (
-        orders,
-        relations,
-        np.array(parent, dtype=np.intp),
-        np.array(pick, dtype=np.intp),
-    )
+    return np.array(picks, dtype=np.intp), (orders, relations, np.array(order, dtype=np.intp))
 
 
 def _multiple(add: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
@@ -712,20 +716,20 @@ def _prove_triple_axioms(
 ) -> tuple[AxiomViolation, tuple[str, ...]] | None:
     """Decide the four triple-quantified axioms with two n^2 passes,
     whatever the number k of additive generators: None for a proof,
-    else a violated triple and the triple axioms left undecided.
+    else a violated axiom's witness and the triple axioms left undecided.
 
-    None proves both associativities and both distributive laws on
-    every triple of a table that satisfies the additive pair axioms
-    (commutative +, two-sided zero, additive inverses); every ring gets
-    None.  No step uses a multiplicative identity, so a ring without
-    one, such as the V of a Dorroh extension, is judged the same way.
+    None proves additive commutativity, both associativities and both
+    distributive laws on every triple of a table with a two-sided zero
+    and additive inverses; every ring gets None.  No step uses a
+    multiplicative identity, so a ring without one, such as the V of a
+    Dorroh extension, is judged the same way.
 
     Enumeration (:func:`_additive_tree`).  H_0 = {0}.  Stage j picks
     g_j, the lowest element outside H_{j-1}.  Layer 0 is H_{j-1}, and
     layer c is g_j + (layer c-1), elementwise, until the image of 0
     (the orbit point c g_j) lands in H_{j-1}: at c = m_j, as r_j.  An
-    element y of layer c >= 1 records its parent p(y), the element of
-    layer c-1 it came from, and its pick j(y), so y = g_j(y) + p(y).
+    element y of layer c >= 1 has a parent p(y), the element of
+    layer c-1 it came from, and a pick j(y), so y = g_j(y) + p(y).
     H_j is layers 0..m_j-1, and the stages end when H_k holds all n
     elements.  Each stage at least doubles H, so k <= log2 n.
 
@@ -741,42 +745,46 @@ def _prove_triple_axioms(
     6. right distributivity on G: (y + g_j) g_i = y g_i + g_j g_i;
     7. multiplicative associativity on G^3.
 
-    Soundness, given the additive pair axioms and gates 1-7.  Write
-    T_y: z -> y + z, and T^v for the composite of T_j^{v_j} over j,
-    v in N^k, whose order does not matter by gate 2.
+    Soundness, given the two-sided zero, the additive inverses and
+    gates 1-7.  Write T_y: z -> y + z, and T^v for the composite of
+    T_j^{v_j} over j, v in N^k, whose order does not matter by gate 2.
 
     (a) T_0 is the identity, and gate 3 says T_y = T_{p(y)} T_j(y), so
         by induction along parents T_y = T^{c(y)}.
-    (b) T_{r_j} = T_j^{m_j}, as r_j = T_j^{m_j}(0): by commutativity,
-        (a) and gate 2, r_j + z = T^{c(z)}(T_j^{m_j}(0)) =
-        T_j^{m_j}(T_z(0)) = T_j^{m_j}(z).  So the additive relations
-        need no gate of their own.
-    (c) If v_j >= m_j, (a) and (b) give T^v = T^{v'} for
+    (b) + is commutative: by (a), T_x and T_y are composites of the
+        T_j, which commute by gate 2, so x + y = T_x T_y(0) =
+        T_y T_x(0) = y + x.  Gates 1-3 and the zero alone give this,
+        so no table whose + is not commutative passes them.
+    (c) T_{r_j} = T_j^{m_j}, as r_j = T_j^{m_j}(0): by (b), (a) and
+        gate 2, r_j + z = T^{c(z)}(T_j^{m_j}(0)) = T_j^{m_j}(T_z(0)) =
+        T_j^{m_j}(z).  So the additive relations need no gate of their
+        own.
+    (d) If v_j >= m_j, (a) and (c) give T^v = T^{v'} for
         v' = v - m_j e_j + c(r_j); c(r_j) vanishes from coordinate j
         on, since r_j is in H_{j-1}.  Taking the highest such j each
         time lowers v read from the top, so the rewriting ends in B,
         at some c(w) by gate 1: T^v = T_w.
-    (d) So T_x T_y = T^{c(x) + c(y)} = T_w for some w, and at 0 this
-        reads x + y = w.  Thus x + (y + z) = (x + y) + z, and with the
-        pair axioms (R, +) is an abelian group.
-    (e) psi: Z^k -> R, v -> sum_j v_j g_j, maps c(y) to T^{c(y)}(0) =
+    (e) So T_x T_y = T^{c(x) + c(y)} = T_w for some w, and at 0 this
+        reads x + y = w.  Thus x + (y + z) = (x + y) + z, and with (b),
+        the zero and the inverses (R, +) is an abelian group.
+    (f) psi: Z^k -> R, v -> sum_j v_j g_j, maps c(y) to T^{c(y)}(0) =
         y, so it is onto and its kernel K has index n.  K holds the
         relations rho_j = m_j e_j - c(r_j), a triangular set with
         diagonal m_j, so they span a lattice of index
         prod_j m_j = |B| = n (gate 1): all of K.
-    (f) Fix x and let phi: Z^k -> R, v -> sum_j v_j (x g_j).  Gate 4 at
+    (g) Fix x and let phi: Z^k -> R, v -> sum_j v_j (x g_j).  Gate 4 at
         y = g_j, whose parent is 0, gives x0 = 0, and then, by
         induction along parents, xy = phi(c(y)); in particular
         phi(c(r_j)) = x r_j.  By gate 5, phi(rho_j) = 0, so phi
         vanishes on K and factors as lambda psi with lambda additive:
         xy = lambda(psi(c(y))) = lambda(y).  Every y -> xy is additive.
-    (g) For fixed i, the h with (y + h) g_i = y g_i + h g_i for all y
+    (h) For fixed i, the h with (y + h) g_i = y g_i + h g_i for all y
         are closed under +, and they include G by gate 6.  A nonempty
         subset of a finite group closed under + is a subgroup, and G
-        generates R, so y -> y g_i is additive.  By (f),
+        generates R, so y -> y g_i is additive.  By (g),
         y(x + x') = yx + yx', and a sum of additive maps is additive,
         so by the same argument every y -> yx is additive.
-    (h) By (f) and (g), (xy)z and x(yz) are additive in each argument,
+    (i) By (g) and (h), (xy)z and x(yz) are additive in each argument,
         and every element is a sum of picks (0 the empty one), so
         gate 7 makes them equal everywhere.
 
@@ -786,14 +794,14 @@ def _prove_triple_axioms(
     of g_j modulo H_{j-1}; so gate 1 holds, and gates 2-7 are
     identities of every ring (x0 = 0 among them).
 
-    Witnesses.  The first gate that fails names one triple that
-    violates one axiom, which table lookups alone replay; the triple
-    axioms that the gates after it would have proved stay undecided.
-    Commutative + gives y = p(y) + g_j(y).
+    Witnesses.  On a table whose + is commutative, the first gate that
+    fails names one triple that violates one axiom, which table lookups
+    alone replay; the triple axioms that the gates after it would have
+    proved stay undecided.  Commutative + gives y = p(y) + g_j(y).
 
     1. Add-associativity at the least (x, g, y) of Light's test,
-       (x + g) + y != x + (g + y), over the picks so far, the current
-       one included; the other three axioms stay undecided.
+       read as (g + x) + y != x + (g + y), over the picks so far, the
+       current one included; the other three axioms stay undecided.
     2. Add-associativity at (g_i, g_j, z) or (g_j, g_i, z): their
        left sides (g_i + g_j) + z and (g_j + g_i) + z are equal, and
        their right sides g_i + (g_j + z) != g_j + (g_i + z) are not,
@@ -811,17 +819,25 @@ def _prove_triple_axioms(
        undecided.
     7. Mul-associativity at (g_a, g_b, g_c); none stays undecided.
 
-    Within a gate the witness is the first failing cell in the order
-    the gate reads them, pick by pick and then row-major, and the row
-    blocks do not change it; gate 1 takes the least (x, g, y).
+    Within a gate the witness is the first failing cell in element
+    order, pick by pick and then row-major in the elements' indices,
+    whatever the order of the enumeration, and the blocks do not change
+    it; gate 1 takes the least (x, g, y).  On a table whose + is not
+    commutative a witness need not replay, and :func:`_axiom_violations`
+    reports the asymmetric pair in its place.
 
-    Gate 1 always finds its witness.  If every pick so far passed
-    Light's test, then so would every s in the monoid M they generate,
-    since the s that pass are closed under + (Light's lemma) and
-    include 0.  So + is associative on M, and for s in M and the t with
-    s + t = 0, (x + s) + t = x + (s + t) = x: x -> x + s is injective,
-    and M, a finite cancellative commutative monoid, is a group.  In it
-    H_{j-1} is the subgroup of the earlier picks, and layer c the coset
+    Gate 1 always finds its witness, commutative + or not.  An s that
+    passes the test as read, (s + x) + y = x + (s + y) for all x, y,
+    commutes with every x (take y = 0), so (x + s) + y = x + (s + y).
+    Such s are closed under +: for two of them s and s',
+    ((s + s') + x) + y = (s + (s' + x)) + y = (s' + x) + (s + y) =
+    x + (s' + (s + y)) = x + ((s + s') + y) (Light's lemma).  They
+    include 0, so if every pick so far passed, so would every s in the
+    monoid M they generate.  So + is associative and commutative on M,
+    and for s in M and the t with s + t = 0, (x + s) + t =
+    x + (s + t) = x: x -> x + s is injective, and M, a finite
+    cancellative commutative monoid, is a group.  In it H_{j-1} is the
+    subgroup of the earlier picks, and layer c the coset
     c g_j + H_{j-1}.  A layer is built only while its head c g_j lies
     outside the layers before it, so it meets none of them; and the
     head m_j g_j that stops the stage cannot lie in a layer c >= 1, or
@@ -830,11 +846,19 @@ def _prove_triple_axioms(
 
     Cost: the walk, k^2 n for gate 2, n sum_j log m_j for gate 5,
     n k^2 for gate 6 and k^3 for gate 7.  Gates 3 and 4 are one n^2
-    pass each, in row blocks of about ``_BLOCK_CELLS`` cells:
-    gate 3 gathers, for the y of one pick, the rows of p(y) through
-    the columns g_j + z, and gate 4 reads each x's row of ``mul`` and
-    gathers from one row of ``add`` per pick.  Only a failing gate 1
-    pays more: Light's test is k n^2, in the same row blocks.
+    pass each, stage by stage, in blocks of about
+    ``_SWEEP_BLOCK_CELLS`` cells.  They read the enumeration's position
+    slices: stage j's y at [b_j, b_{j+1}), their parents at
+    [0, b_{j+1} - b_j) and g_j at b_j.  Gate 3 compares rows of y with
+    rows of p(y) gathered through the columns g_j + z, and gate 4
+    columns of y of a block of ``mul`` rows with one flat gather from
+    ``add`` at x g_j + x p(y).  Where the walk reaches every element at
+    the position of its index, as on every builder's table, the slices
+    are views, and a block holds the intp flat index, its gather and
+    two boolean masks, about 12 bytes per cell, 0.75 MB.  Any other
+    order gathers each block's rows or columns through it, one more
+    uint16 copy.  Only a failing gate 1 pays more: Light's test is
+    k n^2, in the same blocks.
     """
     undecided = {
         "add-associativity": _TRIPLE_AXIOMS[1:],
@@ -851,14 +875,22 @@ def _prove_triple_axioms(
     translate = add[picks]  # translate[j, z] = g_j + z
     if tree is None:
         found = []
-        for rows in _row_blocks(n, n):
+        for rows in _row_blocks(n, n, _SWEEP_BLOCK_CELLS):
             for g, t in zip(picks, translate):
-                # (x + g) + y against x + (g + y), for the block's x
+                # (g + x) + y against x + (g + y), for the block's x
                 at = _first_mismatch(add[t[rows]], np.take(add[rows], t, axis=1), (rows.start,))
                 if at:
                     found.append((at[0], g, at[1]))
         return failure("add-associativity", *min(found))
-    orders, relations, parent, pick = tree
+    orders, relations, order = tree
+    bounds = np.cumprod([1, *orders]).tolist()  # b_0, ..., b_k = n
+    if np.array_equal(order, np.arange(n)):
+        span = slice  # the elements at positions [lo, hi), as a view
+    else:
+
+        def span(lo, hi):
+            return order[lo:hi]
+
     after = translate[:, translate]  # after[i, j, z] = g_i + (g_j + z)
     at = _first_mismatch(after, after.transpose(1, 0, 2))
     if at:
@@ -867,25 +899,40 @@ def _prove_triple_axioms(
         if add[add[gi, gj], z] != after[i, j, z]:
             return failure("add-associativity", gi, gj, z)
         return failure("add-associativity", gj, gi, z)
-    for j, t in enumerate(translate):
-        ys = np.flatnonzero(pick == j)
-        for rows in _row_blocks(ys.size, n):
-            at = _first_mismatch(
-                np.take(add[parent[ys[rows]]], t, axis=1), add[ys[rows]], (rows.start,)
-            )
-            if at:
-                return failure("add-associativity", parent[ys[at[0]]], picks[j], at[1])
+    for j, t in enumerate(translate.astype(np.intp)):
+        b, e = bounds[j], bounds[j + 1]
+        found = []
+        for rows in _row_blocks(e - b, n, _SWEEP_BLOCK_CELLS):
+            lo, hi = rows.start, rows.stop  # parents' positions, y's at b + lo
+            wrong = np.take(add[span(lo, hi)], t, axis=1) != add[span(b + lo, b + hi)]
+            bad = lo + np.flatnonzero(wrong.any(axis=1))
+            if bad.size:
+                q = bad[np.argmin(order[b + bad])]
+                found.append((order[b + q], order[q], np.argmax(wrong[q - lo])))
+        if found:
+            _, p, z = min(found)
+            return failure("add-associativity", p, picks[j], z)
     flat = add.reshape(-1)
-    heads = np.append(picks, zero)  # x g_j by pick, and x0 for y = 0
-    for rows in _row_blocks(n, n):
-        block = mul[rows]
-        # the flat index in add of x g_j(y) + x p(y)
-        cells = np.take(block[:, heads].astype(np.intp) * n, pick, axis=1)
-        cells += np.take(block, parent, axis=1)
-        at = _first_mismatch(np.take(flat, cells), block, (rows.start,))
-        if at:
-            x, y = at
-            return failure("left-distributivity", x, parent[y], heads[pick[y]])
+    found = []
+    # y at [b, e), p(y) at [0, e - b) and g_j at b; first y = 0, for x0 = x0 + x0
+    for b, e in [(0, 1), *zip(bounds, bounds[1:])]:
+        head, ys, ps = order[b], span(b, e), span(0, e - b)
+        for rows in _row_blocks(n, e - b, _SWEEP_BLOCK_CELLS):
+            block = mul[rows]
+            # the flat index in add of x g_j + x p(y), dropped once read so
+            # that the next block's index does not meet it
+            cells = np.multiply(block[:, head, None], n, dtype=np.intp) + block[:, ps]
+            wrong = flat.take(cells) != block[:, ys]
+            del cells
+            bad = np.flatnonzero(wrong.any(axis=1))
+            if bad.size:
+                q = np.flatnonzero(wrong[bad[0]])
+                q = q[np.argmin(order[b + q])]
+                found.append((rows.start + bad[0], order[b + q], order[q], head))
+                break
+    if found:
+        x, _, p, g = min(found)
+        return failure("left-distributivity", x, p, g)
     for g, m, r in zip(picks, orders, relations):
         at = _first_mismatch(_multiple(add, mul[:, g], m), mul[:, r])
         if at:
@@ -953,6 +1000,19 @@ def _identity_witness(table: np.ndarray, unit: int) -> tuple[int] | None:
     return (int(np.argmax(bad)),) if bad.any() else None
 
 
+def _asymmetric_pair(add: np.ndarray) -> tuple[int, int] | None:
+    """The first (x, y) in row-major order with x + y != y + x, or None:
+    over square tiles of about ``_SWEEP_BLOCK_CELLS`` cells on and above
+    the diagonal (:func:`_upper_tiles`), where the first asymmetric pair
+    always lies."""
+    asymmetric = [
+        at
+        for rows, cols in _upper_tiles(add.shape[0])
+        if (at := _first_mismatch(add[rows, cols], add[cols, rows].T, (rows.start, cols.start)))
+    ]
+    return min(asymmetric) if asymmetric else None
+
+
 def _axiom_violations(
     add: np.ndarray, mul: np.ndarray, zero: int, one: int | None = None
 ) -> tuple[list[AxiomViolation], tuple[str, ...]]:
@@ -960,37 +1020,37 @@ def _axiom_violations(
     and the triple axioms left unchecked.
 
     The pair-quantified axioms (additive commutativity, two-sided zero,
-    additive inverses, and a two-sided one unless ``one`` is None) are
-    checked on all n^2 pairs: commutativity on square tiles of about
-    ``_SWEEP_BLOCK_CELLS`` cells on and above the diagonal
-    (:func:`_upper_tiles`), where the first asymmetric pair in
-    row-major order always lies, and inverses in row blocks of about
-    ``_BLOCK_CELLS`` cells.  Once the three additive ones
-    pass, :func:`_prove_triple_axioms` decides the triple-quantified
-    ones (both associativities, both distributive laws) without using
-    an identity, so ``one=None`` judges a ring that need not have one.
-    A table that fails an additive pair axiom or the prover gets, on
-    at most 256 elements, the n^3 scan (:func:`_scan_triple_axioms`) of
-    the triple axioms still open, all four or the prover's failing one
-    and those it left undecided: the lexicographically first triple of
-    each violated triple axiom.
+    additive inverses, and a two-sided one unless ``one`` is None) hold
+    on all n^2 pairs or have a witness.  The zero and the inverses are
+    checked first, the inverses in row blocks of about ``_BLOCK_CELLS``
+    cells.  Once they hold, :func:`_prove_triple_axioms` decides the
+    triple-quantified axioms (both associativities, both distributive
+    laws) without using an identity, so ``one=None`` judges a ring that
+    need not have one; its proof makes + commutative as well.  Only
+    when the prover fails, or the zero or the inverses do, does the
+    commutativity scan (:func:`_asymmetric_pair`) run, so a ring pays
+    no scan for it.  A table that fails an additive pair axiom or the
+    prover gets, on at most 256 elements, the n^3 scan
+    (:func:`_scan_triple_axioms`) of the triple axioms still open, all
+    four or the prover's failing one and those it left undecided: the
+    lexicographically first triple of each violated triple axiom.
     Above that it gets the prover's witness and the triple axioms the
     prover leaves undecided, or all four when an additive pair axiom
     fails, since the prover needs those.
     """
     n = add.shape[0]
-    violations: list[AxiomViolation] = []
-    asymmetric = [
-        at
-        for rows, cols in _upper_tiles(n)
-        if (at := _first_mismatch(add[rows, cols], add[cols, rows].T, (rows.start, cols.start)))
-    ]
-    if asymmetric:
-        violations.append(AxiomViolation("add-commutativity", min(asymmetric)))
-    witness = _identity_witness(add, zero)
-    if witness is not None:
-        violations.append(AxiomViolation("zero-identity", witness))
+    zero_witness = _identity_witness(add, zero)
     no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in _row_blocks(n, n)])
+    prover_runs = zero_witness is None and not no_inverse.any()
+    failure = _prove_triple_axioms(add, mul, zero) if prover_runs else None
+    violations: list[AxiomViolation] = []
+    # a proof makes + commutative, so only a failure pays for the scan
+    if not prover_runs or failure is not None:
+        asymmetric = _asymmetric_pair(add)
+        if asymmetric is not None:
+            violations.append(AxiomViolation("add-commutativity", asymmetric))
+    if zero_witness is not None:
+        violations.append(AxiomViolation("zero-identity", zero_witness))
     if no_inverse.any():
         violations.append(AxiomViolation("add-inverse", (int(np.argmax(no_inverse)),)))
     additive = not violations
@@ -1001,7 +1061,6 @@ def _axiom_violations(
         if n <= FULL_SCAN_LIMIT:
             return violations + _scan_triple_axioms(add, mul), ()
         return violations, _TRIPLE_AXIOMS
-    failure = _prove_triple_axioms(add, mul, zero)
     if failure is None:
         return violations, ()
     violation, not_checked = failure
@@ -1015,17 +1074,19 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     """Check the unital-ring axioms against the compiled tables.
 
     :func:`_axiom_violations` judges them, exactly at every size.  A
-    passing ring costs n^2 pair checks plus the two n^2 passes of
-    :func:`_prove_triple_axioms`, whatever the number of additive
-    generators, all in blocks of at most ``_BLOCK_CELLS`` cells.
-    A failing table of at most 256 elements pays n^3 for the first
-    witness of each violated triple axiom; above that, the report
-    carries the witness of the prover's failing gate and the triple
-    axioms that gate leaves ``not_checked``.
+    passing ring costs the zero and inverse checks, one n^2 pass, plus
+    the two n^2 passes of :func:`_prove_triple_axioms`, whatever the
+    number of additive generators, all in blocks of at most
+    ``_BLOCK_CELLS`` cells; the commutativity scan runs only on a
+    failing table.  A failing table of at most 256 elements pays n^3
+    for the first witness of each violated triple axiom; above that,
+    the report carries the witness of the prover's failing gate and the
+    triple axioms that gate leaves ``not_checked``.
 
-    Tracemalloc peak: 4.5 bytes per n^2 at about 1024 elements, where
-    one block is a quarter of the table; at every size the blocks hold
-    it near 4.5 MB.
+    Tracemalloc peak: 1.2 bytes per n^2 at about 1024 elements (0.8 to
+    1.1 on Z1024, T(4, Z2) and H(1, 1, Z10)), most of it one block of
+    the prover's gate 4, and gate 2's k^2 n translations at k = 10;
+    at every size the blocks hold it near 1 MB.
     Structural totality (square tables, in-range entries) is enforced
     at construction time and raises MalformedTableError there, so this
     scan only ever judges axioms.  It reads the whole ring, so it fills

@@ -60,6 +60,22 @@ def test_spectral_grid_equals_the_dense_reference(corpus_rings):
     assert pruned
 
 
+def test_the_radical_grids_share_one_sweep_where_their_targets_agree(corpus_rings):
+    # an unmarked copy, so the sweeps answer: its delta and jacobson
+    # targets agree, so the second grid asked for is the first
+    ring = corpus_rings["M(2, Z2)"]
+    copy = oracles.mutate_mul_entry(ring, 1, 1, ring.mul(1, 1))
+    jacobson = classify.spectral_grid(copy, "jacobson")
+    assert classify.spectral_grid(copy, "delta") is jacobson
+    # Z4 with 3 * 0 = 1: delta is {0} and J is empty, so each is swept
+    bad = oracles.mutate_mul_entry(corpus_rings["Z4"], 3, 0, 1)
+    assert not np.array_equal(analysis.delta_sweep_mask(bad), analysis.jacobson_mask(bad))
+    grids = [classify.spectral_grid(bad, flavor) for flavor in ("delta", "jacobson")]
+    assert grids[0] is not grids[1]
+    for flavor, grid in zip(("delta", "jacobson"), grids):
+        assert np.array_equal(grid, _dense_spectral_grid(bad, flavor)[1]), flavor
+
+
 def test_idempotent_with_idempotent_residual_in_triangular_ring(t2z2):
     # a = the idempotent with a one in both upper cells; its spectral set
     # is the singleton {a}: a + a = 0 lands in delta and a commutes with

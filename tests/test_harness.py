@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -223,6 +224,27 @@ def test_rings_are_freed_without_the_cyclic_collector(spec):
         assert tables() is None
     finally:
         gc.enable()
+
+
+def test_no_check_peaks_far_above_what_its_ring_holds():
+    # every check of one verify on a fresh 1024-element ring, in suite
+    # order, each bounded over the larger of what the ring held before
+    # it and after it: C00's tables count as held, its blocks do not
+    ring = build_ring("prod(M(2, Z2), T(2, Z4))")
+    over = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for check_id in CHECK_IDS:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_check(check_id, ring).verdict != FAIL, check_id
+            held, peak = tracemalloc.get_traced_memory()
+            over[check_id] = (peak - max(before, held)) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert max(over.values()) <= 1.25, over
 
 
 def test_witness_reverification_is_independent(z4, m2z2):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import deltaring
@@ -848,6 +848,148 @@ def test_prover_agrees_with_the_scan_on_shuffled_groups(tables):
     _prover_agrees_with_the_scan(*tables)
 
 
+def _twisted_translations(m0, m1, pi):
+    """The addition y + z = P^a Q^b (z) on Z_m0 x Z_m1, (a, b) numbered
+    a + m0 b, for y = (a, b): P adds 1 to a, and Q adds 1 to b below
+    m1 - 1 and sends (a, m1 - 1) to (pi(a), 0).  Its zero is 0, every
+    row is a permutation, and gates 1 and 3 hold; P and Q commute, and
+    so does +, exactly when pi is the identity."""
+    n = m0 * m1
+
+    def shift(z, times, step):
+        for _ in range(times):
+            z = step(z)
+        return z
+
+    def p_step(z):
+        return (z % m0 + 1) % m0 + m0 * (z // m0)
+
+    def q_step(z):
+        return z + m0 if z // m0 < m1 - 1 else pi[z % m0]
+
+    return np.array(
+        [[shift(shift(z, y // m0, q_step), y % m0, p_step) for z in range(n)] for y in range(n)]
+    )
+
+
+def _permutation_group(points):
+    """The symmetric group on ``points`` points under composition, the
+    identity numbered 0."""
+    perms = list(itertools.permutations(range(points)))
+    number = {p: i for i, p in enumerate(perms)}
+    return np.array([[number[tuple(p[i] for i in q)] for q in perms] for p in perms])
+
+
+@st.composite
+def noncommutative_additions(draw):
+    """An addition table with a two-sided zero and additive inverses that
+    is not commutative, its elements numbered in a shuffled order: the
+    twisted translations, a symmetric group, or a product of cyclic
+    groups with one off-diagonal entry overwritten."""
+    kind = draw(st.sampled_from(["twisted", "symmetric", "perturbed"]))
+    if kind == "twisted":
+        m0 = draw(st.integers(3, 5))
+        pi = [0] + draw(st.permutations(range(1, m0)))
+        assume(pi != sorted(pi))
+        add = _twisted_translations(m0, draw(st.integers(2, 3)), pi)
+    elif kind == "symmetric":
+        add = _permutation_group(draw(st.integers(3, 4)))
+    else:
+        orders = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+        coords = np.array(list(itertools.product(*map(range, orders))))
+        sums = (coords[:, None, :] + coords[None, :, :]) % np.array(orders)
+        add = np.ravel_multi_index(tuple(np.moveaxis(sums, -1, 0)), orders)
+        n = len(add)
+        x, y, value = (draw(st.integers(1, n - 1)) for _ in range(3))
+        assume(x != y and add[x, y] != 0 and value != add[x, y])
+        add[x, y] = value
+    n = len(add)
+    label = np.array(draw(st.permutations(range(n))))
+    shuffled = np.empty_like(add)
+    shuffled[label[:, None], label[None, :]] = label[add]
+    zero = int(label[0])
+    arange = np.arange(n)
+    assert (shuffled[zero] == arange).all() and (shuffled[:, zero] == arange).all()
+    assert (shuffled == zero).any(axis=1).all() and (shuffled != shuffled.T).any()
+    return shuffled, zero
+
+
+@settings(derandomize=True)
+@given(noncommutative_additions())
+def test_no_noncommutative_addition_passes_the_prover(tables):
+    # gates 1-3 and the zero make + commutative, so the prover fails, and
+    # the report names the first asymmetric pair, as the scan finds it
+    add, zero = tables
+    mul = np.full_like(add, zero)
+    assert kernel._prove_triple_axioms(add, mul, zero) is not None
+    first = tuple(int(c) for c in np.argwhere(add != add.T)[0])
+    violations, _ = kernel._axiom_violations(add, mul, zero)
+    assert violations[0] == kernel.AxiomViolation("add-commutativity", first)
+
+
+def test_only_gate_two_sees_the_twisted_translations():
+    # the walk numbers every element by its index and gate 3 holds, so
+    # only the commuting translations of gate 2 stand between this table
+    # and a proof, which would make it commutative
+    add = _twisted_translations(3, 2, [0, 2, 1])
+    mul = np.zeros_like(add)
+    picks, (orders, _, order) = kernel._additive_tree(add, 0)
+    assert picks.tolist() == [1, 3] and orders == [3, 2] and order.tolist() == list(range(6))
+    violation, not_checked = kernel._prove_triple_axioms(add, mul, 0)
+    assert (violation.axiom, violation.witness, list(not_checked)) == (
+        "add-associativity",
+        (3, 1, 3),
+        _ADDITIVE_UNDECIDED,
+    )
+    violations, _ = kernel._axiom_violations(add, mul, 0)
+    assert violations[0] == kernel.AxiomViolation("add-commutativity", (3, 4))
+
+
+# validate_ring's reports on one asymmetric sum above the scan limit,
+# with the zero and the inverses intact, as the commutativity scan gave
+# them when it ran before the prover on every table
+ASYMMETRIC_SUM_REPORTS = {
+    ("Z512", 5, 7, 13): [{"axiom": "add-commutativity", "witness": [5, 7]}],
+    ("T(2, Z8)", 300, 9, 310): [{"axiom": "add-commutativity", "witness": [9, 300]}],
+}
+
+
+@pytest.mark.parametrize("case", ASYMMETRIC_SUM_REPORTS)
+def test_an_asymmetric_sum_above_the_scan_limit_keeps_its_report(case):
+    spec, x, y, value = case
+    bad = _mutate_add_entry(build_ring(spec), x, y, value)
+    add = bad.add_table
+    assert (add == bad.zero).any(axis=1).all() and (add != add.T).sum() == 2
+    assert validate_ring(bad).to_dict() == {
+        "ring": "ring<512>",
+        "size": 512,
+        "mode": "sampled",
+        "ok": False,
+        "violations": ASYMMETRIC_SUM_REPORTS[case],
+        "not_checked": list(kernel._TRIPLE_AXIOMS),
+        "sampled_triples": 512**2,
+        "sample_seed": 24301,
+    }
+
+
+def test_a_passing_ring_pays_no_commutativity_scan(corpus, ladder_rings, monkeypatch):
+    scans = []
+    scan = kernel._asymmetric_pair
+
+    def counted(add):
+        scans.append(len(add))
+        return scan(add)
+
+    monkeypatch.setattr(kernel, "_asymmetric_pair", counted)
+    rings = [entry.ring for entry in corpus] + list(ladder_rings.values())
+    for ring in rings + [build_ring(spec) for spec in POINT_SPECS]:
+        assert validate_ring(ring).ok, ring.spell()
+    assert scans == []
+    # a table the prover rejects pays for one scan
+    assert not validate_ring(_mutate_add_entry(zn(512), 5, 7, 13)).ok
+    assert scans == [512]
+
+
 def _with_factor(ring, add, mul):
     """The table of ring x T for a 4- or 8-element table T with zero 0 and
     one 1, its pairs (r, t) numbered r * |T| + t."""
@@ -944,10 +1086,11 @@ def test_certificate_rejects_each_step_above_the_scan_limit(step):
 def test_certificate_witnesses_do_not_depend_on_the_row_blocks(step, monkeypatch):
     bad = _step_corruption(step)
     expected = validate_ring(bad).to_dict()
-    # one row per block, so a witness in row x comes from block x and
-    # needs that block's offset
+    # one row per block in both budgets, the prover's among them, so a
+    # witness in row x comes from block x and needs that block's offset
     monkeypatch.setattr(kernel, "_BLOCK_CELLS", 1)
-    assert len(kernel._row_blocks(bad.size, bad.size)) == bad.size
+    monkeypatch.setattr(kernel, "_SWEEP_BLOCK_CELLS", 1)
+    assert len(kernel._row_blocks(bad.size, bad.size, kernel._SWEEP_BLOCK_CELLS)) == bad.size
     assert validate_ring(bad).to_dict() == expected
 
 
