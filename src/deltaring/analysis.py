@@ -38,18 +38,34 @@ reads what it needs by ``apply`` and ``block``.
 On a ring that carries the ``certified`` mark, :func:`nilpotent_mask`,
 :func:`jacobson_mask`, :func:`delta_mask` and :func:`qnil_mask` answer
 from theorems about finite rings, each proved in its docstring: a
-bounded nil test and T9's columns, which fill nothing, and T1 and T4
+bounded nil test and T9's rows, which fill nothing, and T1 and T4
 on top of them.  The sweeps they replace keep their own names,
 :func:`nilpotent_sweep_mask`, :func:`jacobson_sweep_mask`,
 :func:`delta_sweep_mask` and :func:`qnil_sweep_mask`, for the checks
 that state those theorems.  Other tables get the sweeps.
+
+On a ring whose validation report passed and is in its cache,
+:func:`closure_holds` decides whether a set is an additive subgroup
+closed under products from generators: its own, those of U
+(:func:`unit_generators`) and those of R (the prover's), by facts of
+the ring axioms alone.  It never sweeps; its callers do, on any other
+table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernel import Element, ElementSet, FiniteRing, _row_blocks, _upper_tiles, row_block_reads
+from .kernel import (
+    Element,
+    ElementSet,
+    FiniteRing,
+    _additive_tree,
+    _row_blocks,
+    _upper_tiles,
+    proven_generators,
+    row_block_reads,
+)
 
 
 def _cached(ring: FiniteRing, key, compute):
@@ -127,9 +143,14 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     multiplication by any element on either side, as (bool, the first
     witness pair or None, what fails or None).
 
-    Cost: |I|^2 + 2 n |I| cells of ``first_escape``, read by blocks, so
+    Cost on a ring that passed C00: :func:`closure_holds` by R's
+    generators, the masked walk's |I| list steps and 2 k l products for
+    k generators of I and l of R.  Otherwise, or when that does not
+    hold: |I|^2 + 2 n |I| cells of ``first_escape``, read by blocks, so
     an unfilled ring stays unfilled.
     """
+    if closure_holds(ring, mask, "ring"):
+        return True, None, None
     members = np.flatnonzero(mask)
     at = first_escape(mask, ring, "add", members, members)
     if at is not None:
@@ -141,6 +162,92 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     if at is not None:
         return False, [int(members[at[0]]), at[1]], "not closed under right multiplication"
     return True, None, None
+
+
+def closure_holds(ring: FiniteRing, mask: np.ndarray, by: str, two_sided: bool = True) -> bool:
+    """Whether the masked set S is an additive subgroup with S*F in S,
+    and F*S in S when ``two_sided``, for F = ``by``: "set" (S itself),
+    "units" (U) or "ring" (R), decided from generators on a ring whose
+    cached validation report passed (C00, ``kernel.proven_generators``).
+    False means undecided: any other table, an S without zero, or a
+    generator test that fails.  The caller then runs its sweep, which
+    decides and names the witness, so verdicts and witnesses are the
+    sweep's.
+
+    The facts use only the ring axioms that C00 proved, and none of
+    the theorems T1-T10:
+
+    * S, holding zero, is a subgroup exactly when the walk of
+      ``kernel._additive_tree`` inside S reaches all of it, and its
+      picks x_i then generate S.
+    * x -> x*y and y -> x*y are additive, so for subgroups A and B
+      generated by a_i and b_j, every a*b is a sum of products a_i*b_j,
+      and A*B lies in a subgroup C exactly when every a_i*b_j does.
+      With B = S and the picks of R (the prover's), this decides R*S;
+      with A = B = S, S*S.
+    * U is a finite group generated by :func:`unit_generators`.  S*g in
+      S for each generator g gives S*w in S for every product w of
+      them, and these are all the units (an inverse is a positive
+      power).  By additivity S*g lies in S exactly when every x_i*g
+      does; U*S the same way.
+
+    Cost: the masked walk's |S| list steps plus one row per pick, then
+    k*l products per side for the k picks of S and the l generators of
+    F; "units" adds :func:`unit_generators`, once per ring.
+    """
+    ring_generators = proven_generators(ring)
+    if ring_generators is None or not mask[ring.zero]:
+        return False
+    picks, tree = _additive_tree(ring.block("add"), ring.zero, mask)
+    if tree is None:
+        return False
+    if by == "units":
+        factor = unit_generators(ring)
+    elif by == "ring":
+        factor = ring_generators
+    else:
+        factor = picks
+    sides = [(picks, factor), (factor, picks)] if two_sided else [(picks, factor)]
+    return all(mask.take(ring.block("mul", rows, cols)).all() for rows, cols in sides)
+
+
+def unit_generators(ring: FiniteRing) -> np.ndarray | None:
+    """Generators of the unit group of a ring whose cached validation
+    report passed (C00), and None on any other, from one greedy walk,
+    cached.  Each pick is the least unit outside the group H of the
+    picks before it, and H is closed under right multiplication by
+    every pick before the next pick.  In a finite group that closure of
+    {1} is the subgroup the picks generate, as an inverse is a positive
+    power; each H is a subgroup of the next and at most half its size,
+    so there are at most log2 |U| picks.
+
+    Cost: |U| l list steps for l picks, plus one column of n cells per
+    pick.
+    """
+    if proven_generators(ring) is None:
+        return None
+
+    def compute():
+        reached = [False] * ring.size
+        reached[ring.one] = True
+        order, picks, columns = [ring.one], [], []
+        for u in unit_indices(ring).tolist():
+            if reached[u]:
+                continue
+            picks.append(u)
+            columns.append(ring.block("mul", None, [u])[:, 0].tolist())  # x -> x*u
+            # the old H is closed under the earlier picks, so it needs only u
+            base, i = len(order), 0
+            while i < len(order):
+                x = order[i]
+                for column in columns if i >= base else columns[-1:]:
+                    if not reached[y := column[x]]:
+                        reached[y] = True
+                        order.append(y)
+                i += 1
+        return _frozen(np.array(picks, dtype=np.intp))
+
+    return _cached(ring, "unit_generators", compute)
 
 
 # -- boolean-mask layer (internal fast paths) --------------------------------
@@ -333,21 +440,25 @@ def jacobson_sweep_mask(ring: FiniteRing) -> np.ndarray:
 
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     """x with 1 - r*x a unit for every r: on a certified ring, the x whose
-    column of the multiplication table lies in :func:`nilpotent_mask`
+    row of the multiplication table lies in :func:`nilpotent_mask`
     (T9), and :func:`jacobson_sweep_mask` on any other table.
 
-    T9: x is in J exactly when r*x is nilpotent for every r.  A finite
+    T9: x is in J exactly when x*r is nilpotent for every r.  A finite
     ring is Artinian, so J is nilpotent (Lam, "A First Course in
-    Noncommutative Rings", Thm 4.12), and x in J gives r*x in J, a
-    nilpotent element.  Conversely, if every r*x is nilpotent, 1 - r*x
-    has the inverse sum_i (r*x)^i for every r, which is the sweep's
-    definition of J.  Only nilpotent x need their columns read (r = 1).
+    Noncommutative Rings", Thm 4.12), and x in J gives x*r in J, a
+    nilpotent element.  Conversely, if every x*r is nilpotent, 1 - x*r
+    has the inverse v = sum_i (x*r)^i for every r, and then so has
+    1 - r*x, with the inverse 1 + r*v*x (Jacobson's lemma:
+    (1 - r*x)(1 + r*v*x) = 1 - r*x + r*(1 - x*r)*v*x = 1, and the same
+    on the other side), which is the sweep's definition of J.  The
+    mirror, with r*x and columns, holds the same way.  Only nilpotent x
+    need their rows read (r = 1).
 
     Cost: the nil mask's n*ceil(log2 floor(log2 n)) products, plus
-    n*|nil| cells of the nilpotent columns (:func:`in_radical`), from
+    n*|nil| cells of the nilpotent rows (:func:`in_radical`), from
     the builder's arithmetic on an unfilled ring, which stays unfilled.
     Tracemalloc peak: 2.8 bytes per n^2 at n = 1024 on a certified
-    ring, one column block at 11 bytes per cell, and
+    ring, one row block at 11 bytes per cell, and
     jacobson_sweep_mask's on any other.
     """
     if not ring.certified:
@@ -364,25 +475,26 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
 
 def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     """Whether each element of ``xs`` lies in J, as :func:`jacobson_mask`
-    decides it, from its own column of the multiplication table.
+    decides it.
 
     On a certified ring (T9, proved in :func:`jacobson_mask`): whether
-    the column lies in the one cached :func:`nilpotent_mask`.  Cost: n
-    cells per element, read in column blocks of ``kernel._BLOCK_CELLS``
-    cells by ``block``, from the builder's arithmetic on an unfilled
-    ring, which stays unfilled; plus, once per ring, the nil mask's
-    n*ceil(log2 floor(log2 n)) products.
+    the element's row of the multiplication table lies in the one
+    cached :func:`nilpotent_mask`.  Cost: n cells per element, read in
+    row blocks of ``kernel._BLOCK_CELLS`` cells by ``block``, from the
+    builder's arithmetic on an unfilled ring, which stays unfilled;
+    plus, once per ring, the nil mask's n*ceil(log2 floor(log2 n))
+    products.
 
-    On any other table: the column read through ``is_unit(1 - y)``, n
-    flat gathers per element in row blocks.
+    On any other table: the element's column read through
+    ``is_unit(1 - y)``, n flat gathers per element in row blocks.
     """
     if not ring.certified:
         return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
     nilpotent = nilpotent_mask(ring)
     xs = np.asarray(xs, dtype=np.intp)
     out = np.empty(len(xs), dtype=bool)
-    for cols in _row_blocks(len(xs), ring.size):
-        out[cols] = nilpotent.take(ring.block("mul", None, xs[cols])).all(axis=0)
+    for rows in _row_blocks(len(xs), ring.size):
+        out[rows] = nilpotent.take(ring.block("mul", xs[rows])).all(axis=1)
     return out
 
 

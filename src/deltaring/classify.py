@@ -124,7 +124,7 @@ def _theorem_spectral(ring: FiniteRing, a: np.ndarray, flavor: str) -> np.ndarra
     a commute (q is in comm2(a) and p commutes with a), and p - q =
     (a + p) - (a + q) is in J; commuting idempotents have
     (p - q)^3 = p - q, and a nilpotent x with x^3 = x is x^(2k+1) = 0.
-    Membership of a^2 + a in J is read from its column of the
+    Membership of a^2 + a in J is read from its row of the
     multiplication table, by the nil test of T9 (:func:`analysis.in_radical`).
 
     Quasipolar (T8): the set is {1 - e} for the one idempotent e among

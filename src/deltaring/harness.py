@@ -27,6 +27,12 @@ C16, C25 and C26) reads the sweeps those theorems replace, the
 ``*_sweep_*`` functions and ``classify.spectral_grid``, so that it
 compares a sweep with a theorem and never a theorem path with itself.
 
+The closure checks (C02, C03, C04, C17 and C22) decide from generators
+on a ring whose C00 already passed (``analysis.closure_holds``,
+``analysis.unit_generators``), by facts that use only the ring axioms
+C00 proved, and sweep every product only on other tables or to name a
+witness, so their rows are the sweeps'.
+
 C00 is the axiom gate: when it fails on a ring, every other check on
 that ring is reported NOT-APPLICABLE (and the C00 failure row is always
 included, even under a --check filter, so a corrupted ring can never
@@ -263,7 +269,13 @@ def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C02", "delta is stable under unit multiplication on both sides")
 def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
+    """On a ring that passed C00, delta's and U's generators decide it
+    (``analysis.closure_holds``): the walk inside delta, then 2 k l
+    products.  Otherwise, or to name the witness, |delta| |U| cells on
+    each side, the first escape of d*u, then of u*d."""
     dmask = analysis.delta_mask(ring)
+    if analysis.closure_holds(ring, dmask, "units"):
+        return PASS, None, None
     dl = np.flatnonzero(dmask)
     ul = analysis.unit_indices(ring)
     at = analysis.first_escape(dmask, ring, "mul", dl, ul)
@@ -277,9 +289,15 @@ def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C03", "delta contains 0 and is closed under subtraction and multiplication")
 def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
+    """On a ring that passed C00, delta's generators decide it
+    (``analysis.closure_holds``): the walk inside delta, which reaches
+    all of it exactly when delta is a subgroup, then k^2 products.
+    Otherwise, or to name the witness, |delta|^2 cells twice."""
     dmask = analysis.delta_mask(ring)
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
+    if analysis.closure_holds(ring, dmask, "set", two_sided=False):
+        return PASS, None, None
     dl = np.flatnonzero(dmask)
     at = analysis.first_escape(dmask, ring, "add", dl, ring.neg_rows(dl))
     if at is not None:
@@ -292,6 +310,9 @@ def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C04", "delta is a two-sided ideal exactly when it equals the jacobson radical")
 def _c04_ideal_iff_radical(ring: FiniteRing, ctx: SuiteContext):
+    """The ideal test is ``analysis.is_two_sided_ideal``: on a ring that
+    passed C00, the walk inside delta and 2 k l products with R's l
+    generators; |delta|^2 + 2 n |delta| cells otherwise."""
     dmask = analysis.delta_sweep_mask(ring)
     is_ideal, pair, why = analysis.is_two_sided_ideal(ring, dmask)
     equals_radical = bool((dmask == analysis.jacobson_mask(ring)).all())
@@ -472,13 +493,28 @@ def _c17_conjugation(ring: FiniteRing, ctx: SuiteContext):
     u^-1 * x, then one flat gather of (u^-1 * x) * u, whose intp index
     sizes the blocks at ``kernel._SWEEP_BLOCK_CELLS`` cells.  The witness
     is the first element that the first offending unit moves out of the
-    flagged set, then that unit."""
+    flagged set, then that unit.
+
+    On a ring that passed C00, the generators g of U
+    (``analysis.unit_generators``) decide it first, 2 n cells each.
+    Conjugation by g is a bijection, so if it maps the flagged set F
+    into F, it maps F onto F; conjugation by a product of generators is
+    the composite of theirs, and every unit is such a product.  The
+    sweep below runs, over 2 n |U| cells, only when that fails or on
+    any other table."""
     flags = classify.element_flags(ring, "delta")
     inv = ring.inverse_table()
+
+    def moved(units, left):  # row i: flagged x with u_i^-1 * x * u_i unflagged
+        return flags & ~flags.take(ring.apply("mul", left, units[:, None]))
+
+    gens = analysis.unit_generators(ring)
+    if gens is not None and not moved(gens, ring.block("mul", inv[gens])).any():
+        return PASS, None, None
     ul = analysis.unit_indices(ring)
     for start, left in row_block_reads(ring, "mul", inv[ul], cells=kernel._SWEEP_BLOCK_CELLS):
         units = ul[start : start + len(left)]
-        bad = flags & ~flags.take(ring.apply("mul", left, units[:, None]))
+        bad = moved(units, left)
         if bad.any():
             i, x = np.argwhere(bad)[0]
             detail = "conjugate loses delta-quasipolarity"
@@ -536,6 +572,9 @@ def _c21_unit_variant(ring: FiniteRing, ctx: SuiteContext):
 @check("C22", "a delta-quasipolar ring with 2 a unit has delta as an ideal (vacuity tracked)",
        requires=delta_quasipolar_ring)
 def _c22_ideal_when_two_unit(ring: FiniteRing, ctx: SuiteContext):
+    """The ideal test is C04's, ``analysis.is_two_sided_ideal``: on a
+    ring that passed C00, the walk inside delta and 2 k l products with
+    R's l generators; |delta|^2 + 2 n |delta| cells otherwise."""
     two = ring.add(ring.one, ring.one)
     if not analysis.unit_mask(ring)[two]:
         in_delta = bool(analysis.delta_mask(ring)[two])

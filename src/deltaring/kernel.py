@@ -555,12 +555,17 @@ class ValidationReport:
     and "sampled" above, where the dict also carries ``sampled_triples``
     (n^2) and ``sample_seed``, although nothing is sampled: the
     benchmark's reference outputs (``ringbench/refs``) pin them.
+
+    ``generators``, on a passing report only, are the prover's picks,
+    which generate the ring's additive group; ``to_dict`` leaves them
+    out.
     """
 
     ring: str
     size: int
     violations: list[AxiomViolation] = field(default_factory=list)
     not_checked: tuple[str, ...] = ()
+    generators: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -658,26 +663,38 @@ _TRIPLE_AXIOMS = (
 )
 
 
-def _additive_tree(add: np.ndarray, zero: int):
+def _additive_tree(add: np.ndarray, zero: int, mask: np.ndarray | None = None):
     """The enumeration of :func:`_prove_triple_axioms`: the picks, and
     (orders, relations, order), or None in their place when the walk
-    breaks down (two layers meet, or an orbit closes outside H_{j-1}),
-    the picks then ending with the one whose stage broke down.
+    breaks down (two layers meet, a stage adds no element, an orbit
+    closes outside H_{j-1}, or a sum leaves ``mask``), the picks then
+    ending with the one whose stage broke down.
 
     ``picks[j]`` is g_j, ``orders[j]`` m_j and ``relations[j]`` r_j.
     ``order`` lists the elements as the walk reaches them, zero first.
     With b_0 = 1 and b_{j+1} = m_j b_j, stage j's elements fill the
     positions [b_j, b_{j+1}), g_j sits at b_j, and the parent p(y) of
-    the element y at position q sits at q - b_j, so y = g_j + p(y).  The
-    walk is O(n) list steps plus one row per pick, and it ends after at
-    most n layers even on a table that is not a group.
+    the element y at position q sits at q - b_j, so y = g_j + p(y).
+
+    With a boolean ``mask`` that holds zero, the walk picks only masked
+    elements and must reach all of them, so on a table that passed the
+    ring axioms it ends with a tree exactly when the masked set S is an
+    additive subgroup: the walk reaches the subgroup its picks generate,
+    which lies in S when no sum leaves S, and a subgroup S holds every
+    sum the walk forms.  The picks then generate S.
+
+    The walk is O(|S|) list steps (n without a mask) plus one row per
+    pick, and it ends after at most |S| layers even on a table that is
+    not a group: every stage that does not break down adds an element.
     """
     n = add.shape[0]
-    index = [-1] * n  # position in the enumeration, -1 while unreached
+    # position in the enumeration: -1 while unreached, -2 outside the mask
+    index = [-1] * n if mask is None else np.where(mask, -1, -2).tolist()
+    count = n if mask is None else int(np.count_nonzero(mask))
     index[zero] = 0
     order = [zero]
     picks, orders, relations = [], [], []
-    while len(order) < n:
+    while len(order) < count:
         g = index.index(-1)
         picks.append(g)
         row = add[g].tolist()
@@ -687,13 +704,14 @@ def _additive_tree(add: np.ndarray, zero: int):
         while index[row[layer[0]]] < 0:
             for p in layer[:base]:
                 y = row[p]
-                if index[y] >= 0:
+                if index[y] != -1:  # reached already, or outside the mask
                     return np.array(picks, dtype=np.intp), None
                 index[y] = len(order)
                 order.append(y)
             layer, m = order[-base:], m + 1
         relation = row[layer[0]]
-        if index[relation] >= base:  # the orbit closed outside H_{j-1}
+        # a stage that added no element, or an orbit closed outside H_{j-1}
+        if m == 1 or index[relation] >= base:
             return np.array(picks, dtype=np.intp), None
         orders.append(m)
         relations.append(relation)
@@ -712,11 +730,13 @@ def _multiple(add: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
 
 
 def _prove_triple_axioms(
-    add: np.ndarray, mul: np.ndarray, zero: int
+    add: np.ndarray, mul: np.ndarray, zero: int, walk=None
 ) -> tuple[AxiomViolation, tuple[str, ...]] | None:
     """Decide the four triple-quantified axioms with two n^2 passes,
     whatever the number k of additive generators: None for a proof,
     else a violated axiom's witness and the triple axioms left undecided.
+    ``walk`` is :func:`_additive_tree`'s result on the table, computed
+    here when None.
 
     None proves additive commutativity, both associativities and both
     distributive laws on every triple of a table with a two-sided zero
@@ -870,7 +890,7 @@ def _prove_triple_axioms(
     def failure(axiom, *witness):
         return AxiomViolation(axiom, tuple(int(c) for c in witness)), undecided[axiom]
 
-    picks, tree = _additive_tree(add, zero)
+    picks, tree = _additive_tree(add, zero) if walk is None else walk
     n = add.shape[0]
     translate = add[picks]  # translate[j, z] = g_j + z
     if tree is None:
@@ -1015,9 +1035,10 @@ def _asymmetric_pair(add: np.ndarray) -> tuple[int, int] | None:
 
 def _axiom_violations(
     add: np.ndarray, mul: np.ndarray, zero: int, one: int | None = None
-) -> tuple[list[AxiomViolation], tuple[str, ...]]:
+) -> tuple[list[AxiomViolation], tuple[str, ...], np.ndarray | None]:
     """The ring axioms on an add and a mul table: the violations found,
-    and the triple axioms left unchecked.
+    the triple axioms left unchecked, and the prover's picks when it
+    proves the triple axioms (None otherwise), which generate (R, +).
 
     The pair-quantified axioms (additive commutativity, two-sided zero,
     additive inverses, and a two-sided one unless ``one`` is None) hold
@@ -1042,7 +1063,9 @@ def _axiom_violations(
     zero_witness = _identity_witness(add, zero)
     no_inverse = np.concatenate([~(add[rows] == zero).any(axis=1) for rows in _row_blocks(n, n)])
     prover_runs = zero_witness is None and not no_inverse.any()
-    failure = _prove_triple_axioms(add, mul, zero) if prover_runs else None
+    walk = _additive_tree(add, zero) if prover_runs else None
+    failure = _prove_triple_axioms(add, mul, zero, walk) if prover_runs else None
+    picks = walk[0] if prover_runs and failure is None else None
     violations: list[AxiomViolation] = []
     # a proof makes + commutative, so only a failure pays for the scan
     if not prover_runs or failure is not None:
@@ -1059,15 +1082,16 @@ def _axiom_violations(
         violations.append(AxiomViolation("one-identity", witness))
     if not additive:
         if n <= FULL_SCAN_LIMIT:
-            return violations + _scan_triple_axioms(add, mul), ()
-        return violations, _TRIPLE_AXIOMS
+            return violations + _scan_triple_axioms(add, mul), (), picks
+        return violations, _TRIPLE_AXIOMS, picks
     if failure is None:
-        return violations, ()
+        return violations, (), picks
     violation, not_checked = failure
     if n <= FULL_SCAN_LIMIT:
         # the prover proved the other triple axioms, which have no violation
-        return violations + _scan_triple_axioms(add, mul, (violation.axiom, *not_checked)), ()
-    return violations + [violation], not_checked
+        scanned = _scan_triple_axioms(add, mul, (violation.axiom, *not_checked))
+        return violations + scanned, (), picks
+    return violations + [violation], not_checked, picks
 
 
 def validate_ring(ring: FiniteRing) -> ValidationReport:
@@ -1093,8 +1117,12 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     the ring's tables first (:meth:`FiniteRing.fill`).
     """
     ring.fill()
-    violations, not_checked = _axiom_violations(ring.add_table, ring.mul_table, ring.zero, ring.one)
-    return ValidationReport(ring.spell(), ring.size, violations, not_checked)
+    violations, not_checked, picks = _axiom_violations(
+        ring.add_table, ring.mul_table, ring.zero, ring.one
+    )
+    return ValidationReport(
+        ring.spell(), ring.size, violations, not_checked, picks if not violations else None
+    )
 
 
 def validation_report(ring: FiniteRing) -> ValidationReport:
@@ -1105,3 +1133,12 @@ def validation_report(ring: FiniteRing) -> ValidationReport:
     if report is None:
         report = ring._cache["validation_report"] = validate_ring(ring)
     return report
+
+
+def proven_generators(ring: FiniteRing) -> np.ndarray | None:
+    """The additive generators of a ring whose cached validation report
+    passed (C00), the prover's picks, or None when no passing report is
+    cached.  It computes no report, so a caller on a ring that was
+    never validated pays nothing and keeps its sweep."""
+    report = ring._cache.get("validation_report")
+    return None if report is None else report.generators

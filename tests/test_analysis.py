@@ -179,6 +179,97 @@ def test_results_are_cached_and_masks_frozen(z4):
     assert not analysis.delta_mask(z4).flags.writeable
 
 
+# -- closure by generators -------------------------------------------------------------
+
+# the rings of the benchmark's point_queries workload
+POINT_SPECS = ("T(3, Z2)", "M(2, Z3)", "T(2, Z8)", "H(1, 1, Z8)", "Z1024", "prod(M(2, Z2), T(2, Z4))")
+
+
+def _group_of(ring, generators):
+    """{1} closed under right multiplication by the generators."""
+    reached, frontier = {ring.one}, {ring.one}
+    while frontier:
+        frontier = {ring.mul(x, int(g)) for x in frontier for g in generators} - reached
+        reached |= frontier
+    return reached
+
+
+def test_unit_generators_generate_the_unit_group(corpus, ladder_rings):
+    rings = [entry.ring for entry in corpus] + list(ladder_rings.values())
+    rings += [build_ring(spec) for spec in POINT_SPECS]
+    most = 0
+    for ring in rings:
+        if "unit_generators" not in ring._cache and "validation_report" not in ring._cache:
+            assert analysis.unit_generators(ring) is None, ring.spell()
+        assert kernel.validation_report(ring).ok
+        generators = analysis.unit_generators(ring).tolist()
+        units = set(analysis.unit_indices(ring).tolist())
+        assert _group_of(ring, generators) == units, ring.spell()
+        # each pick is the least unit outside the group of those before it
+        for j, g in enumerate(generators):
+            assert g == min(units - _group_of(ring, generators[:j])), ring.spell()
+        assert 2 ** len(generators) <= len(units)
+        most = max(most, len(generators))
+    assert most >= 4
+    bad = oracles.mutate_mul_entry(build_ring("M(2, Z2)"), 1, 2, 3)
+    assert not kernel.validation_report(bad).ok
+    assert analysis.unit_generators(bad) is None
+
+
+def _closed(ring, mask, by, two_sided):
+    """closure_holds by its definition: mask holds zero and its sums, and
+    the products of its members with those of F on one or both sides."""
+    ring.fill()
+    add, mul = ring.add_table, ring.mul_table
+    members = np.flatnonzero(mask)
+    factor = {"set": mask, "units": analysis.unit_mask(ring), "ring": np.ones_like(mask)}[by]
+    factor = np.flatnonzero(factor)
+    holds = mask[ring.zero] and mask[add[np.ix_(members, members)]].all()
+    holds = holds and mask[mul[np.ix_(members, factor)]].all()
+    return bool(holds and (not two_sided or mask[mul[np.ix_(factor, members)]].all()))
+
+
+def _additive_span(ring, seeds):
+    """The subgroup of (R, +) that the seeds generate, as a mask."""
+    reached, frontier = {ring.zero}, {ring.zero}
+    while frontier:
+        frontier = {ring.add(x, s) for x in frontier for s in seeds} - reached
+        reached |= frontier
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[list(reached)] = True
+    return mask
+
+
+@pytest.mark.parametrize("spec", ["M(2, Z2)", "T(2, Z4)", "T(3, Z2)", "prod(Z2, Z4)", "H(1, 1, Z3)"])
+def test_closure_holds_exactly_when_the_products_stay_inside(spec):
+    ring = build_ring(spec)
+    mask = analysis.delta_mask(ring)
+    assert not analysis.closure_holds(ring, mask, "ring"), "decided before C00"
+    assert kernel.validation_report(ring).ok
+    rng = random.Random(35)
+    masks = [mask, ~mask, np.ones_like(mask)]
+    for _ in range(60):
+        grown = _additive_span(ring, rng.sample(range(ring.size), rng.randrange(1, 4)))
+        masks += [grown, grown.copy()]
+        masks[-1][rng.randrange(ring.size)] = True
+    for x in rng.sample(range(ring.size), min(12, ring.size)):
+        # the left and right ideals R*x and x*R, and the subgroup that
+        # x's orbit under right multiplication by one unit generator spans
+        masks.append(_additive_span(ring, [ring.mul(r, x) for r in range(ring.size)]))
+        masks.append(_additive_span(ring, [ring.mul(x, r) for r in range(ring.size)]))
+        for g in analysis.unit_generators(ring).tolist():
+            masks.append(_additive_span(ring, [ring.mul(x, u) for u in _group_of(ring, [g])]))
+    one_sided = 0
+    for mask in masks:
+        for by in ("set", "units", "ring"):
+            for two_sided in (True, False):
+                expected = _closed(ring, mask, by, two_sided)
+                assert analysis.closure_holds(ring, mask, by, two_sided) == expected, (by, two_sided)
+        one_sided += _closed(ring, mask, "ring", False) and not _closed(ring, mask, "ring", True)
+    # a left ideal that is no right ideal, where R is not commutative
+    assert (one_sided > 0) == (not analysis.center_mask(ring).all())
+
+
 # -- exact early-exit power orbits -----------------------------------------------------
 
 

@@ -143,8 +143,9 @@ def test_output_matches_golden(corpus, name):
 
 
 # Under blocks of a few dozen cells, every blocked pass (the analysis
-# sweeps, is_local, C17, first_escape in C02, C03, C04 and C22, the
-# axiom checks, the builders' fills and the sub-constructions' reads)
+# sweeps, is_local, C17's sweep and first_escape in C02, C03, C04 and
+# C22 on the corruptions, which fail C00, the axiom checks, the
+# builders' fills and the sub-constructions' reads)
 # spans many blocks on the corpus, its corruptions and the table specs;
 # no table, verdict or first witness may move.
 @pytest.mark.parametrize("name", sorted(PAYLOADS))

@@ -5,15 +5,18 @@ import random
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from deltaring import (
     CapacityError,
     FiniteRing,
+    analysis,
     build_ring,
     classify,
     constructions as con,
     harness,
+    kernel,
     zn,
 )
 from deltaring.harness import (
@@ -280,6 +283,105 @@ def test_c31_reverifier_matches_scalar_oracle_on_non_rings(m2z2):
         for table in tables:
             accepted = {a for a in range(table.size) if reverify_not_dqp_witness(table, a)}
             assert accepted == oracles.not_dqp_witnesses_of(table), table.spell()
+
+
+CLOSURE_CHECKS = ("C02", "C03", "C04", "C17", "C22")
+# the rings of the benchmark's point_queries workload, and rings at the cap
+POINT_SPECS = ("T(3, Z2)", "M(2, Z3)", "T(2, Z8)", "H(1, 1, Z8)", "Z1024", "prod(M(2, Z2), T(2, Z4))")
+CAP_SPECS = ("Z4096", "M(2, Z8)", "T(3, Z4)", "dorroh(Z64, self)")
+
+
+def _closure_rows(ring):
+    """The rows of C00, which a verify runs first, then of the closure checks."""
+    return [run_check(check_id, ring).to_dict() for check_id in ("C00", *CLOSURE_CHECKS)]
+
+
+def _non_rings(rings, seed, count):
+    """Single-entry corruptions of each ring's multiplication table, and
+    each table with its one moved to another element: that table fails
+    only the one-identity axiom, so the prover proves the triple axioms."""
+    rng = random.Random(seed)
+    for ring in rings:
+        for _ in range(count):
+            x, y, value = (rng.randrange(ring.size) for _ in range(3))
+            yield oracles.mutate_mul_entry(ring, x, y, value)
+        others = [x for x in range(ring.size) if x not in (ring.zero, ring.one)]
+        if others:
+            one = rng.choice(others)
+            yield FiniteRing(ring.size, ring.add_table, ring.mul_table, zero=ring.zero, one=one)
+
+
+def test_closure_checks_answer_as_their_sweeps(corpus, ladder_rings, monkeypatch):
+    # generators decide on the rings that pass C00; without them every
+    # row comes from the sweep, and each verdict and witness is the same
+    rings = [entry.ring for entry in corpus] + list(ladder_rings.values())
+    rings += [build_ring(spec) for spec in POINT_SPECS + CAP_SPECS]
+    rings += _non_rings([entry.ring.fill() for entry in corpus if entry.ring.size <= 64], 36, 6)
+    decided = [_closure_rows(ring) for ring in rings]
+    for ring, rows in zip(rings, decided):
+        # the generators exist exactly on the tables that passed C00
+        assert (kernel.proven_generators(ring) is None) == (rows[0]["verdict"] == FAIL)
+    monkeypatch.setattr(analysis, "proven_generators", lambda ring: None)
+    for ring, rows in zip(rings, decided):
+        assert _closure_rows(ring) == rows, ring.spell()
+    fails = {row["check"] for rows in decided for row in rows[1:] if row["verdict"] == FAIL}
+    assert fails == set(CLOSURE_CHECKS) - {"C22"}
+
+
+@pytest.mark.parametrize("spec", ["M(2, Z2)", "M(2, Z3)", "T(3, Z2)"])
+def test_c17_reads_every_unit_generator(spec, monkeypatch):
+    # flag sets that conjugation by all the unit generators but one maps
+    # into themselves: only the left-out generator moves them
+    ring = build_ring(spec)
+    run_check("C00", ring)
+    generators = analysis.unit_generators(ring).tolist()
+    assert len(generators) >= 2
+    inverse = ring.inverse_table()
+    flag_sets = []
+    for left_out in generators:
+        kept = [g for g in generators if g != left_out]
+        for x in range(0, ring.size, 3):
+            orbit, frontier = {x}, {x}
+            while frontier:
+                frontier = {
+                    ring.mul(ring.mul(int(inverse[g]), y), g) for y in frontier for g in kept
+                } - orbit
+                orbit |= frontier
+            flags = np.zeros(ring.size, dtype=bool)
+            flags[list(orbit)] = True
+            flag_sets.append(flags)
+    verdicts = []
+    for flags in flag_sets:
+        monkeypatch.setattr(classify, "element_flags", lambda ring, flavor: flags)
+        decided = run_check("C17", ring).to_dict()
+        with monkeypatch.context() as sweep_only:
+            sweep_only.setattr(analysis, "proven_generators", lambda ring: None)
+            assert run_check("C17", ring).to_dict() == decided
+        verdicts.append(decided["verdict"])
+    assert verdicts.count(FAIL) > 0 and verdicts.count(PASS) > 0
+
+
+def test_a_passing_ring_reaches_no_closure_sweep(corpus, ladder_rings, monkeypatch):
+    sweeps = []
+    escape, reads = analysis.first_escape, harness.row_block_reads
+
+    def counted_escape(*args, **kwargs):
+        sweeps.append("first_escape")
+        return escape(*args, **kwargs)
+
+    def counted_reads(*args, **kwargs):  # C17's sweep over every unit
+        sweeps.append("row_block_reads")
+        return reads(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "first_escape", counted_escape)
+    monkeypatch.setattr(harness, "row_block_reads", counted_reads)
+    rings = [entry.ring for entry in corpus] + list(ladder_rings.values())
+    for ring in rings + [build_ring(spec) for spec in POINT_SPECS]:
+        assert all(row["verdict"] != FAIL for row in _closure_rows(ring)), ring.spell()
+    assert sweeps == []
+    # a table that fails C00 sweeps
+    _closure_rows(oracles.mutate_mul_entry(build_ring("M(2, Z2)"), 5, 6, 3))
+    assert "first_escape" in sweeps and "row_block_reads" in sweeps
 
 
 @pytest.mark.parametrize("jobs", [0, -4])

@@ -671,7 +671,7 @@ ONE_GATE_TABLES = {
 @pytest.mark.parametrize("gate", ONE_GATE_TABLES)
 def test_prover_rejects_what_only_one_gate_catches(gate):
     add, mul = (np.array(t, dtype=np.int32) for t in ONE_GATE_TABLES[gate][:2])
-    pair_faults, _ = kernel._axiom_violations(add, mul, 0)
+    pair_faults = kernel._axiom_violations(add, mul, 0)[0]
     assert {v.axiom for v in pair_faults} <= set(kernel._TRIPLE_AXIOMS)
     violation, not_checked = kernel._prove_triple_axioms(add, mul, 0)
     assert (violation.axiom, violation.witness, list(not_checked)) == ONE_GATE_TABLES[gate][2]
@@ -693,6 +693,57 @@ def test_the_walk_stops_where_an_orbit_closes_outside_the_earlier_picks():
         _ADDITIVE_UNDECIDED,
     )
     assert _prover_agrees_with_the_scan(add, mul, 0) is False
+
+
+def test_the_walk_ends_where_a_stage_adds_nothing():
+    # 1 + 0 = 0 on Z4's table: the zero is not a right identity, so the
+    # stage of pick 1 reaches no new element, and the walk breaks down
+    # there instead of picking 1 again and again
+    add = np.add.outer(np.arange(4), np.arange(4)) % 4
+    add[1, 0] = 0
+    picks, tree = kernel._additive_tree(add, 0)
+    assert tree is None and picks.tolist() == [1]
+
+
+def _span(add, zero, picks):
+    """The elements that sums of the picks reach from zero."""
+    reached = {zero}
+    frontier = [zero]
+    while frontier:
+        frontier = [y for x in frontier for y in add[x, picks].tolist() if y not in reached]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("spec", ["prod(Z2, Z4)", "T(2, Z2)", "M(2, Z2)", "H(1, 1, Z2)"])
+def test_the_masked_walk_reaches_a_set_exactly_when_it_is_a_subgroup(spec):
+    ring = build_ring(spec).fill()
+    add, zero, n = ring.add_table, ring.zero, ring.size
+    rng = random.Random(34)
+    masks = []
+    for _ in range(300):
+        mask = np.array([rng.random() < 0.4 for _ in range(n)])
+        mask[zero] = True
+        masks.append(mask)
+        # the subgroup a few of its elements generate, and that less one
+        grown = np.zeros(n, dtype=bool)
+        grown[list(_span(add, zero, np.flatnonzero(mask)[:3]))] = True
+        masks.append(grown)
+        shrunk = grown.copy()
+        shrunk[np.flatnonzero(grown)[-1]] = len(np.flatnonzero(grown)) == 1
+        masks.append(shrunk)
+    subgroups = 0
+    for mask in masks:
+        members = np.flatnonzero(mask)
+        closed = bool(mask[add[np.ix_(members, members)]].all())
+        picks, tree = kernel._additive_tree(add, zero, mask)
+        assert (tree is not None) == closed, (spec, members.tolist())
+        assert mask[picks].all()
+        if closed:
+            subgroups += 1
+            assert _span(add, zero, picks) == set(members.tolist())
+            assert len(picks) <= math.log2(len(members))
+    assert subgroups > 300
 
 
 def _additive_pair_axioms_hold(add, zero):
@@ -923,7 +974,7 @@ def test_no_noncommutative_addition_passes_the_prover(tables):
     mul = np.full_like(add, zero)
     assert kernel._prove_triple_axioms(add, mul, zero) is not None
     first = tuple(int(c) for c in np.argwhere(add != add.T)[0])
-    violations, _ = kernel._axiom_violations(add, mul, zero)
+    violations = kernel._axiom_violations(add, mul, zero)[0]
     assert violations[0] == kernel.AxiomViolation("add-commutativity", first)
 
 
@@ -941,7 +992,7 @@ def test_only_gate_two_sees_the_twisted_translations():
         (3, 1, 3),
         _ADDITIVE_UNDECIDED,
     )
-    violations, _ = kernel._axiom_violations(add, mul, 0)
+    violations = kernel._axiom_violations(add, mul, 0)[0]
     assert violations[0] == kernel.AxiomViolation("add-commutativity", (3, 4))
 
 
