@@ -1,16 +1,25 @@
 """Distinguished subsets of a finite ring.
 
-Every function here is an exhaustive sweep over the compiled tables,
-vectorised with numpy, that reads them only through the kernel's read
-seam: ``FiniteRing.block``, ``kernel.row_block_reads``,
-``FiniteRing.apply`` and ``FiniteRing.neg_rows``.  The sweeps' results
-are cached on the ring object as read-only boolean masks, and only as
-arrays: the public functions build a fresh :class:`ElementSet` from a
-cached mask on every call, so no cache entry points back at its ring and
-each ring is freed by reference counting alone.  The caches are pure
-functions of the tables, so a populated cache always equals its
-from-scratch recomputation; concurrent callers may compute a value twice
-and publish the same answer, which is harmless.
+Every layer here reads the compiled tables only through the kernel's
+read seam: ``FiniteRing.block``, ``kernel.row_block_reads``,
+``FiniteRing.apply`` and ``FiniteRing.neg_rows``.  A cached layer is
+decorated with :func:`_cached`, or :func:`_swept` for a sweep, and its
+result is cached on the ring, frozen, and only as arrays: the public
+functions build a fresh :class:`ElementSet` from a cached mask on every
+call, so no cache entry points back at its ring and each ring is freed
+by reference counting alone.  The caches are pure functions of the
+tables, so a populated cache always equals its from-scratch
+recomputation; concurrent callers may compute a value twice and
+publish the same answer, which is harmless.
+
+A layer answers by an exhaustive sweep, vectorised with numpy, on any
+table, or by a theorem about finite rings, proved in its docstring, on
+a ring that carries the ``certified`` mark.  :data:`LAYERS` pairs each
+theorem path with its sweep, and :func:`answered` picks one.  Here:
+:func:`nilpotent_mask` (a bounded nil test), :func:`jacobson_mask` and
+:func:`in_radical` (T9), :func:`delta_mask` (T1) and :func:`qnil_mask`
+(T4), which fill nothing.  The checks that state those theorems read
+the sweeps.
 
 Two standard facts keep the sweeps one-sided and bounded:
 
@@ -35,15 +44,6 @@ once, on its cache miss (``_swept``), and every later read is a gather
 from them.  Only the sweeps fill: every other cached layer (``_cached``)
 reads what it needs by ``apply`` and ``block``.
 
-On a ring that carries the ``certified`` mark, :func:`nilpotent_mask`,
-:func:`jacobson_mask`, :func:`delta_mask` and :func:`qnil_mask` answer
-from theorems about finite rings, each proved in its docstring: a
-bounded nil test and T9's rows, which fill nothing, and T1 and T4
-on top of them.  The sweeps they replace keep their own names,
-:func:`nilpotent_sweep_mask`, :func:`jacobson_sweep_mask`,
-:func:`delta_sweep_mask` and :func:`qnil_sweep_mask`, for the checks
-that state those theorems.  Other tables get the sweeps.
-
 On a ring whose validation report passed and is in its cache,
 :func:`closure_holds` decides whether a set is an additive subgroup
 closed under products from generators: its own, those of U
@@ -53,6 +53,9 @@ table.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
 
 import numpy as np
 
@@ -68,30 +71,66 @@ from .kernel import (
 )
 
 
-def _cached(ring: FiniteRing, key, compute):
-    """The cached value at ``key``, computed on a miss."""
-    value = ring._cache.get(key)
-    if value is None:
-        value = compute()
-        ring._cache[key] = value
+def _frozen(value):
+    """``value`` read-only: an array, or each array of a tuple."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    value = np.ascontiguousarray(value)
+    value.flags.writeable = False
     return value
 
 
-def _swept(ring: FiniteRing, key, compute):
+def _cached(compute, fill=False):
+    """Decorator: ``compute(ring, *args)`` cached on the ring under its
+    name, or under ``(name, *args)``, defaults filled in, when it takes
+    arguments, and frozen; a None result is not cached.  ``fill`` is
+    :func:`_swept`'s."""
+    defaults = tuple(p.default for p in inspect.signature(compute).parameters.values())[1:]
+
+    @functools.wraps(compute)
+    def cached(ring: FiniteRing, *args):
+        args += defaults[len(args):]
+        key = (compute.__name__, *args) if args else compute.__name__
+        value = ring._cache.get(key)
+        if value is None:
+            if fill:
+                ring.fill()
+            value = compute(ring, *args)
+            if value is not None:
+                value = ring._cache[key] = _frozen(value)
+        return value
+
+    return cached
+
+
+def _swept(compute):
     """:func:`_cached` for a sweep: the ring's tables are filled on a
     miss, before ``compute`` reads the whole ring from them."""
-
-    def fill_then_compute():
-        ring.fill()
-        return compute()
-
-    return _cached(ring, key, fill_then_compute)
+    return _cached(compute, fill=True)
 
 
-def _frozen(mask: np.ndarray) -> np.ndarray:
-    mask = np.ascontiguousarray(mask)
-    mask.flags.writeable = False
-    return mask
+LAYERS: dict = {}  # each theorem path's name -> (theorem path, sweep), entered by answered
+
+
+def answered(sweep):
+    """Decorator: enters the theorem path it decorates in :data:`LAYERS`
+    under its name, beside ``sweep``, and answers from that entry, read
+    at call time: from the theorem path on a certified ring, and from
+    the sweep on any other table or where the theorem path returns None."""
+
+    def register(theorem):
+        name = theorem.__name__
+        LAYERS[name] = (theorem, sweep)
+
+        @functools.wraps(theorem)
+        def answer(ring: FiniteRing, *args, **kwargs):
+            theorem, sweep = LAYERS[name]
+            value = theorem(ring, *args, **kwargs) if ring.certified else None
+            return sweep(ring, *args, **kwargs) if value is None else value
+
+        return answer
+
+    return register
 
 
 def _all_along_rows(lookup, ring: FiniteRing, op: str, cols=None, commuting=False) -> np.ndarray:
@@ -211,6 +250,7 @@ def closure_holds(ring: FiniteRing, mask: np.ndarray, by: str, two_sided: bool =
     return all(mask.take(ring.block("mul", rows, cols)).all() for rows, cols in sides)
 
 
+@_cached
 def unit_generators(ring: FiniteRing) -> np.ndarray | None:
     """Generators of the unit group of a ring whose cached validation
     report passed (C00), and None on any other, from one greedy walk,
@@ -226,55 +266,50 @@ def unit_generators(ring: FiniteRing) -> np.ndarray | None:
     """
     if proven_generators(ring) is None:
         return None
-
-    def compute():
-        reached = [False] * ring.size
-        reached[ring.one] = True
-        order, picks, columns = [ring.one], [], []
-        for u in unit_indices(ring).tolist():
-            if reached[u]:
-                continue
-            picks.append(u)
-            columns.append(ring.block("mul", None, [u])[:, 0].tolist())  # x -> x*u
-            # the old H is closed under the earlier picks, so it needs only u
-            base, i = len(order), 0
-            while i < len(order):
-                x = order[i]
-                for column in columns if i >= base else columns[-1:]:
-                    if not reached[y := column[x]]:
-                        reached[y] = True
-                        order.append(y)
-                i += 1
-        return _frozen(np.array(picks, dtype=np.intp))
-
-    return _cached(ring, "unit_generators", compute)
+    reached = [False] * ring.size
+    reached[ring.one] = True
+    order, picks, columns = [ring.one], [], []
+    for u in unit_indices(ring).tolist():
+        if reached[u]:
+            continue
+        picks.append(u)
+        columns.append(ring.block("mul", None, [u])[:, 0].tolist())  # x -> x*u
+        # the old H is closed under the earlier picks, so it needs only u
+        base, i = len(order), 0
+        while i < len(order):
+            x = order[i]
+            for column in columns if i >= base else columns[-1:]:
+                if not reached[y := column[x]]:
+                    reached[y] = True
+                    order.append(y)
+            i += 1
+    return np.array(picks, dtype=np.intp)
 
 
 # -- boolean-mask layer (internal fast paths) --------------------------------
 
 
+@_swept
 def unit_mask(ring: FiniteRing) -> np.ndarray:
-    return _swept(ring, "unit_mask", lambda: _frozen(ring.inverse_table() >= 0))
+    return ring.inverse_table() >= 0
 
 
+@_cached
 def unit_indices(ring: FiniteRing) -> np.ndarray:
-    return _cached(ring, "unit_indices", lambda: _frozen(np.flatnonzero(unit_mask(ring))))
+    return np.flatnonzero(unit_mask(ring))
 
 
+@_cached
 def idempotent_mask(ring: FiniteRing) -> np.ndarray:
-    def compute():
-        arange = np.arange(ring.size)
-        return _frozen(ring.apply("mul", arange, arange) == arange)
-
-    return _cached(ring, "idempotent_mask", compute)
+    arange = np.arange(ring.size)
+    return ring.apply("mul", arange, arange) == arange
 
 
+@_cached
 def idempotent_indices(ring: FiniteRing) -> np.ndarray:
     """Idempotents in ascending index order: the column order of every
     idempotent-indexed grid."""
-    return _cached(
-        ring, "idempotent_indices", lambda: _frozen(np.flatnonzero(idempotent_mask(ring)))
-    )
+    return np.flatnonzero(idempotent_mask(ring))
 
 
 def _nil_squarings(n: int) -> int:
@@ -283,37 +318,7 @@ def _nil_squarings(n: int) -> int:
     return (n.bit_length() - 2).bit_length()
 
 
-def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    """a with a^k = 0 for some k: on a certified ring, ceil(log2 m)
-    elementwise squarings of every element for m = floor(log2 n), and
-    :func:`nilpotent_sweep_mask` on any other table.
-
-    The index bound: a nilpotent z in a ring of n elements has z^m = 0.
-    The additive subgroups z^i R shrink as i grows, and if
-    z^i R = z^(i+1) R, then z^(i+1) R = z (z^i R) = z^(i+2) R and so
-    on, down to 0.  So while z^i != 0, each z^i R is a proper subgroup
-    of z^(i-1) R, at most half its size, and n >= 2^(i+1).  So
-    ceil(log2 m) squarings reach zero exactly at the nilpotent elements.
-    The bound is tight on Z(2^k), where 2 has index k.  (The plain bound
-    z^n = 0, from distinct nonzero powers, would need ceil(log2 n)
-    squarings: 10 in place of 4 at n = 1024.)
-
-    Cost: n*ceil(log2 floor(log2 n)) products through ``apply``,
-    pointwise on an unfilled ring, which stays unfilled.
-    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, a few n-vectors.
-    """
-    if not ring.certified:
-        return nilpotent_sweep_mask(ring)
-
-    def compute():
-        powers = np.arange(ring.size)
-        for _ in range(_nil_squarings(ring.size)):
-            powers = ring.apply("mul", powers, powers)
-        return _frozen(powers == ring.zero)
-
-    return _cached(ring, "nilpotent_mask", compute)
-
-
+@_swept
 def nilpotent_sweep_mask(ring: FiniteRing) -> np.ndarray:
     """a with a^k = 0 for some k <= n + 1, powers taken as x_(k+1) = x_k * a,
     walked on any table.
@@ -329,30 +334,53 @@ def nilpotent_sweep_mask(ring: FiniteRing) -> np.ndarray:
     cycle of c leaves within 2*max(t, c) + c steps.
     Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, a few n-vectors.
     """
-
-    def compute():
-        nilpotent = np.zeros(ring.size, dtype=bool)
-        start = np.arange(ring.size)
-        power = saved = start
-        for k in range(1, ring.size + 2):
-            zero = power == ring.zero
-            nilpotent[start[zero]] = True
-            done = zero
-            if k > 1:
-                done = done | (power == start) | (power == saved)
-            if done.any():
-                live = ~done
-                start, power, saved = start[live], power[live], saved[live]
-            if k & (k - 1) == 0:
-                saved = power
-            if not start.size or k > ring.size:
-                break
-            power = ring.apply("mul", power, start)
-        return _frozen(nilpotent)
-
-    return _swept(ring, "nilpotent_sweep_mask", compute)
+    nilpotent = np.zeros(ring.size, dtype=bool)
+    start = np.arange(ring.size)
+    power = saved = start
+    for k in range(1, ring.size + 2):
+        zero = power == ring.zero
+        nilpotent[start[zero]] = True
+        done = zero
+        if k > 1:
+            done = done | (power == start) | (power == saved)
+        if done.any():
+            live = ~done
+            start, power, saved = start[live], power[live], saved[live]
+        if k & (k - 1) == 0:
+            saved = power
+        if not start.size or k > ring.size:
+            break
+        power = ring.apply("mul", power, start)
+    return nilpotent
 
 
+@answered(nilpotent_sweep_mask)
+@_cached
+def nilpotent_mask(ring: FiniteRing) -> np.ndarray:
+    """a with a^k = 0 for some k: on a certified ring, ceil(log2 m)
+    elementwise squarings of every element for m = floor(log2 n).
+
+    The index bound: a nilpotent z in a ring of n elements has z^m = 0.
+    The additive subgroups z^i R shrink as i grows, and if
+    z^i R = z^(i+1) R, then z^(i+1) R = z (z^i R) = z^(i+2) R and so
+    on, down to 0.  So while z^i != 0, each z^i R is a proper subgroup
+    of z^(i-1) R, at most half its size, and n >= 2^(i+1).  So
+    ceil(log2 m) squarings reach zero exactly at the nilpotent elements.
+    The bound is tight on Z(2^k), where 2 has index k.  (The plain bound
+    z^n = 0, from distinct nonzero powers, would need ceil(log2 n)
+    squarings: 10 in place of 4 at n = 1024.)
+
+    Cost: n*ceil(log2 floor(log2 n)) products through ``apply``,
+    pointwise on an unfilled ring, which stays unfilled.
+    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, a few n-vectors.
+    """
+    powers = np.arange(ring.size)
+    for _ in range(_nil_squarings(ring.size)):
+        powers = ring.apply("mul", powers, powers)
+    return powers == ring.zero
+
+
+@_swept
 def comm_matrix(ring: FiniteRing) -> np.ndarray:
     """The commutation relation x*y == y*x, packed and known to this
     module alone: uint8 (n, ceil(n/8)), row x ``np.packbits`` of C(x).
@@ -365,17 +393,13 @@ def comm_matrix(ring: FiniteRing) -> np.ndarray:
     kept.  Tracemalloc peak: 0.3 bytes per n^2 at n = 1024 and 0.14 at
     4096, the kept eighth and one tile's comparison and its transpose.
     """
-
-    def compute():
-        out = np.empty((ring.size, -(-ring.size // 8)), dtype=np.uint8)
-        for rows, cols in _upper_tiles(ring.size):
-            same = ring.block("mul", rows, cols) == ring.block("mul", cols, rows).T
-            out[rows, cols.start // 8 : -(-cols.stop // 8)] = np.packbits(same, axis=1)
-            if cols != rows:
-                out[cols, rows.start // 8 : rows.stop // 8] = np.packbits(same.T.copy(), axis=1)
-        return _frozen(out)
-
-    return _swept(ring, "comm_matrix", compute)
+    out = np.empty((ring.size, -(-ring.size // 8)), dtype=np.uint8)
+    for rows, cols in _upper_tiles(ring.size):
+        same = ring.block("mul", rows, cols) == ring.block("mul", cols, rows).T
+        out[rows, cols.start // 8 : -(-cols.stop // 8)] = np.packbits(same, axis=1)
+        if cols != rows:
+            out[cols, rows.start // 8 : rows.stop // 8] = np.packbits(same.T.copy(), axis=1)
+    return out
 
 
 def comm_rows(ring: FiniteRing, xs) -> np.ndarray:
@@ -412,10 +436,10 @@ def row_subset_pairs(packed: np.ndarray, rows: np.ndarray, targets: np.ndarray) 
     return out
 
 
+@_cached
 def center_mask(ring: FiniteRing) -> np.ndarray:
     """Rows of :func:`comm_matrix` equal to the packed all-ones row (0 padding in both)."""
-    return _cached(ring, "center_mask", lambda: _frozen(
-        (comm_matrix(ring) == np.packbits(np.ones(ring.size, dtype=bool))).all(axis=1)))
+    return (comm_matrix(ring) == np.packbits(np.ones(ring.size, dtype=bool))).all(axis=1)
 
 
 def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
@@ -423,6 +447,7 @@ def _one_minus_is_unit(ring: FiniteRing) -> np.ndarray:
     return unit_mask(ring).take(ring.apply("add", ring.one, ring.neg_rows()))
 
 
+@_swept
 def jacobson_sweep_mask(ring: FiniteRing) -> np.ndarray:
     """x with 1 - r*x a unit for every r, swept on any table: column x of
     the multiplication table read through ``is_unit(1 - y)``.
@@ -431,17 +456,14 @@ def jacobson_sweep_mask(ring: FiniteRing) -> np.ndarray:
     per n^2 at n = 1024, one block at 9 bytes per cell, so it falls as
     1/n^2 above that.
     """
-
-    def compute():
-        return _frozen(_all_down_columns(_one_minus_is_unit(ring), ring, "mul"))
-
-    return _swept(ring, "jacobson_sweep_mask", compute)
+    return _all_down_columns(_one_minus_is_unit(ring), ring, "mul")
 
 
+@answered(jacobson_sweep_mask)
+@_cached
 def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     """x with 1 - r*x a unit for every r: on a certified ring, the x whose
-    row of the multiplication table lies in :func:`nilpotent_mask`
-    (T9), and :func:`jacobson_sweep_mask` on any other table.
+    row of the multiplication table lies in :func:`nilpotent_mask` (T9).
 
     T9: x is in J exactly when x*r is nilpotent for every r.  A finite
     ring is Artinian, so J is nilpotent (Lam, "A First Course in
@@ -457,39 +479,33 @@ def jacobson_mask(ring: FiniteRing) -> np.ndarray:
     Cost: the nil mask's n*ceil(log2 floor(log2 n)) products, plus
     n*|nil| cells of the nilpotent rows (:func:`in_radical`), from
     the builder's arithmetic on an unfilled ring, which stays unfilled.
-    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024 on a certified
-    ring, one row block at 11 bytes per cell, and
-    jacobson_sweep_mask's on any other.
+    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024, one row block at
+    11 bytes per cell.
     """
-    if not ring.certified:
-        return jacobson_sweep_mask(ring)
-
-    def compute():
-        members = np.flatnonzero(nilpotent_mask(ring))
-        radical = np.zeros(ring.size, dtype=bool)
-        radical[members] = in_radical(ring, members)
-        return _frozen(radical)
-
-    return _cached(ring, "jacobson_mask", compute)
+    members = np.flatnonzero(nilpotent_mask(ring))
+    radical = np.zeros(ring.size, dtype=bool)
+    radical[members] = in_radical(ring, members)
+    return radical
 
 
+def in_radical_sweep(ring: FiniteRing, xs) -> np.ndarray:
+    """Whether each element of ``xs`` lies in J, on any table: its column
+    read through ``is_unit(1 - y)``, n flat gathers per element in row blocks."""
+    return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
+
+
+@answered(in_radical_sweep)
 def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     """Whether each element of ``xs`` lies in J, as :func:`jacobson_mask`
-    decides it.
+    decides it: on a certified ring (T9, proved in :func:`jacobson_mask`),
+    whether the element's row of the multiplication table lies in the
+    one cached :func:`nilpotent_mask`.
 
-    On a certified ring (T9, proved in :func:`jacobson_mask`): whether
-    the element's row of the multiplication table lies in the one
-    cached :func:`nilpotent_mask`.  Cost: n cells per element, read in
-    row blocks of ``kernel._BLOCK_CELLS`` cells by ``block``, from the
-    builder's arithmetic on an unfilled ring, which stays unfilled;
-    plus, once per ring, the nil mask's n*ceil(log2 floor(log2 n))
-    products.
-
-    On any other table: the element's column read through
-    ``is_unit(1 - y)``, n flat gathers per element in row blocks.
+    Cost: n cells per element, read in row blocks of
+    ``kernel._BLOCK_CELLS`` cells by ``block``, from the builder's
+    arithmetic on an unfilled ring, which stays unfilled; plus, once per
+    ring, the nil mask's n*ceil(log2 floor(log2 n)) products.
     """
-    if not ring.certified:
-        return _all_down_columns(_one_minus_is_unit(ring), ring, "mul", cols=xs)
     nilpotent = nilpotent_mask(ring)
     xs = np.asarray(xs, dtype=np.intp)
     out = np.empty(len(xs), dtype=bool)
@@ -498,6 +514,7 @@ def in_radical(ring: FiniteRing, xs) -> np.ndarray:
     return out
 
 
+@_swept
 def delta_sweep_mask(ring: FiniteRing) -> np.ndarray:
     """x with 1 - x*u a unit for every unit u, swept on any table.
 
@@ -505,17 +522,13 @@ def delta_sweep_mask(ring: FiniteRing) -> np.ndarray:
     per n^2 at n = 1024, one block at 13 bytes per cell (the unit
     columns, their intp copy and the bool gather).
     """
-
-    def compute():
-        lookup = _one_minus_is_unit(ring)
-        return _frozen(_all_along_rows(lookup, ring, "mul", unit_indices(ring)))
-
-    return _swept(ring, "delta_sweep_mask", compute)
+    return _all_along_rows(_one_minus_is_unit(ring), ring, "mul", unit_indices(ring))
 
 
+@answered(delta_sweep_mask)
 def delta_mask(ring: FiniteRing) -> np.ndarray:
     """x with 1 - x*u a unit for every unit u: :func:`jacobson_mask` on a
-    certified ring, by T1, and :func:`delta_sweep_mask` on any other.
+    certified ring, by T1.
 
     T1: delta(R) = J(R) for a finite ring R.  For x in J and a unit u,
     x*u is in J, so 1 - x*u is a unit: J lies in delta.  Conversely, an
@@ -531,12 +544,12 @@ def delta_mask(ring: FiniteRing) -> np.ndarray:
     x + J = 0.  (delta(R) is the set of Leroy and Matczuk, "Remarks on
     the Jacobson radical", 2019.)
 
-    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024 on a certified ring,
-    jacobson_mask's, and delta_sweep_mask's on any other.
+    Tracemalloc peak: 2.8 bytes per n^2 at n = 1024, jacobson_mask's.
     """
-    return jacobson_mask(ring) if ring.certified else delta_sweep_mask(ring)
+    return jacobson_mask(ring)
 
 
+@_swept
 def qnil_sweep_mask(ring: FiniteRing) -> np.ndarray:
     """a with 1 + a*x a unit for every x in C(a), swept on any table: row
     a of the multiplication table read through ``is_unit(1 + y)``, on C(a).
@@ -545,17 +558,14 @@ def qnil_sweep_mask(ring: FiniteRing) -> np.ndarray:
     Tracemalloc peak: 2.5 bytes per n^2 at n = 1024 above the relation,
     one block at 9 bytes per cell.
     """
-
-    def compute():
-        one_plus_is_unit = unit_mask(ring).take(ring.block("add", [ring.one])[0])
-        return _frozen(_all_along_rows(one_plus_is_unit, ring, "mul", commuting=True))
-
-    return _swept(ring, "qnil_sweep_mask", compute)
+    one_plus_is_unit = unit_mask(ring).take(ring.block("add", [ring.one])[0])
+    return _all_along_rows(one_plus_is_unit, ring, "mul", commuting=True)
 
 
+@answered(qnil_sweep_mask)
 def qnil_mask(ring: FiniteRing) -> np.ndarray:
     """a with 1 + a*x a unit for every x in C(a): :func:`nilpotent_mask`
-    on a certified ring, by T4, and :func:`qnil_sweep_mask` on any other.
+    on a certified ring, by T4.
 
     T4: qnil(R) = nil(R) for a finite ring R (Fitting's lemma).  If a
     is nilpotent and x commutes with a, then (a*x)^k = a^k * x^k, so a*x
@@ -567,10 +577,10 @@ def qnil_mask(ring: FiniteRing) -> np.ndarray:
     commutes with a, and 1 + a*x = 1 - e is an idempotent, a unit only
     when e = 0.  So a quasinilpotent a has a^k = e = 0.
 
-    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024 on a certified ring,
-    nilpotent_mask's few n-vectors, and qnil_sweep_mask's on any other.
+    Tracemalloc peak: 0.1 bytes per n^2 at n = 1024, nilpotent_mask's
+    few n-vectors.
     """
-    return nilpotent_mask(ring) if ring.certified else qnil_sweep_mask(ring)
+    return nilpotent_mask(ring)
 
 
 def comm_mask(ring: FiniteRing, a: Element) -> np.ndarray:
@@ -620,6 +630,18 @@ def delta(ring: FiniteRing) -> ElementSet:
     return ElementSet(ring, delta_mask(ring))
 
 
+@_swept
+def delta_forms(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks of :func:`delta_alternative_forms`."""
+    is_unit = unit_mask(ring)
+    ulist = unit_indices(ring)
+    plus_one_is_unit = is_unit.take(ring.block("add", None, [ring.one])[:, 0])
+    sum_form = _all_along_rows(is_unit, ring, "add", ulist)
+    right = _all_along_rows(plus_one_is_unit, ring, "mul", ulist)
+    left = _all_down_columns(plus_one_is_unit, ring, "mul", ulist)
+    return sum_form, right, left
+
+
 def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, ElementSet]:
     """Three independently computed characterizations of :func:`delta`.
 
@@ -634,17 +656,7 @@ def delta_alternative_forms(ring: FiniteRing) -> tuple[ElementSet, ElementSet, E
     3*n*|U| flat gathers in row blocks.  Tracemalloc peak: 3.5 bytes
     per n^2 at n = 1024, one block at 13 bytes per cell.
     """
-
-    def compute():
-        is_unit = unit_mask(ring)
-        ulist = unit_indices(ring)
-        plus_one_is_unit = is_unit.take(ring.block("add", None, [ring.one])[:, 0])
-        sum_form = _all_along_rows(is_unit, ring, "add", ulist)
-        right = _all_along_rows(plus_one_is_unit, ring, "mul", ulist)
-        left = _all_down_columns(plus_one_is_unit, ring, "mul", ulist)
-        return _frozen(sum_form), _frozen(right), _frozen(left)
-
-    return tuple(ElementSet(ring, mask) for mask in _swept(ring, "delta_forms", compute))
+    return tuple(ElementSet(ring, mask) for mask in delta_forms(ring))
 
 
 def qnil(ring: FiniteRing) -> ElementSet:

@@ -15,16 +15,17 @@ targets are supported:
 A ring is delta-quasipolar (resp. j-quasipolar, quasipolar) when every
 element has at least one spectral idempotent for the matching target.
 
-On a ring that carries the ``certified`` mark, the predicates answer
-from theorems about finite rings, T2, T5, T6 and T8, each proved in the
-docstring of the code that uses it (T1, delta = J, and T4, qnil = nil,
-are in ``analysis``).  They need no commutation relation.  The uniquely
-clean and uniquely delta-clean flags count the decompositions a = e + w
-by their definition, over the residuals a - e of one n x |Id| block
-(:func:`_residual_grid`), which fills nothing.  The all-element sweeps
-the theorems replace keep their own names, :func:`spectral_grid`,
-:func:`spectral_sweep_flags` and :func:`clean_sweep_flags`, answer on
-every other table, and serve the checks that state those theorems.
+Four layers here are theorem paths in ``analysis.LAYERS``:
+:func:`spectral_mask`, :func:`element_flags`, :func:`clean_flags` and
+:func:`is_local`.  On a ring that carries the ``certified`` mark they
+answer from theorems about finite rings, T2, T5, T6 and T8, each proved
+in the docstring of the code that uses it (T1, delta = J, and T4,
+qnil = nil, are in ``analysis``), and need no commutation relation.
+Uniquely clean and uniquely delta-clean count the decompositions
+a = e + w over the residuals a - e of one n x |Id| block
+(:func:`residual_grid`), which fills nothing.  The sweeps of the table
+answer on every other table, where no theorem settles the arguments,
+and for the checks that state those theorems.
 """
 
 from __future__ import annotations
@@ -46,19 +47,19 @@ _SWEEP_TARGETS = {
     "quasipolar": analysis.unit_mask,
 }
 FLAVORS = tuple(_SWEEP_TARGETS)
-# the flavors whose grid spectral_grid may take from the other's
+# the flavors and clean targets that are J on a certified ring (T1); each
+# flavor's spectral_grid may be taken from the other's
 _RADICAL_TWIN = {"delta": "jacobson", "jacobson": "delta"}
-# the flavors a certified ring answers by theorem; "unit" is swept
-_THEOREM_FLAVORS = ("delta", "jacobson", "quasipolar")
 
 
-def _target_mask(ring: FiniteRing, flavor: str) -> np.ndarray:
-    if flavor not in _SWEEP_TARGETS:
-        raise ValueError(f"unknown spectral flavor {flavor!r}")
-    return _SWEEP_TARGETS[flavor](ring)
+def _sweep_target(name: str, kind: str = "spectral flavor"):
+    """The target-mask function of a spectral flavor or a clean target."""
+    if name not in _SWEEP_TARGETS:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return _SWEEP_TARGETS[name]
 
 
-# -- theorem paths on certified rings ------------------------------------------------
+# -- what the theorem paths compute, on certified rings --------------------------------
 
 
 def _square_plus(ring: FiniteRing, a: np.ndarray, sign: int) -> np.ndarray:
@@ -110,10 +111,55 @@ def _power_idempotents(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
     raise AssertionError("no idempotent power within n powers: the ring axioms fail")
 
 
-def _theorem_spectral(ring: FiniteRing, a: np.ndarray, flavor: str) -> np.ndarray:
-    """The spectral idempotent of each element of ``a`` on a certified
-    ring, or -1 where there is none; ``flavor`` is one of
-    ``_THEOREM_FLAVORS``.
+# -- spectral idempotents ----------------------------------------------------------------
+
+
+@analysis._cached
+def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
+    """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
+    spectral idempotent of a for the target, swept on any table; cached
+    and frozen.
+
+    The target comes first: an n x |Id| gather of a + p (and of a*p for
+    the quasipolar flavor) through the swept target sets.  The test
+    C(a) subset of C(p) then runs only at the candidates, the cells
+    where the target holds and p is not central (else C(p) = R), on the
+    packed rows of :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers
+    plus |candidates|*n/8 byte operations.
+
+    The delta and jacobson grids are the same function of their target
+    masks, so the second of them to be asked for is the first one's
+    grid when ``np.array_equal`` finds the two masks equal, as on every
+    ring; a table whose masks differ pays both sweeps.
+    """
+    target = _sweep_target(flavor)(ring.fill())  # an unknown flavor raises before the fill
+    other = _RADICAL_TWIN.get(flavor)
+    twin = None if other is None else ring._cache.get(("spectral_grid", other))
+    if twin is not None and np.array_equal(target, _SWEEP_TARGETS[other](ring)):
+        return twin
+    idl = analysis.idempotent_indices(ring)
+    grid = target.take(ring.block("add", None, idl))
+    if flavor == "quasipolar":
+        grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
+    a, j = np.nonzero(grid & ~analysis.center_mask(ring)[idl])
+    grid[a, j] = analysis.row_subset_pairs(analysis.comm_matrix(ring), a, idl[j])
+    return grid
+
+
+def spectral_sweep_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray:
+    """Boolean mask of all spectral idempotents of a for the target, from
+    a row of :func:`spectral_grid`, on any table."""
+    ring._check_index(a)
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[analysis.idempotent_indices(ring)] = spectral_grid(ring, flavor)[a]
+    return mask
+
+
+@analysis.answered(spectral_sweep_mask)
+def spectral_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray | None:
+    """Boolean mask of all spectral idempotents of a for the given target,
+    on a certified ring: the one idempotent p below, or none; None for a
+    flavor that no theorem settles ("unit").
 
     Delta and jacobson (T2, with T1 for delta): a has a spectral
     idempotent exactly when a^2 + a lies in J, and it is then the lift
@@ -141,102 +187,16 @@ def _theorem_spectral(ring: FiniteRing, a: np.ndarray, flavor: str) -> np.ndarra
     comm2(a), and spectral idempotents are unique (Koliha and Patricio,
     "Elements of rings with equal spectral idempotents", 2002).
     """
-    a = np.asarray(a, dtype=np.intp)
-    if flavor == "quasipolar":
-        return ring.apply("add", ring.one, ring.neg_rows(_power_idempotents(ring, a)))
-    out = np.full(len(a), -1, dtype=np.intp)
-    has = analysis.in_radical(ring, _square_plus(ring, a, 1))
-    out[has] = _radical_lift(ring, ring.neg_rows(a[has]))
-    return out
-
-
-def _theorem_flags(ring: FiniteRing, flavor: str) -> np.ndarray:
-    """Whether each element has a spectral idempotent, on a certified
-    ring: one gather J[a*a + a] for delta and jacobson (T2), and every
-    element for quasipolar (T8, or T5: a finite ring is strongly
-    pi-regular, hence quasipolar)."""
-    if flavor == "quasipolar":
-        return np.ones(ring.size, dtype=bool)
-    return analysis.jacobson_mask(ring).take(_square_plus(ring, np.arange(ring.size), 1))
-
-
-def _theorem_clean_flags(ring: FiniteRing, target: str, commuting: bool, unique: bool):
-    """Per-element clean flags on a certified ring, or None for the unit
-    target with ``unique``, which :func:`clean_sweep_flags` counts.
-
-    T5 and T8: every element of a finite ring is strongly clean.  By T8
-    for -a, -a + 1 - e is a unit u for an idempotent e that is a power
-    of -a, so a = (1 - e) + (-u) with 1 - e commuting with a.
-
-    T6: a is J-clean, and strongly J-clean, exactly when a^2 - a is in
-    J.  If a = e + j, then a = e modulo J, an idempotent there.
-    Conversely the lift p of a (:func:`_radical_lift`) commutes with a
-    and has a - p in J.  By T1 the delta targets read the same.  Asking
-    for exactly one commuting decomposition leaves a^2 - a in J alone:
-    two commuting idempotents in a + J differ by a nilpotent x with
-    x^3 = x, which is 0 (see T2).  Without the commutation, the
-    decompositions a = e + d are counted by their definition, the
-    members of J among the residuals a - e (:func:`_residual_grid`).
-    """
-    if target == "unit":
-        return None if unique else np.ones(ring.size, dtype=bool)
-    radical = analysis.jacobson_mask(ring)
-    if unique and not commuting:
-        return radical.take(_residual_grid(ring)).sum(axis=1) == 1
-    return radical.take(_square_plus(ring, np.arange(ring.size), -1))
-
-
-# -- spectral idempotents ----------------------------------------------------------------
-
-
-def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
-    """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
-    spectral idempotent of a for the target, swept on any table; cached
-    and frozen.
-
-    The target comes first: an n x |Id| gather of a + p (and of a*p for
-    the quasipolar flavor) through the swept target sets.  The test
-    C(a) subset of C(p) then runs only at the candidates, the cells
-    where the target holds and p is not central (else C(p) = R), on the
-    packed rows of :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers
-    plus |candidates|*n/8 byte operations.
-
-    The delta and jacobson grids are the same function of their target
-    masks, so the second of them to be asked for is the first one's
-    grid when ``np.array_equal`` finds the two masks equal, as on every
-    ring; a table whose masks differ pays both sweeps.
-    """
-
-    def compute():
-        target = _target_mask(ring, flavor)
-        other = _RADICAL_TWIN.get(flavor)
-        twin = None if other is None else ring._cache.get(("spectral_grid", other))
-        if twin is not None and np.array_equal(target, _target_mask(ring, other)):
-            return twin
-        idl = analysis.idempotent_indices(ring)
-        grid = target.take(ring.block("add", None, idl))
-        if flavor == "quasipolar":
-            grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
-        a, j = np.nonzero(grid & ~analysis.center_mask(ring)[idl])
-        grid[a, j] = analysis.row_subset_pairs(analysis.comm_matrix(ring), a, idl[j])
-        return analysis._frozen(grid)
-
-    return analysis._swept(ring, ("spectral_grid", flavor), compute)
-
-
-def spectral_mask(ring: FiniteRing, a: Element, flavor: str = "delta") -> np.ndarray:
-    """Boolean mask of all spectral idempotents of a for the given target:
-    from :func:`_theorem_spectral` on a certified ring, for every flavor
-    but "unit", and from a row of :func:`spectral_grid` otherwise."""
     ring._check_index(a)
-    mask = np.zeros(ring.size, dtype=bool)
-    if ring.certified and flavor in _THEOREM_FLAVORS:
-        p = int(_theorem_spectral(ring, [a], flavor)[0])
-        if p >= 0:
-            mask[p] = True
-        return mask
-    mask[analysis.idempotent_indices(ring)] = spectral_grid(ring, flavor)[a]
-    return mask
+    a = np.array([a], dtype=np.intp)
+    if flavor == "quasipolar":
+        p = ring.apply("add", ring.one, ring.neg_rows(_power_idempotents(ring, a)))
+    elif flavor in _RADICAL_TWIN:
+        has = analysis.in_radical(ring, _square_plus(ring, a, 1))[0]
+        p = _radical_lift(ring, ring.neg_rows(a)) if has else [-1]
+    else:
+        return None
+    return np.arange(ring.size) == p[0]
 
 
 def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") -> ElementSet:
@@ -247,25 +207,25 @@ def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") ->
     return ElementSet(ring, spectral_mask(ring, a, flavor))
 
 
+@analysis._cached
 def spectral_sweep_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Per-element quasipolarity flags read from :func:`spectral_grid`,
     on any table; cached and frozen."""
-    return analysis._cached(
-        ring,
-        ("spectral_sweep_flags", flavor),
-        lambda: analysis._frozen(spectral_grid(ring, flavor).any(axis=1)),
-    )
+    return spectral_grid(ring, flavor).any(axis=1)
 
 
-def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
-    """Per-element quasipolarity flags for the target, cached and frozen:
-    :func:`_theorem_flags` on a certified ring, for every flavor but
-    "unit", and :func:`spectral_sweep_flags` otherwise."""
-    if not (ring.certified and flavor in _THEOREM_FLAVORS):
-        return spectral_sweep_flags(ring, flavor)
-    return analysis._cached(
-        ring, ("qp_elements", flavor), lambda: analysis._frozen(_theorem_flags(ring, flavor))
-    )
+@analysis.answered(spectral_sweep_flags)
+@analysis._cached
+def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray | None:
+    """Per-element quasipolarity flags for the target, cached and frozen,
+    on a certified ring: one gather J[a*a + a] for delta and jacobson
+    (T2), and every element for quasipolar (T8, or T5: a finite ring is
+    strongly pi-regular, hence quasipolar)."""
+    if flavor == "quasipolar":
+        return np.ones(ring.size, dtype=bool)
+    if flavor not in _RADICAL_TWIN:
+        return None
+    return analysis.jacobson_mask(ring).take(_square_plus(ring, np.arange(ring.size), 1))
 
 
 def ring_quasipolar(ring: FiniteRing, flavor: str = "delta") -> tuple[bool, int | None]:
@@ -288,13 +248,12 @@ def is_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
 # -- clean-style decompositions a = e + w ------------------------------------------
 
 
-def _residual_grid(ring: FiniteRing) -> np.ndarray:
+@analysis._cached
+def residual_grid(ring: FiniteRing) -> np.ndarray:
     """Entry (a, j) is the residual a - e_j of a and idempotent
     ``idempotent_indices[j]``: one n x |Id| block of the addition table,
     which fills nothing; cached and frozen."""
-    return analysis._cached(ring, "residual_grid", lambda: analysis._frozen(
-        ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
-    ))
+    return ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
 
 
 def clean_sweep_flags(
@@ -313,28 +272,47 @@ def clean_sweep_flags(
     n x |Id| gather of the target at the residuals, and only for
     ``commuting`` the relation's |Id| rows, unpacked and transposed.
     """
-    good = _target_mask(ring, target).take(_residual_grid(ring))
+    good = _sweep_target(target, "clean target")(ring).take(residual_grid(ring))
     if commuting:
         good &= analysis.comm_rows(ring, analysis.idempotent_indices(ring)).T
     counts = good.sum(axis=1)
     return counts == 1 if unique else counts >= 1
 
 
+@analysis.answered(clean_sweep_flags)
 def clean_flags(
     ring: FiniteRing,
     target: str = "unit",
     *,
     commuting: bool = False,
     unique: bool = False,
-) -> np.ndarray:
-    """The flags of :func:`clean_sweep_flags`, from
-    :func:`_theorem_clean_flags` on a certified ring where a theorem
-    settles them."""
-    if ring.certified and target in ("unit", "jacobson", "delta"):
-        flags = _theorem_clean_flags(ring, target, commuting, unique)
-        if flags is not None:
-            return flags
-    return clean_sweep_flags(ring, target, commuting=commuting, unique=unique)
+) -> np.ndarray | None:
+    """The flags of :func:`clean_sweep_flags` on a certified ring, or None
+    where no theorem settles them: the unit target with ``unique``, which
+    the sweep counts, and a target outside unit, jacobson and delta.
+
+    T5 and T8: every element of a finite ring is strongly clean.  By T8
+    for -a, -a + 1 - e is a unit u for an idempotent e that is a power
+    of -a, so a = (1 - e) + (-u) with 1 - e commuting with a.
+
+    T6: a is J-clean, and strongly J-clean, exactly when a^2 - a is in
+    J.  If a = e + j, then a = e modulo J, an idempotent there.
+    Conversely the lift p of a (:func:`_radical_lift`) commutes with a
+    and has a - p in J.  By T1 the delta targets read the same.  Asking
+    for exactly one commuting decomposition leaves a^2 - a in J alone:
+    two commuting idempotents in a + J differ by a nilpotent x with
+    x^3 = x, which is 0 (see T2).  Without the commutation, the
+    decompositions a = e + d are counted by their definition, the
+    members of J among the residuals a - e (:func:`residual_grid`).
+    """
+    if target == "unit":
+        return None if unique else np.ones(ring.size, dtype=bool)
+    if target not in _RADICAL_TWIN:
+        return None
+    radical = analysis.jacobson_mask(ring)
+    if unique and not commuting:
+        return radical.take(residual_grid(ring)).sum(axis=1) == 1
+    return radical.take(_square_plus(ring, np.arange(ring.size), -1))
 
 
 def verdict(flags: np.ndarray) -> tuple[bool, int | None]:
@@ -383,9 +361,9 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     """
     ring._check_index(a)
     idl = analysis.idempotent_indices(ring)
-    residual = _residual_grid(ring)[a]
+    residual = residual_grid(ring)[a]
     commutes = analysis.comm_mask(ring, a)[idl]
-    good = _target_mask(ring, target)[residual]
+    good = _sweep_target(target, "clean target")(ring)[residual]
     return [(int(idl[j]), int(residual[j]), bool(commutes[j])) for j in np.flatnonzero(good)]
 
 
@@ -404,6 +382,18 @@ def is_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
     return False, int(idl[np.argmax(~central)])
 
 
+def is_local_sweep(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
+    """Non-units closed under addition, on any table: one blocked sweep of
+    the non-unit square of the addition table (:func:`analysis.first_escape`)."""
+    nonunit = ~analysis.unit_mask(ring)
+    nonunits = np.flatnonzero(nonunit)
+    at = analysis.first_escape(nonunit, ring, "add", nonunits, nonunits)
+    if at is not None:
+        return False, (int(nonunits[at[0]]), int(nonunits[at[1]]))
+    return True, None
+
+
+@analysis.answered(is_local_sweep)
 def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     """Non-units closed under addition.
 
@@ -413,9 +403,7 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     be a unit, else that factor would have a one-sided inverse, which is
     two-sided here), so additive closure is the whole question.  The
     witness is the first pair of non-units, in row-major order, whose
-    sum is a unit.  On a table without the certified mark it costs one
-    blocked sweep of the non-unit square of the addition table
-    (:func:`analysis.first_escape`).
+    sum is a unit: the first escape of :func:`is_local_sweep`.
 
     A certified ring is local exactly when |U| + |J| = n (T5), and a
     ring that is not gets its witness from U and J, with no sweep.  U
@@ -432,18 +420,12 @@ def is_local(ring: FiniteRing) -> tuple[bool, tuple[int, int] | None]:
     is read from that one row of ``add``: n cells.
     """
     nonunit = ~analysis.unit_mask(ring)
-    if ring.certified:
-        outside = nonunit & ~analysis.jacobson_mask(ring)
-        if not outside.any():  # the non-units are J
-            return True, None
-        x = int(np.argmax(outside))
-        row = ring.block("add", [x])[0]
-        return False, (x, int(np.argmax(nonunit & ~nonunit[row])))
-    nonunits = np.flatnonzero(nonunit)
-    at = analysis.first_escape(nonunit, ring, "add", nonunits, nonunits)
-    if at is not None:
-        return False, (int(nonunits[at[0]]), int(nonunits[at[1]]))
-    return True, None
+    outside = nonunit & ~analysis.jacobson_mask(ring)
+    if not outside.any():  # the non-units are J
+        return True, None
+    x = int(np.argmax(outside))
+    row = ring.block("add", [x])[0]
+    return False, (x, int(np.argmax(nonunit & ~nonunit[row])))
 
 
 def is_strongly_pi_regular(ring: FiniteRing) -> tuple[bool, None]:

@@ -23,9 +23,9 @@ which is id order.
 
 A check that states one of the theorems ``analysis`` and ``classify``
 answer from on a certified ring (C01, C04, C06, C09, C11, C12, C14,
-C16, C25 and C26) reads the sweeps those theorems replace, the
-``*_sweep_*`` functions and ``classify.spectral_grid``, so that it
-compares a sweep with a theorem and never a theorem path with itself.
+C16, C25 and C26) reads the sweeps that ``analysis.LAYERS`` pairs with
+those theorem paths, and ``classify.spectral_grid`` under them, so that
+it compares a sweep with a theorem and never a theorem path with itself.
 
 The closure checks (C02, C03, C04, C17 and C22) decide from generators
 on a ring whose C00 already passed (``analysis.closure_holds``,

@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import random
 import re
 import tracemalloc
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltaring import FiniteRing, analysis, build_ring, kernel, zn
+from deltaring import FiniteRing, analysis, build_ring, classify, kernel, zn
 
 import oracles
+import sources
 
 
 def _indices(element_set):
@@ -170,13 +172,27 @@ def test_delta_is_ideal_exactly_when_it_equals_radical(corpus):
         assert oracles.is_ideal_of(ring, delta) == (delta == radical), entry.spec_text
 
 
-def test_results_are_cached_and_masks_frozen(z4):
-    assert analysis.delta_mask(z4) is analysis.delta_mask(z4)
-    assert analysis.unit_mask(z4) is analysis.unit_mask(z4)
-    assert analysis.delta(z4) == analysis.delta(z4)
-    assert analysis.units(z4) == analysis.units(z4)
-    assert not analysis.unit_mask(z4).flags.writeable
-    assert not analysis.delta_mask(z4).flags.writeable
+def test_results_are_cached_and_masks_frozen(z4, t2z2):
+    layers = sorted(sources.cached_layers())
+    assert len(layers) == 18
+    # copies with one entry rewritten with its own value: the same rings, unmarked
+    copies = [oracles.mutate_mul_entry(ring, 1, 1, ring.mul(1, 1)) for ring in (z4, t2z2)]
+    assert not any(copy.certified for copy in copies)
+    for ring in (z4, t2z2, *copies):
+        assert kernel.validation_report(ring).ok
+        for module, name in layers:
+            layer = getattr(sources.MODULES[module], name)
+            flavored = len(inspect.signature(layer).parameters) > 1
+            for args in [(f,) for f in classify.FLAVORS] if flavored else [()]:
+                value = layer(ring, *args)
+                assert layer(ring, *args) is value, (name, args)
+                for part in value if isinstance(value, tuple) else (value,):
+                    assert not part.flags.writeable, (name, args)
+            if flavored:  # the default flavor is keyed as if it were passed
+                assert layer(ring) is layer(ring, "delta"), name
+        assert analysis.delta_mask(ring) is analysis.delta_mask(ring)
+        assert analysis.delta(ring) == analysis.delta(ring)
+        assert analysis.units(ring) == analysis.units(ring)
 
 
 # -- closure by generators -------------------------------------------------------------
@@ -213,7 +229,7 @@ def test_unit_generators_generate_the_unit_group(corpus, ladder_rings):
     assert most >= 4
     bad = oracles.mutate_mul_entry(build_ring("M(2, Z2)"), 1, 2, 3)
     assert not kernel.validation_report(bad).ok
-    assert analysis.unit_generators(bad) is None
+    assert analysis.unit_generators(bad) is None and "unit_generators" not in bad._cache
 
 
 def _closed(ring, mask, by, two_sided):

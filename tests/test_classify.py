@@ -1,8 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
-from deltaring import analysis, build_ring, classify, zn
+from deltaring import FiniteRing, analysis, build_ring, classify, zn
 
 import oracles
 
@@ -30,7 +31,7 @@ def _dense_spectral_grid(ring, flavor):
     idl = analysis.idempotent_indices(ring)
     add, mul = ring.fill().add_table, ring.mul_table
     comm = mul == mul.T
-    target = classify._target_mask(ring, flavor)[add[:, idl]]
+    target = classify._sweep_target(flavor)(ring)[add[:, idl]]
     if flavor == "quasipolar":
         target &= analysis.qnil_sweep_mask(ring)[mul[:, idl]]
     comm2 = np.stack([~(comm & ~comm[p]).any(axis=1) for p in idl], axis=1)
@@ -202,6 +203,24 @@ def test_clean_decompositions_certificates(z4, t2z2):
     for e, w, commuting in flagged:
         assert t2z2.add(e, w) == 3
         assert commuting == (t2z2.mul(e, w) == t2z2.mul(w, e))
+
+
+@pytest.mark.parametrize("marked", [True, False], ids=["certified", "unmarked"])
+def test_an_unknown_flavor_or_target_raises_before_any_fill(marked):
+    ring = build_ring("Z16")
+    if not marked:  # the same builder's arithmetic, unfilled, without the mark
+        ring = FiniteRing(ring.size, None, None, zero=ring.zero, one=ring.one,
+                          arithmetic=ring._arithmetic, pointwise=ring._pointwise)
+    assert ring.certified == marked
+    calls = [
+        (lambda: classify.spectral_mask(ring, 3, "bogus"), "unknown spectral flavor 'bogus'"),
+        (lambda: classify.element_flags(ring, "bogus"), "unknown spectral flavor 'bogus'"),
+        (lambda: classify.clean_flags(ring, "bogus"), "unknown clean target 'bogus'"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert (ring.add_table, ring.mul_table, ring.neg_table) == (None, None, None), message
 
 
 def test_frozen_clean_verdicts(z2, z4, f4):

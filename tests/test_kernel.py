@@ -26,6 +26,7 @@ from deltaring import (
 )
 
 import oracles
+import sources
 
 
 def test_zn_arithmetic_matches_modular_arithmetic():
@@ -330,46 +331,63 @@ def test_negation_on_a_certified_ring_scans_only_the_row_of_one(monkeypatch):
 
 
 # the checks that state a theorem that analysis or classify answers from
-# on a certified ring, and the theorem paths they must not read.
-# jacobson_mask (T9) stays off the list: C04, C16 and C26 compare it
-# with delta_sweep_mask, qnil_sweep_mask or nilpotent_sweep_mask, which
-# are sweeps, so they still compare a sweep with a theorem path
+# on a certified ring; none may reach a theorem path of analysis.LAYERS
 THEOREM_CHECKS = ("C01", "C04", "C06", "C09", "C11", "C12", "C14", "C16", "C25", "C26")
-THEOREM_PATHS = {
-    "delta_mask", "qnil_mask", "delta", "qnil", "nilpotent_mask", "nilpotents",
-    "element_flags", "clean_flags",
-    "spectral_mask", "spectral_idempotents", "ring_quasipolar", "is_delta_quasipolar",
-    "is_j_quasipolar", "is_quasipolar", "is_clean", "is_strongly_clean", "is_uniquely_clean",
-    "is_j_clean", "is_strongly_delta_clean", "is_uniquely_delta_clean",
-}
+# T9's theorem path, which C04, C16 and C26 compare with
+# delta_sweep_mask, qnil_sweep_mask or nilpotent_sweep_mask: sweeps, so
+# they still compare a sweep with a theorem path
+T9_COMPARED = ("analysis", "jacobson_mask")
+THEOREM_PATHS = set(sources.layer_names()) - {T9_COMPARED}
+
+
+def _check_roots(tree) -> dict:
+    """Each check's body and hypothesis in a tree of the harness source."""
+    roots = {}
+    for node in tree.body:
+        for deco in getattr(node, "decorator_list", ()):
+            if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "check":
+                parts = [node] + [k.value for k in deco.keywords]
+                roots[deco.args[0].value] = [("harness", part) for part in parts]
+    return roots
+
+
+def _theorem_paths_read(tree) -> dict:
+    """The theorem paths each theorem-stating check reaches, following
+    calls through the harness, analysis and classify."""
+    roots = _check_roots(tree)
+    reads = {c: sources.reached(roots[c], stop={T9_COMPARED}) & THEOREM_PATHS
+             for c in THEOREM_CHECKS}
+    return {check_id: read for check_id, read in reads.items() if read}
 
 
 def test_theorem_stating_checks_read_only_the_sweeps():
     # a check that states T1-T8 compares a sweep with a theorem path, so
-    # neither its body nor its hypothesis, nor a harness helper either
-    # calls, may name a theorem path
-    tree = ast.parse(pathlib.Path(deltaring.harness.__file__).read_text())
-    defs, roots = {}, {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            defs[node.name] = node
-        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            defs[node.targets[0].id] = node
-        for deco in getattr(node, "decorator_list", ()):
-            if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "check":
-                roots[deco.args[0].value] = [node] + [k.value for k in deco.keywords]
-    reached = set()
-    for check_id in THEOREM_CHECKS:
-        todo, seen = list(roots[check_id]), set()
-        while todo:
-            for node in ast.walk(todo.pop()):
-                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-                assert name not in THEOREM_PATHS, f"{check_id} reads {name}"
-                if name in defs and name not in seen:
-                    seen.add(name)
-                    todo.append(defs[name])
-        reached |= seen
-    assert {"_swept_dqp", "_swept_clean", "_uniquely_clean_premises"} <= reached
+    # neither its body nor its hypothesis, nor anything either calls,
+    # may reach a theorem path
+    assert T9_COMPARED in sources.layer_names() and THEOREM_PATHS
+    assert not _theorem_paths_read(sources.TREES["harness"])
+    roots = _check_roots(sources.TREES["harness"])
+    reached = sources.reached([root for c in THEOREM_CHECKS for root in roots[c]])
+    assert {("harness", "_swept_dqp"), ("harness", "_swept_clean"),
+            ("harness", "_uniquely_clean_premises"), ("classify", "spectral_grid")} <= reached
+
+
+def test_a_check_rewired_to_a_theorem_path_fails_the_guard():
+    # C06 reading analysis.delta, which answers by delta_mask's theorem path
+    text = pathlib.Path(deltaring.harness.__file__).read_text()
+    swept = "~analysis.delta_sweep_mask(ring)\n"
+    assert text.count(swept) == 1
+    rewired = ast.parse(text.replace(swept, "~analysis.delta(ring).bool_array()\n"))
+    assert _theorem_paths_read(rewired) == {"C06": {("analysis", "delta_mask")}}
+
+
+def test_only_the_dispatcher_reads_the_certified_mark():
+    # the builders, kernel and the CLI's verb gate keep their own reads
+    for module in ("analysis", "classify"):
+        for node in sources.TREES[module].body:
+            reads = [sub for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and sub.attr == "certified"]
+            assert not reads or getattr(node, "name", None) == "answered", (module, node.lineno)
 
 
 def _replay(ring, axiom, w):

@@ -2,12 +2,12 @@
 
 On a ring that carries the ``certified`` mark, ``analysis`` and
 ``classify`` answer from theorems about finite rings (T1-T9, proved in
-their docstrings).  Here every theorem path is compared with its named
-sweep on every element of the corpus, the benchmark's ladder rings and
-its point rings; mutations of the theorem paths must be caught by that
-comparison; unmarked rings must keep the sweeps; the verbs that answer
-from theorems must leave no sweep in a certified ring's cache; and the
-one-element answers must fill no table.
+their docstrings).  Here every theorem path of ``analysis.LAYERS`` is
+compared with its sweep on every element of the corpus, the benchmark's
+ladder rings and its point rings; mutations of the theorem paths must be
+caught by that comparison; unmarked rings must keep the sweeps; the
+verbs that answer from theorems must leave no sweep in a certified
+ring's cache; and the one-element answers must fill no table.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from deltaring import FiniteRing, analysis, build_ring, classify, cli, harness
 from deltaring import constructions as con
 
 import oracles
+import sources
 
 # the rings of the benchmark's point_queries workload
 POINT_SPECS = (
@@ -55,33 +56,42 @@ def _twin(ring: FiniteRing) -> FiniteRing:
     )
 
 
+def _layer_calls(ring: FiniteRing) -> dict:
+    """The (args, kwargs) at which each entry of ``analysis.LAYERS`` is
+    compared on a ring: every element, flavor and clean kind."""
+    every = np.arange(ring.size)
+    return {
+        "nilpotent_mask": [((), {})],
+        "jacobson_mask": [((), {})],
+        "in_radical": [((every,), {})],
+        "delta_mask": [((), {})],
+        "qnil_mask": [((), {})],
+        "spectral_mask": [((a, f), {}) for f in classify.FLAVORS for a in range(ring.size)],
+        "element_flags": [((f,), {}) for f in classify.FLAVORS],
+        "clean_flags": [((t,), dict(commuting=c, unique=u)) for t, c, u in CLEAN_KINDS],
+        "is_local": [((), {})],
+    }
+
+
 def _mismatches(ring: FiniteRing) -> list[str]:
     """Where a theorem path of a certified ring differs from its sweep."""
     assert ring.certified, ring.spell()
     found = []
 
     def compare(label, theorem, sweep):
-        if not np.array_equal(theorem, sweep):
+        same = theorem == sweep if isinstance(theorem, tuple) else np.array_equal(theorem, sweep)
+        if not same:
             found.append(f"{ring.spell()}: {label}")
 
-    compare("delta", analysis.delta_mask(ring), analysis.delta_sweep_mask(ring))
-    compare("qnil", analysis.qnil_mask(ring), analysis.qnil_sweep_mask(ring))
-    compare("jacobson", analysis.jacobson_mask(ring), analysis.jacobson_sweep_mask(ring))
-    compare("nilpotent", analysis.nilpotent_mask(ring), analysis.nilpotent_sweep_mask(ring))
+    calls = _layer_calls(ring)
+    assert calls.keys() == analysis.LAYERS.keys()
+    for name, (theorem, sweep) in analysis.LAYERS.items():
+        for args, kwargs in calls[name]:
+            got = theorem(ring, *args, **kwargs)
+            if got is not None:  # None: no theorem settles these arguments
+                compare(f"{name} {args} {kwargs}", got, sweep(ring, *args, **kwargs))
     twin = _twin(ring)
     compare("negation", ring.neg_rows(), twin.neg_rows())  # (-1)*x against the scan
-    idl = analysis.idempotent_indices(ring)
-    every = np.arange(ring.size)
-    for flavor in SPECTRAL_FLAVORS:
-        compare(f"{flavor} flags", classify.element_flags(ring, flavor),
-                classify.spectral_sweep_flags(ring, flavor))
-        # the spectral idempotent of every element, as a row of the grid
-        p = classify._theorem_spectral(ring, every, flavor)
-        compare(f"{flavor} spectral sets", idl == p[:, None], classify.spectral_grid(ring, flavor))
-    for target, commuting, unique in CLEAN_KINDS:
-        kind = dict(commuting=commuting, unique=unique)
-        compare(f"clean {target} {kind}", classify.clean_flags(ring, target, **kind),
-                classify.clean_sweep_flags(ring, target, **kind))
     for strict in (False, True):
         got = classify.classification_report(ring, strict_commuting=strict).to_dict()
         want = classify.classification_report(twin, strict_commuting=strict).to_dict()
@@ -174,13 +184,12 @@ def test_a_unique_kind_answered_by_existence_is_caught(monkeypatch, targets):
     # the unique kinds of these targets take the flags of their
     # non-unique twins: T(2, Z2) is not uniquely clean, and has an
     # element with two decompositions a = e + j
-    theorem = classify._theorem_clean_flags
-    monkeypatch.setattr(
-        classify, "_theorem_clean_flags",
-        lambda ring, target, commuting, unique: theorem(
-            ring, target, commuting, unique and target not in targets
-        ),
-    )
+    theorem, sweep = analysis.LAYERS["clean_flags"]
+
+    def existence(ring, target="unit", *, commuting=False, unique=False):
+        return theorem(ring, target, commuting=commuting, unique=unique and target not in targets)
+
+    monkeypatch.setitem(analysis.LAYERS, "clean_flags", (existence, sweep))
     assert _caught(MUTATION_SPECS)
 
 
@@ -205,9 +214,9 @@ def test_the_nil_test_matches_the_radical_sweep(corpus, ladder_rings):
 
 def test_t9_on_the_element_alone_is_caught(monkeypatch):
     # x's own nilpotency in place of that of its column R x
-    monkeypatch.setattr(
-        analysis, "in_radical", lambda ring, xs: analysis.nilpotent_mask(ring)[np.asarray(xs)]
-    )
+    monkeypatch.setitem(analysis.LAYERS, "in_radical", (
+        lambda ring, xs: analysis.nilpotent_mask(ring)[np.asarray(xs)], analysis.in_radical_sweep
+    ))
     assert _caught(MUTATION_SPECS)
 
 
@@ -219,7 +228,8 @@ def test_the_nil_test_reads_the_column_not_the_element(m2z2):
 
 def test_j_as_the_nil_mask_alone_is_caught(monkeypatch):
     # e12 of M(2, Z2) is nilpotent, but e21 * e12 is a nonzero idempotent
-    monkeypatch.setattr(analysis, "jacobson_mask", analysis.nilpotent_mask)
+    nil, _ = analysis.LAYERS["nilpotent_mask"]
+    monkeypatch.setitem(analysis.LAYERS, "jacobson_mask", (nil, analysis.jacobson_sweep_mask))
     assert _caught(["M(2, Z2)"])
 
 
@@ -276,8 +286,19 @@ def test_constructions_carry_the_mark_from_their_inputs(f4):
 
 # -- verbs that answer from theorems fill no sweep --------------------------------------
 
-SWEEP_KEYS = ("comm_matrix", "delta_sweep_mask", "qnil_sweep_mask", "jacobson_sweep_mask",
-              "nilpotent_sweep_mask")
+
+def _cached_reach(names) -> set:
+    """The cache keys of the cached layers that the named functions are
+    or reach (``sources.reached``), by the first part of a key."""
+    reach = sources.reached([root for name in names for root in sources.definition(*name)])
+    cached = sources.cached_layers()
+    return {name for module, name in reach | set(names) if (module, name) in cached}
+
+
+# the cached layers that only the sweeps of analysis.LAYERS reach, and no
+# theorem path: comm_matrix, spectral_grid, the *_sweep_* masks and more
+SWEEP_KEYS = _cached_reach(sources.layer_names().values()) - _cached_reach(sources.layer_names())
+
 F4 = Path(deltaring.__file__).parent / "data" / "f4.json"
 
 
@@ -298,9 +319,16 @@ def test_verbs_on_certified_rings_fill_no_sweep(monkeypatch, spec):
             assert cli.main(argv) == 0, argv
         ring = built[-1]
         assert ring.certified
-        swept = [k for k in ring._cache if k in SWEEP_KEYS or (
-            isinstance(k, tuple) and k[0] in ("spectral_grid", "spectral_sweep_flags"))]
+        swept = [k for k in ring._cache if (k[0] if isinstance(k, tuple) else k) in SWEEP_KEYS]
         assert not swept, (argv, swept)
+
+
+def test_the_sweep_keys_hold_every_sweep_of_the_table():
+    sweeps = {name for _, name in sources.layer_names().values()}
+    cached = {name for _, name in sources.cached_layers()}
+    assert sweeps & cached <= SWEEP_KEYS
+    assert {"comm_matrix", "spectral_grid", "nilpotent_sweep_mask"} <= SWEEP_KEYS
+    assert not SWEEP_KEYS & {"nilpotent_mask", "jacobson_mask", "unit_mask", "residual_grid"}
 
 
 # -- one-element answers, and delta, fill no table ------------------------------------
