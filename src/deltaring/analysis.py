@@ -45,11 +45,10 @@ from them.  Only the sweeps fill: every other cached layer (``_cached``)
 reads what it needs by ``apply`` and ``block``.
 
 On a ring whose validation report passed and is in its cache,
-:func:`closure_holds` decides whether a set is an additive subgroup
-closed under products from generators: its own, those of U
-(:func:`unit_generators`) and those of R (the prover's), by facts of
+:func:`closure_holds` decides whether a set is a two-sided ideal from
+its own additive generators and those of R (the prover's), by facts of
 the ring axioms alone.  It never sweeps; its callers do, on any other
-table.
+table.  :func:`unit_generators` generates U on such a ring.
 """
 
 from __future__ import annotations
@@ -182,13 +181,13 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     multiplication by any element on either side, as (bool, the first
     witness pair or None, what fails or None).
 
-    Cost on a ring that passed C00: :func:`closure_holds` by R's
-    generators, the masked walk's |I| list steps and 2 k l products for
-    k generators of I and l of R.  Otherwise, or when that does not
-    hold: |I|^2 + 2 n |I| cells of ``first_escape``, read by blocks, so
-    an unfilled ring stays unfilled.
+    Cost on a ring that passed C00: :func:`closure_holds`, the masked
+    walk's |I| list steps and 2 k l products for k generators of I and
+    l of R.  Otherwise, or when that does not hold: |I|^2 + 2 n |I|
+    cells of ``first_escape``, read by blocks, so an unfilled ring
+    stays unfilled.
     """
-    if closure_holds(ring, mask, "ring"):
+    if closure_holds(ring, mask):
         return True, None, None
     members = np.flatnonzero(mask)
     at = first_escape(mask, ring, "add", members, members)
@@ -203,15 +202,13 @@ def is_two_sided_ideal(ring: FiniteRing, mask: np.ndarray):
     return True, None, None
 
 
-def closure_holds(ring: FiniteRing, mask: np.ndarray, by: str, two_sided: bool = True) -> bool:
-    """Whether the masked set S is an additive subgroup with S*F in S,
-    and F*S in S when ``two_sided``, for F = ``by``: "set" (S itself),
-    "units" (U) or "ring" (R), decided from generators on a ring whose
-    cached validation report passed (C00, ``kernel.proven_generators``).
-    False means undecided: any other table, an S without zero, or a
-    generator test that fails.  The caller then runs its sweep, which
-    decides and names the witness, so verdicts and witnesses are the
-    sweep's.
+def closure_holds(ring: FiniteRing, mask: np.ndarray) -> bool:
+    """Whether the masked set S is a two-sided ideal, decided from
+    generators on a ring whose cached validation report passed (C00,
+    ``kernel.proven_generators``).  False means undecided: any other
+    table, an S without zero, or a generator test that fails.  The
+    caller then runs its sweep, which decides and names the witness, so
+    verdicts and witnesses are the sweep's.
 
     The facts use only the ring axioms that C00 proved, and none of
     the theorems T1-T10:
@@ -222,17 +219,14 @@ def closure_holds(ring: FiniteRing, mask: np.ndarray, by: str, two_sided: bool =
     * x -> x*y and y -> x*y are additive, so for subgroups A and B
       generated by a_i and b_j, every a*b is a sum of products a_i*b_j,
       and A*B lies in a subgroup C exactly when every a_i*b_j does.
-      With B = S and the picks of R (the prover's), this decides R*S;
-      with A = B = S, S*S.
-    * U is a finite group generated by :func:`unit_generators`.  S*g in
-      S for each generator g gives S*w in S for every product w of
-      them, and these are all the units (an inverse is a positive
-      power).  By additivity S*g lies in S exactly when every x_i*g
-      does; U*S the same way.
+      With the picks of R (the prover's), this decides S*R and R*S.
+
+    An ideal is closed under differences and products, and under
+    multiplication by units on either side, so a True answer settles
+    those closures too.
 
     Cost: the masked walk's |S| list steps plus one row per pick, then
-    k*l products per side for the k picks of S and the l generators of
-    F; "units" adds :func:`unit_generators`, once per ring.
+    2*k*l products for the k picks of S and the l generators of R.
     """
     ring_generators = proven_generators(ring)
     if ring_generators is None or not mask[ring.zero]:
@@ -240,13 +234,7 @@ def closure_holds(ring: FiniteRing, mask: np.ndarray, by: str, two_sided: bool =
     picks, tree = _additive_tree(ring.block("add"), ring.zero, mask)
     if tree is None:
         return False
-    if by == "units":
-        factor = unit_generators(ring)
-    elif by == "ring":
-        factor = ring_generators
-    else:
-        factor = picks
-    sides = [(picks, factor), (factor, picks)] if two_sided else [(picks, factor)]
+    sides = [(picks, ring_generators), (ring_generators, picks)]
     return all(mask.take(ring.block("mul", rows, cols)).all() for rows, cols in sides)
 
 

@@ -37,9 +37,8 @@ import numpy as np
 from . import analysis
 from .kernel import Element, ElementSet, FiniteRing
 
-# The set a + p must land in for each spectral flavor, and the residual w
-# of a clean decomposition for each target, as the sweeps read them; the
-# quasipolar flavor also asks a*p to be quasinilpotent (spectral_grid).
+# The set a + p must land in for each spectral flavor, as the sweeps read
+# it; the quasipolar flavor also asks a*p to be quasinilpotent (spectral_grid).
 _SWEEP_TARGETS = {
     "delta": analysis.delta_sweep_mask,
     "jacobson": analysis.jacobson_mask,
@@ -47,16 +46,20 @@ _SWEEP_TARGETS = {
     "quasipolar": analysis.unit_mask,
 }
 FLAVORS = tuple(_SWEEP_TARGETS)
+# the set the residual w of a clean decomposition a = e + w must lie in
+_CLEAN_TARGETS = {name: _SWEEP_TARGETS[name] for name in ("unit", "jacobson", "delta")}
 # the flavors and clean targets that are J on a certified ring (T1); each
 # flavor's spectral_grid may be taken from the other's
 _RADICAL_TWIN = {"delta": "jacobson", "jacobson": "delta"}
 
 
 def _sweep_target(name: str, kind: str = "spectral flavor"):
-    """The target-mask function of a spectral flavor or a clean target."""
-    if name not in _SWEEP_TARGETS:
+    """The target-mask function of a spectral flavor, or of a clean
+    target for ``kind`` "clean target"."""
+    targets = _CLEAN_TARGETS if kind == "clean target" else _SWEEP_TARGETS
+    if name not in targets:
         raise ValueError(f"unknown {kind} {name!r}")
-    return _SWEEP_TARGETS[name]
+    return targets[name]
 
 
 # -- what the theorem paths compute, on certified rings --------------------------------

@@ -27,11 +27,11 @@ C16, C25 and C26) reads the sweeps that ``analysis.LAYERS`` pairs with
 those theorem paths, and ``classify.spectral_grid`` under them, so that
 it compares a sweep with a theorem and never a theorem path with itself.
 
-The closure checks (C02, C03, C04, C17 and C22) decide from generators
-on a ring whose C00 already passed (``analysis.closure_holds``,
-``analysis.unit_generators``), by facts that use only the ring axioms
-C00 proved, and sweep every product only on other tables or to name a
-witness, so their rows are the sweeps'.
+The closure checks decide from generators on a ring whose C00 already
+passed, by facts of the ring axioms C00 proved: C02, C03, C04 and C22
+from one ideal test (``analysis.closure_holds``), C17 from U's
+(``analysis.unit_generators``).  They sweep every product only on other
+tables or to name a witness, so their rows are the sweeps'.
 
 C00 is the axiom gate: when it fails on a ring, every other check on
 that ring is reported NOT-APPLICABLE (and the C00 failure row is always
@@ -269,12 +269,12 @@ def _c01_forms_agree(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C02", "delta is stable under unit multiplication on both sides")
 def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
-    """On a ring that passed C00, delta's and U's generators decide it
-    (``analysis.closure_holds``): the walk inside delta, then 2 k l
-    products.  Otherwise, or to name the witness, |delta| |U| cells on
-    each side, the first escape of d*u, then of u*d."""
+    """On a ring that passed C00, delta being a two-sided ideal settles
+    it (``analysis.closure_holds``): the walk inside delta, then 2 k l
+    products with R's l generators.  Otherwise, or to name the witness,
+    |delta| |U| cells on each side, the first escape of d*u, then of u*d."""
     dmask = analysis.delta_mask(ring)
-    if analysis.closure_holds(ring, dmask, "units"):
+    if analysis.closure_holds(ring, dmask):
         return PASS, None, None
     dl = np.flatnonzero(dmask)
     ul = analysis.unit_indices(ring)
@@ -289,14 +289,14 @@ def _c02_unit_stability(ring: FiniteRing, ctx: SuiteContext):
 
 @check("C03", "delta contains 0 and is closed under subtraction and multiplication")
 def _c03_subring(ring: FiniteRing, ctx: SuiteContext):
-    """On a ring that passed C00, delta's generators decide it
-    (``analysis.closure_holds``): the walk inside delta, which reaches
-    all of it exactly when delta is a subgroup, then k^2 products.
-    Otherwise, or to name the witness, |delta|^2 cells twice."""
+    """On a ring that passed C00, delta being a two-sided ideal settles
+    it (``analysis.closure_holds``): the walk inside delta, then 2 k l
+    products with R's l generators.  Otherwise, or to name the witness,
+    |delta|^2 cells twice."""
     dmask = analysis.delta_mask(ring)
     if not dmask[ring.zero]:
         return FAIL, _witness(ring, [ring.zero], "zero missing from delta"), None
-    if analysis.closure_holds(ring, dmask, "set", two_sided=False):
+    if analysis.closure_holds(ring, dmask):
         return PASS, None, None
     dl = np.flatnonzero(dmask)
     at = analysis.first_escape(dmask, ring, "add", dl, ring.neg_rows(dl))

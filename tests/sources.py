@@ -1,5 +1,7 @@
 """The source of ``analysis``, ``classify`` and ``harness``, read as
-syntax trees, for the tests that guard which layers a function reaches.
+syntax trees, for the tests that guard which layers a function reaches,
+and of every module of the package, for the tests that guard against
+dead names.
 
 A name is a pair (module, name).  In a module's own code a bare name is
 that module's, and ``analysis.x`` or ``classify.x`` is the other
@@ -12,10 +14,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import deltaring
 from deltaring import analysis, classify, harness
 
 MODULES = {"analysis": analysis, "classify": classify, "harness": harness}
 TREES = {name: ast.parse(Path(module.__file__).read_text()) for name, module in MODULES.items()}
+PACKAGE = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(deltaring.__file__).parent.glob("*.py"))}
 
 
 def _top_level(module: str):
@@ -91,3 +96,51 @@ def layer_names() -> dict:
         return function.__module__.rsplit(".", 1)[1], function.__name__
 
     return {named(theorem): named(sweep) for theorem, sweep in analysis.LAYERS.values()}
+
+
+def unused_imports(trees=PACKAGE) -> set:
+    """(module, name) for each name a module imports, other than from
+    ``__future__``, that its code never reads and its ``__all__`` does
+    not list."""
+    found = set()
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.add((module, name))
+    return found
+
+
+def unreferenced_private(trees=PACKAGE) -> set:
+    """(module, name) for each undecorated top-level function and each
+    top-level assignment of a private name (one leading underscore) that
+    no module of ``trees`` reads, as a name, an attribute or an import."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [] if node.decorator_list else [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                names = [node.target.id] if isinstance(node, ast.AnnAssign) else []
+            found |= {(module, name) for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in read}
+    return found

@@ -232,17 +232,17 @@ def test_unit_generators_generate_the_unit_group(corpus, ladder_rings):
     assert analysis.unit_generators(bad) is None and "unit_generators" not in bad._cache
 
 
-def _closed(ring, mask, by, two_sided):
-    """closure_holds by its definition: mask holds zero and its sums, and
-    the products of its members with those of F on one or both sides."""
+def _inside(ring, mask, left, right):
+    """Whether every product of a member of ``left`` with one of
+    ``right``, both masks, lies in ``mask``."""
     ring.fill()
-    add, mul = ring.add_table, ring.mul_table
+    return bool(mask[ring.mul_table[np.ix_(np.flatnonzero(left), np.flatnonzero(right))]].all())
+
+
+def _subgroup(ring, mask):
+    """Whether the masked set holds zero and its sums."""
     members = np.flatnonzero(mask)
-    factor = {"set": mask, "units": analysis.unit_mask(ring), "ring": np.ones_like(mask)}[by]
-    factor = np.flatnonzero(factor)
-    holds = mask[ring.zero] and mask[add[np.ix_(members, members)]].all()
-    holds = holds and mask[mul[np.ix_(members, factor)]].all()
-    return bool(holds and (not two_sided or mask[mul[np.ix_(factor, members)]].all()))
+    return bool(mask[ring.zero] and mask[ring.add_table[np.ix_(members, members)]].all())
 
 
 def _additive_span(ring, seeds):
@@ -256,34 +256,58 @@ def _additive_span(ring, seeds):
     return mask
 
 
+def _subring_span(ring, seeds):
+    """The subring (without 1) that the seeds generate, as a mask."""
+    mask = _additive_span(ring, seeds)
+    while not _inside(ring, mask, mask, mask):
+        members = np.flatnonzero(mask).tolist()
+        mask = _additive_span(ring, members + [ring.mul(x, y) for x in members for y in members])
+    return mask
+
+
 @pytest.mark.parametrize("spec", ["M(2, Z2)", "T(2, Z4)", "T(3, Z2)", "prod(Z2, Z4)", "H(1, 1, Z3)"])
 def test_closure_holds_exactly_when_the_products_stay_inside(spec):
+    # closure_holds against the definition of a two-sided ideal: a
+    # subgroup with R*S and S*R inside S
     ring = build_ring(spec)
     mask = analysis.delta_mask(ring)
-    assert not analysis.closure_holds(ring, mask, "ring"), "decided before C00"
+    assert not analysis.closure_holds(ring, mask), "decided before C00"
     assert kernel.validation_report(ring).ok
+    everything = np.ones_like(mask)
+    units = analysis.unit_mask(ring)
+    ul = np.flatnonzero(units).tolist()
     rng = random.Random(35)
-    masks = [mask, ~mask, np.ones_like(mask)]
+    masks = [mask, ~mask, everything, _additive_span(ring, ul)]
     for _ in range(60):
         grown = _additive_span(ring, rng.sample(range(ring.size), rng.randrange(1, 4)))
         masks += [grown, grown.copy()]
         masks[-1][rng.randrange(ring.size)] = True
+    for e in np.flatnonzero(analysis.idempotent_mask(ring)).tolist():
+        masks.append(np.isin(np.arange(ring.size), [ring.zero, e]))  # {0, e}: the walk may break down
     for x in rng.sample(range(ring.size), min(12, ring.size)):
-        # the left and right ideals R*x and x*R, and the subgroup that
-        # x's orbit under right multiplication by one unit generator spans
+        # the left and right ideals R*x and x*R, the subring x generates
+        # with 1, and the subgroup spanned by x's products with units on
+        # both sides
         masks.append(_additive_span(ring, [ring.mul(r, x) for r in range(ring.size)]))
         masks.append(_additive_span(ring, [ring.mul(x, r) for r in range(ring.size)]))
-        for g in analysis.unit_generators(ring).tolist():
-            masks.append(_additive_span(ring, [ring.mul(x, u) for u in _group_of(ring, [g])]))
-    one_sided = 0
+        masks.append(_subring_span(ring, [x, ring.one]))
+        masks.append(_additive_span(ring, {ring.mul(ring.mul(u, x), v) for u in ul for v in ul}))
+    one_sided = subrings = unit_stable = 0
     for mask in masks:
-        for by in ("set", "units", "ring"):
-            for two_sided in (True, False):
-                expected = _closed(ring, mask, by, two_sided)
-                assert analysis.closure_holds(ring, mask, by, two_sided) == expected, (by, two_sided)
-        one_sided += _closed(ring, mask, "ring", False) and not _closed(ring, mask, "ring", True)
-    # a left ideal that is no right ideal, where R is not commutative
+        subgroup = _subgroup(ring, mask)
+        left, right = _inside(ring, mask, everything, mask), _inside(ring, mask, mask, everything)
+        ideal = subgroup and left and right
+        assert analysis.closure_holds(ring, mask) == ideal
+        one_sided += subgroup and left != right
+        subrings += subgroup and _inside(ring, mask, mask, mask) and not ideal
+        unit_stable += _inside(ring, mask, units, mask) and _inside(ring, mask, mask, units) and not ideal
+    # a left ideal that is no right ideal, or the reverse, where R is not commutative
     assert (one_sided > 0) == (not analysis.center_mask(ring).all())
+    assert subrings > 0 and unit_stable > 0
+    # a table whose C00 failed decides nothing, even for the whole table
+    bad = oracles.mutate_mul_entry(ring, 1, 2, 3)
+    assert not kernel.validation_report(bad).ok
+    assert not analysis.closure_holds(bad, np.ones(bad.size, dtype=bool))
 
 
 # -- exact early-exit power orbits -----------------------------------------------------

@@ -217,6 +217,14 @@ def test_an_unknown_flavor_or_target_raises_before_any_fill(marked):
         (lambda: classify.element_flags(ring, "bogus"), "unknown spectral flavor 'bogus'"),
         (lambda: classify.clean_flags(ring, "bogus"), "unknown clean target 'bogus'"),
     ]
+    # quasipolar is a spectral flavor, not a clean target, at each entry point
+    for target in ("bogus", "quasipolar"):
+        message = f"unknown clean target '{target}'"
+        calls += [
+            (lambda t=target: classify.clean_flags(ring, t, unique=True), message),
+            (lambda t=target: classify.clean_sweep_flags(ring, t), message),
+            (lambda t=target: classify.clean_decompositions(ring, 3, t), message),
+        ]
     for call, message in calls:
         with pytest.raises(ValueError, match=message):
             call()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deltaring
 from deltaring import cli, constructions, harness, kernel
 
 from test_ringspec import _spec_texts
@@ -48,6 +49,19 @@ def test_classify_markdown(capsys):
     assert "delta_quasipolar" in out
 
 
+def test_classify_markdown_lists_the_witnesses_of_false_predicates(capsys):
+    code, data = run_json(capsys, "classify", "T(2, Z2)")
+    assert code == 0 and data["abelian"] is False
+    code, out, err = run_cli(capsys, "classify", "T(2, Z2)", "--format", "md")
+    assert code == 0 and err == ""
+    section = out.split("## Witnesses for false predicates\n", 1)[1]
+    assert section.splitlines() == [
+        f"- {pred}: elements [{', '.join(w['names'])}] ({w['reason']})"
+        for pred, w in data["witnesses"].items()
+    ]
+    assert "- abelian: elements [[[0,0],[0,1]]] (idempotent is not central)" in section
+
+
 def test_classify_strict_commuting_flag(capsys):
     code, loose = run_json(capsys, "classify", "T(2, Z4)")
     assert code == 0
@@ -81,6 +95,18 @@ def test_spectral_json(capsys):
     assert data["spectral_idempotents"]["indices"] == [6]
     assert data["element_quasipolar"] is True
     assert data["name"] == "[[1,1],[0,0]]"
+
+
+def test_spectral_markdown(capsys):
+    code, out, err = run_cli(capsys, "spectral", "T(2, Z2)", "--element", "6", "--format", "md")
+    assert code == 0 and err == ""
+    assert out == (
+        "# Spectral idempotents: T(2, Z2)\n\n"
+        "- element: 6 ([[1,1],[0,0]])\n"
+        "- flavor: delta\n"
+        "- spectral idempotents (1): {[[1,1],[0,0]]}\n"
+        "- element quasipolar for this flavor: True\n"
+    )
 
 
 def test_spectral_flavors(capsys):
@@ -124,6 +150,26 @@ def test_verify_markdown(capsys):
     assert out.startswith("# Verification suite")
 
 
+def test_verify_markdown_with_timing_lists_failures_and_the_total(capsys, tmp_path):
+    table = {"size": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 0]], "zero": 0, "one": 1}
+    table_path = tmp_path / "broken.json"
+    table_path.write_text(json.dumps(table))
+    manifest = tmp_path / "rings.txt"
+    manifest.write_text(f"Z4\ntable:{table_path}\n")
+    code, data = run_json(capsys, "verify", "--manifest", str(manifest), "--check", "C01")
+    assert code == 1
+    [failed] = [row for row in data["results"] if row["verdict"] == "FAIL"]
+    code, out, err = run_cli(
+        capsys, "verify", "--manifest", str(manifest), "--check", "C01", "--format", "md", "--timing"
+    )
+    assert code == 1 and err == ""
+    assert re.search(r"^Total check time: \d+\.\d ms\.$", out, re.MULTILINE)
+    failures = out.split("## Failures\n", 1)[1].split("\n\n", 1)[0]
+    assert failures.splitlines() == [
+        f"- C00 on {failed['ring']}: witness: {failed['witness']} note: {failed['note']}"
+    ]
+
+
 def test_verify_rejects_unknown_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", "C99")
     assert code == 2
@@ -134,6 +180,12 @@ def test_verify_rejects_repeated_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", "C01,C07,C01")
     assert code == 2 and out == ""
     assert err == "error: usage: check id 'C01' given more than once\n"
+
+
+def test_verify_rejects_a_check_filter_without_ids(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", ",")
+    assert code == 2 and out == ""
+    assert err == "error: usage: --check given but no check ids found\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
@@ -613,3 +665,9 @@ def test_module_invocation_capacity_exit():
     assert result.returncode == 3
     assert result.stdout == b""
     assert result.stderr.decode().startswith("error: capacity:")
+
+
+def test_module_invocation_version():
+    result = _run_module("--version")
+    assert result.returncode == 0 and result.stderr == b""
+    assert result.stdout.decode() == f"deltaring {deltaring.__version__}\n"

@@ -361,6 +361,42 @@ def test_c17_reads_every_unit_generator(spec, monkeypatch):
     assert verdicts.count(FAIL) > 0 and verdicts.count(PASS) > 0
 
 
+def _closed_under_conjugation(ring, x, generators):
+    """The flags of x's orbit under conjugation by the generators."""
+    inverse = ring.inverse_table()
+    orbit, frontier = {x}, {x}
+    while frontier:
+        frontier = {
+            ring.mul(ring.mul(int(inverse[g]), y), g) for y in frontier for g in generators
+        } - orbit
+        orbit |= frontier
+    flags = np.zeros(ring.size, dtype=bool)
+    flags[list(orbit)] = True
+    return flags
+
+
+@pytest.mark.parametrize("spec", ["M(2, Z2)", "M(2, Z3)", "T(3, Z2)"])
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_c17_fails_where_only_one_unit_generator_moves_the_flags(spec, which, monkeypatch):
+    # orbits under every unit generator but one: C17 must read that one
+    # to fail as its sweep does.  unit_generators is cached once C00 has
+    # run, so the sweep's row is taken with it patched to None.
+    ring = build_ring(spec)
+    run_check("C00", ring)
+    generators = analysis.unit_generators(ring).tolist()
+    kept = [g for g in generators if g != generators[which]]
+    fails = 0
+    for x in range(ring.size):
+        flags = _closed_under_conjugation(ring, x, kept)
+        monkeypatch.setattr(classify, "element_flags", lambda ring, flavor: flags)
+        decided = run_check("C17", ring).to_dict()
+        with monkeypatch.context() as sweep_only:
+            sweep_only.setattr(analysis, "unit_generators", lambda ring: None)
+            assert run_check("C17", ring).to_dict() == decided, x
+        fails += decided["verdict"] == FAIL
+    assert fails > 0
+
+
 def test_a_passing_ring_reaches_no_closure_sweep(corpus, ladder_rings, monkeypatch):
     sweeps = []
     escape, reads = analysis.first_escape, harness.row_block_reads
@@ -491,3 +527,95 @@ def test_c00_above_the_scan_limit_notes_what_is_not_checked():
         "violated: left-distributivity; "
         "not checked: mul-associativity, right-distributivity (sampled scan)"
     )
+
+
+# -- FAIL branches that no ring of the corpus reaches ---------------------------------
+#
+# Each test patches the layer its check reads, so the check sees an
+# answer that contradicts the theorem it states, and asserts the row.
+
+
+def _assert_fail(check_id, ring, elements, detail, named_by=None):
+    result = run_check(check_id, ring)
+    named_by = ring if named_by is None else named_by
+    assert result.verdict == FAIL, result.to_dict()
+    assert result.witness == {
+        "elements": elements,
+        "names": named_by.names_of(elements),
+        "detail": detail,
+    }
+
+
+def test_c15_fails_when_two_escapes_delta(monkeypatch):
+    ring = build_ring("Z4")
+    assert classify.is_delta_quasipolar(ring)[0]
+    without_two = analysis.delta_mask(ring).copy()
+    without_two[2] = False
+    monkeypatch.setattr(analysis, "delta_mask", lambda ring: without_two)
+    _assert_fail("C15", ring, [2], "1+1 escapes delta")
+
+
+def test_c16_fails_when_e12_is_not_quasinilpotent(monkeypatch):
+    ring = build_ring("M(2, Z2)")
+    e12 = con.matrix_unit_index(ring, 0, 1)
+    qnil = analysis.qnil_sweep_mask(ring).copy()
+    qnil[e12] = False
+    monkeypatch.setattr(analysis, "qnil_sweep_mask", lambda ring: qnil)
+    _assert_fail("C16", ring, [e12], "expected quasinilpotent is not")
+
+
+def test_c16_fails_when_e12_lies_in_delta(monkeypatch):
+    # delta and the radical both take e12, so they still agree
+    ring = build_ring("M(2, Z2)")
+    e12 = con.matrix_unit_index(ring, 0, 1)
+    grown = analysis.jacobson_mask(ring).copy()
+    grown[e12] = True
+    monkeypatch.setattr(analysis, "delta_sweep_mask", lambda ring: grown)
+    monkeypatch.setattr(analysis, "jacobson_mask", lambda ring: grown)
+    _assert_fail("C16", ring, [e12], "expected escapee lies in delta")
+
+
+def _answers_true_for(monkeypatch, ring):
+    """``classify.is_delta_quasipolar`` patched to call ``ring`` delta-quasipolar."""
+    real = classify.is_delta_quasipolar
+    monkeypatch.setattr(
+        classify, "is_delta_quasipolar", lambda r: (True, None) if r is ring else real(r)
+    )
+
+
+def test_c27_fails_when_the_product_holds_but_a_factor_does_not(monkeypatch):
+    ring = build_ring("prod(Z2, Z3)")
+    factor = ring.provenance.right
+    assert classify.is_delta_quasipolar(factor) == (False, 1)
+    _answers_true_for(monkeypatch, ring)
+    detail = "product is delta-quasipolar but factor Z3 is not"
+    _assert_fail("C27", ring, [1], detail, named_by=factor)
+
+
+def test_c29_fails_when_the_extension_holds_but_the_base_does_not(monkeypatch):
+    ring = build_ring("dorroh(Z3, self)")
+    base = ring.provenance.base
+    assert classify.is_delta_quasipolar(base) == (False, 1)
+    _answers_true_for(monkeypatch, ring)
+    _assert_fail("C29", ring, [1], "extension is delta-quasipolar but the base is not", named_by=base)
+
+
+def test_c30_fails_when_the_subring_holds_but_the_base_does_not(monkeypatch):
+    ring = build_ring("H(1, 1, Z3)")
+    base = ring.provenance.base
+    assert classify.is_delta_quasipolar(base) == (False, 1)
+    _answers_true_for(monkeypatch, ring)
+    _assert_fail("C30", ring, [1], "subring is delta-quasipolar but the base is not", named_by=base)
+
+
+def test_c31_fails_when_the_matrix_ring_reads_delta_quasipolar(monkeypatch):
+    ring = build_ring("M(2, Z2)")
+    _answers_true_for(monkeypatch, ring)
+    _assert_fail("C31", ring, [ring.one], "matrix ring unexpectedly delta-quasipolar")
+
+
+def test_c31_fails_when_the_witness_fails_reverification(monkeypatch):
+    ring = build_ring("M(2, Z2)")
+    _, witness = classify.is_delta_quasipolar(ring)
+    monkeypatch.setattr(harness, "reverify_not_dqp_witness", lambda ring, a: False)
+    _assert_fail("C31", ring, [witness], "witness failed scalar re-verification")

@@ -372,6 +372,27 @@ def test_theorem_stating_checks_read_only_the_sweeps():
             ("harness", "_uniquely_clean_premises"), ("classify", "spectral_grid")} <= reached
 
 
+def test_only_c17_reaches_the_unit_generators():
+    # C02 and C03 read the ideal test, which needs R's generators alone
+    roots = _check_roots(sources.TREES["harness"])
+    reach = {c: ("analysis", "unit_generators") in sources.reached(parts) for c, parts in roots.items()}
+    assert roots.keys() == set(deltaring.harness.CHECK_IDS)
+    assert [c for c, reads in reach.items() if reads] == ["C17"]
+    assert all(("analysis", "closure_holds") in sources.reached(roots[c]) for c in ("C02", "C03"))
+
+
+def test_no_module_keeps_a_dead_import_or_private_name():
+    assert sources.unused_imports() == set()
+    assert sources.unreferenced_private() == set()
+    # the scanners themselves, on a module with one of each
+    dead = {"mod": ast.parse(
+        "import os\nfrom . import x as _x\n_LIMIT = 3\n_USED = 4\n"
+        "def _helper():\n    pass\n\n@cache\ndef _kept():\n    return _USED\n"
+    )}
+    assert sources.unused_imports(dead) == {("mod", "os"), ("mod", "_x")}
+    assert sources.unreferenced_private(dead) == {("mod", "_LIMIT"), ("mod", "_helper")}
+
+
 def test_a_check_rewired_to_a_theorem_path_fails_the_guard():
     # C06 reading analysis.delta, which answers by delta_mask's theorem path
     text = pathlib.Path(deltaring.harness.__file__).read_text()
