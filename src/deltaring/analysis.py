@@ -3,11 +3,11 @@
 Every layer here reads the compiled tables only through the kernel's
 read seam: ``FiniteRing.block``, ``kernel.row_block_reads``,
 ``FiniteRing.apply`` and ``FiniteRing.neg_rows``.  A cached layer is
-decorated with :func:`_cached`, or :func:`_swept` for a sweep, and its
-result is cached on the ring, frozen, and only as arrays: the public
-functions build a fresh :class:`ElementSet` from a cached mask on every
-call, so no cache entry points back at its ring and each ring is freed
-by reference counting alone.  The caches are pure functions of the
+decorated with the kernel's ``_cached``, or ``_swept`` for a sweep, and
+its result is cached on the ring as frozen arrays: the public functions
+build a fresh :class:`ElementSet` from a cached mask on every call, so
+no cache entry points back at its ring and each ring is freed by
+reference counting alone.  The caches are pure functions of the
 tables, so a populated cache always equals its from-scratch
 recomputation; concurrent callers may compute a value twice and
 publish the same answer, which is harmless.
@@ -54,7 +54,6 @@ table.  :func:`unit_generators` generates U on such a ring.
 from __future__ import annotations
 
 import functools
-import inspect
 
 import numpy as np
 
@@ -63,49 +62,13 @@ from .kernel import (
     ElementSet,
     FiniteRing,
     _additive_tree,
+    _cached,
     _row_blocks,
+    _swept,
     _upper_tiles,
     proven_generators,
     row_block_reads,
 )
-
-
-def _frozen(value):
-    """``value`` read-only: an array, or each array of a tuple."""
-    if isinstance(value, tuple):
-        return tuple(map(_frozen, value))
-    value = np.ascontiguousarray(value)
-    value.flags.writeable = False
-    return value
-
-
-def _cached(compute, fill=False):
-    """Decorator: ``compute(ring, *args)`` cached on the ring under its
-    name, or under ``(name, *args)``, defaults filled in, when it takes
-    arguments, and frozen; a None result is not cached.  ``fill`` is
-    :func:`_swept`'s."""
-    defaults = tuple(p.default for p in inspect.signature(compute).parameters.values())[1:]
-
-    @functools.wraps(compute)
-    def cached(ring: FiniteRing, *args):
-        args += defaults[len(args):]
-        key = (compute.__name__, *args) if args else compute.__name__
-        value = ring._cache.get(key)
-        if value is None:
-            if fill:
-                ring.fill()
-            value = compute(ring, *args)
-            if value is not None:
-                value = ring._cache[key] = _frozen(value)
-        return value
-
-    return cached
-
-
-def _swept(compute):
-    """:func:`_cached` for a sweep: the ring's tables are filled on a
-    miss, before ``compute`` reads the whole ring from them."""
-    return _cached(compute, fill=True)
 
 
 LAYERS: dict = {}  # each theorem path's name -> (theorem path, sweep), entered by answered

@@ -22,8 +22,8 @@ answer from theorems about finite rings, T2, T5, T6 and T8, each proved
 in the docstring of the code that uses it (T1, delta = J, and T4,
 qnil = nil, are in ``analysis``), and need no commutation relation.
 Uniquely clean and uniquely delta-clean count the decompositions
-a = e + w over the residuals a - e of one n x |Id| block
-(:func:`residual_grid`), which fills nothing.  The sweeps of the table
+a = e + w over the residuals a - e, one n x |Id| block of the addition
+table (:func:`_residuals`), which fills nothing.  The sweeps of the table
 answer on every other table, where no theorem settles the arguments,
 and for the checks that state those theorems.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .kernel import Element, ElementSet, FiniteRing
+from .kernel import Element, ElementSet, FiniteRing, _cached
 
 # The set a + p must land in for each spectral flavor, as the sweeps read
 # it; the quasipolar flavor also asks a*p to be quasinilpotent (spectral_grid).
@@ -117,7 +117,7 @@ def _power_idempotents(ring: FiniteRing, a: np.ndarray) -> np.ndarray:
 # -- spectral idempotents ----------------------------------------------------------------
 
 
-@analysis._cached
+@_cached
 def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Entry (a, j) says whether idempotent ``idempotent_indices[j]`` is a
     spectral idempotent of a for the target, swept on any table; cached
@@ -210,7 +210,7 @@ def spectral_idempotents(ring: FiniteRing, a: Element, flavor: str = "delta") ->
     return ElementSet(ring, spectral_mask(ring, a, flavor))
 
 
-@analysis._cached
+@_cached
 def spectral_sweep_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     """Per-element quasipolarity flags read from :func:`spectral_grid`,
     on any table; cached and frozen."""
@@ -218,7 +218,7 @@ def spectral_sweep_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
 
 
 @analysis.answered(spectral_sweep_flags)
-@analysis._cached
+@_cached
 def element_flags(ring: FiniteRing, flavor: str = "delta") -> np.ndarray | None:
     """Per-element quasipolarity flags for the target, cached and frozen,
     on a certified ring: one gather J[a*a + a] for delta and jacobson
@@ -251,20 +251,15 @@ def is_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
 # -- clean-style decompositions a = e + w ------------------------------------------
 
 
-@analysis._cached
-def residual_grid(ring: FiniteRing) -> np.ndarray:
-    """Entry (a, j) is the residual a - e_j of a and idempotent
-    ``idempotent_indices[j]``: one n x |Id| block of the addition table,
-    which fills nothing; cached and frozen."""
-    return ring.block("add", None, ring.neg_rows(analysis.idempotent_indices(ring)))
+def _residuals(ring: FiniteRing, rows=None) -> np.ndarray:
+    """Entry (i, j) is a - e_j for a = ``rows[i]`` (every a when None) and
+    e_j = ``idempotent_indices[j]``: an addition block, which fills nothing."""
+    return ring.block("add", rows, ring.neg_rows(analysis.idempotent_indices(ring)))
 
 
+@_cached
 def clean_sweep_flags(
-    ring: FiniteRing,
-    target: str = "unit",
-    *,
-    commuting: bool = False,
-    unique: bool = False,
+    ring: FiniteRing, target: str = "unit", commuting: bool = False, unique: bool = False
 ) -> np.ndarray:
     """Per-element flags for a = e + w decompositions, swept on any table.
 
@@ -275,7 +270,7 @@ def clean_sweep_flags(
     n x |Id| gather of the target at the residuals, and only for
     ``commuting`` the relation's |Id| rows, unpacked and transposed.
     """
-    good = _sweep_target(target, "clean target")(ring).take(residual_grid(ring))
+    good = _sweep_target(target, "clean target")(ring).take(_residuals(ring))
     if commuting:
         good &= analysis.comm_rows(ring, analysis.idempotent_indices(ring)).T
     counts = good.sum(axis=1)
@@ -291,8 +286,8 @@ def clean_flags(
     unique: bool = False,
 ) -> np.ndarray | None:
     """The flags of :func:`clean_sweep_flags` on a certified ring, or None
-    where no theorem settles them: the unit target with ``unique``, which
-    the sweep counts, and a target outside unit, jacobson and delta.
+    where no theorem settles them: the unit target with ``commuting``
+    and ``unique``, and a target outside unit, jacobson and delta.
 
     T5 and T8: every element of a finite ring is strongly clean.  By T8
     for -a, -a + 1 - e is a unit u for an idempotent e that is a power
@@ -305,17 +300,17 @@ def clean_flags(
     for exactly one commuting decomposition leaves a^2 - a in J alone:
     two commuting idempotents in a + J differ by a nilpotent x with
     x^3 = x, which is 0 (see T2).  Without the commutation, the
-    decompositions a = e + d are counted by their definition, the
-    members of J among the residuals a - e (:func:`residual_grid`).
+    decompositions are counted by their definition, the members of U,
+    or of J, among the residuals a - e (:func:`_residuals`).
     """
+    if target not in ("unit", *_RADICAL_TWIN):
+        return None
+    member = analysis.unit_mask if target == "unit" else analysis.jacobson_mask
+    if unique and not commuting:
+        return member(ring).take(_residuals(ring)).sum(axis=1) == 1
     if target == "unit":
         return None if unique else np.ones(ring.size, dtype=bool)
-    if target not in _RADICAL_TWIN:
-        return None
-    radical = analysis.jacobson_mask(ring)
-    if unique and not commuting:
-        return radical.take(residual_grid(ring)).sum(axis=1) == 1
-    return radical.take(_square_plus(ring, np.arange(ring.size), -1))
+    return member(ring).take(_square_plus(ring, np.arange(ring.size), -1))
 
 
 def verdict(flags: np.ndarray) -> tuple[bool, int | None]:
@@ -364,7 +359,7 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     """
     ring._check_index(a)
     idl = analysis.idempotent_indices(ring)
-    residual = residual_grid(ring)[a]
+    residual = _residuals(ring, [a])[0]
     commutes = analysis.comm_mask(ring, a)[idl]
     good = _sweep_target(target, "clean target")(ring)[residual]
     return [(int(idl[j]), int(residual[j]), bool(commutes[j])) for j in np.flatnonzero(good)]
@@ -373,6 +368,7 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
 # -- structural ring predicates ------------------------------------------------------
 
 
+@_cached
 def is_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
     """Every idempotent central; witness is the first non-central
     idempotent.  Idempotent e is central when row e of the

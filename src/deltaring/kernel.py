@@ -5,6 +5,8 @@ multiplication are total ``size x size`` index tables.  Every
 higher-level computation in this package (subset sweeps, classification,
 the verification suite) is a function of these tables alone, so the
 axioms checked by :func:`validate_ring` are the single trust anchor.
+Each value kept per ring is cached by one decorator, :func:`_cached`
+(:func:`_swept` for a sweep), the only writer of ``FiniteRing._cache``.
 
 One finiteness fact is used by the inverse scan and recorded here once:
 in a finite unital ring a one-sided inverse is two-sided.  If
@@ -17,6 +19,8 @@ the left product once per hit.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -113,6 +117,50 @@ def _as_table(name: str, data, shape: tuple[int, int] | None, bound: int) -> np.
     table = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
     table.flags.writeable = False
     return table
+
+
+def _frozen(value):
+    """``value`` with every array in it read-only, and any other value as it is."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    if isinstance(value, np.ndarray):
+        value = np.ascontiguousarray(value)
+        value.flags.writeable = False
+    return value
+
+
+def _cached(compute, fill=False):
+    """Decorator: ``compute(ring, *args)`` cached on the ring under its
+    name, or under ``(name, *args)`` when it takes arguments, each
+    argument in its position and its default filled in, and frozen; a
+    None result is not cached.  ``fill`` is :func:`_swept`'s."""
+    name, signature = compute.__name__, inspect.signature(compute)
+    defaults = tuple(p.default for p in signature.parameters.values())[1:]
+
+    @functools.wraps(compute)
+    def cached(ring: FiniteRing, *args, **kwargs):
+        if kwargs:  # bound only here, so a positional hit pays no binding
+            bound = signature.bind(ring, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        else:
+            args += defaults[len(args):]
+        key = (name, *args) if args else name
+        value = ring._cache.get(key)
+        if value is None:
+            if fill:
+                ring.fill()
+            value = compute(ring, *args)
+            if value is not None:
+                value = ring._cache[key] = _frozen(value)
+        return value
+
+    return cached
+
+
+def _swept(compute):
+    """:func:`_cached` for a sweep, which fills the tables on a miss."""
+    return _cached(compute, fill=True)
 
 
 class FiniteRing:
@@ -355,20 +403,16 @@ class FiniteRing:
         value = int(inv[self._check_index(x)])
         return None if value < 0 else value
 
+    @_cached
     def inverse_table(self) -> np.ndarray:
-        table = self._cache.get("inverse_table")
-        if table is None:
-            # the first right inverse in each row, scanned in row blocks as
-            # the negation scan is, kept where it is also a left inverse
-            blocks = row_block_reads(self, "mul", cells=_SWEEP_BLOCK_CELLS)
-            right = np.concatenate([np.argmax(part == self.one, axis=1) for _, part in blocks])
-            arange = np.arange(self.size)
-            has_right = self.apply("mul", arange, right) == self.one
-            two_sided = self.apply("mul", right, arange) == self.one
-            table = np.where(has_right & two_sided, right, -1).astype(np.int32)
-            table.flags.writeable = False
-            self._cache["inverse_table"] = table
-        return table
+        # the first right inverse in each row, scanned in row blocks as
+        # the negation scan is, kept where it is also a left inverse
+        blocks = row_block_reads(self, "mul", cells=_SWEEP_BLOCK_CELLS)
+        right = np.concatenate([np.argmax(part == self.one, axis=1) for _, part in blocks])
+        arange = np.arange(self.size)
+        has_right = self.apply("mul", arange, right) == self.one
+        two_sided = self.apply("mul", right, arange) == self.one
+        return np.where(has_right & two_sided, right, -1).astype(np.int32)
 
     def is_unit(self, x: Element) -> bool:
         return int(self.inverse_table()[self._check_index(x)]) >= 0
@@ -1125,14 +1169,11 @@ def validate_ring(ring: FiniteRing) -> ValidationReport:
     )
 
 
+@_cached
 def validation_report(ring: FiniteRing) -> ValidationReport:
-    """:func:`validate_ring`'s report, computed once per ring and kept in
-    its cache, so that a table leaf's build, C00 and a verb's gate share
-    one run of the prover."""
-    report = ring._cache.get("validation_report")
-    if report is None:
-        report = ring._cache["validation_report"] = validate_ring(ring)
-    return report
+    """:func:`validate_ring`'s report, cached, so that a table leaf's
+    build, C00 and a verb's gate share one run of the prover."""
+    return validate_ring(ring)
 
 
 def proven_generators(ring: FiniteRing) -> np.ndarray | None:

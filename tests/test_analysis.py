@@ -1,6 +1,7 @@
 import ast
 import gc
 import inspect
+import itertools
 import random
 import re
 import tracemalloc
@@ -172,9 +173,14 @@ def test_delta_is_ideal_exactly_when_it_equals_radical(corpus):
         assert oracles.is_ideal_of(ring, delta) == (delta == radical), entry.spec_text
 
 
+# the values each parameter of a cached layer is called with
+PARAMETER_VALUES = {"flavor": classify.FLAVORS, "target": ("unit", "jacobson", "delta"),
+                    "commuting": (False, True), "unique": (False, True)}
+
+
 def test_results_are_cached_and_masks_frozen(z4, t2z2):
     layers = sorted(sources.cached_layers())
-    assert len(layers) == 18
+    assert {("classify", "clean_sweep_flags"), ("classify", "is_abelian")} <= set(layers)
     # copies with one entry rewritten with its own value: the same rings, unmarked
     copies = [oracles.mutate_mul_entry(ring, 1, 1, ring.mul(1, 1)) for ring in (z4, t2z2)]
     assert not any(copy.certified for copy in copies)
@@ -182,14 +188,21 @@ def test_results_are_cached_and_masks_frozen(z4, t2z2):
         assert kernel.validation_report(ring).ok
         for module, name in layers:
             layer = getattr(sources.MODULES[module], name)
-            flavored = len(inspect.signature(layer).parameters) > 1
-            for args in [(f,) for f in classify.FLAVORS] if flavored else [()]:
+            parameters = list(inspect.signature(layer).parameters.values())[1:]
+            for args in itertools.product(*(PARAMETER_VALUES[p.name] for p in parameters)):
                 value = layer(ring, *args)
                 assert layer(ring, *args) is value, (name, args)
                 for part in value if isinstance(value, tuple) else (value,):
-                    assert not part.flags.writeable, (name, args)
-            if flavored:  # the default flavor is keyed as if it were passed
-                assert layer(ring) is layer(ring, "delta"), name
+                    if isinstance(part, np.ndarray):  # a verdict's bool and witness are not
+                        assert not part.flags.writeable, (name, args)
+                # by name, and with only the arguments that differ from
+                # their defaults: defaults are keyed as if they were passed
+                named = {p.name: arg for p, arg in zip(parameters, args)}
+                assert layer(ring, **named) is value, (name, args)
+                given = {p.name: arg for p, arg in zip(parameters, args) if arg != p.default}
+                assert layer(ring, **given) is value, (name, given)
+            with pytest.raises(TypeError):
+                layer(ring, unknown=True)
         assert analysis.delta_mask(ring) is analysis.delta_mask(ring)
         assert analysis.delta(ring) == analysis.delta(ring)
         assert analysis.units(ring) == analysis.units(ring)

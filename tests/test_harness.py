@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import gc
 import json
@@ -145,6 +146,36 @@ def test_suite_runs_on_the_calling_thread_unless_jobs_asks_for_a_pool(corpus, mo
     assert run_suite(corpus[:1], jobs=2).results  # one ring needs no pool
     with pytest.raises(AssertionError, match="thread pool"):
         run_suite(corpus[:2], jobs=2)
+
+
+def test_one_suite_run_computes_each_cached_value_once(monkeypatch, tmp_path):
+    # each undecorated compute is wrapped with a counter in its
+    # decorator's closure, where every caller's name for the layer leads
+    calls = collections.Counter()
+    for layer in (kernel.FiniteRing.inverse_table, kernel.validation_report,
+                  classify.clean_sweep_flags, classify.is_abelian):
+        compute = layer.__wrapped__
+
+        def counted(ring, *args, compute=compute):
+            calls[(ring, compute.__name__, *args)] += 1
+            return compute(ring, *args)
+
+        cell = next(cell for cell in layer.__closure__ if cell.cell_contents is compute)
+        monkeypatch.setattr(cell, "cell_contents", counted)
+    manifest = tmp_path / "rings.txt"
+    manifest.write_text("M(2, Z2)\nprod(Z2, prod(Z2, Z2))\n")
+    entries = build_corpus(manifest)
+    assert not run_suite(entries).failures()
+    assert max(calls.values()) == 1, calls.most_common(3)
+    # (target, commuting, unique): C14's premises on both rings, and on the
+    # abelian product also the strongly delta-clean and J-clean flags of
+    # C11, C12 and C25
+    premises = {("unit", False, True), ("delta", False, True)}
+    clean = [premises, premises | {("delta", True, False), ("jacobson", False, False)}]
+    for entry, flags in zip(entries, clean):
+        keys = {key[1:] for key in calls if key[0] is entry.ring}
+        assert keys == {("inverse_table",), ("validation_report",), ("is_abelian",),
+                        *(("clean_sweep_flags", *key) for key in flags)}, entry.spec_text
 
 
 def test_markdown_rendering(corpus):
@@ -321,7 +352,9 @@ def test_closure_checks_answer_as_their_sweeps(corpus, ladder_rings, monkeypatch
     for ring, rows in zip(rings, decided):
         # the generators exist exactly on the tables that passed C00
         assert (kernel.proven_generators(ring) is None) == (rows[0]["verdict"] == FAIL)
+    # unit_generators is cached once C17 has run, so it is patched too
     monkeypatch.setattr(analysis, "proven_generators", lambda ring: None)
+    monkeypatch.setattr(analysis, "unit_generators", lambda ring: None)
     for ring, rows in zip(rings, decided):
         assert _closure_rows(ring) == rows, ring.spell()
     fails = {row["check"] for rows in decided for row in rows[1:] if row["verdict"] == FAIL}
@@ -354,8 +387,8 @@ def test_c17_reads_every_unit_generator(spec, monkeypatch):
     for flags in flag_sets:
         monkeypatch.setattr(classify, "element_flags", lambda ring, flavor: flags)
         decided = run_check("C17", ring).to_dict()
-        with monkeypatch.context() as sweep_only:
-            sweep_only.setattr(analysis, "proven_generators", lambda ring: None)
+        with monkeypatch.context() as sweep_only:  # unit_generators is cached after C00
+            sweep_only.setattr(analysis, "unit_generators", lambda ring: None)
             assert run_check("C17", ring).to_dict() == decided
         verdicts.append(decided["verdict"])
     assert verdicts.count(FAIL) > 0 and verdicts.count(PASS) > 0

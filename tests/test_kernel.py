@@ -411,6 +411,18 @@ def test_only_the_dispatcher_reads_the_certified_mark():
             assert not reads or getattr(node, "name", None) == "answered", (module, node.lineno)
 
 
+def test_only_the_kernel_writes_the_ring_cache():
+    # kernel._cached is the one writer; every other module reads by get
+    for module, tree in sources.PACKAGE.items():
+        if module == "kernel":
+            continue
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                read = parents[node]
+                assert isinstance(read, ast.Attribute) and read.attr == "get", (module, node.lineno)
+
+
 def _replay(ring, axiom, w):
     """Re-check a reported violation witness with direct table lookups."""
     if axiom == "mul-associativity":

@@ -257,7 +257,7 @@ def test_unmarked_rings_take_the_sweeps(z4, t2z2):
         assert analysis.jacobson_mask(copy) is analysis.jacobson_sweep_mask(copy)
         assert analysis.nilpotent_mask(copy) is analysis.nilpotent_sweep_mask(copy)
         for key in ("comm_matrix", ("spectral_grid", "delta"), ("spectral_grid", "quasipolar"),
-                    "residual_grid"):
+                    ("clean_sweep_flags", "unit", False, True)):
             assert key in copy._cache, key
 
 
