@@ -2,7 +2,8 @@
 
 Every layer here reads the compiled tables only through the kernel's
 read seam: ``FiniteRing.block``, ``kernel.row_block_reads``,
-``FiniteRing.apply`` and ``FiniteRing.neg_rows``.  A cached layer is
+``kernel.gathered``, ``FiniteRing.apply`` and ``FiniteRing.neg_rows``.
+A cached layer is
 decorated with the kernel's ``_cached``, or ``_swept`` for a sweep, and
 its result is cached on the ring as frozen arrays: the public functions
 build a fresh :class:`ElementSet` from a cached mask on every call, so

@@ -22,8 +22,9 @@ answer from theorems about finite rings, T2, T5, T6 and T8, each proved
 in the docstring of the code that uses it (T1, delta = J, and T4,
 qnil = nil, are in ``analysis``), and need no commutation relation.
 Uniquely clean and uniquely delta-clean count the decompositions
-a = e + w over the residuals a - e, one n x |Id| block of the addition
-table (:func:`_residuals`), which fills nothing.  The sweeps of the table
+a = e + w over the residuals a - e, the n x |Id| addition block at the
+negated idempotents, read through its target set in row blocks
+(``kernel.gathered``), which fills nothing.  The sweeps of the table
 answer on every other table, where no theorem settles the arguments,
 and for the checks that state those theorems.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .kernel import Element, ElementSet, FiniteRing, _cached
+from .kernel import Element, ElementSet, FiniteRing, _cached, gathered
 
 # The set a + p must land in for each spectral flavor, as the sweeps read
 # it; the quasipolar flavor also asks a*p to be quasinilpotent (spectral_grid).
@@ -48,9 +49,8 @@ _SWEEP_TARGETS = {
 FLAVORS = tuple(_SWEEP_TARGETS)
 # the set the residual w of a clean decomposition a = e + w must lie in
 _CLEAN_TARGETS = {name: _SWEEP_TARGETS[name] for name in ("unit", "jacobson", "delta")}
-# the flavors and clean targets that are J on a certified ring (T1); each
-# flavor's spectral_grid may be taken from the other's
-_RADICAL_TWIN = {"delta": "jacobson", "jacobson": "delta"}
+# the flavors and clean targets that are J on a certified ring (T1)
+_RADICAL_TWIN = ("delta", "jacobson")
 
 
 def _sweep_target(name: str, kind: str = "spectral flavor"):
@@ -124,26 +124,18 @@ def spectral_grid(ring: FiniteRing, flavor: str = "delta") -> np.ndarray:
     and frozen.
 
     The target comes first: an n x |Id| gather of a + p (and of a*p for
-    the quasipolar flavor) through the swept target sets.  The test
-    C(a) subset of C(p) then runs only at the candidates, the cells
-    where the target holds and p is not central (else C(p) = R), on the
-    packed rows of :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers
-    plus |candidates|*n/8 byte operations.
-
-    The delta and jacobson grids are the same function of their target
-    masks, so the second of them to be asked for is the first one's
-    grid when ``np.array_equal`` finds the two masks equal, as on every
-    ring; a table whose masks differ pays both sweeps.
+    the quasipolar flavor) through the swept target sets, in row blocks
+    (``kernel.gathered``).  The test C(a) subset of C(p) then runs only
+    at the candidates, the cells where the target holds and p is not
+    central (else C(p) = R), on the packed rows of
+    :func:`analysis.comm_matrix`.  Cost: n*|Id| gathers plus
+    |candidates|*n/8 byte operations.
     """
     target = _sweep_target(flavor)(ring.fill())  # an unknown flavor raises before the fill
-    other = _RADICAL_TWIN.get(flavor)
-    twin = None if other is None else ring._cache.get(("spectral_grid", other))
-    if twin is not None and np.array_equal(target, _SWEEP_TARGETS[other](ring)):
-        return twin
     idl = analysis.idempotent_indices(ring)
-    grid = target.take(ring.block("add", None, idl))
+    grid = gathered(target, ring, "add", None, idl)
     if flavor == "quasipolar":
-        grid &= analysis.qnil_sweep_mask(ring).take(ring.block("mul", None, idl))
+        grid &= gathered(analysis.qnil_sweep_mask(ring), ring, "mul", None, idl)
     a, j = np.nonzero(grid & ~analysis.center_mask(ring)[idl])
     grid[a, j] = analysis.row_subset_pairs(analysis.comm_matrix(ring), a, idl[j])
     return grid
@@ -251,12 +243,6 @@ def is_quasipolar(ring: FiniteRing) -> tuple[bool, int | None]:
 # -- clean-style decompositions a = e + w ------------------------------------------
 
 
-def _residuals(ring: FiniteRing, rows=None) -> np.ndarray:
-    """Entry (i, j) is a - e_j for a = ``rows[i]`` (every a when None) and
-    e_j = ``idempotent_indices[j]``: an addition block, which fills nothing."""
-    return ring.block("add", rows, ring.neg_rows(analysis.idempotent_indices(ring)))
-
-
 @_cached
 def clean_sweep_flags(
     ring: FiniteRing, target: str = "unit", commuting: bool = False, unique: bool = False
@@ -267,10 +253,12 @@ def clean_sweep_flags(
     delta); ``commuting`` additionally requires ew = we, which for
     w = a - e is equivalent to ea = ae; ``unique`` asks for exactly one
     qualifying decomposition instead of at least one.  Cost: an
-    n x |Id| gather of the target at the residuals, and only for
-    ``commuting`` the relation's |Id| rows, unpacked and transposed.
+    n x |Id| gather of the target at the residuals a - e, in row blocks
+    (``kernel.gathered``), and only for ``commuting`` the relation's
+    |Id| rows, unpacked and transposed.
     """
-    good = _sweep_target(target, "clean target")(ring).take(_residuals(ring))
+    negated = ring.neg_rows(analysis.idempotent_indices(ring))
+    good = gathered(_sweep_target(target, "clean target")(ring), ring, "add", None, negated)
     if commuting:
         good &= analysis.comm_rows(ring, analysis.idempotent_indices(ring)).T
     counts = good.sum(axis=1)
@@ -301,13 +289,15 @@ def clean_flags(
     two commuting idempotents in a + J differ by a nilpotent x with
     x^3 = x, which is 0 (see T2).  Without the commutation, the
     decompositions are counted by their definition, the members of U,
-    or of J, among the residuals a - e (:func:`_residuals`).
+    or of J, among the residuals a - e, gathered as in
+    :func:`clean_sweep_flags`.
     """
     if target not in ("unit", *_RADICAL_TWIN):
         return None
     member = analysis.unit_mask if target == "unit" else analysis.jacobson_mask
     if unique and not commuting:
-        return member(ring).take(_residuals(ring)).sum(axis=1) == 1
+        negated = ring.neg_rows(analysis.idempotent_indices(ring))
+        return gathered(member(ring), ring, "add", None, negated).sum(axis=1) == 1
     if target == "unit":
         return None if unique else np.ones(ring.size, dtype=bool)
     return member(ring).take(_square_plus(ring, np.arange(ring.size), -1))
@@ -359,7 +349,7 @@ def clean_decompositions(ring: FiniteRing, a: Element, target: str = "unit"):
     """
     ring._check_index(a)
     idl = analysis.idempotent_indices(ring)
-    residual = _residuals(ring, [a])[0]
+    residual = ring.block("add", [a], ring.neg_rows(idl))[0]
     commutes = analysis.comm_mask(ring, a)[idl]
     good = _sweep_target(target, "clean target")(ring)[residual]
     return [(int(idl[j]), int(residual[j]), bool(commutes[j])) for j in np.flatnonzero(good)]

@@ -35,7 +35,8 @@ A block restricts the same terms to its columns and gathers them at
 its rows; a product, a grid ring or a Dorroh extension takes them from
 its components' blocks.  A corner or a quotient is a view of its parent
 (``_view``): its blocks are the parent's blocks at the elements it
-keeps, relabelled by one lookup, so a parent that nothing else reads
+keeps, relabelled by one lookup (``kernel.gathered``, which also
+builds an ideal's V), so a parent that nothing else reads
 never fills its tables, and no build or block read fills a base.  Only
 table leaves, checked at once, hold tables from the start.  No module
 but the kernel reads a ring's table; this one reads a Dorroh V's
@@ -72,6 +73,7 @@ from .kernel import (
     _is_int,
     _row_blocks,
     element_capacity,
+    gathered,
     row_block_reads,
 )
 
@@ -141,38 +143,23 @@ def _numbering(indices, n: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, lookup
 
 
-def _relabelled(base: FiniteRing, op: str, rows, cols, lookup: np.ndarray) -> np.ndarray:
-    """``lookup[base.block(op, rows, cols)]`` as a uint16 table, read by
-    ``kernel.row_block_reads``, so that no block of the parent is held
-    whole.  ``lookup`` maps a parent element to the element of a
-    sub-construction that it stands for, and the caller has made sure
-    that every entry of the block has one.  This is the blocked gather
-    of a corner's or a quotient's arithmetic (:func:`_view`) and of an
-    ideal's V.  Cost: 2 bytes per cell of the result, and one row
-    block."""
-    count = base.size if rows is None else len(rows)
-    out = np.empty((count, base.size if cols is None else len(cols)), dtype=TABLE_DTYPE)
-    for start, block in row_block_reads(base, op, rows, cols):
-        out[start : start + len(block)] = lookup[block]
-    return out
-
-
 def _view(parent: FiniteRing, kept: np.ndarray, lookup: np.ndarray, **fields) -> FiniteRing:
     """The ring on the parent elements ``kept``, element i standing for
     ``kept[i]``, with its tables unfilled: a block is the parent's block
     at the kept rows and columns, and an elementwise read the parent's
     elementwise read at the kept elements, each mapped back by
     ``lookup`` (a parent index to the element it stands for).  So the
-    ring reads its parent through its own reads, fills nothing of it,
-    and keeps it alive.  ``fields`` are FiniteRing's zero, one,
-    provenance and element_names."""
+    ring reads its parent through its own reads (a block by
+    ``kernel.gathered``), fills nothing of it, and keeps it alive.
+    ``fields`` are FiniteRing's zero, one, provenance and element_names."""
+    lookup = lookup.astype(TABLE_DTYPE)  # a -1 wraps, and no kept sum or product reads one
 
     def arithmetic(op, rows, cols):
         at = [kept if ids is None else kept[ids] for ids in (rows, cols)]
-        return _relabelled(parent, op, *at, lookup)
+        return gathered(lookup, parent, op, *at)
 
     def pointwise(op, x, y):
-        return lookup[parent.apply(op, kept[x], kept[y])].astype(TABLE_DTYPE)
+        return lookup[parent.apply(op, kept[x], kept[y])]
 
     return FiniteRing(len(kept), None, None, arithmetic=arithmetic, pointwise=pointwise, **fields)
 
@@ -845,15 +832,16 @@ def ideal_action(base: FiniteRing, generators) -> BimoduleRingAction:
     """V is the two-sided ideal generated by the given elements, with
     inherited operations and the base ring acting by multiplication."""
     members, lookup = _numbering(ideal_generated(base, generators).bool_array(), base.size)
+    lookup = lookup.astype(TABLE_DTYPE)
     v = NonUnitalRing(
         len(members),
-        _relabelled(base, "add", members, members, lookup),
-        _relabelled(base, "mul", members, members, lookup),
+        gathered(lookup, base, "add", members, members),
+        gathered(lookup, base, "mul", members, members),
         int(lookup[base.zero]),
         names=lambda at: base.names_of(members[at]),
     )
-    left = _relabelled(base, "mul", None, members, lookup)
-    right = _relabelled(base, "mul", members, None, lookup)
+    left = gathered(lookup, base, "mul", None, members)
+    right = gathered(lookup, base, "mul", members, None)
     return BimoduleRingAction(v=v, left=left, right=right)
 
 

@@ -180,13 +180,13 @@ class FiniteRing:
     ``FiniteRing(...)`` call holds tables from construction; every
     construction, corners and quotients included, holds none until
     :meth:`fill`.  Other modules, and the builders, read a ring only by
-    :meth:`block`, :func:`row_block_reads`, :meth:`neg_rows` and
-    :meth:`apply`, which never fill a table, so no construction fills
-    its base or parent, and a one-element answer reads O(n) cells, not
-    n^2.  Only a pass that reads the whole ring calls :meth:`fill`: the
-    analysis sweeps on a miss, ``classify.classification_report``, and
-    :func:`validate_ring`.  Tables are
-    never mutated; all caches attached afterwards are pure functions of
+    :meth:`block`, :func:`row_block_reads`, :func:`gathered`,
+    :meth:`neg_rows` and :meth:`apply`, which never fill a table, so no
+    construction fills its base or parent, and a one-element answer
+    reads O(n) cells, not n^2.  Only a pass that reads the whole ring
+    calls :meth:`fill`: the analysis sweeps on a miss,
+    ``classify.classification_report``, and :func:`validate_ring`.
+    Tables are never mutated; all caches attached afterwards are pure functions of
     the tables, so a populated cache always equals its from-scratch
     recomputation.  Both tables are ``TABLE_DTYPE`` (uint16), 4 bytes
     per n^2 together.  Constructions are rejected above
@@ -673,6 +673,20 @@ def row_block_reads(ring: FiniteRing, op: str, rows=None, cols=None, cells: int 
     count = ring.size if rows is None else len(rows)
     for block in _row_blocks(count, ring.size if cols is None else len(cols), cells):
         yield block.start, ring.block(op, block if rows is None else rows[block], cols)
+
+
+def gathered(lookup: np.ndarray, ring: FiniteRing, op: str, rows=None, cols=None) -> np.ndarray:
+    """``lookup[ring.block(op, rows, cols)]`` in the lookup's dtype, read
+    by :func:`row_block_reads`, so that the block is never held whole:
+    a target set looked up at sums or products, or a parent's elements
+    relabelled for a sub-construction.  Each row block is indexed, not
+    taken, as ``take`` makes an intp copy of it.  Cost: the result, and
+    one row block of about ``_BLOCK_CELLS`` cells."""
+    count = ring.size if rows is None else len(rows)
+    out = np.empty((count, ring.size if cols is None else len(cols)), dtype=lookup.dtype)
+    for start, block in row_block_reads(ring, op, rows, cols):
+        out[start : start + len(block)] = lookup[block]
+    return out
 
 
 def _upper_tiles(n: int) -> list[tuple[slice, slice]]:

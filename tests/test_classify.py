@@ -1,9 +1,12 @@
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from deltaring import FiniteRing, analysis, build_ring, classify, zn
+from deltaring import FiniteRing, analysis, build_ring, classify, kernel, zn
+from deltaring.harness import run_check
 
 import oracles
 
@@ -61,20 +64,22 @@ def test_spectral_grid_equals_the_dense_reference(corpus_rings):
     assert pruned
 
 
-def test_the_radical_grids_share_one_sweep_where_their_targets_agree(corpus_rings):
+def test_c09_sweeps_the_radical_grids_only_where_their_targets_differ(corpus_rings):
     # an unmarked copy, so the sweeps answer: its delta and jacobson
-    # targets agree, so the second grid asked for is the first
+    # targets agree, so its two grids are one and C09 sweeps neither
     ring = corpus_rings["M(2, Z2)"]
     copy = oracles.mutate_mul_entry(ring, 1, 1, ring.mul(1, 1))
-    jacobson = classify.spectral_grid(copy, "jacobson")
-    assert classify.spectral_grid(copy, "delta") is jacobson
-    # Z4 with 3 * 0 = 1: delta is {0} and J is empty, so each is swept
+    assert run_check("C09", copy).verdict == "PASS"
+    assert not {("spectral_grid", flavor) for flavor in FLAVORS} & set(copy._cache)
+    # Z4 with 3 * 0 = 1: delta is {0} and J is empty, so C09 compares both
     bad = oracles.mutate_mul_entry(corpus_rings["Z4"], 3, 0, 1)
     assert not np.array_equal(analysis.delta_sweep_mask(bad), analysis.jacobson_mask(bad))
-    grids = [classify.spectral_grid(bad, flavor) for flavor in ("delta", "jacobson")]
-    assert grids[0] is not grids[1]
-    for flavor, grid in zip(("delta", "jacobson"), grids):
+    result = run_check("C09", bad)
+    for flavor in ("delta", "jacobson"):
+        grid = bad._cache[("spectral_grid", flavor)]
         assert np.array_equal(grid, _dense_spectral_grid(bad, flavor)[1]), flavor
+    escaped = bad._cache[("spectral_grid", "jacobson")] & ~bad._cache[("spectral_grid", "delta")]
+    assert result.verdict == ("FAIL" if escaped.any() else "PASS")
 
 
 def test_idempotent_with_idempotent_residual_in_triangular_ring(t2z2):
@@ -259,6 +264,34 @@ def test_strict_commuting_changes_only_the_commutation_requirement(corpus):
         )
         assert relaxed[0] == expect_relaxed, entry.spec_text
         assert strict[0] == expect_strict, entry.spec_text
+
+
+def test_the_idempotent_grids_hold_one_block_beside_their_result(monkeypatch):
+    # (Z2)^8: every element is idempotent, so each grid is n x n, and a
+    # block of 2^12 cells is a sixteenth of it
+    monkeypatch.setattr(kernel, "_BLOCK_CELLS", 1 << 12)
+    half = "prod(prod(Z2, Z2), prod(Z2, Z2))"
+    ring = build_ring(f"prod({half}, {half})").fill()
+    cells = ring.size * len(analysis.idempotent_indices(ring))
+    assert ring.certified and cells == 256 * 256
+    for layer in (analysis.unit_mask, analysis.jacobson_mask, analysis.delta_sweep_mask,
+                  analysis.center_mask, analysis.comm_matrix):
+        layer(ring)  # the inputs, outside the trace
+    calls = {
+        "sweep": lambda: classify.clean_sweep_flags(ring, "unit", False, True),
+        "theorem count": lambda: classify.clean_flags(ring, "unit", unique=True),
+        "spectral": lambda: classify.spectral_grid(ring, "delta"),
+    }
+    for name, call in calls.items():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bool result, one temporary of its size, one block at 13 bytes a cell
+        assert peak <= 2 * cells + 13 * kernel._BLOCK_CELLS, (name, peak)
 
 
 # -- structural predicates ---------------------------------------------------------

@@ -528,6 +528,7 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
     n = ring.size
     arrays = _index_arrays(rng, n)
     slices = [slice(None), slice(3, None), slice(2, n - 3), slice(5, 5), slice(n - 4, None)]
+    lookups = (rng.random(n) < 0.5, rng.permutation(n).astype(np.uint16))
     for op in ("add", "mul"):
         table = getattr(filled, f"{op}_table")
         for rows in arrays + slices:
@@ -552,6 +553,10 @@ def test_the_read_seams_agree_with_the_filled_tables(spec, monkeypatch):
                     assert all(b.size <= max(40, width) for b in blocks), (spec, op)
                     got = np.concatenate(blocks) if blocks else np.empty((0, width), np.uint16)
                     assert np.array_equal(got, want), (spec, op, rows, cols)
+                    for lookup in lookups:
+                        got = kernel.gathered(lookup, source, op, rows, cols)
+                        assert got.dtype == lookup.dtype, (spec, op)
+                        assert np.array_equal(got, lookup[want]), (spec, op, rows, cols)
                     if source is filled and rows is None:
                         assert all(np.shares_memory(b, table) for b in blocks) == (cols is None)
     assert [getattr(ring, name) is None for name in TABLES] == [lazy] * 3, spec

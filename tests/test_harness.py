@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import gc
+import inspect
 import json
 import random
 import tracemalloc
@@ -153,7 +154,7 @@ def test_one_suite_run_computes_each_cached_value_once(monkeypatch, tmp_path):
     # decorator's closure, where every caller's name for the layer leads
     calls = collections.Counter()
     for layer in (kernel.FiniteRing.inverse_table, kernel.validation_report,
-                  classify.clean_sweep_flags, classify.is_abelian):
+                  classify.clean_sweep_flags, classify.is_abelian, classify.spectral_grid):
         compute = layer.__wrapped__
 
         def counted(ring, *args, compute=compute):
@@ -169,13 +170,33 @@ def test_one_suite_run_computes_each_cached_value_once(monkeypatch, tmp_path):
     assert max(calls.values()) == 1, calls.most_common(3)
     # (target, commuting, unique): C14's premises on both rings, and on the
     # abelian product also the strongly delta-clean and J-clean flags of
-    # C11, C12 and C25
+    # C11, C12 and C25.  Spectral flavors: delta for the delta-quasipolar
+    # flags of C11 and C12, and unit for C21 on the delta-quasipolar
+    # product; no jacobson grid, as C09 sweeps none where the two radical
+    # targets agree
     premises = {("unit", False, True), ("delta", False, True)}
     clean = [premises, premises | {("delta", True, False), ("jacobson", False, False)}]
-    for entry, flags in zip(entries, clean):
+    for entry, flags, grids in zip(entries, clean, [{"delta"}, {"delta", "unit"}]):
         keys = {key[1:] for key in calls if key[0] is entry.ring}
         assert keys == {("inverse_table",), ("validation_report",), ("is_abelian",),
+                        *(("spectral_grid", flavor) for flavor in grids),
                         *(("clean_sweep_flags", *key) for key in flags)}, entry.spec_text
+
+
+def test_a_suite_run_binds_no_cached_layer_arguments(monkeypatch):
+    # a cached layer called with keywords binds them through its signature
+    # on every call, a cache hit included; the checks pass them by position
+    binds = collections.Counter()
+    bind = inspect.Signature.bind
+
+    def counted(self, *args, **kwargs):
+        binds[str(self)] += 1
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(inspect.Signature, "bind", counted)
+    for strict in (False, True):
+        assert not run_suite(build_corpus(), strict_commuting=strict).failures()
+        assert not binds, (strict, binds.most_common(3))
 
 
 def test_markdown_rendering(corpus):

@@ -411,16 +411,12 @@ def test_only_the_dispatcher_reads_the_certified_mark():
             assert not reads or getattr(node, "name", None) == "answered", (module, node.lineno)
 
 
-def test_only_the_kernel_writes_the_ring_cache():
-    # kernel._cached is the one writer; every other module reads by get
+def test_only_the_kernel_touches_the_ring_cache():
+    # kernel._cached is the one writer, and no other module reads an entry
     for module, tree in sources.PACKAGE.items():
-        if module == "kernel":
-            continue
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_cache":
-                read = parents[node]
-                assert isinstance(read, ast.Attribute) and read.attr == "get", (module, node.lineno)
+        touches = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+        assert not touches or module == "kernel", (module, touches)
 
 
 def _replay(ring, axiom, w):

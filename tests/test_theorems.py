@@ -328,7 +328,8 @@ def test_the_sweep_keys_hold_every_sweep_of_the_table():
     cached = {name for _, name in sources.cached_layers()}
     assert sweeps & cached <= SWEEP_KEYS
     assert {"comm_matrix", "spectral_grid", "nilpotent_sweep_mask"} <= SWEEP_KEYS
-    assert not SWEEP_KEYS & {"nilpotent_mask", "jacobson_mask", "unit_mask", "residual_grid"}
+    kept = {"nilpotent_mask", "jacobson_mask", "unit_mask"}
+    assert kept <= cached and not SWEEP_KEYS & kept
 
 
 # -- one-element answers, and delta, fill no table ------------------------------------
